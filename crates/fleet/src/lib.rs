@@ -14,7 +14,7 @@
 //! parameter `predict` reads** (`sad_models::infer_state_equal`) form a
 //! *cohort*; each cohort's per-step feature windows are packed into one
 //! row-major matrix and pushed through a single `Mlp::forward_batch` per
-//! sub-network via a shared inference workspace
+//! sub-network via the group's one inference workspace
 //! (`sad_models::InferBatch`), amortizing inference the way the training
 //! workspace amortizes fine-tuning. `forward_batch` computes every output
 //! row independently and identically to `Mlp::infer`, so the batched path
@@ -27,6 +27,23 @@
 //! whose models never materialize a batchable network (PCB-iForest,
 //! ARIMA, kNN, …) — and every stream when `FleetConfig::batching` is off
 //! — run the plain scalar `Detector::step` path.
+//!
+//! ## One serving loop, two precisions
+//!
+//! `InferBatch<T>` is generic over the tensor precision, and a group's
+//! workspace is in the precision it serves. Each round serves a cohort by
+//! the same pack → forward → emit loop against an `InferView` of that
+//! cohort's networks and scaler:
+//!
+//! * **f64** (default): the view borrows the cohort leader's live
+//!   parameters. Nothing is copied: under entity churn nearly every round
+//!   rebuilds cohorts, and per-cohort f64 copies would add their weights
+//!   to memory and a full copy to each of those rounds.
+//! * **f32** (`FleetConfig::f32_infer`): the view borrows the cohort's
+//!   `InferSnapshot<f32>`, which holds only converted weights and scaler.
+//!   Snapshots are re-synced in place (allocation-free) on the same
+//!   dirty-on-training-event hook that rebuilds cohorts. Outputs agree
+//!   with the f64 path to f32 accuracy; training stays f64.
 //!
 //! ## Sharding
 //!
@@ -50,8 +67,11 @@
 //! Prometheus/JSON sinks. `FleetConfig::telemetry` gates only the clock
 //! reads and the queue sweep (the measured overhead knob).
 
-use sad_core::{Detector, ModelOutput, StepOutput};
-use sad_models::{batch_arch_key, infer_state_equal, ArchKey, InferBatch, InferBatchF32};
+use sad_core::{Detector, ModelOutput, StepOutput, StreamModel};
+use sad_models::{
+    batch_arch_key, infer_state_equal, infer_view, ArchKey, InferBatch, InferSnapshot, InferView,
+    Scalar,
+};
 use sad_obs::{CounterId, GaugeId, Histogram, HistogramId, Registry};
 
 /// What to do with an incoming stream vector when its bounded per-stream
@@ -100,14 +120,16 @@ pub struct FleetConfig {
     pub parallel: bool,
     /// Per-stream input queue capacity (stream vectors).
     pub queue_capacity: usize,
-    /// Serves cohort forward passes through f32 weight snapshots
-    /// (`sad_models::InferBatchF32`) instead of the live f64 parameters.
-    /// Roughly doubles effective memory bandwidth in the memory-bound
-    /// serving GEMMs; outputs agree with the f64 path to f32 relative
-    /// accuracy rather than bitwise. Training, fine-tuning and the
-    /// detector's score/threshold state stay f64 — snapshots are re-synced
-    /// on the same dirty-on-training-event hook that rebuilds cohorts.
-    /// Requires `batching`; off by default (the parity-proof default).
+    /// Serves each arch group through an f32 `InferBatch`, with every
+    /// cohort's view borrowing its own f32 snapshot of weights and scaler
+    /// (`sad_models::InferSnapshot`) instead of the leader's live f64
+    /// parameters. Halves the bytes streamed per weight in the
+    /// memory-bound serving GEMMs; outputs agree with the f64 path to f32
+    /// relative accuracy rather than bitwise. Training, fine-tuning and
+    /// the detector's score/threshold state stay f64 — snapshots are
+    /// re-synced on the same dirty-on-training-event hook that rebuilds
+    /// cohorts. Requires `batching`; off by default (the parity-proof
+    /// default).
     pub f32_infer: bool,
     /// Enables the timed/shape telemetry: per-round latency histograms,
     /// queue-depth high-water marks, and batch-width histograms. The
@@ -144,12 +166,14 @@ pub struct FleetStats {
     /// Batched forward passes executed (`batched_rows / batches` = mean
     /// rows amortized per pass).
     pub batches: usize,
-    /// Subset of `batched_rows` served through an f32 snapshot
-    /// (`FleetConfig::f32_infer`).
+    /// Subset of `batched_rows` served in f32, against a cohort's
+    /// `InferSnapshot<f32>` (`FleetConfig::f32_infer`; with it on, every
+    /// batched row is an f32 row).
     pub f32_rows: usize,
     /// Cohort rebuilds triggered by training events.
     pub cohort_rebuilds: usize,
-    /// f32 weight-snapshot re-syncs performed by those rebuilds (0 unless
+    /// f32 snapshot re-syncs (one per cohort per rebuild, fresh snapshots
+    /// included) performed by those rebuilds (0 unless
     /// `FleetConfig::f32_infer`).
     pub f32_resyncs: usize,
     /// `offer` calls refused on a full queue under
@@ -330,17 +354,7 @@ struct StreamSlot {
 /// into weight-identical cohorts.
 struct ArchGroup {
     arch: ArchKey,
-    batch: InferBatch,
-    /// f32 weight snapshots, one per cohort (`FleetConfig::f32_infer`).
-    /// Unlike `batch` — which reads the live leader parameters and so can
-    /// be shared by the whole group — a snapshot *owns* converted weights,
-    /// so each cohort needs its own. Maintained by `rebuild_cohorts`:
-    /// existing slots are re-synced in place (allocation-free), new
-    /// cohorts get fresh snapshots, and surplus slots are dropped. Empty
-    /// when f32 serving is off.
-    f32_batches: Vec<InferBatchF32>,
-    /// Whether this group serves through `f32_batches`.
-    f32_infer: bool,
+    serving: Serving,
     /// Member slot indices (shard-local).
     members: Vec<usize>,
     /// Cohort id per member (parallel to `members`).
@@ -353,6 +367,61 @@ struct ArchGroup {
     active: Vec<usize>,
     /// Round scratch: the subset of `active` in the cohort being served.
     cohort_rows: Vec<usize>,
+}
+
+/// An arch group's one batch workspace, in the precision the group
+/// serves. The workspace holds no parameters, so it serves every cohort
+/// of the group in turn against that cohort's inference view.
+enum Serving {
+    /// Views borrow each cohort leader's live f64 parameters.
+    F64(InferBatch),
+    /// Views borrow `snapshots[c]`, cohort `c`'s f32 copy of its leader's
+    /// weights and scaler (`FleetConfig::f32_infer`), maintained by
+    /// `rebuild_cohorts`: existing snapshots are re-synced in place
+    /// (allocation-free), new cohorts get fresh ones, surplus ones are
+    /// dropped.
+    F32 { batch: InferBatch<f32>, snapshots: Vec<InferSnapshot<f32>> },
+}
+
+impl Serving {
+    /// A workspace for `leader`'s architecture with room for `capacity`
+    /// rows, or `None` when the model is not batchable.
+    fn new(leader: &dyn StreamModel, capacity: usize, f32_infer: bool) -> Option<Self> {
+        Some(if f32_infer {
+            Serving::F32 { batch: InferBatch::new(leader, capacity)?, snapshots: Vec::new() }
+        } else {
+            Serving::F64(InferBatch::new(leader, capacity)?)
+        })
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            Serving::F64(batch) => batch.capacity(),
+            Serving::F32 { batch, .. } => batch.capacity(),
+        }
+    }
+}
+
+/// Serves one cohort through `batch` against `view`: packs the feature
+/// window of every member at `positions`, runs the shared forward pass,
+/// and scatters each row's model output into its slot's buffer.
+fn serve_cohort<T: Scalar>(
+    batch: &mut InferBatch<T>,
+    view: InferView<'_, T>,
+    positions: &[usize],
+    members: &[usize],
+    slots: &[Option<StreamSlot>],
+    out_bufs: &mut [ModelOutput],
+) {
+    batch.begin(positions.len());
+    for (row, &pos) in positions.iter().enumerate() {
+        let slot = slots[members[pos]].as_ref().expect("group members are live");
+        batch.pack(view, row, slot.det.feature());
+    }
+    batch.forward(view);
+    for (row, &pos) in positions.iter().enumerate() {
+        batch.emit_into(view, row, &mut out_bufs[members[pos]]);
+    }
 }
 
 /// One worker shard: a disjoint subset of streams plus their batching
@@ -452,12 +521,12 @@ impl Shard {
             Some(gi) => gi,
             None => {
                 let capacity = self.slots.len();
-                let Some(batch) = InferBatch::new(det.model(), capacity) else { return };
+                let Some(serving) = Serving::new(det.model(), capacity, self.f32_infer) else {
+                    return;
+                };
                 self.groups.push(ArchGroup {
                     arch,
-                    batch,
-                    f32_batches: Vec::new(),
-                    f32_infer: self.f32_infer,
+                    serving,
                     members: Vec::new(),
                     cohort_of: Vec::new(),
                     n_cohorts: 0,
@@ -470,15 +539,13 @@ impl Shard {
         };
         let group = &mut self.groups[gi];
         // Dynamic admission can grow a shard past the capacity the group's
-        // shared workspace was sized for at creation; grow it here (a
-        // training-event path, never per step). The f32 snapshots are
-        // capacity-bound too — drop them and let the dirty rebuild below
-        // recreate right-sized ones.
-        if group.members.len() + 1 > group.batch.capacity() {
+        // workspace was sized for at creation; grow it here (a
+        // training-event path, never per step). f32 snapshots go with it
+        // and the dirty rebuild below recreates them.
+        if group.members.len() + 1 > group.serving.capacity() {
             let capacity = self.slots.len().max(group.members.len() + 1);
-            group.batch =
-                InferBatch::new(det.model(), capacity).expect("grouped arch stays batchable");
-            group.f32_batches.clear();
+            group.serving = Serving::new(det.model(), capacity, self.f32_infer)
+                .expect("grouped arch stays batchable");
         }
         group.members.push(slot);
         group.cohort_of.push(0);
@@ -512,30 +579,27 @@ impl Shard {
                 group.n_cohorts - 1
             });
         }
-        // f32 serving: re-sync one weight snapshot per cohort. This is the
+        // f32 serving: re-sync one snapshot per cohort. This is the
         // training-event hook — it never runs in the per-step hot path, and
-        // re-syncing an existing slot is allocation-free, so steady-state
-        // rounds stay zero-alloc. Cohort ids shuffle across rebuilds;
-        // slot `c` is simply re-synced from the *new* cohort `c`'s leader
-        // (same architecture by the group invariant).
+        // re-syncing an existing snapshot is allocation-free, so
+        // steady-state rounds stay zero-alloc. Cohort ids shuffle across
+        // rebuilds; snapshot `c` is simply re-synced from the *new* cohort
+        // `c`'s leader (same architecture by the group invariant).
         let mut resyncs = 0;
-        if group.f32_infer {
-            let capacity = group.batch.capacity();
+        if let Serving::F32 { snapshots, .. } = &mut group.serving {
             for c in 0..group.n_cohorts {
                 let leader_pos = (0..group.members.len())
                     .find(|&i| group.cohort_of[i] == c)
                     .expect("every cohort has a member");
                 let leader = live(group.members[leader_pos]).det.model();
-                if let Some(existing) = group.f32_batches.get_mut(c) {
-                    existing.refresh(leader);
-                } else {
-                    group.f32_batches.push(
-                        InferBatchF32::new(leader, capacity).expect("grouped models are batchable"),
-                    );
+                let view = infer_view(leader).expect("grouped models are batchable");
+                match snapshots.get_mut(c) {
+                    Some(snapshot) => snapshot.resync(view),
+                    None => snapshots.push(InferSnapshot::new(view)),
                 }
                 resyncs += 1;
             }
-            group.f32_batches.truncate(group.n_cohorts);
+            snapshots.truncate(group.n_cohorts);
         }
         group.dirty = false;
         resyncs
@@ -617,45 +681,25 @@ impl Shard {
                     continue;
                 }
                 let rows = group.cohort_rows.len();
-                let leader_slot = group.members[group.cohort_rows[0]];
                 // Scatter every row's output *before* any finish_step: a
                 // fine-tune inside finish must not be able to perturb a
                 // sibling's emit (it can't — fine-tunes never refit the
                 // scaler — but the ordering makes parity unconditional).
-                let live = |si: usize| slots[si].as_ref().expect("group members are live");
-                if group.f32_infer {
-                    // f32 snapshot path: the cohort's own snapshot holds
-                    // converted weights and scaler, so no leader is read.
-                    let batch = &mut group.f32_batches[c];
-                    batch.begin(rows);
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        batch.pack(row, live(si).det.feature());
+                let (positions, members) = (&group.cohort_rows[..], &group.members[..]);
+                match &mut group.serving {
+                    Serving::F64(batch) => {
+                        let leader = slots[members[positions[0]]]
+                            .as_ref()
+                            .expect("group members are live")
+                            .det
+                            .model();
+                        let view = infer_view(leader).expect("grouped models are batchable");
+                        serve_cohort(batch, view, positions, members, slots, out_bufs);
                     }
-                    batch.forward();
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        batch.emit_into(row, &mut out_bufs[si]);
-                    }
-                    metrics.reg.inc(metrics.f32_rows, rows as u64);
-                } else {
-                    group.batch.begin(rows);
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        group.batch.pack(
-                            live(leader_slot).det.model(),
-                            row,
-                            live(si).det.feature(),
-                        );
-                    }
-                    group.batch.forward(live(leader_slot).det.model());
-                    for (row, &pos) in group.cohort_rows.iter().enumerate() {
-                        let si = group.members[pos];
-                        group.batch.emit_into(
-                            live(leader_slot).det.model(),
-                            row,
-                            &mut out_bufs[si],
-                        );
+                    Serving::F32 { batch, snapshots } => {
+                        let view = snapshots[c].view();
+                        serve_cohort(batch, view, positions, members, slots, out_bufs);
+                        metrics.reg.inc(metrics.f32_rows, rows as u64);
                     }
                 }
                 for &pos in group.cohort_rows.iter() {

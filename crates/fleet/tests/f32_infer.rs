@@ -13,6 +13,11 @@
 //!   get this guarantee; see EXPERIMENTS.md §E12's eligibility rule.)
 //! * **Scores agree to f32 accuracy.** Nonconformity and anomaly score
 //!   per step within a small absolute + relative tolerance.
+//! * **f32 serving is itself deterministic to the bit.** The tolerance
+//!   above would let a reordered reduction or a changed scaler rounding
+//!   slip through, so a frozen FNV-1a digest of every f32 output's bits
+//!   pins the snapshot path exactly. The f32 kernels keep a fixed lane
+//!   order on both simd legs, so one constant serves both.
 
 use sad_core::{paper_algorithms, AlgorithmSpec, Detector, DetectorConfig, ScoreKind, StepOutput};
 use sad_fleet::{DetectorFleet, FleetConfig};
@@ -87,22 +92,23 @@ fn assert_scores_close(f32_trace: &[StepOutput], f64_trace: &[StepOutput], label
     }
 }
 
+/// Runs the mixed fleet with f32 serving on or off.
+fn run_mixed(f32_infer: bool) -> (DetectorFleet, Vec<Vec<StepOutput>>) {
+    let streams = mixed_streams();
+    let fleet_series: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
+    let dets: Vec<Detector> =
+        streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
+    let config = FleetConfig { f32_infer, ..FleetConfig::default() };
+    let mut fleet = DetectorFleet::new(dets, config);
+    let traces = fleet.run(&fleet_series);
+    (fleet, traces)
+}
+
 #[test]
 fn f32_infer_agrees_with_f64_on_mixed_fleet() {
     let streams = mixed_streams();
-    let fleet_series: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
-
-    let build = |f32_infer: bool| {
-        let dets: Vec<Detector> =
-            streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
-        let config = FleetConfig { f32_infer, ..FleetConfig::default() };
-        DetectorFleet::new(dets, config)
-    };
-
-    let mut f64_fleet = build(false);
-    let f64_traces = f64_fleet.run(&fleet_series);
-    let mut f32_fleet = build(true);
-    let f32_traces = f32_fleet.run(&fleet_series);
+    let (f64_fleet, f64_traces) = run_mixed(false);
+    let (f32_fleet, f32_traces) = run_mixed(true);
 
     for i in 0..streams.len() {
         let label = format!("stream {i}");
@@ -158,4 +164,40 @@ fn f32_infer_actually_runs_in_reduced_precision() {
             .any(|(a, b)| a.nonconformity.to_bits() != b.nonconformity.to_bits()),
         "f32 serving must produce f32-rounded scores, not the f64 bits",
     );
+}
+
+/// FNV-1a over every output's `t`, score bits and flags, stream-major.
+/// Returns the digest and the number of outputs hashed.
+fn trace_digest(traces: &[Vec<StepOutput>]) -> (u64, usize) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut outputs = 0;
+    for o in traces.iter().flatten() {
+        feed(&(o.t as u64).to_le_bytes());
+        feed(&o.nonconformity.to_bits().to_le_bytes());
+        feed(&o.anomaly_score.to_bits().to_le_bytes());
+        feed(&[u8::from(o.drift), u8::from(o.fine_tuned)]);
+        outputs += 1;
+    }
+    (hash, outputs)
+}
+
+/// Digest of the mixed fleet's f32 outputs, frozen when the snapshot path
+/// was first pinned. Any change to f32 arithmetic (lane order, activation,
+/// scaler rounding, snapshot re-sync timing) moves it.
+const F32_MIXED_FLEET_DIGEST: u64 = 0xc860_6453_afbc_cba8;
+
+#[test]
+fn f32_serving_is_pinned_to_the_bit() {
+    let (fleet, traces) = run_mixed(true);
+    let stats = fleet.stats();
+    assert_eq!(stats.f32_rows, 780, "six NN streams × 130 post-warm-up steps: {stats:?}");
+    let (digest, outputs) = trace_digest(&traces);
+    assert_eq!(outputs, 910, "seven streams × 130 post-warm-up steps");
+    assert_eq!(digest, F32_MIXED_FLEET_DIGEST, "f32 serving output bits moved: {digest:#018x}");
 }

@@ -12,7 +12,7 @@
 //! stand-in model), this one runs a real 2-layer AE: the batched
 //! inference path is exactly what makes the NN predict step heap-free —
 //! the scalar `predict` builds its scaled/inverse vectors per call, while
-//! `InferBatch` owns them once per cohort.
+//! `InferBatch` owns them once per arch group.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -157,9 +157,10 @@ fn steady_state_fleet_round_is_allocation_free() {
 }
 
 /// Same guard for the f32 snapshot path (`FleetConfig::f32_infer`): the
-/// per-cohort `InferBatchF32` owns every converted buffer, so a
-/// steady-state round — f32 pack, snapshot `forward_batch`, widening
-/// emit — must not allocate either.
+/// group's f32 `InferBatch` owns every buffer and each cohort's
+/// `InferSnapshot<f32>` its converted weights, so a steady-state round —
+/// f32 pack, snapshot `forward_batch`, widening emit — must not allocate
+/// either.
 #[test]
 fn steady_state_f32_fleet_round_is_allocation_free() {
     let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();

@@ -4,7 +4,8 @@
 //! linear output layer, trained on MSE. It serves as the paper's baseline
 //! for reconstruction-based approaches.
 
-use crate::scaler::Standardizer;
+use crate::batch_infer::{InferView, Nets};
+use crate::scaler::Affine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
@@ -21,7 +22,7 @@ use sad_tensor::Adam;
 #[derive(Clone)]
 pub struct TwoLayerAe {
     net: Option<Mlp>,
-    scaler: Option<Standardizer>,
+    scaler: Option<Affine>,
     opt: Adam,
     /// Reusable batched-training buffers (created with the net).
     ws: Option<MlpWorkspace>,
@@ -86,10 +87,11 @@ impl TwoLayerAe {
     }
 
     /// Inference state for the fleet's cross-stream batched stepping:
-    /// `(network, fitted scaler)`. `None` until the network exists (i.e.
-    /// before the first predict/fit call).
-    pub(crate) fn inference_parts(&self) -> Option<(&Mlp, Option<&Standardizer>)> {
-        self.net.as_ref().map(|net| (net, self.scaler.as_ref()))
+    /// the network and the fitted scaler. `None` until the network exists
+    /// (i.e. before the first predict/fit call).
+    pub(crate) fn infer_view(&self) -> Option<InferView<'_>> {
+        let net = self.net.as_ref()?;
+        Some(InferView { nets: Nets::Ae(net), scaler: self.scaler.as_ref() })
     }
 
     /// One training epoch over `train`, batched. Zero heap allocations in
@@ -136,7 +138,7 @@ impl StreamModel for TwoLayerAe {
         if train.is_empty() {
             return;
         }
-        self.scaler = Some(Standardizer::fit(train));
+        self.scaler = Some(Affine::standardize(train));
         for _ in 0..epochs {
             self.epoch(train);
         }

@@ -4,30 +4,78 @@
 //! many streams into one row-major matrix and pushes them through a single
 //! `Mlp::forward_batch` per sub-network, amortizing inference the way
 //! `MlpWorkspace` already amortizes training. This module provides the
-//! model-side machinery:
+//! model-side machinery, written once for both serving precisions:
 //!
+//! * [`infer_view`] — the one place a `dyn StreamModel` is recognized as
+//!   an AE, USAD or N-BEATS: it borrows the networks `predict` reads and
+//!   the fitted [`Affine`] scaler as an [`InferView`];
 //! * [`ArchKey`] / [`batch_arch_key`] — which streams are *eligible* to
 //!   share a batch (same model family, identical layer dimensions);
 //! * [`infer_state_equal`] — which eligible streams may *actually* share
 //!   one forward pass (bitwise-identical inference parameters: only then
 //!   is running every row through one member's network exactly the
 //!   per-stream computation);
-//! * [`InferBatch`] — the reusable batched workspaces plus the
-//!   `begin`/`pack`/`forward`/`emit_into` loop that reproduces each
-//!   model's `predict` bitwise, row by row.
+//! * [`InferSnapshot`] — an owned copy of a view's weights and scaler in
+//!   another precision (the f32 serving snapshot), re-synced in place on
+//!   training events;
+//! * [`InferBatch`] — reusable batched workspaces in precision `T` plus
+//!   the `begin`/`pack`/`forward`/`emit_into` loop that reproduces each
+//!   model's `predict` row by row, run against any view of precision `T`.
 //!
-//! Bitwise parity rests on three already-proven facts: `forward_batch`
+//! At `T = f64` the loop reads the live parameters and is bitwise-equal to
+//! `predict`. That rests on three already-proven facts: `forward_batch`
 //! computes each output row independently and identically to `Mlp::infer`
-//! (`sad-nn` batch parity tests), the scalers' `*_into` variants match
+//! (`sad-nn` batch parity tests), the scaler's `*_into` variants match
 //! their allocating twins bitwise (scaler tests), and matrix-row copies
 //! are exact. The tests below close the loop per model against `predict`.
+//! At `T = f32` the same loop runs on a snapshot and agrees with `predict`
+//! to f32 relative accuracy.
 
 use crate::ae::TwoLayerAe;
-use crate::nbeats::NBeats;
+use crate::nbeats::{Block, NBeats};
+use crate::scaler::Affine;
 use crate::usad::Usad;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
 use sad_nn::{Mlp, MlpWorkspace};
-use sad_tensor::Matrix;
+use sad_tensor::{Matrix, Scalar};
+
+/// The networks one model's `predict` reads, borrowed.
+#[derive(Clone, Copy)]
+pub(crate) enum Nets<'a, T: Scalar> {
+    /// `TwoLayerAe`'s autoencoder.
+    Ae(&'a Mlp<T>),
+    /// `Usad`'s inference half `AE₁ = D₁ ∘ E`: encoder, decoder 1.
+    Usad(&'a Mlp<T>, &'a Mlp<T>),
+    /// `NBeats`' residual block stack.
+    NBeats(&'a [Block<T>]),
+}
+
+/// Borrowed inference state of a batchable model — every network its
+/// `predict` reads plus its fitted scaler — in precision `T`.
+///
+/// A cohort's members share this state bit for bit, so any member's view
+/// serves the whole cohort. f64 views borrow a model's live parameters
+/// ([`infer_view`]); f32 views borrow an [`InferSnapshot`].
+#[derive(Clone, Copy)]
+pub struct InferView<'a, T: Scalar = f64> {
+    pub(crate) nets: Nets<'a, T>,
+    pub(crate) scaler: Option<&'a Affine<T>>,
+}
+
+/// The inference view of `model`, or `None` when the model is not an
+/// NN-backed type or its networks have not materialized yet (e.g. before
+/// the warm-up fit). Non-batchable streams stay on the scalar per-stream
+/// path.
+pub fn infer_view(model: &dyn StreamModel) -> Option<InferView<'_>> {
+    let any = model.as_any()?;
+    if let Some(ae) = any.downcast_ref::<TwoLayerAe>() {
+        return ae.infer_view();
+    }
+    if let Some(usad) = any.downcast_ref::<Usad>() {
+        return usad.infer_view();
+    }
+    any.downcast_ref::<NBeats>()?.infer_view()
+}
 
 /// Model family of an [`ArchKey`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,53 +109,36 @@ impl ArchKey {
     }
 }
 
-/// Appends `in_dim, out₁, out₂, …, SENTINEL` for one network.
-fn push_mlp_dims(dims: &mut Vec<usize>, mlp: &Mlp) {
-    dims.push(mlp.in_dim());
-    for layer in mlp.layers() {
-        dims.push(layer.weights.shape().0);
-    }
-    dims.push(usize::MAX);
-}
-
-/// The batching eligibility key of a model, or `None` when the model is
-/// not an NN-backed type or its networks have not materialized yet (e.g.
-/// before the warm-up fit). Non-eligible streams stay on the scalar
-/// per-stream path.
+/// The batching eligibility key of a model, or `None` when it has no
+/// [`infer_view`].
 pub fn batch_arch_key(model: &dyn StreamModel) -> Option<ArchKey> {
-    let any = model.as_any()?;
-    if let Some(ae) = any.downcast_ref::<TwoLayerAe>() {
-        let (net, _) = ae.inference_parts()?;
-        let mut dims = Vec::new();
-        push_mlp_dims(&mut dims, net);
-        return Some(ArchKey { kind: ArchKind::Ae, dims });
-    }
-    if let Some(usad) = any.downcast_ref::<Usad>() {
-        let (encoder, dec1, _) = usad.inference_parts()?;
-        let mut dims = Vec::new();
-        push_mlp_dims(&mut dims, encoder);
-        push_mlp_dims(&mut dims, dec1);
-        return Some(ArchKey { kind: ArchKind::Usad, dims });
-    }
-    if let Some(nb) = any.downcast_ref::<NBeats>() {
-        let (blocks, _) = nb.inference_parts()?;
-        let mut dims = Vec::new();
-        for block in blocks {
-            push_mlp_dims(&mut dims, &block.trunk);
-            push_mlp_dims(&mut dims, &block.backcast_head);
-            push_mlp_dims(&mut dims, &block.forecast_head);
+    let mut dims = Vec::new();
+    // `in_dim, out₁, out₂, …, SENTINEL` per network.
+    let mut push = |net: &Mlp| {
+        dims.push(net.in_dim());
+        dims.extend(net.layers().iter().map(|layer| layer.out_dim()));
+        dims.push(usize::MAX);
+    };
+    let kind = match infer_view(model)?.nets {
+        Nets::Ae(net) => {
+            push(net);
+            ArchKind::Ae
         }
-        return Some(ArchKey { kind: ArchKind::NBeats, dims });
-    }
-    None
-}
-
-fn scaler_equal<S>(a: Option<&S>, b: Option<&S>, eq: impl Fn(&S, &S) -> bool) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => eq(a, b),
-        _ => false,
-    }
+        Nets::Usad(encoder, dec1) => {
+            push(encoder);
+            push(dec1);
+            ArchKind::Usad
+        }
+        Nets::NBeats(blocks) => {
+            for block in blocks {
+                push(&block.trunk);
+                push(&block.backcast_head);
+                push(&block.forecast_head);
+            }
+            ArchKind::NBeats
+        }
+    };
+    Some(ArchKey { kind, dims })
 }
 
 /// Whether two models' *inference* computations are bitwise identical —
@@ -117,114 +148,174 @@ fn scaler_equal<S>(a: Option<&S>, b: Option<&S>, eq: impl Fn(&S, &S) -> bool) ->
 /// are never equal; training-only state (optimizers, `dec2`, gradient
 /// buffers) is irrelevant to `predict` and ignored.
 pub fn infer_state_equal(a: &dyn StreamModel, b: &dyn StreamModel) -> bool {
-    let (Some(a), Some(b)) = (a.as_any(), b.as_any()) else { return false };
-    if let (Some(x), Some(y)) = (a.downcast_ref::<TwoLayerAe>(), b.downcast_ref::<TwoLayerAe>()) {
-        return match (x.inference_parts(), y.inference_parts()) {
-            (Some((nx, sx)), Some((ny, sy))) => {
-                nx.params_equal(ny) && scaler_equal(sx, sy, |p, q| p.state_equal(q))
-            }
+    let (Some(x), Some(y)) = (infer_view(a), infer_view(b)) else { return false };
+    let nets_equal = match (x.nets, y.nets) {
+        (Nets::Ae(p), Nets::Ae(q)) => p.params_equal(q),
+        (Nets::Usad(pe, pd), Nets::Usad(qe, qd)) => pe.params_equal(qe) && pd.params_equal(qd),
+        (Nets::NBeats(p), Nets::NBeats(q)) => {
+            p.len() == q.len()
+                && p.iter().zip(q).all(|(s, t)| {
+                    s.trunk.params_equal(&t.trunk)
+                        && s.backcast_head.params_equal(&t.backcast_head)
+                        && s.forecast_head.params_equal(&t.forecast_head)
+                })
+        }
+        _ => false,
+    };
+    nets_equal
+        && match (x.scaler, y.scaler) {
+            (None, None) => true,
+            (Some(s), Some(t)) => s.state_equal(t),
             _ => false,
-        };
-    }
-    if let (Some(x), Some(y)) = (a.downcast_ref::<Usad>(), b.downcast_ref::<Usad>()) {
-        return match (x.inference_parts(), y.inference_parts()) {
-            (Some((ex, dx, sx)), Some((ey, dy, sy))) => {
-                ex.params_equal(ey)
-                    && dx.params_equal(dy)
-                    && scaler_equal(sx, sy, |p, q| p.state_equal(q))
+        }
+}
+
+/// Owned networks of an [`InferSnapshot`], mirroring [`Nets`].
+enum OwnedNets<T: Scalar> {
+    Ae(Mlp<T>),
+    Usad(Mlp<T>, Mlp<T>),
+    NBeats(Vec<Block<T>>),
+}
+
+/// An owned copy of a model's inference state — networks and scaler only —
+/// converted to precision `T`: the fleet's per-cohort f32 serving
+/// snapshot.
+///
+/// The model keeps sole ownership of the authoritative f64 parameters and
+/// every training path; the snapshot is re-synced in place
+/// ([`Self::resync`], allocation-free) on training events and serves
+/// every round in between through [`Self::view`]. Its outputs feed the
+/// nonconformity scorer, never any training state.
+pub struct InferSnapshot<T: Scalar> {
+    nets: OwnedNets<T>,
+    scaler: Option<Affine<T>>,
+}
+
+impl<T: Scalar> InferSnapshot<T> {
+    /// Converts `src`'s networks and scaler to `T`.
+    pub fn new(src: InferView<'_>) -> Self {
+        let nets = match src.nets {
+            Nets::Ae(net) => OwnedNets::Ae(Mlp::from_precision(net)),
+            Nets::Usad(encoder, dec1) => {
+                OwnedNets::Usad(Mlp::from_precision(encoder), Mlp::from_precision(dec1))
             }
-            _ => false,
-        };
-    }
-    if let (Some(x), Some(y)) = (a.downcast_ref::<NBeats>(), b.downcast_ref::<NBeats>()) {
-        return match (x.inference_parts(), y.inference_parts()) {
-            (Some((bx, sx)), Some((by, sy))) => {
-                bx.len() == by.len()
-                    && bx.iter().zip(by).all(|(p, q)| {
-                        p.trunk.params_equal(&q.trunk)
-                            && p.backcast_head.params_equal(&q.backcast_head)
-                            && p.forecast_head.params_equal(&q.forecast_head)
-                    })
-                    && scaler_equal(sx, sy, |p, q| p.state_equal(q))
+            Nets::NBeats(blocks) => {
+                OwnedNets::NBeats(blocks.iter().map(Block::from_precision).collect())
             }
-            _ => false,
         };
+        Self { nets, scaler: src.scaler.map(Affine::from_precision) }
     }
-    false
+
+    /// Re-converts every parameter from `src` in place — the
+    /// training-event hook. Performs **no heap allocation**.
+    ///
+    /// # Panics
+    /// Panics if `src` is a different model kind or shape than the
+    /// snapshot, or its scaler appeared or disappeared (a cohort never
+    /// changes architecture, only values).
+    pub fn resync(&mut self, src: InferView<'_>) {
+        match (&mut self.nets, src.nets) {
+            (OwnedNets::Ae(net), Nets::Ae(from)) => net.convert_from(from),
+            (OwnedNets::Usad(encoder, dec1), Nets::Usad(from_e, from_d)) => {
+                encoder.convert_from(from_e);
+                dec1.convert_from(from_d);
+            }
+            (OwnedNets::NBeats(blocks), Nets::NBeats(from)) => {
+                assert_eq!(blocks.len(), from.len(), "N-BEATS block count mismatch");
+                for (block, from) in blocks.iter_mut().zip(from) {
+                    block.convert_from(from);
+                }
+            }
+            _ => panic!("snapshot re-synced from a different model kind"),
+        }
+        match (&mut self.scaler, src.scaler) {
+            (None, None) => {}
+            (Some(scaler), Some(from)) => scaler.convert_from(from),
+            _ => panic!("scaler presence changed across re-sync"),
+        }
+    }
+
+    /// The snapshot as an inference view.
+    pub fn view(&self) -> InferView<'_, T> {
+        let nets = match &self.nets {
+            OwnedNets::Ae(net) => Nets::Ae(net),
+            OwnedNets::Usad(encoder, dec1) => Nets::Usad(encoder, dec1),
+            OwnedNets::NBeats(blocks) => Nets::NBeats(blocks),
+        };
+        InferView { nets, scaler: self.scaler.as_ref() }
+    }
 }
 
 /// Per-block inference workspaces for the N-BEATS residual stack.
-struct NBeatsBlockWs {
-    ws_t: MlpWorkspace,
-    ws_b: MlpWorkspace,
-    ws_f: MlpWorkspace,
+struct NBeatsBlockWs<T: Scalar> {
+    ws_t: MlpWorkspace<T>,
+    ws_b: MlpWorkspace<T>,
+    ws_f: MlpWorkspace<T>,
 }
 
-enum BatchInner {
+enum Workspaces<T: Scalar> {
     Ae {
-        ws: MlpWorkspace,
+        ws: MlpWorkspace<T>,
     },
     Usad {
-        ws_e: MlpWorkspace,
-        ws_d1: MlpWorkspace,
+        ws_e: MlpWorkspace<T>,
+        ws_d1: MlpWorkspace<T>,
     },
     NBeats {
-        blocks: Vec<NBeatsBlockWs>,
+        blocks: Vec<NBeatsBlockWs<T>>,
         /// `B×n` running forecast sum `Σ_l ŷ_l`.
-        forecast: Matrix,
-        /// `w·N` scratch for the standardized full window before the
+        forecast: Matrix<T>,
+        /// `w·N` scratch for the scaled full window before the
         /// history/target split.
-        scratch: Vec<f64>,
+        scratch: Vec<T>,
     },
 }
 
-/// Reusable batched-inference buffers for one cohort of streams sharing
-/// bitwise-identical inference state.
+/// Reusable batched-inference buffers in precision `T` for one
+/// architecture.
 ///
-/// The per-step loop is `begin(rows)` → `pack(leader, row, x)` per stream
-/// → `forward(leader)` → `emit_into(leader, row, out)` per stream, where
-/// `leader` is any cohort member's model (they are interchangeable by the
-/// cohort invariant). All buffers are sized once for `capacity` rows;
-/// steady-state rounds perform zero heap allocations.
-pub struct InferBatch {
-    inner: BatchInner,
+/// The per-step loop is `begin(rows)` → `pack(view, row, x)` per stream →
+/// `forward(view)` → `emit_into(view, row, out)` per stream, where `view`
+/// is the inference state of the cohort being served (any member's, by
+/// the cohort invariant). The buffers hold no parameters, so one batch
+/// serves every cohort of its architecture in turn. All buffers are sized
+/// once for `capacity` rows; steady-state rounds perform zero heap
+/// allocations.
+pub struct InferBatch<T: Scalar = f64> {
+    inner: Workspaces<T>,
     capacity: usize,
     rows: usize,
 }
 
-impl InferBatch {
+impl<T: Scalar> InferBatch<T> {
     /// Builds batch buffers for `leader`'s architecture, or `None` when
-    /// the model is not batchable (see [`batch_arch_key`]).
+    /// the model is not batchable (see [`infer_view`]). Only layer widths
+    /// are read, so an f32 batch is shaped from the f64 model whose
+    /// snapshot it will serve.
     pub fn new(leader: &dyn StreamModel, capacity: usize) -> Option<Self> {
         assert!(capacity > 0, "batch capacity must be positive");
-        let any = leader.as_any()?;
-        let inner = if let Some(ae) = any.downcast_ref::<TwoLayerAe>() {
-            let (net, _) = ae.inference_parts()?;
-            BatchInner::Ae { ws: net.inference_workspace(capacity) }
-        } else if let Some(usad) = any.downcast_ref::<Usad>() {
-            let (encoder, dec1, _) = usad.inference_parts()?;
-            BatchInner::Usad {
-                ws_e: encoder.inference_workspace(capacity),
-                ws_d1: dec1.inference_workspace(capacity),
+        let inner = match infer_view(leader)?.nets {
+            Nets::Ae(net) => Workspaces::Ae { ws: MlpWorkspace::inference(net, capacity) },
+            Nets::Usad(encoder, dec1) => Workspaces::Usad {
+                ws_e: MlpWorkspace::inference(encoder, capacity),
+                ws_d1: MlpWorkspace::inference(dec1, capacity),
+            },
+            Nets::NBeats(blocks) => {
+                let input = blocks[0].trunk.in_dim();
+                let output = blocks[0].forecast_head.out_dim();
+                Workspaces::NBeats {
+                    blocks: blocks
+                        .iter()
+                        .map(|b| NBeatsBlockWs {
+                            ws_t: MlpWorkspace::inference(&b.trunk, capacity),
+                            ws_b: MlpWorkspace::inference(&b.backcast_head, capacity),
+                            ws_f: MlpWorkspace::inference(&b.forecast_head, capacity),
+                        })
+                        .collect(),
+                    forecast: Matrix::zeros(capacity, output),
+                    scratch: vec![T::ZERO; input + output],
+                }
             }
-        } else if let Some(nb) = any.downcast_ref::<NBeats>() {
-            let (blocks, _) = nb.inference_parts()?;
-            let input = blocks[0].trunk.in_dim();
-            let output = blocks[0].forecast_head.out_dim();
-            BatchInner::NBeats {
-                blocks: blocks
-                    .iter()
-                    .map(|b| NBeatsBlockWs {
-                        ws_t: b.trunk.inference_workspace(capacity),
-                        ws_b: b.backcast_head.inference_workspace(capacity),
-                        ws_f: b.forecast_head.inference_workspace(capacity),
-                    })
-                    .collect(),
-                forecast: Matrix::zeros(capacity, output),
-                scratch: vec![0.0; input + output],
-            }
-        } else {
-            return None;
         };
         Some(Self { inner, capacity, rows: 0 })
     }
@@ -239,12 +330,12 @@ impl InferBatch {
         assert!(rows > 0 && rows <= self.capacity, "rows {rows} out of 1..={}", self.capacity);
         self.rows = rows;
         match &mut self.inner {
-            BatchInner::Ae { ws } => ws.set_batch(rows),
-            BatchInner::Usad { ws_e, ws_d1 } => {
+            Workspaces::Ae { ws } => ws.set_batch(rows),
+            Workspaces::Usad { ws_e, ws_d1 } => {
                 ws_e.set_batch(rows);
                 ws_d1.set_batch(rows);
             }
-            BatchInner::NBeats { blocks, forecast, .. } => {
+            Workspaces::NBeats { blocks, forecast, .. } => {
                 for b in blocks.iter_mut() {
                     b.ws_t.set_batch(rows);
                     b.ws_b.set_batch(rows);
@@ -255,64 +346,42 @@ impl InferBatch {
         }
     }
 
-    /// Loads stream `row`'s feature window, applying the leader's input
-    /// scaling exactly as that model's `predict` would.
-    pub fn pack(&mut self, leader: &dyn StreamModel, row: usize, x: &FeatureVector) {
+    /// Loads stream `row`'s feature window, applying the view's input
+    /// scaling exactly as the model's `predict` would.
+    pub fn pack(&mut self, view: InferView<'_, T>, row: usize, x: &FeatureVector) {
         assert!(row < self.rows, "row {row} out of batch of {}", self.rows);
-        let any = leader.as_any().expect("batchable leader");
-        match &mut self.inner {
-            BatchInner::Ae { ws } => {
-                let (_, scaler) =
-                    any.downcast_ref::<TwoLayerAe>().expect("AE leader").inference_parts().unwrap();
-                match scaler {
-                    Some(s) => s.transform_into(x.as_slice(), ws.input_row_mut(row)),
-                    None => ws.input_row_mut(row).copy_from_slice(x.as_slice()),
-                }
-            }
-            BatchInner::Usad { ws_e, .. } => {
-                let (_, _, scaler) =
-                    any.downcast_ref::<Usad>().expect("USAD leader").inference_parts().unwrap();
-                match scaler {
-                    Some(s) => s.transform_into(x.as_slice(), ws_e.input_row_mut(row)),
-                    None => ws_e.input_row_mut(row).copy_from_slice(x.as_slice()),
-                }
-            }
-            BatchInner::NBeats { blocks, scratch, .. } => {
+        let dst = match &mut self.inner {
+            Workspaces::Ae { ws } => ws.input_row_mut(row),
+            Workspaces::Usad { ws_e, .. } => ws_e.input_row_mut(row),
+            Workspaces::NBeats { scratch, .. } => {
                 assert!(x.w() >= 2, "N-BEATS needs at least two steps of history");
-                let (_, scaler) =
-                    any.downcast_ref::<NBeats>().expect("N-BEATS leader").inference_parts().unwrap();
-                match scaler {
-                    Some(s) => s.transform_into(x.as_slice(), scratch),
-                    None => scratch.copy_from_slice(x.as_slice()),
-                }
-                let split = scratch.len() - x.n();
-                blocks[0].ws_t.input_row_mut(row).copy_from_slice(&scratch[..split]);
+                scratch
             }
+        };
+        match view.scaler {
+            Some(s) => s.transform_into(x.as_slice(), dst),
+            None => {
+                for (o, &v) in dst.iter_mut().zip(x.as_slice()) {
+                    *o = T::from_f64(v);
+                }
+            }
+        }
+        if let Workspaces::NBeats { blocks, scratch, .. } = &mut self.inner {
+            let split = scratch.len() - x.n();
+            blocks[0].ws_t.input_row_mut(row).copy_from_slice(&scratch[..split]);
         }
     }
 
-    /// Runs the shared forward pass(es) for the whole batch.
-    pub fn forward(&mut self, leader: &dyn StreamModel) {
-        let any = leader.as_any().expect("batchable leader");
-        match &mut self.inner {
-            BatchInner::Ae { ws } => {
-                let (net, _) =
-                    any.downcast_ref::<TwoLayerAe>().expect("AE leader").inference_parts().unwrap();
-                net.forward_batch(ws);
-            }
-            BatchInner::Usad { ws_e, ws_d1 } => {
-                let (encoder, dec1, _) =
-                    any.downcast_ref::<Usad>().expect("USAD leader").inference_parts().unwrap();
+    /// Runs the view's shared forward pass(es) for the whole batch.
+    pub fn forward(&mut self, view: InferView<'_, T>) {
+        match (&mut self.inner, view.nets) {
+            (Workspaces::Ae { ws }, Nets::Ae(net)) => net.forward_batch(ws),
+            (Workspaces::Usad { ws_e, ws_d1 }, Nets::Usad(encoder, dec1)) => {
                 encoder.forward_batch(ws_e);
                 ws_d1.input_mut().copy_from(ws_e.output());
                 dec1.forward_batch(ws_d1);
             }
-            BatchInner::NBeats { blocks, forecast, .. } => {
-                let (nets, _) = any
-                    .downcast_ref::<NBeats>()
-                    .expect("N-BEATS leader")
-                    .inference_parts()
-                    .unwrap();
+            (Workspaces::NBeats { blocks, forecast, .. }, Nets::NBeats(nets)) => {
                 let rows = self.rows;
                 let n_blocks = nets.len();
                 for l in 0..n_blocks {
@@ -359,55 +428,44 @@ impl InferBatch {
                     }
                 }
             }
+            _ => panic!("inference view does not match the batch's architecture"),
         }
     }
 
-    /// Writes stream `row`'s model output into `out`, reusing its existing
-    /// buffer when the variant and length already match (the fleet keeps
-    /// one `ModelOutput` per stream, so steady-state rounds do not
-    /// allocate).
-    pub fn emit_into(&self, leader: &dyn StreamModel, row: usize, out: &mut ModelOutput) {
+    /// Writes stream `row`'s model output into `out` in raw f64 units,
+    /// reusing its existing buffer when the variant and length already
+    /// match (the fleet keeps one `ModelOutput` per stream, so
+    /// steady-state rounds do not allocate).
+    pub fn emit_into(&self, view: InferView<'_, T>, row: usize, out: &mut ModelOutput) {
         assert!(row < self.rows, "row {row} out of batch of {}", self.rows);
-        let any = leader.as_any().expect("batchable leader");
-        match &self.inner {
-            BatchInner::Ae { ws } => {
-                let (_, scaler) =
-                    any.downcast_ref::<TwoLayerAe>().expect("AE leader").inference_parts().unwrap();
-                let z = ws.output().row(row);
-                let buf = reconstruction_buf(out, z.len());
-                match scaler {
-                    Some(s) => s.inverse_into(z, buf),
-                    None => buf.copy_from_slice(z),
-                }
+        let (z, buf) = match &self.inner {
+            Workspaces::Ae { ws } => {
+                let z = ws.output_row(row);
+                (z, reconstruction_buf(out, z.len()))
             }
-            BatchInner::Usad { ws_d1, .. } => {
-                let (_, _, scaler) =
-                    any.downcast_ref::<Usad>().expect("USAD leader").inference_parts().unwrap();
-                let z = ws_d1.output().row(row);
-                let buf = reconstruction_buf(out, z.len());
-                match scaler {
-                    Some(s) => s.inverse_into(z, buf),
-                    None => buf.copy_from_slice(z),
-                }
+            Workspaces::Usad { ws_d1, .. } => {
+                let z = ws_d1.output_row(row);
+                (z, reconstruction_buf(out, z.len()))
             }
-            BatchInner::NBeats { forecast, .. } => {
-                let (_, scaler) = any
-                    .downcast_ref::<NBeats>()
-                    .expect("N-BEATS leader")
-                    .inference_parts()
-                    .unwrap();
+            Workspaces::NBeats { forecast, .. } => {
                 let z = forecast.row(row);
-                let buf = forecast_buf(out, z.len());
-                match scaler {
-                    Some(s) => s.inverse_tail_into(z, buf),
-                    None => buf.copy_from_slice(z),
+                (z, forecast_buf(out, z.len()))
+            }
+        };
+        match view.scaler {
+            // A reconstruction spans the whole scaled window; a forecast
+            // is its last `n` entries.
+            Some(s) => s.inverse_tail_into(z, buf),
+            None => {
+                for (o, &v) in buf.iter_mut().zip(z) {
+                    *o = v.to_f64();
                 }
             }
         }
     }
 }
 
-pub(crate) fn reconstruction_buf(out: &mut ModelOutput, len: usize) -> &mut [f64] {
+fn reconstruction_buf(out: &mut ModelOutput, len: usize) -> &mut [f64] {
     if !matches!(out, ModelOutput::Reconstruction(v) if v.len() == len) {
         *out = ModelOutput::Reconstruction(vec![0.0; len]);
     }
@@ -417,7 +475,7 @@ pub(crate) fn reconstruction_buf(out: &mut ModelOutput, len: usize) -> &mut [f64
     }
 }
 
-pub(crate) fn forecast_buf(out: &mut ModelOutput, len: usize) -> &mut [f64] {
+fn forecast_buf(out: &mut ModelOutput, len: usize) -> &mut [f64] {
     if !matches!(out, ModelOutput::Forecast(v) if v.len() == len) {
         *out = ModelOutput::Forecast(vec![0.0; len]);
     }
@@ -445,35 +503,61 @@ mod tests {
             .collect()
     }
 
-    fn assert_outputs_bitwise(a: &ModelOutput, b: &ModelOutput, ctx: &str) {
+    /// One batched round over `probes` against `view`.
+    fn run_batch<T: Scalar>(
+        batch: &mut InferBatch<T>,
+        view: InferView<'_, T>,
+        probes: &[FeatureVector],
+    ) -> Vec<ModelOutput> {
+        batch.begin(probes.len());
+        for (row, x) in probes.iter().enumerate() {
+            batch.pack(view, row, x);
+        }
+        batch.forward(view);
+        (0..probes.len())
+            .map(|row| {
+                let mut out = ModelOutput::Score(0.0);
+                batch.emit_into(view, row, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    /// Element pairs of two outputs of the same variant and length.
+    fn output_pairs(a: &ModelOutput, b: &ModelOutput, ctx: &str) -> Vec<(f64, f64)> {
         match (a, b) {
             (ModelOutput::Reconstruction(x), ModelOutput::Reconstruction(y))
             | (ModelOutput::Forecast(x), ModelOutput::Forecast(y)) => {
                 assert_eq!(x.len(), y.len(), "{ctx}: length");
-                for (i, (p, q)) in x.iter().zip(y).enumerate() {
-                    assert_eq!(p.to_bits(), q.to_bits(), "{ctx}: element {i}");
-                }
+                x.iter().copied().zip(y.iter().copied()).collect()
             }
             other => panic!("{ctx}: variant mismatch {other:?}"),
         }
     }
 
-    /// Drives a batch of `probes` through `InferBatch` and checks every
-    /// row against the model's own `predict`, bitwise.
+    /// Drives `probes` through the live f64 view and through an f32
+    /// snapshot, as a full batch and as a batch of one, and checks every
+    /// row against the model's own `predict`: bitwise for f64, within f32
+    /// tolerance for the snapshot.
     fn check_batch_matches_predict(model: &mut dyn StreamModel, probes: &[FeatureVector]) {
-        let mut batch = InferBatch::new(model, probes.len()).expect("batchable model");
-        // Also exercise partial batches: all rows, then a batch of one.
+        let mut batch = InferBatch::<f64>::new(model, probes.len()).expect("batchable model");
+        let mut batch32 = InferBatch::<f32>::new(model, probes.len()).expect("batchable model");
+        assert_eq!(batch32.capacity(), probes.len());
         for take in [probes.len(), 1] {
-            batch.begin(take);
+            let view = infer_view(model).expect("batchable model");
+            let got = run_batch(&mut batch, view, &probes[..take]);
+            let snapshot = InferSnapshot::<f32>::new(view);
+            let got32 = run_batch(&mut batch32, snapshot.view(), &probes[..take]);
             for (row, x) in probes[..take].iter().enumerate() {
-                batch.pack(model, row, x);
-            }
-            batch.forward(model);
-            for (row, x) in probes[..take].iter().enumerate() {
-                let mut got = ModelOutput::Score(0.0);
-                batch.emit_into(model, row, &mut got);
                 let want = model.predict(x);
-                assert_outputs_bitwise(&got, &want, &format!("take {take}, row {row}"));
+                let ctx = format!("take {take}, row {row}");
+                for (i, (p, q)) in output_pairs(&got[row], &want, &ctx).into_iter().enumerate() {
+                    assert_eq!(p.to_bits(), q.to_bits(), "{ctx}: f64 element {i}");
+                }
+                for (i, (p, q)) in output_pairs(&got32[row], &want, &ctx).into_iter().enumerate() {
+                    let err = (p - q).abs();
+                    assert!(err <= 1e-4 * q.abs().max(1.0), "{ctx}[{i}]: f32 {p} vs f64 {q}");
+                }
             }
         }
     }
@@ -516,6 +600,39 @@ mod tests {
         check_batch_matches_predict(&mut ae, std::slice::from_ref(&x));
     }
 
+    /// A snapshot re-synced after fine-tuning serves exactly what a fresh
+    /// snapshot of the tuned model serves.
+    #[test]
+    fn snapshot_resync_tracks_fine_tuning() {
+        let train = sine_windows(40, 8, 0.0);
+        let mut ae = TwoLayerAe::new(8, 5e-3, 7);
+        ae.fit_initial(&train, 10);
+        let mut snapshot = InferSnapshot::<f32>::new(infer_view(&ae).unwrap());
+        let mut batch = InferBatch::<f32>::new(&ae, 4).unwrap();
+        let probes = &train[3..7];
+        let stale = run_batch(&mut batch, snapshot.view(), probes);
+
+        ae.fine_tune(&train);
+        ae.fine_tune(&train[5..]);
+        snapshot.resync(infer_view(&ae).unwrap());
+        let resynced = run_batch(&mut batch, snapshot.view(), probes);
+        let fresh = InferSnapshot::<f32>::new(infer_view(&ae).unwrap());
+        assert_eq!(resynced, run_batch(&mut batch, fresh.view(), probes));
+        assert_ne!(resynced, stale, "the re-sync must pick up the tuned parameters");
+    }
+
+    #[test]
+    #[should_panic(expected = "different model kind")]
+    fn snapshot_resync_rejects_another_kind() {
+        let train = sine_windows(30, 8, 0.0);
+        let mut ae = TwoLayerAe::new(8, 5e-3, 1);
+        ae.fit_initial(&train, 1);
+        let mut usad = Usad::new(3, 2e-3, 5);
+        usad.fit_initial(&train, 1);
+        let mut snapshot = InferSnapshot::<f32>::new(infer_view(&ae).unwrap());
+        snapshot.resync(infer_view(&usad).unwrap());
+    }
+
     #[test]
     fn arch_key_groups_same_shape_only() {
         let train = sine_windows(30, 8, 0.0);
@@ -539,10 +656,10 @@ mod tests {
     fn unfitted_or_non_nn_models_are_not_batchable() {
         let ae = TwoLayerAe::new(8, 5e-3, 1); // no net yet
         assert!(batch_arch_key(&ae).is_none());
-        assert!(InferBatch::new(&ae, 4).is_none());
+        assert!(InferBatch::<f64>::new(&ae, 4).is_none());
         let knn = crate::KnnDistanceModel::new(3);
         assert!(batch_arch_key(&knn).is_none());
-        assert!(InferBatch::new(&knn, 4).is_none());
+        assert!(InferBatch::<f32>::new(&knn, 4).is_none());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! [`builder`] turns a `sad_core::AlgorithmSpec` (one of the 26 Table I
 //! combinations) into a runnable `sad_core::Detector`.
 //!
-//! The neural models standardize inputs with per-dimension statistics fit
+//! The neural models scale inputs with per-dimension affine statistics fit
 //! on the warm-up training set ([`scaler`]) — reference implementations of
 //! AE/USAD/N-BEATS do the same in their data loaders; predictions are
 //! mapped back to raw units before the cosine nonconformity is computed.
@@ -26,7 +26,6 @@
 pub mod ae;
 pub mod arima;
 pub mod batch_infer;
-pub mod batch_infer_f32;
 pub mod builder;
 pub mod knn;
 pub mod nbeats;
@@ -37,8 +36,10 @@ pub mod var;
 
 pub use ae::TwoLayerAe;
 pub use arima::OnlineArima;
-pub use batch_infer::{batch_arch_key, infer_state_equal, ArchKey, ArchKind, InferBatch};
-pub use batch_infer_f32::InferBatchF32;
+pub use batch_infer::{
+    batch_arch_key, infer_state_equal, infer_view, ArchKey, ArchKind, InferBatch, InferSnapshot,
+    InferView,
+};
 pub use builder::{
     build_detector, build_model, build_scorer, build_scorer_bank, build_shared_warmup,
     build_task1, build_task2, BuildParams,
@@ -46,6 +47,9 @@ pub use builder::{
 pub use knn::KnnDistanceModel;
 pub use nbeats::{BasisKind, NBeats};
 pub use pcb::PcbIForestModel;
-pub use scaler::{MinMaxScaler, ScalerF32, Standardizer};
+pub use scaler::Affine;
 pub use usad::Usad;
 pub use var::VarModel;
+/// The precision parameter of [`InferBatch`], [`InferView`] and
+/// [`InferSnapshot`], re-exported so serving layers can be generic over it.
+pub use sad_tensor::Scalar;

@@ -23,12 +23,13 @@
 //! residual chain: the gradient reaching residual `x_{l+1}` flows both into
 //! block `l`'s backcast head (negated) and onward to `x_l`.
 
-use crate::scaler::Standardizer;
+use crate::batch_infer::{InferView, Nets};
+use crate::scaler::Affine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
 use sad_nn::{Activation, Mlp, MlpGrads, MlpWorkspace};
-use sad_tensor::{Adam, Matrix, Optimizer};
+use sad_tensor::{Adam, Matrix, Optimizer, Scalar};
 
 /// Basis family of one block.
 ///
@@ -48,16 +49,36 @@ pub enum BasisKind {
     Seasonal,
 }
 
-/// One N-BEATS block: trunk + backcast head + forecast head.
-/// Crate-visible so the fleet's batched inference path
+/// One N-BEATS block: trunk + backcast head + forecast head, in precision
+/// `T` (training is f64; a `Block<f32>` is part of an f32 serving
+/// snapshot). Crate-visible so the fleet's batched inference path
 /// (`crate::batch_infer`) can drive the residual stack through shared
 /// workspaces.
 #[derive(Clone)]
-pub(crate) struct Block {
-    pub(crate) trunk: Mlp,
-    pub(crate) backcast_head: Mlp,
-    pub(crate) forecast_head: Mlp,
+pub(crate) struct Block<T: Scalar = f64> {
+    pub(crate) trunk: Mlp<T>,
+    pub(crate) backcast_head: Mlp<T>,
+    pub(crate) forecast_head: Mlp<T>,
     pub(crate) basis: BasisKind,
+}
+
+impl<T: Scalar> Block<T> {
+    /// Converts every parameter of `src` to `T`.
+    pub(crate) fn from_precision<U: Scalar>(src: &Block<U>) -> Self {
+        Self {
+            trunk: Mlp::from_precision(&src.trunk),
+            backcast_head: Mlp::from_precision(&src.backcast_head),
+            forecast_head: Mlp::from_precision(&src.forecast_head),
+            basis: src.basis,
+        }
+    }
+
+    /// Re-converts every parameter from `src` in place (no allocation).
+    pub(crate) fn convert_from<U: Scalar>(&mut self, src: &Block<U>) {
+        self.trunk.convert_from(&src.trunk);
+        self.backcast_head.convert_from(&src.backcast_head);
+        self.forecast_head.convert_from(&src.forecast_head);
+    }
 }
 
 /// Reusable batched-training buffers for one block: a workspace per
@@ -198,7 +219,7 @@ impl Block {
 pub struct NBeats {
     blocks: Option<Vec<Block>>,
     opts: Vec<Adam>,
-    scaler: Option<Standardizer>,
+    scaler: Option<Affine>,
     bufs: Option<NBeatsBuffers>,
     /// One basis per block; `(kind, theta)` pairs.
     plan: Vec<(BasisKind, usize)>,
@@ -494,9 +515,11 @@ impl NBeats {
     }
 
     /// Inference state for the fleet's cross-stream batched stepping:
-    /// `(residual stack, fitted scaler)`. `None` until the blocks exist.
-    pub(crate) fn inference_parts(&self) -> Option<(&[Block], Option<&Standardizer>)> {
-        self.blocks.as_deref().map(|blocks| (blocks, self.scaler.as_ref()))
+    /// the residual stack and the fitted scaler. `None` until the blocks
+    /// exist.
+    pub(crate) fn infer_view(&self) -> Option<InferView<'_>> {
+        let blocks = self.blocks.as_deref()?;
+        Some(InferView { nets: Nets::NBeats(blocks), scaler: self.scaler.as_ref() })
     }
 
     /// Per-block backcast/forecast decomposition for a feature vector — the
@@ -539,7 +562,7 @@ impl StreamModel for NBeats {
         if train.is_empty() {
             return;
         }
-        self.scaler = Some(Standardizer::fit(train));
+        self.scaler = Some(Affine::standardize(train));
         self.ensure_blocks((train[0].w() - 1) * train[0].n(), train[0].n());
         for _ in 0..epochs {
             self.fine_tune(train);

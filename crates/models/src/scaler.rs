@@ -1,40 +1,49 @@
-//! Per-dimension standardization for the neural models.
+//! Per-dimension affine input scaling for the neural models.
 //!
 //! Sensor channels in the benchmark corpora differ in scale by orders of
 //! magnitude (accelerometer milli-g vs CPU percent vs byte counters).
 //! Gradient-trained networks need roughly unit-scale inputs, so the neural
-//! models fit `z = (x − μ)/σ` statistics on the warm-up training set and
+//! models fit per-dimension statistics on the warm-up training set and
 //! map reconstructions/forecasts back to raw units before the cosine
 //! nonconformity compares them with the stream. (The reference
 //! implementations of AE/USAD/N-BEATS normalize in their data pipelines;
 //! here it lives inside the model so the framework stays scale-agnostic.)
+//!
+//! Both fits the models use are one affine map `z = (x − sub) / div`: the
+//! standardizer (AE, N-BEATS) sets `(sub, div) = (μ, σ)`, USAD's min-max
+//! scaler sets `(min, range)`. [`Affine`] implements that map once,
+//! generic over precision: the fitted f64 map is authoritative, and an
+//! `Affine<f32>` is the inference snapshot the fleet's f32 serving path
+//! converts from it ([`Affine::convert_from`]).
 
 use sad_core::FeatureVector;
+use sad_tensor::Scalar;
 
-/// Per-dimension affine scaler `z_j = (x_j − μ_j) / σ_j`.
+/// Per-dimension affine scaler `z_j = (x_j − sub_j) / div_j` in precision
+/// `T` (default `f64`).
 #[derive(Debug, Clone)]
-pub struct Standardizer {
-    mean: Vec<f64>,
-    std: Vec<f64>,
+pub struct Affine<T: Scalar = f64> {
+    sub: Vec<T>,
+    div: Vec<T>,
 }
 
-impl Standardizer {
-    /// σ floor: constant dimensions pass through unscaled instead of
-    /// dividing by zero.
-    const STD_FLOOR: f64 = 1e-8;
+impl Affine {
+    /// σ / range floor: constant dimensions pass through unscaled instead
+    /// of dividing by zero.
+    const DIV_FLOOR: f64 = 1e-8;
 
     /// An identity scaler of dimension `dim` (useful before any data has
     /// been seen).
     pub fn identity(dim: usize) -> Self {
-        Self { mean: vec![0.0; dim], std: vec![1.0; dim] }
+        Self { sub: vec![0.0; dim], div: vec![1.0; dim] }
     }
 
-    /// Fits per-dimension mean and standard deviation over the flattened
-    /// feature vectors of `train`.
+    /// Fits the standardizer `z = (x − μ)/σ`: per-dimension mean and
+    /// standard deviation over the flattened feature vectors of `train`.
     ///
     /// # Panics
     /// Panics if `train` is empty or dimensions are inconsistent.
-    pub fn fit(train: &[FeatureVector]) -> Self {
+    pub fn standardize(train: &[FeatureVector]) -> Self {
         assert!(!train.is_empty(), "cannot fit a standardizer on no data");
         let dim = train[0].dim();
         let n = train.len() as f64;
@@ -54,113 +63,22 @@ impl Standardizer {
                 *s += (v - m) * (v - m);
             }
         }
-        let std = var.into_iter().map(|s| (s / n).sqrt().max(Self::STD_FLOOR)).collect();
-        Self { mean, std }
+        let std = var.into_iter().map(|s| (s / n).sqrt().max(Self::DIV_FLOOR)).collect();
+        Self { sub: mean, div: std }
     }
 
-    /// Dimensionality.
-    pub fn dim(&self) -> usize {
-        self.mean.len()
-    }
-
-    /// Standardizes a raw vector.
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.mean.len(), "standardizer dimension mismatch");
-        x.iter().zip(&self.mean).zip(&self.std).map(|((&v, &m), &s)| (v - m) / s).collect()
-    }
-
-    /// Allocation-free [`Self::transform`]: writes the standardized vector
-    /// into `out` (the batched training path fills workspace rows with
-    /// this).
-    pub fn transform_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.mean.len(), "standardizer dimension mismatch");
-        assert_eq!(out.len(), x.len(), "standardizer output length mismatch");
-        for (o, ((&v, &m), &s)) in out.iter_mut().zip(x.iter().zip(&self.mean).zip(&self.std)) {
-            *o = (v - m) / s;
-        }
-    }
-
-    /// Maps a standardized vector back to raw units.
-    pub fn inverse(&self, z: &[f64]) -> Vec<f64> {
-        assert_eq!(z.len(), self.mean.len(), "standardizer dimension mismatch");
-        z.iter().zip(&self.mean).zip(&self.std).map(|((&v, &m), &s)| v * s + m).collect()
-    }
-
-    /// Allocation-free [`Self::inverse`]: writes the raw-unit vector into
-    /// `out` (the fleet's batched inference path scatters workspace rows
-    /// with this).
-    pub fn inverse_into(&self, z: &[f64], out: &mut [f64]) {
-        assert_eq!(z.len(), self.mean.len(), "standardizer dimension mismatch");
-        assert_eq!(out.len(), z.len(), "standardizer output length mismatch");
-        for (o, ((&v, &m), &s)) in out.iter_mut().zip(z.iter().zip(&self.mean).zip(&self.std)) {
-            *o = v * s + m;
-        }
-    }
-
-    /// Standardizes only a suffix slice (used by forecasting models whose
-    /// target is the last stream vector: the scaler is fit on `w·N` dims
-    /// and the last `N` entries correspond to `s_t`).
-    pub fn transform_tail(&self, tail: &[f64]) -> Vec<f64> {
-        let offset = self.mean.len() - tail.len();
-        tail.iter()
-            .zip(&self.mean[offset..])
-            .zip(&self.std[offset..])
-            .map(|((&v, &m), &s)| (v - m) / s)
-            .collect()
-    }
-
-    /// Inverse of [`Self::transform_tail`].
-    pub fn inverse_tail(&self, tail: &[f64]) -> Vec<f64> {
-        let offset = self.mean.len() - tail.len();
-        tail.iter()
-            .zip(&self.mean[offset..])
-            .zip(&self.std[offset..])
-            .map(|((&v, &m), &s)| v * s + m)
-            .collect()
-    }
-
-    /// Allocation-free [`Self::inverse_tail`].
-    pub fn inverse_tail_into(&self, tail: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), tail.len(), "standardizer output length mismatch");
-        let offset = self.mean.len() - tail.len();
-        for (o, ((&v, &m), &s)) in
-            out.iter_mut().zip(tail.iter().zip(&self.mean[offset..]).zip(&self.std[offset..]))
-        {
-            *o = v * s + m;
-        }
-    }
-
-    /// Bitwise equality of the fitted statistics — the scaler half of the
-    /// fleet's "identical inference state" cohort test.
-    pub fn state_equal(&self, other: &Standardizer) -> bool {
-        self.mean.len() == other.mean.len()
-            && self.mean.iter().zip(&other.mean).all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.std.iter().zip(&other.std).all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
-/// Per-dimension min-max scaler mapping the training range onto `[0, 1]`.
-///
-/// USAD bounds its decoder outputs with a final sigmoid and normalizes data
-/// to `[0, 1]` (Audibert et al. §5.1) — this boundedness is what keeps the
-/// adversarial maximization of `R_both` from diverging. Out-of-range stream
-/// values simply map outside `[0, 1]` and become unreconstructable, which
-/// is the desired anomaly signal.
-#[derive(Debug, Clone)]
-pub struct MinMaxScaler {
-    min: Vec<f64>,
-    range: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Range floor for constant dimensions.
-    const RANGE_FLOOR: f64 = 1e-8;
-
-    /// Fits per-dimension min/max over the flattened feature vectors.
+    /// Fits the min-max scaler mapping the training range onto `[0, 1]`:
+    /// `z = (x − min)/range`.
+    ///
+    /// USAD bounds its decoder outputs with a final sigmoid and normalizes
+    /// data to `[0, 1]` (Audibert et al. §5.1) — this boundedness is what
+    /// keeps the adversarial maximization of `R_both` from diverging.
+    /// Out-of-range stream values simply map outside `[0, 1]` and become
+    /// unreconstructable, which is the desired anomaly signal.
     ///
     /// # Panics
     /// Panics if `train` is empty or dimensions are inconsistent.
-    pub fn fit(train: &[FeatureVector]) -> Self {
+    pub fn min_max(train: &[FeatureVector]) -> Self {
         assert!(!train.is_empty(), "cannot fit a scaler on no data");
         let dim = train[0].dim();
         let mut min = vec![f64::INFINITY; dim];
@@ -172,148 +90,99 @@ impl MinMaxScaler {
                 *hi = hi.max(v);
             }
         }
-        let range = min.iter().zip(&max).map(|(l, h)| (h - l).max(Self::RANGE_FLOOR)).collect();
-        Self { min, range }
+        let range = min.iter().zip(&max).map(|(l, h)| (h - l).max(Self::DIV_FLOOR)).collect();
+        Self { sub: min, div: range }
     }
 
-    /// Dimensionality.
-    pub fn dim(&self) -> usize {
-        self.min.len()
-    }
-
-    /// Maps a raw vector into (approximately) `[0, 1]`.
+    /// Scales a raw vector.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.min.len(), "scaler dimension mismatch");
-        x.iter().zip(&self.min).zip(&self.range).map(|((&v, &m), &r)| (v - m) / r).collect()
+        assert_eq!(x.len(), self.sub.len(), "scaler dimension mismatch");
+        x.iter().zip(&self.sub).zip(&self.div).map(|((&v, &m), &d)| (v - m) / d).collect()
     }
 
-    /// Allocation-free [`Self::transform`]: writes the scaled vector into
-    /// `out`.
-    pub fn transform_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.min.len(), "scaler dimension mismatch");
-        assert_eq!(out.len(), x.len(), "scaler output length mismatch");
-        for (o, ((&v, &m), &r)) in out.iter_mut().zip(x.iter().zip(&self.min).zip(&self.range)) {
-            *o = (v - m) / r;
-        }
-    }
-
-    /// Maps a `[0, 1]` vector back to raw units.
+    /// Maps a scaled vector back to raw units.
     pub fn inverse(&self, z: &[f64]) -> Vec<f64> {
-        assert_eq!(z.len(), self.min.len(), "scaler dimension mismatch");
-        z.iter().zip(&self.min).zip(&self.range).map(|((&v, &m), &r)| v * r + m).collect()
+        assert_eq!(z.len(), self.sub.len(), "scaler dimension mismatch");
+        z.iter().zip(&self.sub).zip(&self.div).map(|((&v, &m), &d)| v * d + m).collect()
     }
 
-    /// Allocation-free [`Self::inverse`].
-    pub fn inverse_into(&self, z: &[f64], out: &mut [f64]) {
-        assert_eq!(z.len(), self.min.len(), "scaler dimension mismatch");
-        assert_eq!(out.len(), z.len(), "scaler output length mismatch");
-        for (o, ((&v, &m), &r)) in out.iter_mut().zip(z.iter().zip(&self.min).zip(&self.range)) {
-            *o = v * r + m;
-        }
+    /// Scales only a suffix slice (used by forecasting models whose
+    /// target is the last stream vector: the scaler is fit on `w·N` dims
+    /// and the last `N` entries correspond to `s_t`).
+    pub fn transform_tail(&self, tail: &[f64]) -> Vec<f64> {
+        let offset = self.sub.len() - tail.len();
+        tail.iter()
+            .zip(&self.sub[offset..])
+            .zip(&self.div[offset..])
+            .map(|((&v, &m), &d)| (v - m) / d)
+            .collect()
     }
 
-    /// Bitwise equality of the fitted statistics (see
-    /// [`Standardizer::state_equal`]).
-    pub fn state_equal(&self, other: &MinMaxScaler) -> bool {
-        self.min.len() == other.min.len()
-            && self.min.iter().zip(&other.min).all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.range.iter().zip(&other.range).all(|(a, b)| a.to_bits() == b.to_bits())
+    /// Inverse of [`Self::transform_tail`].
+    pub fn inverse_tail(&self, tail: &[f64]) -> Vec<f64> {
+        let offset = self.sub.len() - tail.len();
+        tail.iter()
+            .zip(&self.sub[offset..])
+            .zip(&self.div[offset..])
+            .map(|((&v, &m), &d)| v * d + m)
+            .collect()
+    }
+
+    /// Bitwise equality of the fitted statistics — the scaler half of the
+    /// fleet's "identical inference state" cohort test.
+    pub fn state_equal(&self, other: &Affine) -> bool {
+        self.sub.len() == other.sub.len()
+            && self.sub.iter().zip(&other.sub).all(|(a, b)| a.to_bits() == b.to_bits())
+            && self.div.iter().zip(&other.div).all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
-/// f32 snapshot of a fitted scaler's affine map, for the inference-only
-/// f32 serving path.
-///
-/// Both scalers are the same shape of map — `z = (x − sub) / div` with
-/// `(sub, div) = (μ, σ)` for [`Standardizer`] and `(min, range)` for
-/// [`MinMaxScaler`] — so one snapshot type covers both. Like
-/// `sad_nn::InferPlan` it holds *converted copies*: the authoritative f64
-/// statistics stay in the owning scaler, and the snapshot is re-synced
-/// (allocation-free) on the same training-event hook that refreshes the
-/// network plans. Arithmetic here is entirely f32 on the forward side and
-/// widens back to f64 on the inverse side, matching the f64 path to f32
-/// relative accuracy.
-#[derive(Debug, Clone)]
-pub struct ScalerF32 {
-    sub: Vec<f32>,
-    div: Vec<f32>,
-}
-
-impl ScalerF32 {
-    /// Snapshots a fitted [`Standardizer`].
-    pub fn from_standardizer(s: &Standardizer) -> Self {
-        Self {
-            sub: s.mean.iter().map(|&v| v as f32).collect(),
-            div: s.std.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Snapshots a fitted [`MinMaxScaler`].
-    pub fn from_minmax(s: &MinMaxScaler) -> Self {
-        Self {
-            sub: s.min.iter().map(|&v| v as f32).collect(),
-            div: s.range.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Re-converts from a [`Standardizer`] in place — no heap allocation.
-    ///
-    /// # Panics
-    /// Panics on a dimensionality change (cohort refreshes never resize).
-    pub fn refresh_standardizer(&mut self, s: &Standardizer) {
-        self.refresh_from(&s.mean, &s.std);
-    }
-
-    /// Re-converts from a [`MinMaxScaler`] in place — no heap allocation.
-    ///
-    /// # Panics
-    /// Panics on a dimensionality change (cohort refreshes never resize).
-    pub fn refresh_minmax(&mut self, s: &MinMaxScaler) {
-        self.refresh_from(&s.min, &s.range);
-    }
-
-    fn refresh_from(&mut self, sub: &[f64], div: &[f64]) {
-        assert_eq!(self.sub.len(), sub.len(), "scaler snapshot dimension mismatch");
-        for (o, &v) in self.sub.iter_mut().zip(sub) {
-            *o = v as f32;
-        }
-        for (o, &v) in self.div.iter_mut().zip(div) {
-            *o = v as f32;
-        }
-    }
-
+impl<T: Scalar> Affine<T> {
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.sub.len()
     }
 
-    /// `z = (x − sub) / div`, narrowing into an f32 workspace row.
-    pub fn transform_into(&self, x: &[f64], out: &mut [f32]) {
-        assert_eq!(x.len(), self.sub.len(), "scaler snapshot dimension mismatch");
-        assert_eq!(out.len(), x.len(), "scaler snapshot output length mismatch");
+    /// Allocation-free [`Affine::transform`] into a precision-`T` row (the
+    /// batched training and serving paths fill workspace rows with this).
+    /// The raw value is narrowed to `T` first, so every operation runs in
+    /// `T`; at `T = f64` this is bitwise [`Affine::transform`].
+    pub fn transform_into(&self, x: &[f64], out: &mut [T]) {
+        assert_eq!(x.len(), self.sub.len(), "scaler dimension mismatch");
+        assert_eq!(out.len(), x.len(), "scaler output length mismatch");
         for (o, ((&v, &m), &d)) in out.iter_mut().zip(x.iter().zip(&self.sub).zip(&self.div)) {
-            *o = (v as f32 - m) / d;
+            *o = (T::from_f64(v) - m) / d;
         }
     }
 
-    /// `x = z · div + sub`, widening back to raw f64 units.
-    pub fn inverse_into(&self, z: &[f32], out: &mut [f64]) {
-        assert_eq!(z.len(), self.sub.len(), "scaler snapshot dimension mismatch");
-        assert_eq!(out.len(), z.len(), "scaler snapshot output length mismatch");
-        for (o, ((&v, &m), &d)) in out.iter_mut().zip(z.iter().zip(&self.sub).zip(&self.div)) {
-            *o = (v * d + m) as f64;
-        }
-    }
-
-    /// Suffix variant of [`Self::inverse_into`] (see
-    /// [`Standardizer::inverse_tail_into`]).
-    pub fn inverse_tail_into(&self, tail: &[f32], out: &mut [f64]) {
-        assert_eq!(out.len(), tail.len(), "scaler snapshot output length mismatch");
+    /// Allocation-free [`Affine::inverse_tail`] from a precision-`T` row
+    /// back to raw f64 units — a full-width `tail` is the whole
+    /// [`Affine::inverse`]. The fleet's batched inference path scatters
+    /// workspace rows with this.
+    pub fn inverse_tail_into(&self, tail: &[T], out: &mut [f64]) {
+        assert_eq!(out.len(), tail.len(), "scaler output length mismatch");
         let offset = self.sub.len() - tail.len();
         for (o, ((&v, &m), &d)) in
             out.iter_mut().zip(tail.iter().zip(&self.sub[offset..]).zip(&self.div[offset..]))
         {
-            *o = (v * d + m) as f64;
+            *o = (v * d + m).to_f64();
+        }
+    }
+
+    /// Creates a scaler by converting the statistics of `src` to `T`.
+    pub fn from_precision<U: Scalar>(src: &Affine<U>) -> Self {
+        let convert = |v: &[U]| v.iter().map(|&x| T::from_f64(x.to_f64())).collect();
+        Self { sub: convert(&src.sub), div: convert(&src.div) }
+    }
+
+    /// Re-converts the statistics of `src` in place — no heap allocation.
+    ///
+    /// # Panics
+    /// Panics on a dimensionality change (snapshot re-syncs never resize).
+    pub fn convert_from<U: Scalar>(&mut self, src: &Affine<U>) {
+        assert_eq!(self.sub.len(), src.sub.len(), "scaler snapshot dimension mismatch");
+        for (o, &v) in self.sub.iter_mut().zip(&src.sub).chain(self.div.iter_mut().zip(&src.div)) {
+            *o = T::from_f64(v.to_f64());
         }
     }
 }
@@ -329,7 +198,7 @@ mod tests {
     #[test]
     fn minmax_maps_training_range_to_unit() {
         let train = vec![fv(&[0.0, -10.0]), fv(&[4.0, 30.0])];
-        let s = MinMaxScaler::fit(&train);
+        let s = Affine::min_max(&train);
         assert_eq!(s.transform(&[0.0, -10.0]), vec![0.0, 0.0]);
         assert_eq!(s.transform(&[4.0, 30.0]), vec![1.0, 1.0]);
         assert_eq!(s.transform(&[2.0, 10.0]), vec![0.5, 0.5]);
@@ -338,7 +207,7 @@ mod tests {
     #[test]
     fn minmax_round_trip() {
         let train = vec![fv(&[1.0, 2.0]), fv(&[3.0, 8.0]), fv(&[2.0, 5.0])];
-        let s = MinMaxScaler::fit(&train);
+        let s = Affine::min_max(&train);
         let x = [2.7, 6.1];
         let back = s.inverse(&s.transform(&x));
         for (a, b) in x.iter().zip(&back) {
@@ -349,7 +218,7 @@ mod tests {
     #[test]
     fn minmax_out_of_range_values_exceed_unit() {
         let train = vec![fv(&[0.0]), fv(&[1.0])];
-        let s = MinMaxScaler::fit(&train);
+        let s = Affine::min_max(&train);
         assert!(s.transform(&[5.0])[0] > 1.0);
         assert!(s.transform(&[-5.0])[0] < 0.0);
     }
@@ -357,14 +226,14 @@ mod tests {
     #[test]
     fn minmax_constant_dim_is_floored() {
         let train = vec![fv(&[7.0]), fv(&[7.0])];
-        let s = MinMaxScaler::fit(&train);
+        let s = Affine::min_max(&train);
         assert!(s.transform(&[7.0])[0].is_finite());
     }
 
     #[test]
     fn fit_computes_mean_and_std() {
         let train = vec![fv(&[0.0, 10.0]), fv(&[2.0, 30.0])];
-        let s = Standardizer::fit(&train);
+        let s = Affine::standardize(&train);
         let z = s.transform(&[1.0, 20.0]);
         assert!(z[0].abs() < 1e-12 && z[1].abs() < 1e-12, "center maps to zero: {z:?}");
         let z2 = s.transform(&[2.0, 30.0]);
@@ -375,7 +244,7 @@ mod tests {
     #[test]
     fn round_trip_is_identity() {
         let train = vec![fv(&[1.0, 2.0, 3.0]), fv(&[4.0, 0.0, -3.0]), fv(&[2.0, 2.0, 9.0])];
-        let s = Standardizer::fit(&train);
+        let s = Affine::standardize(&train);
         let x = [3.3, -1.2, 7.0];
         let back = s.inverse(&s.transform(&x));
         for (a, b) in x.iter().zip(&back) {
@@ -386,7 +255,7 @@ mod tests {
     #[test]
     fn constant_dimension_is_floored_not_nan() {
         let train = vec![fv(&[5.0, 1.0]), fv(&[5.0, 2.0])];
-        let s = Standardizer::fit(&train);
+        let s = Affine::standardize(&train);
         let z = s.transform(&[5.0, 1.5]);
         assert!(z.iter().all(|v| v.is_finite()));
         assert_eq!(z[0], 0.0);
@@ -395,7 +264,7 @@ mod tests {
     #[test]
     fn tail_transforms_use_suffix_stats() {
         let train = vec![fv(&[0.0, 100.0]), fv(&[2.0, 300.0])];
-        let s = Standardizer::fit(&train);
+        let s = Affine::standardize(&train);
         let z = s.transform_tail(&[200.0]);
         assert!(z[0].abs() < 1e-12);
         let raw = s.inverse_tail(&[1.0]);
@@ -404,7 +273,7 @@ mod tests {
 
     #[test]
     fn identity_scaler_is_noop() {
-        let s = Standardizer::identity(3);
+        let s = Affine::identity(3);
         let x = [1.0, -2.0, 3.0];
         assert_eq!(s.transform(&x), x.to_vec());
         assert_eq!(s.inverse(&x), x.to_vec());
@@ -413,7 +282,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no data")]
     fn empty_fit_panics() {
-        let _ = Standardizer::fit(&[]);
+        let _ = Affine::standardize(&[]);
     }
 
     #[test]
@@ -421,35 +290,32 @@ mod tests {
         let train = vec![fv(&[1.0, -4.0, 0.5]), fv(&[3.0, 2.0, 9.5]), fv(&[0.0, 1.0, 4.0])];
         let x = [2.2, -0.7, 6.1];
         let mut out = [0.0; 3];
-        let s = Standardizer::fit(&train);
+        let s = Affine::standardize(&train);
         s.transform_into(&x, &mut out);
         assert_eq!(out.map(f64::to_bits).to_vec(),
             s.transform(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-        let mm = MinMaxScaler::fit(&train);
+        let mm = Affine::min_max(&train);
         mm.transform_into(&x, &mut out);
         assert_eq!(out.map(f64::to_bits).to_vec(),
             mm.transform(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn inverse_into_matches_inverse_bitwise() {
+    fn full_width_inverse_tail_into_matches_inverse_bitwise() {
         let train = vec![fv(&[1.0, -4.0, 0.5]), fv(&[3.0, 2.0, 9.5]), fv(&[0.0, 1.0, 4.0])];
         let z = [0.33, -1.8, 2.4];
         let mut out = [0.0; 3];
-        let s = Standardizer::fit(&train);
-        s.inverse_into(&z, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            s.inverse(&z).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-        let mm = MinMaxScaler::fit(&train);
-        mm.inverse_into(&z, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            mm.inverse(&z).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        for s in [Affine::standardize(&train), Affine::min_max(&train)] {
+            s.inverse_tail_into(&z, &mut out);
+            assert_eq!(out.map(f64::to_bits).to_vec(),
+                s.inverse(&z).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn inverse_tail_into_matches_inverse_tail_bitwise() {
         let train = vec![fv(&[0.0, 100.0, 7.0]), fv(&[2.0, 300.0, -1.0])];
-        let s = Standardizer::fit(&train);
+        let s = Affine::standardize(&train);
         let tail = [0.7, -0.4];
         let mut out = [0.0; 2];
         s.inverse_tail_into(&tail, &mut out);
@@ -463,49 +329,38 @@ mod tests {
         let x = [2.2, -0.7, 6.1];
         let mut z32 = [0.0f32; 3];
         let mut back = [0.0f64; 3];
-
-        let s = Standardizer::fit(&train);
-        let snap = ScalerF32::from_standardizer(&s);
-        assert_eq!(snap.dim(), 3);
-        snap.transform_into(&x, &mut z32);
-        for (got, want) in z32.iter().zip(s.transform(&x)) {
-            assert!((*got as f64 - want).abs() <= 1e-5 * want.abs().max(1.0));
-        }
-        snap.inverse_into(&z32, &mut back);
-        for (got, want) in back.iter().zip(&x) {
-            assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0), "{got} vs {want}");
-        }
-
-        let mm = MinMaxScaler::fit(&train);
-        let snap = ScalerF32::from_minmax(&mm);
-        snap.transform_into(&x, &mut z32);
-        for (got, want) in z32.iter().zip(mm.transform(&x)) {
-            assert!((*got as f64 - want).abs() <= 1e-5 * want.abs().max(1.0));
-        }
-        snap.inverse_into(&z32, &mut back);
-        for (got, want) in back.iter().zip(&x) {
-            assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0), "{got} vs {want}");
+        for fitted in [Affine::standardize(&train), Affine::min_max(&train)] {
+            let snap = Affine::<f32>::from_precision(&fitted);
+            assert_eq!(snap.dim(), 3);
+            snap.transform_into(&x, &mut z32);
+            for (got, want) in z32.iter().zip(fitted.transform(&x)) {
+                assert!((f64::from(*got) - want).abs() <= 1e-5 * want.abs().max(1.0));
+            }
+            snap.inverse_tail_into(&z32, &mut back);
+            for (got, want) in back.iter().zip(&x) {
+                assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0), "{got} vs {want}");
+            }
         }
     }
 
     #[test]
     fn f32_snapshot_refresh_picks_up_new_statistics() {
-        let s1 = Standardizer::fit(&[fv(&[0.0, 10.0]), fv(&[2.0, 30.0])]);
-        let s2 = Standardizer::fit(&[fv(&[5.0, -1.0]), fv(&[9.0, 7.0])]);
-        let mut snap = ScalerF32::from_standardizer(&s1);
-        snap.refresh_standardizer(&s2);
-        let fresh = ScalerF32::from_standardizer(&s2);
+        let s1 = Affine::standardize(&[fv(&[0.0, 10.0]), fv(&[2.0, 30.0])]);
+        let s2 = Affine::standardize(&[fv(&[5.0, -1.0]), fv(&[9.0, 7.0])]);
+        let mut snap = Affine::<f32>::from_precision(&s1);
+        snap.convert_from(&s2);
+        let fresh = Affine::<f32>::from_precision(&s2);
         let x = [6.5, 3.0];
         let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
         snap.transform_into(&x, &mut a);
         fresh.transform_into(&x, &mut b);
-        assert_eq!(a, b, "refresh must equal a from-scratch snapshot");
+        assert_eq!(a, b, "re-sync must equal a from-scratch snapshot");
     }
 
     #[test]
     fn f32_snapshot_tail_inverse_uses_suffix_stats() {
-        let s = Standardizer::fit(&[fv(&[0.0, 100.0]), fv(&[2.0, 300.0])]);
-        let snap = ScalerF32::from_standardizer(&s);
+        let s = Affine::standardize(&[fv(&[0.0, 100.0]), fv(&[2.0, 300.0])]);
+        let snap = Affine::<f32>::from_precision(&s);
         let mut out = [0.0f64; 1];
         snap.inverse_tail_into(&[1.0f32], &mut out);
         assert!((out[0] - 300.0).abs() < 1e-3, "{}", out[0]);
@@ -514,22 +369,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn f32_snapshot_refresh_rejects_resize() {
-        let s1 = Standardizer::fit(&[fv(&[0.0, 1.0]), fv(&[2.0, 3.0])]);
-        let s2 = Standardizer::fit(&[fv(&[0.0]), fv(&[2.0])]);
-        let mut snap = ScalerF32::from_standardizer(&s1);
-        snap.refresh_standardizer(&s2);
+        let s1 = Affine::standardize(&[fv(&[0.0, 1.0]), fv(&[2.0, 3.0])]);
+        let s2 = Affine::standardize(&[fv(&[0.0]), fv(&[2.0])]);
+        let mut snap = Affine::<f32>::from_precision(&s1);
+        snap.convert_from(&s2);
     }
 
     #[test]
     fn state_equal_detects_clones_and_divergence() {
         let train = vec![fv(&[1.0, 2.0]), fv(&[4.0, -1.0]), fv(&[2.5, 0.5])];
-        let s = Standardizer::fit(&train);
+        let s = Affine::standardize(&train);
         assert!(s.state_equal(&s.clone()));
-        let other = Standardizer::fit(&train[..2]);
+        let other = Affine::standardize(&train[..2]);
         assert!(!s.state_equal(&other));
-        let mm = MinMaxScaler::fit(&train);
+        let mm = Affine::min_max(&train);
         assert!(mm.state_equal(&mm.clone()));
-        let mm2 = MinMaxScaler::fit(&[fv(&[0.0, 0.0]), fv(&[9.0, 1.0])]);
+        let mm2 = Affine::min_max(&[fv(&[0.0, 0.0]), fv(&[9.0, 1.0])]);
         assert!(!mm.state_equal(&mm2));
     }
 }

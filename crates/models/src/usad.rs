@@ -23,7 +23,8 @@
 //! In the framework the model reports `AE₁(x)` as its reconstruction; the
 //! cosine nonconformity then compares it against `x_t` (§IV-D).
 
-use crate::scaler::MinMaxScaler;
+use crate::batch_infer::{InferView, Nets};
+use crate::scaler::Affine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
@@ -64,7 +65,7 @@ pub struct Usad {
     encoder: Option<Mlp>,
     dec1: Option<Mlp>,
     dec2: Option<Mlp>,
-    scaler: Option<MinMaxScaler>,
+    scaler: Option<Affine>,
     bufs: Option<UsadBuffers>,
     opt_e1: Adam,
     opt_d1: Adam,
@@ -326,14 +327,12 @@ impl Usad {
     }
 
     /// Inference state for the fleet's cross-stream batched stepping:
-    /// `(encoder, decoder 1, fitted scaler)` — `predict` only touches
+    /// encoder, decoder 1 and the fitted scaler — `predict` only touches
     /// `AE₁ = D₁ ∘ E`, so `dec2` does not participate. `None` until the
     /// networks exist.
-    pub(crate) fn inference_parts(&self) -> Option<(&Mlp, &Mlp, Option<&MinMaxScaler>)> {
-        match (&self.encoder, &self.dec1) {
-            (Some(e), Some(d1)) => Some((e, d1, self.scaler.as_ref())),
-            _ => None,
-        }
+    pub(crate) fn infer_view(&self) -> Option<InferView<'_>> {
+        let (encoder, dec1) = (self.encoder.as_ref()?, self.dec1.as_ref()?);
+        Some(InferView { nets: Nets::Usad(encoder, dec1), scaler: self.scaler.as_ref() })
     }
 
     /// Reconstruction `AE₁(x)` in standardized space.
@@ -399,7 +398,7 @@ impl StreamModel for Usad {
         if train.is_empty() {
             return;
         }
-        self.scaler = Some(MinMaxScaler::fit(train));
+        self.scaler = Some(Affine::min_max(train));
         self.ensure_nets(train[0].dim());
         for _ in 0..epochs {
             self.fine_tune(train);

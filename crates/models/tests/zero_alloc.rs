@@ -5,7 +5,10 @@
 //! 2-layer AE, USAD and N-BEATS must not touch the heap — the scaler
 //! writes into workspace rows (`transform_into`), the adversarial /
 //! residual chains run entirely through preallocated workspaces, and the
-//! optimizers step parameters in place.
+//! optimizers step parameters in place. The same holds for the f32
+//! serving snapshot's re-sync after a fine-tune (the fleet's
+//! training-event hook): it converts every weight and scaler statistic in
+//! place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,7 +63,7 @@ fn count_allocs(f: impl FnOnce()) -> usize {
 }
 
 use sad_core::{FeatureVector, StreamModel};
-use sad_models::{KnnDistanceModel, NBeats, TwoLayerAe, Usad};
+use sad_models::{infer_view, InferSnapshot, KnnDistanceModel, NBeats, TwoLayerAe, Usad};
 
 fn sine_windows(count: usize, w: usize) -> Vec<FeatureVector> {
     (0..count)
@@ -135,4 +138,20 @@ fn nbeats_fine_tune_is_allocation_free() {
         Box::new(NBeats::for_dims(8, 2, 7).with_batch_size(8)),
         "N-BEATS b=8",
     );
+}
+
+fn assert_snapshot_resync_is_allocation_free(mut model: Box<dyn StreamModel>, label: &str) {
+    let train = sine_windows(24, 8);
+    model.fit_initial(&train, 2);
+    let mut snapshot = InferSnapshot::<f32>::new(infer_view(&*model).expect("fitted NN model"));
+    model.fine_tune(&train);
+    let n = count_allocs(|| snapshot.resync(infer_view(&*model).expect("fitted NN model")));
+    assert_eq!(n, 0, "{label}: f32 snapshot re-sync must not allocate, saw {n} allocations");
+}
+
+#[test]
+fn f32_snapshot_resync_after_fine_tune_is_allocation_free() {
+    assert_snapshot_resync_is_allocation_free(Box::new(TwoLayerAe::for_dim(16, 7)), "AE");
+    assert_snapshot_resync_is_allocation_free(Box::new(Usad::for_dim(16, 7)), "USAD");
+    assert_snapshot_resync_is_allocation_free(Box::new(NBeats::for_dims(8, 2, 7)), "N-BEATS");
 }

@@ -42,16 +42,18 @@
 //! exactly (`f64::to_bits`), with no tolerances.
 
 use crate::mlp::{Mlp, MlpGrads};
-use sad_tensor::{Matrix, Optimizer};
+use sad_tensor::{Matrix, Optimizer, Scalar};
 
-/// Reusable buffers for one network's batched forward/backward pass.
+/// Reusable buffers for one network's batched forward/backward pass, in
+/// precision `T` (training workspaces are f64; an `MlpWorkspace<f32>`
+/// serves an `Mlp<f32>` inference snapshot).
 ///
 /// All matrices are allocated once for `max_batch` rows; smaller (trailing)
 /// batches shrink the logical row count via [`Matrix::resize_rows`], which
 /// stays within the original capacity and never reallocates. A workspace is
 /// tied to the layer geometry of the [`Mlp`] it was created from.
 #[derive(Debug, Clone)]
-pub struct MlpWorkspace {
+pub struct MlpWorkspace<T: Scalar = f64> {
     /// Layer widths `[in, h₁, …, out]` this workspace was shaped for.
     dims: Vec<usize>,
     max_batch: usize,
@@ -61,41 +63,24 @@ pub struct MlpWorkspace {
     /// [`Mlp::backward_batch`] is rejected.
     training: bool,
     /// `B × in_dim` network input.
-    input: Matrix,
+    input: Matrix<T>,
     /// Per layer: `B × out_dim(l)` post-activation output.
-    acts: Vec<Matrix>,
+    acts: Vec<Matrix<T>>,
     /// Per layer: `B × out_dim(l)` gradient buffer. During
     /// [`Mlp::backward_batch`], `deltas[l]` first holds `∂L/∂act_l` and is
     /// then turned into the pre-activation delta in place. The caller seeds
     /// `deltas[last]` (via [`Self::grad_out_mut`]) with `∂L/∂ŷ`. Empty for
     /// inference-only workspaces.
-    deltas: Vec<Matrix>,
+    deltas: Vec<Matrix<T>>,
     /// `B × in_dim` input gradient (filled on request). `1 × in_dim` for
     /// inference-only workspaces (never resized, never read).
-    grad_in: Matrix,
+    grad_in: Matrix<T>,
 }
 
-impl MlpWorkspace {
+impl<T: Scalar> MlpWorkspace<T> {
     /// Creates a workspace for `mlp` with room for `max_batch` rows.
-    pub fn new(mlp: &Mlp, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "workspace needs at least one batch row");
-        let mut dims = Vec::with_capacity(mlp.layers.len() + 1);
-        dims.push(mlp.in_dim());
-        for layer in &mlp.layers {
-            dims.push(layer.out_dim());
-        }
-        let acts = dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
-        let deltas = dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
-        Self {
-            input: Matrix::zeros(max_batch, dims[0]),
-            grad_in: Matrix::zeros(max_batch, dims[0]),
-            acts,
-            deltas,
-            max_batch,
-            batch: max_batch,
-            training: true,
-            dims,
-        }
+    pub fn new(mlp: &Mlp<T>, max_batch: usize) -> Self {
+        Self::shaped(mlp, max_batch, true)
     }
 
     /// Creates an **inference-only** workspace for `mlp` with room for
@@ -105,8 +90,14 @@ impl MlpWorkspace {
     /// the footprint of a training workspace — which is what a serving
     /// layer batching inference across many streams wants.
     /// [`Mlp::forward_batch`] behaves identically (bitwise) to a training
-    /// workspace; [`Mlp::backward_batch`] panics.
-    pub fn inference(mlp: &Mlp, max_batch: usize) -> Self {
+    /// workspace; [`Mlp::backward_batch`] panics. Only `mlp`'s layer widths
+    /// are read, so it may be of another precision: an f32 serving
+    /// workspace is shaped from the f64 network its snapshot converts.
+    pub fn inference<U: Scalar>(mlp: &Mlp<U>, max_batch: usize) -> Self {
+        Self::shaped(mlp, max_batch, false)
+    }
+
+    fn shaped<U: Scalar>(mlp: &Mlp<U>, max_batch: usize, training: bool) -> Self {
         assert!(max_batch > 0, "workspace needs at least one batch row");
         let mut dims = Vec::with_capacity(mlp.layers.len() + 1);
         dims.push(mlp.in_dim());
@@ -114,14 +105,19 @@ impl MlpWorkspace {
             dims.push(layer.out_dim());
         }
         let acts = dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect();
+        let (deltas, grad_rows) = if training {
+            (dims[1..].iter().map(|&d| Matrix::zeros(max_batch, d)).collect(), max_batch)
+        } else {
+            (Vec::new(), 1)
+        };
         Self {
             input: Matrix::zeros(max_batch, dims[0]),
-            grad_in: Matrix::zeros(1, dims[0]),
+            grad_in: Matrix::zeros(grad_rows, dims[0]),
             acts,
-            deltas: Vec::new(),
+            deltas,
             max_batch,
             batch: max_batch,
-            training: false,
+            training,
             dims,
         }
     }
@@ -168,33 +164,33 @@ impl MlpWorkspace {
     }
 
     /// The input matrix (`batch × in_dim`).
-    pub fn input(&self) -> &Matrix {
+    pub fn input(&self) -> &Matrix<T> {
         &self.input
     }
 
     /// Mutable input matrix, for chaining another network's output in.
-    pub fn input_mut(&mut self) -> &mut Matrix {
+    pub fn input_mut(&mut self) -> &mut Matrix<T> {
         &mut self.input
     }
 
     /// Mutable input row `b`, for the caller to fill.
-    pub fn input_row_mut(&mut self, b: usize) -> &mut [f64] {
+    pub fn input_row_mut(&mut self, b: usize) -> &mut [T] {
         self.input.row_mut(b)
     }
 
     /// The network output of the last forward pass (`batch × out_dim`).
-    pub fn output(&self) -> &Matrix {
+    pub fn output(&self) -> &Matrix<T> {
         self.acts.last().expect("non-empty")
     }
 
     /// Output row `b` of the last forward pass.
-    pub fn output_row(&self, b: usize) -> &[f64] {
+    pub fn output_row(&self, b: usize) -> &[T] {
         self.acts.last().expect("non-empty").row(b)
     }
 
     /// The output-gradient buffer the caller seeds with `∂L/∂ŷ` before
     /// [`Mlp::backward_batch`].
-    pub fn grad_out_mut(&mut self) -> &mut Matrix {
+    pub fn grad_out_mut(&mut self) -> &mut Matrix<T> {
         assert!(self.training, "inference-only workspace has no gradient buffers");
         self.deltas.last_mut().expect("non-empty")
     }
@@ -202,19 +198,19 @@ impl MlpWorkspace {
     /// Input, output and output-gradient buffers together (disjoint
     /// borrows), for loss gradients computed from workspace state — e.g.
     /// the autoencoder's `∂MSE(ŷ, x)/∂ŷ`.
-    pub fn io_split(&mut self) -> (&Matrix, &Matrix, &mut Matrix) {
+    pub fn io_split(&mut self) -> (&Matrix<T>, &Matrix<T>, &mut Matrix<T>) {
         assert!(self.training, "inference-only workspace has no gradient buffers");
         (&self.input, self.acts.last().expect("non-empty"), self.deltas.last_mut().expect("non-empty"))
     }
 
     /// The input gradient `∂L/∂X` of the last backward pass (only valid if
     /// it was requested).
-    pub fn grad_in(&self) -> &Matrix {
+    pub fn grad_in(&self) -> &Matrix<T> {
         assert!(self.training, "inference-only workspace has no gradient buffers");
         &self.grad_in
     }
 
-    fn check_geometry(&self, mlp: &Mlp) {
+    fn check_geometry(&self, mlp: &Mlp<T>) {
         assert_eq!(self.dims.len(), mlp.layers.len() + 1, "workspace/layer count mismatch");
         assert_eq!(self.dims[0], mlp.in_dim(), "workspace input width mismatch");
         for (d, layer) in self.dims[1..].iter().zip(&mlp.layers) {
@@ -223,14 +219,14 @@ impl MlpWorkspace {
     }
 }
 
-impl Mlp {
+impl<T: Scalar> Mlp<T> {
     /// Creates a workspace shaped for this network with `max_batch` rows.
-    pub fn workspace(&self, max_batch: usize) -> MlpWorkspace {
+    pub fn workspace(&self, max_batch: usize) -> MlpWorkspace<T> {
         MlpWorkspace::new(self, max_batch)
     }
 
     /// Creates an inference-only workspace (see [`MlpWorkspace::inference`]).
-    pub fn inference_workspace(&self, max_batch: usize) -> MlpWorkspace {
+    pub fn inference_workspace(&self, max_batch: usize) -> MlpWorkspace<T> {
         MlpWorkspace::inference(self, max_batch)
     }
 
@@ -238,8 +234,10 @@ impl Mlp {
     ///
     /// Each layer is one `X · Wᵀ` GEMM ([`Matrix::matmul_transpose_b_into`])
     /// followed by an in-place bias add and activation per row. Performs no
-    /// heap allocation.
-    pub fn forward_batch(&self, ws: &mut MlpWorkspace) {
+    /// heap allocation. The f64 instantiation is the bitwise-pinned path
+    /// above; the f32 one runs the 8-lane f32 kernels and agrees with it
+    /// to f32 relative accuracy (`tests/f32_tolerance.rs`).
+    pub fn forward_batch(&self, ws: &mut MlpWorkspace<T>) {
         ws.check_geometry(self);
         let batch = ws.batch;
         for (l, layer) in self.layers.iter().enumerate() {
@@ -249,13 +247,16 @@ impl Mlp {
             x.matmul_transpose_b_into(&layer.weights, act);
             for b in 0..batch {
                 let row = act.row_mut(b);
-                for (o, bias) in row.iter_mut().zip(&layer.bias) {
+                for (o, &bias) in row.iter_mut().zip(&layer.bias) {
                     *o += bias;
                 }
                 layer.activation.apply_slice(row);
             }
         }
     }
+}
+
+impl Mlp {
 
     /// Batched backward pass.
     ///

@@ -2,18 +2,20 @@
 
 use crate::activation::Activation;
 use rand::Rng;
-use sad_tensor::Matrix;
+use sad_tensor::{Matrix, Scalar};
 
-/// A fully-connected layer `y = act(W x + b)`.
+/// A fully-connected layer `y = act(W x + b)` over precision `T` (default
+/// `f64`, the training precision; `Dense<f32>` layers make up an
+/// inference-only [`crate::Mlp`] snapshot).
 ///
 /// `W` is `out_dim x in_dim`; the paper writes the affine map as
 /// `FC_i(x) = σ(x * W_i + b_i)` (§IV-C) — identical up to transposition.
 #[derive(Debug, Clone)]
-pub struct Dense {
+pub struct Dense<T: Scalar = f64> {
     /// Weight matrix, `out_dim x in_dim`.
-    pub weights: Matrix,
+    pub weights: Matrix<T>,
     /// Bias vector, length `out_dim`.
-    pub bias: Vec<f64>,
+    pub bias: Vec<T>,
     /// Element-wise nonlinearity.
     pub activation: Activation,
 }
@@ -27,15 +29,7 @@ pub struct DenseGrads {
     pub bias: Vec<f64>,
 }
 
-impl Dense {
-    /// Creates a layer with Xavier-uniform initialized weights and zero bias.
-    pub fn xavier(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut impl Rng) -> Self {
-        assert!(in_dim > 0 && out_dim > 0, "layer dimensions must be positive");
-        let bound = (6.0 / (in_dim + out_dim) as f64).sqrt();
-        let weights = Matrix::from_fn(out_dim, in_dim, |_, _| rng.random_range(-bound..bound));
-        Self { weights, bias: vec![0.0; out_dim], activation }
-    }
-
+impl<T: Scalar> Dense<T> {
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.weights.cols()
@@ -49,6 +43,39 @@ impl Dense {
     /// Number of scalar parameters (`out*in + out`).
     pub fn num_params(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.len()
+    }
+
+    /// Creates a layer by converting every parameter of `src` to `T`.
+    pub(crate) fn from_precision<U: Scalar>(src: &Dense<U>) -> Self {
+        Self {
+            weights: Matrix::from_precision(&src.weights),
+            bias: src.bias.iter().map(|&b| T::from_f64(b.to_f64())).collect(),
+            activation: src.activation,
+        }
+    }
+
+    /// Re-converts every parameter from `src` in place, without heap
+    /// allocation — how an inference snapshot follows its trained source.
+    ///
+    /// # Panics
+    /// Panics if `src` has a different shape.
+    pub(crate) fn convert_from<U: Scalar>(&mut self, src: &Dense<U>) {
+        self.weights.convert_from(&src.weights);
+        assert_eq!(self.bias.len(), src.bias.len(), "convert_from bias width mismatch");
+        for (o, &b) in self.bias.iter_mut().zip(&src.bias) {
+            *o = T::from_f64(b.to_f64());
+        }
+        self.activation = src.activation;
+    }
+}
+
+impl Dense {
+    /// Creates a layer with Xavier-uniform initialized weights and zero bias.
+    pub fn xavier(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut impl Rng) -> Self {
+        assert!(in_dim > 0 && out_dim > 0, "layer dimensions must be positive");
+        let bound = (6.0 / (in_dim + out_dim) as f64).sqrt();
+        let weights = Matrix::from_fn(out_dim, in_dim, |_, _| rng.random_range(-bound..bound));
+        Self { weights, bias: vec![0.0; out_dim], activation }
     }
 
     /// Forward pass without caching (inference only).

@@ -25,20 +25,23 @@
 //!   into row-major matrices and drives the cache-blocked `sad-tensor`
 //!   GEMM kernels; it reproduces the per-sample path bit for bit at batch
 //!   size 1 (see `batch`'s module docs for the pinned summation order).
+//! * [`Dense`], [`Mlp`] and [`MlpWorkspace`] are generic over the tensor
+//!   precision (`f64` by default). Training is f64-only; an `Mlp<f32>` is
+//!   an inference snapshot of a trained network ([`Mlp::from_precision`],
+//!   re-synced allocation-free by [`Mlp::convert_from`]) that serves
+//!   through the same [`Mlp::forward_batch`].
 //!
 //! Every backward pass is verified against central finite differences in the
 //! test suite (`grad_check`).
 
 pub mod activation;
 pub mod batch;
-pub mod infer_plan;
 pub mod layer;
 pub mod loss;
 pub mod mlp;
 
 pub use activation::Activation;
 pub use batch::MlpWorkspace;
-pub use infer_plan::{InferPlan, InferPlanWorkspace};
 pub use layer::{Dense, DenseGrads};
 pub use loss::{mse, mse_grad, sse, sse_grad};
 pub use mlp::{Mlp, MlpCache, MlpGrads};

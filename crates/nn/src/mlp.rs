@@ -4,15 +4,18 @@ use crate::activation::Activation;
 use crate::layer::{Dense, DenseGrads};
 use crate::loss::{mse, mse_grad};
 use rand::Rng;
-use sad_tensor::Optimizer;
+use sad_tensor::{Optimizer, Scalar};
 
-/// A feed-forward stack of fully-connected layers.
+/// A feed-forward stack of fully-connected layers over precision `T`.
 ///
 /// Both encoders/decoders of USAD, the 2-layer autoencoder and the FC stacks
-/// inside each N-BEATS block are instances of this type.
+/// inside each N-BEATS block are instances of this type. Training runs on
+/// the default `Mlp<f64>`; an `Mlp<f32>` is an inference-only snapshot of
+/// one ([`Mlp::from_precision`], re-synced with [`Mlp::convert_from`]) that
+/// serves through the same [`Mlp::forward_batch`].
 #[derive(Debug, Clone)]
-pub struct Mlp {
-    pub(crate) layers: Vec<Dense>,
+pub struct Mlp<T: Scalar = f64> {
+    pub(crate) layers: Vec<Dense<T>>,
 }
 
 /// Forward activations for one input: the network input plus every layer's
@@ -37,22 +40,9 @@ pub struct MlpGrads {
     pub(crate) layers: Vec<DenseGrads>,
 }
 
-impl Mlp {
-    /// Creates an MLP with layer sizes `dims[0] -> dims[1] -> ... -> dims[L]`
-    /// and one activation per layer (`acts.len() == dims.len() - 1`).
-    pub fn new(dims: &[usize], acts: &[Activation], rng: &mut impl Rng) -> Self {
-        assert!(dims.len() >= 2, "an MLP needs at least one layer");
-        assert_eq!(acts.len(), dims.len() - 1, "one activation per layer required");
-        let layers = dims
-            .windows(2)
-            .zip(acts)
-            .map(|(pair, &act)| Dense::xavier(pair[0], pair[1], act, rng))
-            .collect();
-        Self { layers }
-    }
-
+impl<T: Scalar> Mlp<T> {
     /// Builds an MLP from explicit layers (used by tests and custom models).
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
+    pub fn from_layers(layers: Vec<Dense<T>>) -> Self {
         assert!(!layers.is_empty(), "an MLP needs at least one layer");
         for pair in layers.windows(2) {
             assert_eq!(pair[0].out_dim(), pair[1].in_dim(), "layer dimension chain broken");
@@ -61,7 +51,7 @@ impl Mlp {
     }
 
     /// The layers, in order.
-    pub fn layers(&self) -> &[Dense] {
+    pub fn layers(&self) -> &[Dense<T>] {
         &self.layers
     }
 
@@ -78,6 +68,39 @@ impl Mlp {
     /// Total scalar parameter count.
     pub fn num_params(&self) -> usize {
         self.layers.iter().map(Dense::num_params).sum()
+    }
+
+    /// Creates a network by converting every parameter of `src` to `T`
+    /// (an f32 inference snapshot of a trained f64 network).
+    pub fn from_precision<U: Scalar>(src: &Mlp<U>) -> Self {
+        Self { layers: src.layers.iter().map(Dense::from_precision).collect() }
+    }
+
+    /// Re-converts every parameter from `src` in place — the snapshot
+    /// re-sync after a training event. Performs **no heap allocation**.
+    ///
+    /// # Panics
+    /// Panics if `src` has a different architecture.
+    pub fn convert_from<U: Scalar>(&mut self, src: &Mlp<U>) {
+        assert_eq!(self.layers.len(), src.layers.len(), "convert_from layer count mismatch");
+        for (layer, from) in self.layers.iter_mut().zip(&src.layers) {
+            layer.convert_from(from);
+        }
+    }
+}
+
+impl Mlp {
+    /// Creates an MLP with layer sizes `dims[0] -> dims[1] -> ... -> dims[L]`
+    /// and one activation per layer (`acts.len() == dims.len() - 1`).
+    pub fn new(dims: &[usize], acts: &[Activation], rng: &mut impl Rng) -> Self {
+        assert!(dims.len() >= 2, "an MLP needs at least one layer");
+        assert_eq!(acts.len(), dims.len() - 1, "one activation per layer required");
+        let layers = dims
+            .windows(2)
+            .zip(acts)
+            .map(|(pair, &act)| Dense::xavier(pair[0], pair[1], act, rng))
+            .collect();
+        Self { layers }
     }
 
     /// Inference-only forward pass.

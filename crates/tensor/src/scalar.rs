@@ -96,6 +96,10 @@ pub trait Scalar:
     fn clampv(self, lo: Self, hi: Self) -> Self;
     /// `true` if neither infinite nor NaN.
     fn is_finite(self) -> bool;
+    /// `e^self` (the std float `exp` of this precision).
+    fn exp(self) -> Self;
+    /// Hyperbolic tangent (the std float `tanh` of this precision).
+    fn tanh(self) -> Self;
 
     /// Dot product with this precision's pinned lane order.
     ///
@@ -198,6 +202,14 @@ impl Scalar for f64 {
     fn is_finite(self) -> bool {
         f64::is_finite(self)
     }
+    #[inline]
+    fn exp(self) -> Self {
+        f64::exp(self)
+    }
+    #[inline]
+    fn tanh(self) -> Self {
+        f64::tanh(self)
+    }
 
     #[inline]
     fn dot(a: &[Self], b: &[Self]) -> Self {
@@ -293,6 +305,14 @@ impl Scalar for f32 {
     #[inline]
     fn is_finite(self) -> bool {
         f32::is_finite(self)
+    }
+    #[inline]
+    fn exp(self) -> Self {
+        f32::exp(self)
+    }
+    #[inline]
+    fn tanh(self) -> Self {
+        f32::tanh(self)
     }
 
     #[inline]

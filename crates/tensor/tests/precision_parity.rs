@@ -229,8 +229,8 @@ fn matvec_kernels_match_legacy_bitwise_at_tile_boundaries() {
 // ---------------------------------------------------------------------------
 // 1b. The f32 GEMM is pinned too: whatever dispatch leg runs, every output
 //     element must be exactly one 8-lane `dot_pinned_f32` — the contract
-//     that makes `InferPlan` snapshots reproducible across builds. (The
-//     f64 suite above proves the same for the 4-lane layout.)
+//     that makes `Mlp<f32>` serving snapshots reproducible across builds.
+//     (The f64 suite above proves the same for the 4-lane layout.)
 // ---------------------------------------------------------------------------
 
 fn matrix_f32(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
