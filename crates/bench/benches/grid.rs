@@ -1,12 +1,12 @@
-//! Shared-pass scorer fan-out vs legacy per-scorer evaluation.
+//! Shared-pass scorer fan-out vs per-scorer evaluation.
 //!
-//! Measures one `(spec, corpus)` Table III group evaluated two ways:
+//! Measures one `(spec, corpus)` Table III group (a one-variant
+//! [`sad_bench::evaluate_tree`] root) evaluated two ways:
 //!
 //! * `shared_pass` — the fan-out path: one detector pass per series, the
-//!   nonconformity stream teed through a three-scorer
+//!   nonconformity trace replayed through a three-scorer
 //!   [`sad_core::ScorerBank`] (what [`sad_bench::run_grid`] schedules).
-//! * `per_scorer` — the pre-fan-out protocol: three independent detector
-//!   passes, one per scorer.
+//! * `per_scorer` — three independent detector passes, one per scorer.
 //!
 //! The ratio is the tentpole speedup of the fan-out refactor (~3× for
 //! scorer-feedback-free groups, which are 24 of 26 Table I specs ×
@@ -14,14 +14,24 @@
 //! so its ratio is bounded by the warm-up share of the series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sad_bench::{evaluate_spec_scorers, evaluate_tree};
+use sad_bench::{evaluate_tree, TreeEval};
 use sad_core::{paper_algorithms, AlgorithmSpec, DetectorConfig, ModelKind, ScoreKind, Task1, Task2};
-use sad_data::{daphnet_like, CorpusParams};
+use sad_data::{daphnet_like, Corpus, CorpusParams};
 use sad_models::BuildParams;
 use std::hint::black_box;
 
 const SCORERS: [ScoreKind; 3] =
     [ScoreKind::Raw, ScoreKind::Average, ScoreKind::AnomalyLikelihood];
+
+/// One spec on its own: a one-variant shared-prefix root.
+fn spec_root(
+    spec: AlgorithmSpec,
+    params: &BuildParams,
+    corpus: &Corpus,
+    scorers: &[ScoreKind],
+) -> TreeEval {
+    evaluate_tree(spec.model, spec.task1, &[spec.task2], params, corpus, scorers)
+}
 
 fn bench_group(c: &mut Criterion) {
     let cp = CorpusParams { length: 900, n_series: 1, anomalies_per_series: 2, with_drift: true };
@@ -51,19 +61,18 @@ fn bench_group(c: &mut Criterion) {
     for (name, spec) in [("shared_pass/ARIMA-SW", shared_spec), ("warmup_share/ARIMA-ARES", ares_spec)]
     {
         group.bench_with_input(BenchmarkId::from_parameter(name), &spec, |b, &spec| {
-            b.iter(|| black_box(evaluate_spec_scorers(spec, &params, &corpus, &SCORERS)));
+            b.iter(|| black_box(spec_root(spec, &params, &corpus, &SCORERS)));
         });
     }
-    // The pre-fan-out protocol for the same group: three independent
-    // single-scorer evaluations (each one is itself the fan-out of a
-    // single scorer, i.e. exactly one detector pass per scorer).
+    // The same group without fan-out: three independent single-scorer
+    // evaluations, i.e. exactly one detector pass per scorer.
     group.bench_with_input(
         BenchmarkId::from_parameter("per_scorer/ARIMA-SW"),
         &shared_spec,
         |b, &spec| {
             b.iter(|| {
                 for &kind in &SCORERS {
-                    black_box(evaluate_spec_scorers(spec, &params, &corpus, &[kind]));
+                    black_box(spec_root(spec, &params, &corpus, &[kind]));
                 }
             });
         },
@@ -78,8 +87,8 @@ fn bench_group(c: &mut Criterion) {
 /// * `shared_fit_fork` — the tree path: one warm-up + one `fit_initial`,
 ///   forked into the μ/σ and KSWIN arms (what [`sad_bench::run_grid`]
 ///   schedules per root since the shared-prefix tree).
-/// * `independent_refit` — the pre-tree protocol: each variant does its
-///   own warm-up + initial fit.
+/// * `independent_refit` — one one-variant root per drift variant: each
+///   does its own warm-up + initial fit.
 ///
 /// The ratio is the tentpole speedup of this refactor; it grows with the
 /// cost of `fit_initial`, so the AE pair separates further than the
@@ -116,7 +125,7 @@ fn bench_warmup_fork(c: &mut Criterion) {
             b.iter(|| {
                 for &task2 in &task2s {
                     let spec = AlgorithmSpec { model, task1: Task1::SlidingWindow, task2 };
-                    black_box(evaluate_spec_scorers(spec, &params, &corpus, &SCORERS));
+                    black_box(spec_root(spec, &params, &corpus, &SCORERS));
                 }
             });
         });

@@ -15,8 +15,8 @@
 //! shared [`sad_bench::JobPool`]; output is byte-identical at any
 //! `--jobs` value.
 
-use sad_bench::{evaluate_spec, harness_params, HarnessArgs, HarnessScale, Table};
-use sad_core::{AlgorithmSpec, ModelKind, ScoreKind, Task1, Task2};
+use sad_bench::{evaluate_tree, harness_params, HarnessArgs, HarnessScale, Table};
+use sad_core::{ModelKind, ScoreKind, Task1, Task2};
 use sad_data::{daphnet_like, smd_like, CorpusParams};
 
 const MODELS: [ModelKind; 4] =
@@ -37,9 +37,10 @@ fn main() {
         let c = idx / (STRATEGIES.len() * MODELS.len());
         let corpus = &corpora[c];
         let params = harness_params(corpus.series[0].channels(), HarnessScale::Quick);
-        let spec =
-            AlgorithmSpec { model: MODELS[m], task1: STRATEGIES[s], task2: Task2::MuSigma };
-        evaluate_spec(spec, &params, corpus, ScoreKind::AnomalyLikelihood).auc
+        let scorer = [ScoreKind::AnomalyLikelihood];
+        let tree =
+            evaluate_tree(MODELS[m], STRATEGIES[s], &[Task2::MuSigma], &params, corpus, &scorer);
+        tree.rows[0][0].auc
     });
     let auc_at = |c: usize, m: usize, s: usize| -> f64 {
         report.results[(c * MODELS.len() + m) * STRATEGIES.len() + s]

@@ -16,26 +16,24 @@
 //!
 //! The grid is scheduled as 42 shared-prefix **roots** (one
 //! `(model, Task1, corpus)` node per drift-variant pair, plus the two
-//! PCB-iForest singletons — down from the previous 78 `(spec, corpus)`
-//! groups) on a work-stealing job pool (default: all available cores;
-//! `--serial` or `--jobs N` to override). Inside each root the warm-up +
-//! initial fit is streamed once and forked per drift variant; inside each
-//! fork the three scorers share a single detector pass per series (scorer
-//! fan-out — anomaly-feedback strategies share the warm-up and fork per
-//! scorer instead). Results are **deterministic and byte-identical at any
-//! job count, and to the pre-tree per-group and pre-fan-out per-cell
-//! grids** — every root seeds its own RNG chain and its rows land in
-//! fixed cell slots. Per-root (and legacy per-group / per-cell) wall
-//! times are written to `bench_output/table3_timing.json` as a
-//! perf-regression artifact.
+//! PCB-iForest singletons) on a work-stealing job pool (default: all
+//! available cores; `--serial` or `--jobs N` to override). Inside each
+//! root the warm-up + initial fit is streamed once and forked per drift
+//! variant; inside each fork the three scorers share a single detector
+//! pass per series (scorer fan-out — anomaly-feedback strategies share
+//! the warm-up and fork per scorer instead). Results are **deterministic
+//! and byte-identical at any job count, and equal to one standalone
+//! detector per cell** — every root seeds its own RNG chain and its rows
+//! land in fixed cell slots. Per-root wall times are written to
+//! `bench_output/table3_timing.json` as a perf-regression artifact.
 //!
 //! The quick profile shortens the series and strides the KSWIN test; the
 //! full profile uses w = 100 and a 5000-step warm-up as in the paper
 //! (minutes on a multi-core machine instead of the previous ~hour serial).
 
 use sad_bench::{
-    cell_index, run_grid, CellTiming, EvalRow, GridDims, GroupTiming, HarnessArgs, HarnessScale,
-    RootTiming, Table, TimingArtifact,
+    cell_index, run_grid, EvalRow, GridDims, HarnessArgs, HarnessScale, RootTiming, Table,
+    TimingArtifact,
 };
 use sad_core::{paper_algorithms, ScoreKind};
 use sad_data::{daphnet_like, exathlon_like, smd_like, Corpus, CorpusParams};
@@ -135,30 +133,6 @@ fn main() {
         jobs: grid.jobs_used,
         wall_time: grid.wall_time,
         cpu_time: grid.cpu_time(),
-        cells: grid
-            .labels
-            .iter()
-            .zip(&grid.report_times)
-            .zip(&grid.rows)
-            .map(|((label, &wall), row)| CellTiming {
-                label: label.clone(),
-                wall,
-                train_seconds: row.train_seconds,
-            })
-            .collect(),
-        groups: grid
-            .group_labels
-            .iter()
-            .zip(&grid.group_times)
-            .zip(grid.group_shared.iter().zip(&grid.group_train_seconds))
-            .map(|((label, &wall), (&shared_pass, &train_seconds))| GroupTiming {
-                label: label.clone(),
-                wall,
-                train_seconds,
-                shared_pass,
-                scorers: scorers.len(),
-            })
-            .collect(),
         roots: grid
             .root_labels
             .iter()

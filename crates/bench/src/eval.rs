@@ -9,7 +9,7 @@
 //! uniformly to every algorithm). Metrics are averaged across the corpus's
 //! series.
 
-use sad_core::{AlgorithmSpec, DetectorConfig, ModelKind, ScoreKind, Task1, Task2};
+use sad_core::{DetectorConfig, ModelKind, ScoreKind, Task1, Task2};
 use sad_data::Corpus;
 use sad_metrics::{best_f1, best_nab, pr_auc, vus_pr};
 use sad_models::{build_scorer, build_scorer_bank, build_shared_warmup, BuildParams};
@@ -30,8 +30,8 @@ pub struct EvalRow {
     /// Wall time (seconds) the detectors spent in model training (initial
     /// fit + drift-triggered fine-tunes), summed over the corpus's series.
     /// Telemetry, not a metric: excluded from the table output and from
-    /// the bitwise-determinism guarantees, surfaced per cell in the
-    /// timing artifact.
+    /// the bitwise-determinism guarantees. The harness reads the per-root
+    /// total ([`TreeEval::train_seconds`]) instead.
     pub train_seconds: f64,
 }
 
@@ -127,25 +127,10 @@ fn metrics_row(
     EvalRow { precision, recall, auc, vus, nab: report.score, train_seconds }
 }
 
-/// Result of evaluating one `(spec, corpus)` group over several scorers at
-/// once.
-#[derive(Debug, Clone)]
-pub struct GroupEval {
-    /// One corpus-averaged metric row per requested scorer, in input order.
-    pub rows: Vec<EvalRow>,
-    /// Whether the scorer fan-out shared a single detector pass per series.
-    /// `false` only for anomaly-feedback strategies (ARES), which share the
-    /// warm-up + initial fit and then fork one detector per scorer.
-    pub shared_pass: bool,
-    /// True training wall time of the group (seconds): shared work counted
-    /// once, unlike summing the per-scorer `train_seconds` telemetry.
-    pub train_seconds: f64,
-}
-
 /// Result of evaluating one **root** of the shared-prefix evaluation tree:
 /// a `(model, Task1, corpus)` node whose warm-up segment + initial fit is
 /// streamed ONCE and forked across several Task-2 drift variants, each
-/// fork fanned out over every scorer (PR 3's scorer bank).
+/// fork fanned out over every scorer.
 #[derive(Debug, Clone)]
 pub struct TreeEval {
     /// `rows[variant][scorer]`: one corpus-averaged metric row per
@@ -155,11 +140,6 @@ pub struct TreeEval {
     /// `false` only for anomaly-feedback strategies (ARES) evaluated over
     /// several scorers.
     pub shared_pass: bool,
-    /// Legacy per-variant training seconds: each variant's view counts the
-    /// shared warm-up fit as its own, matching what a standalone
-    /// `(spec, corpus)` group run would have reported. Sums to more than
-    /// [`Self::train_seconds`] whenever the fit was actually shared.
-    pub variant_train_seconds: Vec<f64>,
     /// True training wall time of the root (seconds): the shared initial
     /// fit counted ONCE across all variants and scorers, plus every fork's
     /// own fine-tune cost.
@@ -170,23 +150,23 @@ pub struct TreeEval {
 }
 
 /// Evaluates one shared-prefix root: `(model, task1)` on `corpus`, forked
-/// over the drift variants in `task2s`, fanned out over `scorers`.
+/// over the drift variants in `task2s`, fanned out over `scorers` — the
+/// harness's one evaluation path. A single spec is a one-variant root.
 ///
-/// Bitwise identical to one [`evaluate_spec_scorers`] call per
-/// `(model, task1, task2)` spec, but the expensive shared prefix — warm-up
-/// streaming of the representation + Task-1 strategy and the initial model
-/// fit — is computed once per series instead of once per variant. This is
-/// sound because the warm-up trajectory is drift-verdict-independent (the
-/// verdict is ignored and `f_t` is pinned to 0; see
-/// [`sad_core::SharedWarmup`]) and every component seeds its own RNG
-/// chain.
+/// Bitwise identical to one standalone detector per
+/// `(model, task1, task2, scorer)` streamed over each whole series, but
+/// the expensive shared prefix — warm-up streaming of the representation
+/// and Task-1 strategy, and the initial model fit — is computed once per
+/// series instead of once per leaf. This is sound because the warm-up
+/// trajectory is drift-verdict-independent (the verdict is ignored and
+/// `f_t` is pinned to 0; see [`sad_core::SharedWarmup`]) and every
+/// component seeds its own RNG chain.
 ///
-/// Per fork the scorer dimension then collapses exactly as in
-/// [`evaluate_spec_scorers`]:
+/// Per fork the scorer dimension then collapses:
 ///
 /// * **Shared pass** (SW / URES): one [`sad_core::Detector::run_fanout`]
-///   pass over the post-warm-up suffix tees the nonconformity stream
-///   through a [`sad_core::ScorerBank`].
+///   pass over the post-warm-up suffix, replayed through a
+///   [`sad_core::ScorerBank`].
 /// * **Scorer forks** (ARES): `f_t` feeds the reservoir, so each scorer
 ///   gets its own fork of the warmed root.
 pub fn evaluate_tree(
@@ -203,7 +183,6 @@ pub fn evaluate_tree(
     // Per-(variant, scorer) accumulation of per-series rows.
     let mut per_leaf: Vec<Vec<Vec<EvalRow>>> =
         vec![vec![Vec::new(); scorers.len()]; task2s.len()];
-    let mut variant_train = vec![0.0f64; task2s.len()];
     let mut root_train = 0.0f64;
     let mut initial_fits = 0usize;
     let mut shared_pass = true;
@@ -220,40 +199,30 @@ pub fn evaluate_tree(
         // A series ending inside warm-up has `warm == series.data.len()`,
         // so this uniformly aligns labels with the (possibly empty)
         // post-warm-up traces.
-        let labels = &series.labels[warm..];
-        if shared.scorer_feedback_free() {
-            for (v, leaves) in per_leaf.iter_mut().enumerate() {
+        let (suffix, labels) = (&series.data[warm..], &series.labels[warm..]);
+        let feedback_free = shared.scorer_feedback_free();
+        shared_pass &= feedback_free || scorers.len() == 1;
+        for (v, leaves) in per_leaf.iter_mut().enumerate() {
+            if feedback_free {
                 // The fork's own scorer drives `f_t` exactly as a
                 // standalone detector built with `scorers[0]` would; the
-                // bank tees the remaining scorers off the same pass.
+                // bank replays the same pass for every scorer.
                 let mut fork = shared.fork(v, build_scorer(scorers[0], params));
-                let mut bank = build_scorer_bank(scorers, params);
-                let run = fork.run_fanout(&series.data[warm..], &mut bank);
+                let run = fork.run_fanout(suffix, &mut build_scorer_bank(scorers, params));
                 let train = fork.train_time().as_secs_f64();
-                variant_train[v] += train;
                 // The fork's telemetry carries the shared fit; only its
                 // post-fork fine-tunes are new cost for the root.
                 root_train += train - base_train;
                 for (k, trace) in run.traces.iter().enumerate() {
                     leaves[k].push(metrics_row(trace, labels, window, train));
                 }
-            }
-        } else {
-            shared_pass = scorers.len() == 1;
-            for (v, leaves) in per_leaf.iter_mut().enumerate() {
-                variant_train[v] += base_train;
+            } else {
                 for (k, &kind) in scorers.iter().enumerate() {
                     let mut fork = shared.fork(v, build_scorer(kind, params));
-                    let mut scores = Vec::with_capacity(series.data.len() - warm);
-                    for s in &series.data[warm..] {
-                        if let Some(out) = fork.step(s) {
-                            scores.push(out.anomaly_score);
-                        }
-                    }
-                    let fork_train = fork.train_time().as_secs_f64();
-                    variant_train[v] += fork_train - base_train;
-                    root_train += fork_train - base_train;
-                    leaves[k].push(metrics_row(&scores, labels, window, fork_train));
+                    let (scores, _) = fork.score_series(suffix);
+                    let train = fork.train_time().as_secs_f64();
+                    root_train += train - base_train;
+                    leaves[k].push(metrics_row(&scores, labels, window, train));
                 }
             }
         }
@@ -264,48 +233,9 @@ pub fn evaluate_tree(
             .map(|leaves| leaves.iter().map(|rows| EvalRow::mean(rows)).collect())
             .collect(),
         shared_pass,
-        variant_train_seconds: variant_train,
         train_seconds: root_train,
         initial_fits,
     }
-}
-
-/// Runs `spec` over every series of `corpus` once per series (when the
-/// algorithm permits) and returns one corpus-averaged metric row **per
-/// scorer** in `scorers`.
-///
-/// Single-variant special case of [`evaluate_tree`]: the shared-prefix
-/// machinery degenerates to one warm-up + fit + fork per series, which is
-/// bitwise identical to the pre-tree group evaluation (and hence to
-/// per-scorer [`evaluate_spec`] runs).
-pub fn evaluate_spec_scorers(
-    spec: AlgorithmSpec,
-    params: &BuildParams,
-    corpus: &Corpus,
-    scorers: &[ScoreKind],
-) -> GroupEval {
-    let tree = evaluate_tree(spec.model, spec.task1, &[spec.task2], params, corpus, scorers);
-    let TreeEval { rows, shared_pass, train_seconds, .. } = tree;
-    GroupEval {
-        rows: rows.into_iter().next().expect("exactly one variant"),
-        shared_pass,
-        train_seconds,
-    }
-}
-
-/// Runs `spec` with anomaly scorer `score` over every series of `corpus`
-/// and returns the corpus-averaged metric row.
-///
-/// Single-scorer special case of [`evaluate_spec_scorers`]; the fan-out
-/// machinery degenerates to the legacy one-detector-one-scorer loop and
-/// reproduces it bitwise.
-pub fn evaluate_spec(
-    spec: AlgorithmSpec,
-    params: &BuildParams,
-    corpus: &Corpus,
-    score: ScoreKind,
-) -> EvalRow {
-    evaluate_spec_scorers(spec, params, corpus, &[score]).rows[0]
 }
 
 #[cfg(test)]
@@ -313,7 +243,6 @@ mod tests {
     use super::*;
     use sad_core::paper_algorithms;
     use sad_data::{daphnet_like, CorpusParams};
-    use sad_models::build_detector;
 
     #[test]
     fn quick_profile_evaluates_one_algorithm() {
@@ -323,150 +252,22 @@ mod tests {
         let corpus = daphnet_like(3, params);
         let spec = paper_algorithms()[0]; // Online ARIMA / SW / μσ
         let bp = harness_params(9, HarnessScale::Quick);
-        let row = evaluate_spec(spec, &bp, &corpus, ScoreKind::AnomalyLikelihood);
+        let tree = evaluate_tree(
+            spec.model,
+            spec.task1,
+            &[spec.task2],
+            &bp,
+            &corpus,
+            &[ScoreKind::AnomalyLikelihood],
+        );
+        assert!(tree.shared_pass);
+        assert_eq!(tree.initial_fits, 1);
+        let row = tree.rows[0][0];
         assert!((0.0..=1.0).contains(&row.precision));
         assert!((0.0..=1.0).contains(&row.recall));
         assert!((0.0..=1.0).contains(&row.auc));
         assert!((0.0..=1.0).contains(&row.vus));
         assert!(row.nab.is_finite());
-    }
-
-    /// Replicates the pre-fan-out evaluation loop (one detector per
-    /// scorer, `score_series`) as the parity reference.
-    fn legacy_evaluate(
-        spec: AlgorithmSpec,
-        params: &BuildParams,
-        corpus: &sad_data::Corpus,
-        score: ScoreKind,
-    ) -> EvalRow {
-        let rows: Vec<EvalRow> = corpus
-            .series
-            .iter()
-            .map(|series| {
-                let p = params.clone().with_score(score);
-                let mut detector = build_detector(spec, &p);
-                let (scores, offset) = detector.score_series(&series.data);
-                let labels = &series.labels[offset..];
-                metrics_row(&scores, labels, params.config.window, detector.train_time().as_secs_f64())
-            })
-            .collect();
-        EvalRow::mean(&rows)
-    }
-
-    fn assert_rows_bitwise(a: &EvalRow, b: &EvalRow, what: &str) {
-        assert_eq!(a.precision.to_bits(), b.precision.to_bits(), "{what}: precision");
-        assert_eq!(a.recall.to_bits(), b.recall.to_bits(), "{what}: recall");
-        assert_eq!(a.auc.to_bits(), b.auc.to_bits(), "{what}: auc");
-        assert_eq!(a.vus.to_bits(), b.vus.to_bits(), "{what}: vus");
-        assert_eq!(a.nab.to_bits(), b.nab.to_bits(), "{what}: nab");
-        // train_seconds is wall-clock telemetry: excluded on purpose.
-    }
-
-    #[test]
-    fn group_eval_matches_legacy_per_scorer_runs_bitwise() {
-        use sad_core::Task1;
-        let mut cp = CorpusParams::small();
-        cp.length = 700;
-        cp.n_series = 2;
-        let corpus = daphnet_like(2, cp);
-        let config = DetectorConfig {
-            window: 8,
-            channels: corpus.series[0].channels(),
-            warmup: 250,
-            initial_epochs: 2,
-            fine_tune_epochs: 1,
-        };
-        let bp = BuildParams::new(config).with_capacity(20).with_kswin_stride(5);
-        let kinds = [ScoreKind::Raw, ScoreKind::Average, ScoreKind::AnomalyLikelihood];
-        // One feedback-free spec (shared pass) and one ARES spec
-        // (warm-up-share fork path).
-        let shared_spec = paper_algorithms()
-            .into_iter()
-            .find(|s| s.task1 == Task1::SlidingWindow)
-            .unwrap();
-        let ares_spec = paper_algorithms()
-            .into_iter()
-            .find(|s| s.task1 == Task1::AnomalyAwareReservoir)
-            .unwrap();
-        for (spec, expect_shared) in [(shared_spec, true), (ares_spec, false)] {
-            let group = evaluate_spec_scorers(spec, &bp, &corpus, &kinds);
-            assert_eq!(group.shared_pass, expect_shared, "{}", spec.label());
-            assert_eq!(group.rows.len(), kinds.len());
-            assert!(group.train_seconds >= 0.0);
-            for (k, &kind) in kinds.iter().enumerate() {
-                let legacy = legacy_evaluate(spec, &bp, &corpus, kind);
-                assert_rows_bitwise(
-                    &group.rows[k],
-                    &legacy,
-                    &format!("{} / {kind:?}", spec.label()),
-                );
-            }
-        }
-    }
-
-    /// A paired tree root (both drift variants of one `(model, Task1)`)
-    /// reproduces the two per-spec group evaluations bitwise, while
-    /// running `fit_initial` only once per series.
-    #[test]
-    fn tree_eval_matches_per_spec_groups_bitwise() {
-        use sad_core::{ModelKind, Task1};
-        let mut cp = CorpusParams::small();
-        cp.length = 700;
-        cp.n_series = 2;
-        let corpus = daphnet_like(2, cp);
-        let config = DetectorConfig {
-            window: 8,
-            channels: corpus.series[0].channels(),
-            warmup: 250,
-            initial_epochs: 2,
-            fine_tune_epochs: 1,
-        };
-        let bp = BuildParams::new(config).with_capacity(20).with_kswin_stride(5);
-        let kinds = [ScoreKind::Raw, ScoreKind::Average, ScoreKind::AnomalyLikelihood];
-        for (model, task1) in [
-            (ModelKind::OnlineArima, Task1::SlidingWindow),
-            (ModelKind::OnlineArima, Task1::AnomalyAwareReservoir),
-        ] {
-            let pair: Vec<_> = paper_algorithms()
-                .into_iter()
-                .filter(|s| s.model == model && s.task1 == task1)
-                .collect();
-            assert_eq!(pair.len(), 2);
-            let task2s: Vec<_> = pair.iter().map(|s| s.task2).collect();
-            let tree = evaluate_tree(model, task1, &task2s, &bp, &corpus, &kinds);
-            assert_eq!(tree.rows.len(), 2);
-            assert_eq!(tree.variant_train_seconds.len(), 2);
-            // One shared fit per series, not one per variant.
-            assert_eq!(tree.initial_fits, corpus.series.len());
-            // The shared fit is counted once in the root total but in
-            // both legacy per-variant views.
-            assert!(tree.variant_train_seconds.iter().sum::<f64>() >= tree.train_seconds);
-            for (v, &spec) in pair.iter().enumerate() {
-                let group = evaluate_spec_scorers(spec, &bp, &corpus, &kinds);
-                assert_eq!(tree.shared_pass, group.shared_pass, "{}", spec.label());
-                for (k, kind) in kinds.iter().enumerate() {
-                    assert_rows_bitwise(
-                        &tree.rows[v][k],
-                        &group.rows[k],
-                        &format!("{} / {kind:?}", spec.label()),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn evaluate_spec_is_single_scorer_group() {
-        let mut cp = CorpusParams::small();
-        cp.length = 600;
-        cp.n_series = 1;
-        let corpus = daphnet_like(2, cp);
-        let bp = harness_params(corpus.series[0].channels(), HarnessScale::Quick);
-        let spec = paper_algorithms()[0];
-        let single = evaluate_spec(spec, &bp, &corpus, ScoreKind::Average);
-        let group = evaluate_spec_scorers(spec, &bp, &corpus, &[ScoreKind::Average]);
-        assert!(group.shared_pass);
-        assert_rows_bitwise(&single, &group.rows[0], "single-scorer delegation");
     }
 
     #[test]

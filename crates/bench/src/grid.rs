@@ -7,16 +7,14 @@
 //! and forked per drift variant ([`crate::eval::evaluate_tree`]); inside
 //! each fork the scorer dimension is fanned out through a single shared
 //! detector pass per series. The paper grid (26 specs × 3 corpora)
-//! therefore schedules 42 roots instead of the 78 `(spec, corpus)`
-//! groups of the previous harness — 12 paired `(model, Task1)` combos
-//! plus 2 PCB-iForest singletons, × 3 corpora.
+//! schedules 42 roots: 12 paired `(model, Task1)` combos plus 2
+//! PCB-iForest singletons, × 3 corpora.
 //!
-//! Root results are scattered back into the legacy per-cell layout: cell
-//! order stays fixed (spec-major, then corpus, then scorer) and results
-//! come back in that order regardless of worker count, so table assembly
-//! downstream is purely positional — and parallel output is
-//! byte-identical to serial output, which in turn is byte-identical to
-//! the pre-tree per-group grid and the pre-fan-out per-cell grid.
+//! Root results are scattered into the cell layout: cell order stays
+//! fixed (spec-major, then corpus, then scorer) and results come back in
+//! that order regardless of worker count, so table assembly downstream is
+//! purely positional and parallel output is byte-identical to serial
+//! output. Timing is reported per root, the unit actually measured.
 
 use crate::eval::{evaluate_tree, harness_params, EvalRow, HarnessScale};
 use crate::parallel::{JobPool, JobReport};
@@ -29,30 +27,6 @@ use std::time::Duration;
 pub struct GridRun {
     /// One metric row per cell, in [`cell_index`] order.
     pub rows: Vec<EvalRow>,
-    /// Human-readable label per cell (`spec @ corpus / scorer`), aligned
-    /// with `rows` — used for the timing artifact.
-    pub labels: Vec<String>,
-    /// Per-cell wall-time view, aligned with `rows`. Cells of one group
-    /// share a detector pass, so each cell reports its group's wall time
-    /// divided by the scorer count (an amortized legacy view; the true
-    /// measured unit is `root_times`).
-    pub report_times: Vec<Duration>,
-    /// Human-readable label per group (`spec @ corpus`), in group order
-    /// (spec-major, then corpus).
-    pub group_labels: Vec<String>,
-    /// Per-group wall-time view. Groups of one root share the warm-up +
-    /// initial fit, so each group reports its root's wall time divided by
-    /// the variant count (amortized legacy view; the measured scheduling
-    /// unit is `root_times`).
-    pub group_times: Vec<Duration>,
-    /// Whether each group's scorer fan-out shared a single detector pass
-    /// per series (`false` for anomaly-feedback strategies, which share
-    /// only the warm-up).
-    pub group_shared: Vec<bool>,
-    /// Legacy training seconds per group: the shared initial fit is
-    /// counted in *every* member group of a root, matching what a
-    /// standalone group run would have reported.
-    pub group_train_seconds: Vec<f64>,
     /// Human-readable label per root (`model / task1 @ corpus`), in root
     /// order (root-major, then corpus).
     pub root_labels: Vec<String>,
@@ -75,11 +49,6 @@ pub struct GridRun {
 }
 
 impl GridRun {
-    /// The row for `(spec_idx, corpus_idx, scorer_idx)`.
-    pub fn row(&self, spec_idx: usize, corpus_idx: usize, scorer_idx: usize, dims: GridDims) -> EvalRow {
-        self.rows[cell_index(spec_idx, corpus_idx, scorer_idx, dims)]
-    }
-
     /// Sum of per-root wall times (see `JobReport::cpu_time` for the
     /// oversubscription caveat).
     pub fn cpu_time(&self) -> Duration {
@@ -88,7 +57,7 @@ impl GridRun {
 
     /// Total `fit_initial` invocations across the grid — the headline
     /// saving of the shared-prefix tree (42 on the paper grid's quick
-    /// profile, down from the 78 of the per-group schedule).
+    /// profile, one per root and series).
     pub fn initial_fits(&self) -> usize {
         self.root_initial_fits.iter().sum()
     }
@@ -108,15 +77,6 @@ pub struct GridDims {
 #[inline]
 pub fn cell_index(spec_idx: usize, corpus_idx: usize, scorer_idx: usize, dims: GridDims) -> usize {
     (spec_idx * dims.corpora + corpus_idx) * dims.scorers + scorer_idx
-}
-
-/// Flat index of the `(spec_idx, corpus_idx)` group — spec-major, then
-/// corpus. Groups in this order, each expanded over the scorer dimension,
-/// reproduce [`cell_index`] order exactly, which is what lets root
-/// results be scattered straight into the per-cell layout.
-#[inline]
-pub fn group_index(spec_idx: usize, corpus_idx: usize, dims: GridDims) -> usize {
-    spec_idx * dims.corpora + corpus_idx
 }
 
 /// One root of the shared-prefix evaluation tree: a `(model, Task1)` pair
@@ -180,9 +140,8 @@ pub fn run_grid(
 ) -> GridRun {
     let dims = GridDims { corpora: corpora.len(), scorers: scorers.len() };
     let roots = plan_roots(specs);
-    let n_roots = roots.len() * corpora.len();
-
-    let JobReport { results, job_times, wall_time, jobs_used } = pool.run(n_roots, |job| {
+    let n_jobs = roots.len() * corpora.len();
+    let JobReport { results, job_times, wall_time, jobs_used } = pool.run(n_jobs, |job| {
         let corpus_idx = job % dims.corpora;
         let root = &roots[job / dims.corpora];
         let corpus = &corpora[corpus_idx];
@@ -190,78 +149,30 @@ pub fn run_grid(
         evaluate_tree(root.model, root.task1, &root.task2s, &params, corpus, scorers)
     });
 
-    // Scatter root results into the per-cell / per-group layouts. Scatter
-    // (not concatenation): a root's member specs are interleaved with
-    // other roots' in cell order, but each `(spec, corpus, scorer)` slot
-    // is written exactly once, so the output is positionally identical to
-    // the per-group schedule.
-    let n_groups = specs.len() * corpora.len();
-    let n_cells = n_groups * dims.scorers;
-    let mut rows = vec![EvalRow::default(); n_cells];
-    let mut report_times = vec![Duration::ZERO; n_cells];
-    let mut group_times = vec![Duration::ZERO; n_groups];
-    let mut group_shared = vec![true; n_groups];
-    let mut group_train_seconds = vec![0.0f64; n_groups];
-    let mut root_times = Vec::with_capacity(n_roots);
-    let mut root_train_seconds = Vec::with_capacity(n_roots);
-    let mut root_initial_fits = Vec::with_capacity(n_roots);
-    let mut root_shared = Vec::with_capacity(n_roots);
-    let mut root_variants = Vec::with_capacity(n_roots);
-    for (job, tree) in results.into_iter().enumerate() {
-        let corpus_idx = job % dims.corpora;
+    // Scatter root results into the cell layout. Scatter (not
+    // concatenation): a root's member specs are interleaved with other
+    // roots' in cell order, but each `(spec, corpus, scorer)` slot is
+    // written exactly once.
+    let mut rows = vec![EvalRow::default(); specs.len() * dims.corpora * dims.scorers];
+    for (job, tree) in results.iter().enumerate() {
         let root = &roots[job / dims.corpora];
-        debug_assert_eq!(tree.rows.len(), root.members.len());
-        let amortized_group = job_times[job] / root.members.len().max(1) as u32;
-        let amortized_cell = amortized_group / dims.scorers.max(1) as u32;
-        for (v, &spec_idx) in root.members.iter().enumerate() {
-            let group = group_index(spec_idx, corpus_idx, dims);
-            group_times[group] = amortized_group;
-            group_shared[group] = tree.shared_pass;
-            group_train_seconds[group] = tree.variant_train_seconds[v];
-            for (k, row) in tree.rows[v].iter().enumerate() {
-                let cell = cell_index(spec_idx, corpus_idx, k, dims);
-                rows[cell] = *row;
-                report_times[cell] = amortized_cell;
-            }
-        }
-        root_times.push(job_times[job]);
-        root_train_seconds.push(tree.train_seconds);
-        root_initial_fits.push(tree.initial_fits);
-        root_shared.push(tree.shared_pass);
-        root_variants.push(root.members.len());
-    }
-
-    let mut labels = Vec::with_capacity(n_cells);
-    let mut group_labels = Vec::with_capacity(n_groups);
-    for spec in specs {
-        for corpus in corpora {
-            group_labels.push(format!("{} @ {}", spec.label(), corpus.name));
-            for scorer in scorers {
-                labels.push(format!("{} @ {} / {}", spec.label(), corpus.name, scorer.label()));
+        for (&spec_idx, leaves) in root.members.iter().zip(&tree.rows) {
+            for (k, row) in leaves.iter().enumerate() {
+                rows[cell_index(spec_idx, job % dims.corpora, k, dims)] = *row;
             }
         }
     }
-    let mut root_labels = Vec::with_capacity(n_roots);
-    for root in &roots {
-        for corpus in corpora {
-            root_labels.push(format!("{} @ {}", root.label(), corpus.name));
-        }
-    }
-
     GridRun {
         rows,
-        labels,
-        report_times,
-        group_labels,
-        group_times,
-        group_shared,
-        group_train_seconds,
-        root_labels,
-        root_times,
-        root_train_seconds,
-        root_initial_fits,
-        root_shared,
-        root_variants,
+        root_labels: roots
+            .iter()
+            .flat_map(|root| corpora.iter().map(move |c| format!("{} @ {}", root.label(), c.name)))
+            .collect(),
+        root_times: job_times,
+        root_train_seconds: results.iter().map(|tree| tree.train_seconds).collect(),
+        root_initial_fits: results.iter().map(|tree| tree.initial_fits).collect(),
+        root_shared: results.iter().map(|tree| tree.shared_pass).collect(),
+        root_variants: results.iter().map(|tree| tree.rows.len()).collect(),
         wall_time,
         jobs_used,
     }
@@ -288,29 +199,8 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
-    #[test]
-    fn cell_index_inverts_the_pool_mapping() {
-        // The group decomposition, expanded over the scorer dimension,
-        // must invert `cell_index`.
-        let dims = GridDims { corpora: 3, scorers: 2 };
-        for spec_idx in 0..5 {
-            for corpus_idx in 0..3 {
-                let group = group_index(spec_idx, corpus_idx, dims);
-                assert_eq!(group % dims.corpora, corpus_idx);
-                assert_eq!(group / dims.corpora, spec_idx);
-                for scorer_idx in 0..2 {
-                    let cell = cell_index(spec_idx, corpus_idx, scorer_idx, dims);
-                    // Expanding group rows in group order lands each
-                    // scorer row exactly at its cell index.
-                    assert_eq!(cell, group * dims.scorers + scorer_idx);
-                }
-            }
-        }
-    }
-
     /// The paper grid folds into 14 roots: 12 drift-variant pairs plus
-    /// the two PCB-iForest singletons — 42 scheduled jobs over 3 corpora
-    /// instead of the 78 per-group jobs.
+    /// the two PCB-iForest singletons — 42 scheduled jobs over 3 corpora.
     #[test]
     fn paper_grid_plans_fourteen_roots() {
         let specs = paper_algorithms();

@@ -21,11 +21,8 @@ pub mod grid;
 pub mod parallel;
 pub mod timing;
 
-pub use eval::{
-    evaluate_spec, evaluate_spec_scorers, evaluate_tree, harness_params, EvalRow, GroupEval,
-    HarnessScale, TreeEval,
-};
+pub use eval::{evaluate_tree, harness_params, EvalRow, HarnessScale, TreeEval};
 pub use fmt::Table;
-pub use grid::{cell_index, group_index, plan_roots, run_grid, GridDims, GridRun, RootSpec};
+pub use grid::{cell_index, plan_roots, run_grid, GridDims, GridRun, RootSpec};
 pub use parallel::{available_workers, HarnessArgs, JobPool, JobReport};
-pub use timing::{CellTiming, GroupTiming, RootTiming, TimingArtifact};
+pub use timing::{RootTiming, TimingArtifact};

@@ -1,19 +1,20 @@
 //! Scoped-thread job pool for the evaluation grid (std-only).
 //!
-//! The Table III grid is 234 independent `(spec, corpus, scorer)` cells —
-//! embarrassingly parallel, but historically run serially on one core.
-//! [`JobPool::run`] executes an indexed set of jobs on `N` worker threads
-//! that self-schedule off a shared atomic cursor (each worker
-//! `fetch_add`s the next cell index — the classic work-queue pattern, so
-//! an unlucky worker stuck on a slow N-BEATS cell never blocks the rest
-//! of the queue).
+//! The Table III grid runs as 42 independent shared-prefix roots (one
+//! `(model, Task1, corpus)` node each; see [`crate::grid`]) —
+//! embarrassingly parallel. [`JobPool::run`] executes an indexed set of
+//! jobs on `N` worker threads that self-schedule off a shared atomic
+//! cursor (each worker `fetch_add`s the next job index — the classic
+//! work-queue pattern, so an unlucky worker stuck on a slow N-BEATS root
+//! never blocks the rest of the queue).
 //!
-//! **Determinism:** every job is a pure function of its index (each cell
-//! seeds its own `StdRng` chain), and results land in a pre-allocated slot
-//! vector indexed by cell id. Output is therefore *byte-identical* across
+//! **Determinism:** every job is a pure function of its index (each root
+//! seeds its own RNG chains), and results land in a pre-allocated slot
+//! vector indexed by job id. Output is therefore *byte-identical* across
 //! any `--jobs` value, including `--serial`; only wall time changes. The
-//! `run_grid_determinism` integration test and the `pool_props` proptest
-//! pin this down.
+//! `pool_props` proptest pins the pool's side of this, and the
+//! `eval_parity` suite checks `run_grid` at `--jobs` 1/2/4/8 against one
+//! standalone detector per cell.
 //!
 //! Per-job wall times are captured and surfaced through [`JobReport`] so
 //! harness binaries can emit a machine-readable timing artifact

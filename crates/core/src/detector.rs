@@ -76,28 +76,100 @@ pub struct FanoutRun {
     pub offset: usize,
 }
 
-/// A complete streaming anomaly detector.
+/// The part of a detector that its drift variants share through warm-up:
+/// representation, model, Task-1 strategy and stream clock.
 #[derive(Clone)]
-pub struct Detector {
+struct Trunk {
     config: DetectorConfig,
     repr: RawWindow,
     model: Box<dyn StreamModel>,
     strategy: Box<dyn TrainingSetStrategy>,
-    drift: Box<dyn DriftDetector>,
-    scorer: Box<dyn AnomalyScorer>,
     /// Reusable `x_t` buffer: [`RawWindow::push_into`] overwrites it every
     /// step, so the steady-state hot loop never allocates a feature vector.
     scratch: FeatureVector,
     t: usize,
     warmed_up: bool,
+    /// Cumulative wall time spent inside the model's training entry points
+    /// (`fit_initial` at warm-up plus every drift-triggered `fine_tune`).
+    train_time: std::time::Duration,
+}
+
+impl Trunk {
+    fn new(
+        config: DetectorConfig,
+        model: Box<dyn StreamModel>,
+        strategy: Box<dyn TrainingSetStrategy>,
+    ) -> Self {
+        assert!(config.window > 0 && config.channels > 0, "window/channels must be positive");
+        assert!(
+            config.warmup >= config.window,
+            "warm-up ({}) must cover at least one window ({})",
+            config.warmup,
+            config.window
+        );
+        let repr = RawWindow::new(config.window, config.channels);
+        let scratch = FeatureVector::zeroed(config.window, config.channels);
+        Self {
+            config,
+            repr,
+            model,
+            strategy,
+            scratch,
+            t: 0,
+            warmed_up: false,
+            train_time: std::time::Duration::ZERO,
+        }
+    }
+
+    /// Ingests `s_t` into the representation. After warm-up this returns
+    /// `true` with `x_t` in `scratch`.
+    ///
+    /// During warm-up it returns `false` and runs the warm-up protocol:
+    /// everything is assumed normal (`f_t = 0`), and every drift detector
+    /// in `drifts` observes each training-set update so its incremental
+    /// statistics (running μ/σ, KSWIN sorted sets) track the set; their
+    /// verdicts are ignored. At `t ≥ warmup` the model is fitted once and
+    /// every drift detector snapshots its reference statistics.
+    fn push(&mut self, s: &[f64], drifts: &mut [Box<dyn DriftDetector>]) -> bool {
+        self.t += 1;
+        let has_x = self.repr.push_into(s, &mut self.scratch);
+        if self.warmed_up {
+            assert!(has_x, "window is full after warm-up");
+            return true;
+        }
+        if has_x {
+            let update = self.strategy.update(&self.scratch, 0.0);
+            for drift in drifts.iter_mut() {
+                let _ = drift.observe(&self.scratch, &update, self.strategy.training_set());
+            }
+            if let SetUpdate::Replaced { removed } = update {
+                self.strategy.recycle(removed);
+            }
+        }
+        if self.t >= self.config.warmup {
+            let started = std::time::Instant::now();
+            self.model.fit_initial(self.strategy.training_set(), self.config.initial_epochs);
+            self.train_time += started.elapsed();
+            for drift in drifts {
+                drift.on_fine_tune(self.strategy.training_set());
+            }
+            self.warmed_up = true;
+        }
+        false
+    }
+}
+
+/// A complete streaming anomaly detector.
+#[derive(Clone)]
+pub struct Detector {
+    trunk: Trunk,
+    drift: Box<dyn DriftDetector>,
+    scorer: Box<dyn AnomalyScorer>,
     /// Split-step guard: set by a `true` [`Detector::begin_step`], cleared
     /// by [`Detector::finish_step`].
     mid_step: bool,
     drift_times: Vec<usize>,
     fine_tunes: usize,
-    /// Cumulative wall time spent inside the model's training entry points
-    /// (`fit_initial` at warm-up plus every drift-triggered `fine_tune`).
-    train_time: std::time::Duration,
     /// Lifecycle metric registry (warm-up, drift, fine-tune, per-step
     /// nonconformity). Pure observation — never feeds back into detection.
     telemetry: LifecycleTelemetry,
@@ -112,30 +184,28 @@ impl Detector {
         drift: Box<dyn DriftDetector>,
         scorer: Box<dyn AnomalyScorer>,
     ) -> Self {
-        assert!(config.window > 0 && config.channels > 0, "window/channels must be positive");
-        assert!(
-            config.warmup >= config.window,
-            "warm-up ({}) must cover at least one window ({})",
-            config.warmup,
-            config.window
-        );
-        let repr = RawWindow::new(config.window, config.channels);
-        let scratch = FeatureVector::zeroed(config.window, config.channels);
-        let telemetry = LifecycleTelemetry::new(drift.name());
+        Self::assemble(Trunk::new(config, model, strategy), drift, scorer)
+    }
+
+    /// A detector over `trunk` with its own drift detector and scorer. A
+    /// warmed trunk counts its warm-up in the detector's lifecycle, as its
+    /// `train_time` counts the initial fit.
+    fn assemble(
+        trunk: Trunk,
+        drift: Box<dyn DriftDetector>,
+        scorer: Box<dyn AnomalyScorer>,
+    ) -> Self {
+        let mut telemetry = LifecycleTelemetry::new(drift.name());
+        if trunk.warmed_up {
+            telemetry.on_warmup_complete();
+        }
         Self {
-            config,
-            repr,
-            model,
-            strategy,
+            trunk,
             drift,
             scorer,
-            scratch,
-            t: 0,
-            warmed_up: false,
             mid_step: false,
             drift_times: Vec::new(),
             fine_tunes: 0,
-            train_time: std::time::Duration::ZERO,
             telemetry,
         }
     }
@@ -145,47 +215,11 @@ impl Detector {
     /// # Panics
     /// Panics if `s.len() != config.channels`.
     pub fn step(&mut self, s: &[f64]) -> Option<StepOutput> {
-        self.advance(s, None)
-    }
-
-    /// Feeds one stream vector and **tees the nonconformity score into a
-    /// scorer bank**: one detector pass produces one anomaly score per
-    /// bank scorer (written to `out` in bank order) on top of the
-    /// detector's own [`StepOutput`].
-    ///
-    /// The detector's embedded scorer remains the *driver*: its `f_t` is
-    /// what feeds the Task-1 strategy, exactly as in [`Self::step`], so
-    /// the detector trajectory is unchanged. During warm-up the bank is
-    /// not touched (scorers see their first `a_t` at the same step they
-    /// would in a standalone run) and `out` is cleared.
-    ///
-    /// When [`Self::scorer_feedback_free`] holds, each bank scorer's trace
-    /// is bitwise identical to a standalone per-scorer detector run; with
-    /// an anomaly-feedback strategy (ARES) the teed traces are still
-    /// well-defined but correspond to the *driver's* trajectory.
-    pub fn step_fanout(
-        &mut self,
-        s: &[f64],
-        bank: &mut ScorerBank,
-        out: &mut Vec<f64>,
-    ) -> Option<StepOutput> {
-        let output = self.advance(s, Some((bank, out)));
-        if output.is_none() {
-            out.clear();
-        }
-        output
-    }
-
-    fn advance(
-        &mut self,
-        s: &[f64],
-        bank: Option<(&mut ScorerBank, &mut Vec<f64>)>,
-    ) -> Option<StepOutput> {
         if !self.begin_step(s) {
             return None;
         }
-        let output = self.model.predict(&self.scratch);
-        Some(self.finish_step_banked(&output, bank))
+        let output = self.trunk.model.predict(&self.trunk.scratch);
+        Some(self.finish_step(&output))
     }
 
     /// First half of the split-step API used by external serving layers
@@ -207,33 +241,13 @@ impl Detector {
     /// a `true` return was consumed by [`Self::finish_step`].
     pub fn begin_step(&mut self, s: &[f64]) -> bool {
         assert!(!self.mid_step, "begin_step called twice without finish_step");
-        self.t += 1;
-        let has_x = self.repr.push_into(s, &mut self.scratch);
-
-        if !self.warmed_up {
-            if has_x {
-                // During warm-up everything is assumed normal (f_t = 0). The
-                // drift detector must still observe every update so its
-                // incremental statistics (running μ/σ, KSWIN sorted sets)
-                // track the training set; its verdict is ignored.
-                let update = self.strategy.update(&self.scratch, 0.0);
-                let _ = self.drift.observe(&self.scratch, &update, self.strategy.training_set());
-                if let SetUpdate::Replaced { removed } = update {
-                    self.strategy.recycle(removed);
-                }
-            }
-            if self.t >= self.config.warmup {
-                let started = std::time::Instant::now();
-                self.model.fit_initial(self.strategy.training_set(), self.config.initial_epochs);
-                self.train_time += started.elapsed();
-                self.drift.on_fine_tune(self.strategy.training_set());
-                self.warmed_up = true;
+        if !self.trunk.push(s, std::slice::from_mut(&mut self.drift)) {
+            if self.trunk.warmed_up {
+                // This step ran the initial fit.
                 self.telemetry.on_warmup_complete();
             }
             return false;
         }
-
-        assert!(has_x, "window is full after warm-up");
         self.mid_step = true;
         true
     }
@@ -241,7 +255,7 @@ impl Detector {
     /// The feature vector `x_t` produced by the last [`Self::begin_step`]
     /// (valid between a `true` `begin_step` and its `finish_step`).
     pub fn feature(&self) -> &FeatureVector {
-        &self.scratch
+        &self.trunk.scratch
     }
 
     /// Second half of the split-step API: completes the step begun by a
@@ -256,42 +270,32 @@ impl Detector {
     /// # Panics
     /// Panics if no step is in progress.
     pub fn finish_step(&mut self, output: &ModelOutput) -> StepOutput {
-        self.finish_step_banked(output, None)
-    }
-
-    fn finish_step_banked(
-        &mut self,
-        output: &ModelOutput,
-        bank: Option<(&mut ScorerBank, &mut Vec<f64>)>,
-    ) -> StepOutput {
         assert!(self.mid_step, "finish_step without a pending begin_step");
         self.mid_step = false;
-        let t = self.t - 1;
-        let a_t = nonconformity(&self.scratch, output);
+        let trunk = &mut self.trunk;
+        let t = trunk.t - 1;
+        let a_t = nonconformity(&trunk.scratch, output);
         self.telemetry.record_step(a_t);
         let f_t = self.scorer.update(a_t);
-        if let Some((bank, out)) = bank {
-            bank.update_into(a_t, out);
-        }
-        let update = self.strategy.update(&self.scratch, f_t);
-        let drift = self.drift.observe(&self.scratch, &update, self.strategy.training_set());
+        let update = trunk.strategy.update(&trunk.scratch, f_t);
+        let drift = self.drift.observe(&trunk.scratch, &update, trunk.strategy.training_set());
         if let SetUpdate::Replaced { removed } = update {
-            self.strategy.recycle(removed);
+            trunk.strategy.recycle(removed);
         }
         let mut fine_tuned = false;
         if drift {
             self.drift_times.push(t);
             self.telemetry.on_drift();
             let started = std::time::Instant::now();
-            for _ in 0..self.config.fine_tune_epochs {
-                self.model.fine_tune(self.strategy.training_set());
+            for _ in 0..trunk.config.fine_tune_epochs {
+                trunk.model.fine_tune(trunk.strategy.training_set());
             }
-            self.train_time += started.elapsed();
+            trunk.train_time += started.elapsed();
             // Re-anchor the drift reference even when the model is frozen
             // (fine_tune_epochs = 0), so a frozen fork doesn't fire every
             // step after the first drift.
-            self.drift.on_fine_tune(self.strategy.training_set());
-            fine_tuned = self.config.fine_tune_epochs > 0;
+            self.drift.on_fine_tune(trunk.strategy.training_set());
+            fine_tuned = trunk.config.fine_tune_epochs > 0;
             if fine_tuned {
                 self.fine_tunes += 1;
                 self.telemetry.on_fine_tune();
@@ -303,7 +307,7 @@ impl Detector {
     /// Expected number of outputs from streaming `len` more vectors (the
     /// steps left after whatever warm-up remains).
     fn expected_outputs(&self, len: usize) -> usize {
-        len.saturating_sub(self.config.warmup.saturating_sub(self.t))
+        len.saturating_sub(self.trunk.config.warmup.saturating_sub(self.trunk.t))
     }
 
     /// Runs the detector over a whole series (`series[t]` is `s_t`).
@@ -316,46 +320,31 @@ impl Detector {
     }
 
     /// Streams a whole series **once** and returns one full score trace per
-    /// bank scorer (see [`Self::step_fanout`]).
+    /// bank scorer.
+    ///
+    /// The detector runs alone, packing its nonconformity stream into one
+    /// contiguous trace, which each bank scorer then consumes whole
+    /// ([`ScorerBank::replay_packed`]). The detector's embedded scorer stays
+    /// the *driver*: its `f_t` feeds the Task-1 strategy exactly as in
+    /// [`Self::step`]. The bank never feeds back into the detector, so bank
+    /// scorer `k` sees the `a_t` sequence it would see in a standalone run
+    /// whenever [`Self::scorer_feedback_free`] holds; with an
+    /// anomaly-feedback strategy (ARES) the traces follow the driver's
+    /// trajectory.
     ///
     /// `traces[k][i]` is bank scorer `k`'s anomaly score for stream step
     /// `offset + i`; `offset` is the first post-warm-up step (or
     /// `series.len()` if warm-up never completed).
     pub fn run_fanout(&mut self, series: &[Vec<f64>], bank: &mut ScorerBank) -> FanoutRun {
-        // When the detector trajectory is provably scorer-independent, run
-        // the (expensive) detector pass alone, packing the nonconformity
-        // stream into one contiguous trace, then let each bank scorer
-        // consume the whole trace scorer-major
-        // ([`ScorerBank::replay_packed`]). The bank never feeds back into
-        // `advance`, so the trace — and therefore every scorer's output
-        // sequence — is bit-for-bit the interleaved path's; the fan-out
-        // parity suite pins this. ARES-style feedback strategies keep the
-        // per-step teeing (the driver trajectory is the reference there).
-        if self.scorer_feedback_free() && !bank.is_empty() {
-            let mut trace = Vec::with_capacity(self.expected_outputs(series.len()));
-            let mut offset = series.len();
-            for s in series {
-                if let Some(out) = self.step(s) {
-                    offset = offset.min(out.t);
-                    trace.push(out.nonconformity);
-                }
-            }
-            return FanoutRun { traces: bank.replay_packed(&trace), offset };
-        }
-        let expected = self.expected_outputs(series.len());
-        let mut traces: Vec<Vec<f64>> =
-            (0..bank.len()).map(|_| Vec::with_capacity(expected)).collect();
+        let mut trace = Vec::with_capacity(self.expected_outputs(series.len()));
         let mut offset = series.len();
-        let mut step_scores = Vec::with_capacity(bank.len());
         for s in series {
-            if let Some(out) = self.step_fanout(s, bank, &mut step_scores) {
+            if let Some(out) = self.step(s) {
                 offset = offset.min(out.t);
-                for (trace, &f) in traces.iter_mut().zip(&step_scores) {
-                    trace.push(f);
-                }
+                trace.push(out.nonconformity);
             }
         }
-        FanoutRun { traces, offset }
+        FanoutRun { traces: bank.replay_packed(&trace), offset }
     }
 
     /// Scores a whole labelled series and returns `(scores, offset)` where
@@ -375,30 +364,7 @@ impl Detector {
     /// function of the input series, and one [`Self::run_fanout`] pass
     /// reproduces every per-scorer run bitwise.
     pub fn scorer_feedback_free(&self) -> bool {
-        !self.strategy.uses_anomaly_feedback()
-    }
-
-    /// Replaces the anomaly scorer.
-    ///
-    /// Intended for the warm-up-sharing evaluation path: the scorer is
-    /// never consulted during warm-up (`f_t` is fixed to 0), so a detector
-    /// can be warmed up once, cloned per scorer, and each clone handed its
-    /// own fresh scorer — each clone is then bitwise identical to a
-    /// detector built with that scorer from the start.
-    ///
-    /// Swapping a scorer that has already accumulated state discards that
-    /// state; post-warm-up callers should know what they are doing.
-    pub fn set_scorer(&mut self, scorer: Box<dyn AnomalyScorer>) {
-        self.scorer = scorer;
-    }
-
-    /// Clones the detector with a fresh scorer swapped in — the per-scorer
-    /// fork of the warm-up-sharing evaluation path (see
-    /// [`Self::set_scorer`] for why this is bitwise sound after warm-up).
-    pub fn fork_with_scorer(&self, scorer: Box<dyn AnomalyScorer>) -> Detector {
-        let mut fork = self.clone();
-        fork.set_scorer(scorer);
-        fork
+        !self.trunk.strategy.uses_anomaly_feedback()
     }
 
     /// Disables fine-tuning: drift is still detected and recorded, but the
@@ -408,7 +374,7 @@ impl Detector {
     /// paper's Figure 1 experiment — fork the detector with `clone()`,
     /// freeze one fork, and stream the same data into both.
     pub fn freeze_model(&mut self) {
-        self.config.fine_tune_epochs = 0;
+        self.trunk.config.fine_tune_epochs = 0;
     }
 
     /// Steps at which drift fired so far.
@@ -428,32 +394,32 @@ impl Detector {
     /// optimizes; the bench harness surfaces it per grid cell in the
     /// timing artifact.
     pub fn train_time(&self) -> std::time::Duration {
-        self.train_time
+        self.trunk.train_time
     }
 
     /// Whether warm-up has completed.
     pub fn is_warmed_up(&self) -> bool {
-        self.warmed_up
+        self.trunk.warmed_up
     }
 
     /// Current stream time.
     pub fn time(&self) -> usize {
-        self.t
+        self.trunk.t
     }
 
     /// The embedded model (e.g. to inspect it in experiments).
     pub fn model(&self) -> &dyn StreamModel {
-        self.model.as_ref()
+        self.trunk.model.as_ref()
     }
 
     /// The detector's static configuration.
     pub fn config(&self) -> &DetectorConfig {
-        &self.config
+        &self.trunk.config
     }
 
     /// The Task-1 strategy's current training set.
     pub fn training_set(&self) -> &[crate::repr::FeatureVector] {
-        self.strategy.training_set()
+        self.trunk.strategy.training_set()
     }
 
     /// Cumulative drift-detector operation tally (Table II).
@@ -479,12 +445,12 @@ impl Detector {
     /// via [`sad_obs::Registry::merge_from`] (the schema is shared across
     /// Task-2 variants). Allocates — export path only.
     pub fn export_metrics(&self) -> sad_obs::Registry {
-        self.telemetry.snapshot(self.drift.removal_misses(), self.train_time)
+        self.telemetry.snapshot(self.drift.removal_misses(), self.trunk.train_time)
     }
 
     /// Component names as `(model, task1, task2, scorer)` for reports.
     pub fn component_names(&self) -> (&'static str, &'static str, &'static str, &'static str) {
-        (self.model.name(), self.strategy.name(), self.drift.name(), self.scorer.name())
+        (self.trunk.model.name(), self.trunk.strategy.name(), self.drift.name(), self.scorer.name())
     }
 }
 
@@ -509,15 +475,8 @@ impl Detector {
 /// Task-2 draw from unrelated seeds), so sharing cannot reorder any random
 /// draws relative to standalone runs.
 pub struct SharedWarmup {
-    config: DetectorConfig,
-    repr: RawWindow,
-    model: Box<dyn StreamModel>,
-    strategy: Box<dyn TrainingSetStrategy>,
+    trunk: Trunk,
     drifts: Vec<Box<dyn DriftDetector>>,
-    scratch: FeatureVector,
-    t: usize,
-    warmed_up: bool,
-    train_time: std::time::Duration,
 }
 
 impl SharedWarmup {
@@ -533,58 +492,23 @@ impl SharedWarmup {
         drifts: Vec<Box<dyn DriftDetector>>,
     ) -> Self {
         assert!(!drifts.is_empty(), "at least one drift variant required");
-        assert!(config.window > 0 && config.channels > 0, "window/channels must be positive");
-        assert!(
-            config.warmup >= config.window,
-            "warm-up ({}) must cover at least one window ({})",
-            config.warmup,
-            config.window
-        );
-        let repr = RawWindow::new(config.window, config.channels);
-        let scratch = FeatureVector::zeroed(config.window, config.channels);
-        Self {
-            config,
-            repr,
-            model,
-            strategy,
-            drifts,
-            scratch,
-            t: 0,
-            warmed_up: false,
-            train_time: std::time::Duration::ZERO,
-        }
+        Self { trunk: Trunk::new(config, model, strategy), drifts }
     }
 
-    /// Feeds one warm-up stream vector, mirroring the warm-up branch of
-    /// [`Detector::step`] exactly — except that every drift variant
-    /// observes the (single) training-set update. At the end of warm-up the
-    /// model is fitted **once** and every variant snapshots its reference
-    /// statistics.
+    /// Feeds one warm-up stream vector through the warm-up step of
+    /// [`Detector::step`], with every drift variant observing the (single)
+    /// training-set update. At the end of warm-up the model is fitted
+    /// **once** and every variant snapshots its reference statistics.
     ///
     /// # Panics
     /// Panics if called after warm-up completed (the variants' trajectories
     /// diverge there — fork instead) or if `s.len() != config.channels`.
     pub fn step(&mut self, s: &[f64]) {
-        assert!(!self.warmed_up, "SharedWarmup stepped past the end of warm-up; fork instead");
-        self.t += 1;
-        if self.repr.push_into(s, &mut self.scratch) {
-            let update = self.strategy.update(&self.scratch, 0.0);
-            for drift in &mut self.drifts {
-                let _ = drift.observe(&self.scratch, &update, self.strategy.training_set());
-            }
-            if let SetUpdate::Replaced { removed } = update {
-                self.strategy.recycle(removed);
-            }
-        }
-        if self.t >= self.config.warmup {
-            let started = std::time::Instant::now();
-            self.model.fit_initial(self.strategy.training_set(), self.config.initial_epochs);
-            self.train_time += started.elapsed();
-            for drift in &mut self.drifts {
-                drift.on_fine_tune(self.strategy.training_set());
-            }
-            self.warmed_up = true;
-        }
+        assert!(
+            !self.trunk.warmed_up,
+            "SharedWarmup stepped past the end of warm-up; fork instead"
+        );
+        self.trunk.push(s, &mut self.drifts);
     }
 
     /// Assembles a warmed [`Detector`] for drift variant `variant` with the
@@ -600,28 +524,7 @@ impl SharedWarmup {
     /// # Panics
     /// Panics if `variant >= self.variants()`.
     pub fn fork(&self, variant: usize, scorer: Box<dyn AnomalyScorer>) -> Detector {
-        let mut telemetry = LifecycleTelemetry::new(self.drifts[variant].name());
-        if self.warmed_up {
-            // The shared warm-up + initial fit belong to every fork's
-            // lifecycle, same as the shared `train_time` below.
-            telemetry.on_warmup_complete();
-        }
-        Detector {
-            config: self.config.clone(),
-            repr: self.repr.clone(),
-            model: self.model.clone(),
-            strategy: self.strategy.clone(),
-            drift: self.drifts[variant].clone(),
-            scorer,
-            scratch: self.scratch.clone(),
-            t: self.t,
-            warmed_up: self.warmed_up,
-            mid_step: false,
-            drift_times: Vec::new(),
-            fine_tunes: 0,
-            train_time: self.train_time,
-            telemetry,
-        }
+        Detector::assemble(self.trunk.clone(), self.drifts[variant].clone(), scorer)
     }
 
     /// Number of drift variants.
@@ -631,23 +534,23 @@ impl SharedWarmup {
 
     /// Whether the shared initial fit has run.
     pub fn is_warmed_up(&self) -> bool {
-        self.warmed_up
+        self.trunk.warmed_up
     }
 
     /// Current stream time.
     pub fn time(&self) -> usize {
-        self.t
+        self.trunk.t
     }
 
     /// Wall time of the shared initial fit (zero until warm-up completes).
     pub fn train_time(&self) -> std::time::Duration {
-        self.train_time
+        self.trunk.train_time
     }
 
     /// Whether post-warm-up trajectories are scorer-independent (see
     /// [`Detector::scorer_feedback_free`]).
     pub fn scorer_feedback_free(&self) -> bool {
-        !self.strategy.uses_anomaly_feedback()
+        !self.trunk.strategy.uses_anomaly_feedback()
     }
 }
 
@@ -803,47 +706,6 @@ mod tests {
             for (i, (a, b)) in scores.iter().zip(&fanout.traces[k]).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "scorer {k}, step {i}");
             }
-        }
-    }
-
-    /// Warm-up sharing: warming one detector, cloning it and swapping in a
-    /// fresh scorer is bitwise identical to building with that scorer from
-    /// the start (the scorer is untouched during warm-up).
-    #[test]
-    fn warmup_clone_plus_set_scorer_matches_fresh_build() {
-        let series = smooth_series(90);
-        let warmup = 25;
-        let mut base = make_detector(warmup);
-        for s in &series[..warmup] {
-            assert!(base.step(s).is_none());
-        }
-        assert!(base.is_warmed_up());
-
-        let mut fork = base.clone();
-        fork.set_scorer(Box::new(RawScore));
-        let forked: Vec<f64> =
-            series[warmup..].iter().filter_map(|s| fork.step(s)).map(|o| o.anomaly_score).collect();
-
-        // Fresh build with RawScore from the start.
-        let config = DetectorConfig {
-            window: 5,
-            channels: 2,
-            warmup,
-            initial_epochs: 1,
-            fine_tune_epochs: 1,
-        };
-        let mut fresh = Detector::new(
-            config,
-            Box::new(LastValueModel::default()),
-            Box::new(SlidingWindowSet::new(10)),
-            Box::new(MuSigmaChange::new()),
-            Box::new(RawScore),
-        );
-        let (scores, offset) = fresh.score_series(&series);
-        assert_eq!(offset, warmup);
-        assert_eq!(scores.len(), forked.len());
-        for (a, b) in scores.iter().zip(&forked) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -1055,9 +917,9 @@ mod tests {
         for (i, s) in series.iter().enumerate() {
             let a = whole.step(s);
             let b = if split.begin_step(s) {
-                // Mirror `advance`: predict on the scratch feature, then
-                // complete the step with the externally-held output.
-                let output = split.model.predict(&split.scratch);
+                // Predict on the step's feature, then complete the step
+                // with the externally-held output.
+                let output = split.trunk.model.predict(&split.trunk.scratch);
                 Some(split.finish_step(&output))
             } else {
                 None

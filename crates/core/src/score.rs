@@ -37,9 +37,9 @@ impl Clone for Box<dyn AnomalyScorer> {
 /// Definition III.4 makes the anomaly scoring function a pure
 /// post-processing stage over `a_t`: scorers never feed back into the
 /// nonconformity computation. A bank exploits that — the detector streams
-/// the series **once** and tees each per-step `a_t` into every scorer,
-/// producing one score trace per scorer from a single (expensive) detector
-/// pass. Each scorer in the bank evolves exactly as it would in its own
+/// the series **once** and every scorer replays its `a_t` trace, producing
+/// one score trace per scorer from a single (expensive) detector pass.
+/// Each scorer in the bank evolves exactly as it would in its own
 /// detector, so the traces are bitwise identical to per-scorer runs
 /// whenever the detector trajectory itself is scorer-independent (see
 /// [`crate::TrainingSetStrategy::uses_anomaly_feedback`]).
@@ -69,25 +69,16 @@ impl ScorerBank {
         self.scorers.iter().map(|s| s.name()).collect()
     }
 
-    /// Feeds `a_t` to every scorer, appending one `f_t` per scorer (in
-    /// bank order) to `out`. `out` is cleared first, so it can be reused
-    /// across steps without reallocating.
-    pub fn update_into(&mut self, a_t: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.scorers.iter_mut().map(|s| s.update(a_t)));
-    }
-
     /// Replays a packed nonconformity trace **scorer-major**: each scorer
     /// consumes the entire contiguous trace before the next one starts,
     /// returning one full score trace per scorer (bank order).
     ///
     /// Scorers are independent state machines over the `a_t` sequence, so
-    /// scorer-major replay produces bit-for-bit the traces the per-step
-    /// interleaved teeing ([`Self::update_into`] once per step) would —
-    /// while each scorer's state stays hot in cache and the trace is read
-    /// as a contiguous streaming scan instead of being re-touched `len`
-    /// times per step. This is the offline counterpart of the packed
-    /// snapshot idiom: build the contiguous trace once, then sweep it.
+    /// scorer-major replay produces bit-for-bit the traces that feeding
+    /// every scorer once per step would — while each scorer's state stays
+    /// hot in cache and the trace is read as a contiguous streaming scan.
+    /// This is the offline counterpart of the packed snapshot idiom: build
+    /// the contiguous trace once, then sweep it.
     pub fn replay_packed(&mut self, trace: &[f64]) -> Vec<Vec<f64>> {
         self.scorers
             .iter_mut()
@@ -322,14 +313,13 @@ mod tests {
         let mut raw = RawScore;
         let mut avg = MovingAverage::new(7);
         let mut al = AnomalyLikelihood::new(20, 4);
-        let mut out = Vec::new();
-        for i in 0..100 {
-            let a = ((i * 37) % 100) as f64 / 100.0;
-            bank.update_into(a, &mut out);
-            assert_eq!(out.len(), 3);
-            assert_eq!(out[0].to_bits(), raw.update(a).to_bits());
-            assert_eq!(out[1].to_bits(), avg.update(a).to_bits());
-            assert_eq!(out[2].to_bits(), al.update(a).to_bits());
+        let trace: Vec<f64> = (0..100).map(|i| ((i * 37) % 100) as f64 / 100.0).collect();
+        let out = bank.replay_packed(&trace);
+        assert_eq!(out.len(), 3);
+        for (i, &a) in trace.iter().enumerate() {
+            assert_eq!(out[0][i].to_bits(), raw.update(a).to_bits());
+            assert_eq!(out[1][i].to_bits(), avg.update(a).to_bits());
+            assert_eq!(out[2][i].to_bits(), al.update(a).to_bits());
         }
     }
 
@@ -340,12 +330,11 @@ mod tests {
         assert_eq!(bank.names(), vec!["Avg", "Raw"]);
         assert_eq!(bank.len(), 2);
         assert!(!bank.is_empty());
-        let mut out = Vec::new();
-        bank.update_into(0.9, &mut out);
+        bank.replay_packed(&[0.9]);
         bank.reset();
-        bank.update_into(0.3, &mut out);
+        let out = bank.replay_packed(&[0.3]);
         // After reset the moving average starts over: a single sample.
-        assert!((out[0] - 0.3).abs() < 1e-12);
+        assert!((out[0][0] - 0.3).abs() < 1e-12);
     }
 
     mod props {

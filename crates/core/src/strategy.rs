@@ -51,7 +51,7 @@ pub trait TrainingSetStrategy: Send {
     /// make the whole detector trajectory — model, training set, drift
     /// triggers, fine-tunes, nonconformity stream — independent of the
     /// anomaly scoring function, which is what lets the evaluation
-    /// harness tee one detector pass into a [`crate::ScorerBank`] and
+    /// harness replay one detector pass through a [`crate::ScorerBank`] and
     /// reproduce every per-scorer run bitwise from a single stream.
     /// Defaults to `true` (the conservative answer).
     fn uses_anomaly_feedback(&self) -> bool {

@@ -6,8 +6,8 @@
 //! strategies recycle evicted training windows through a spare buffer, the
 //! μ/σ drift detector keeps its running statistics in preallocated rows,
 //! and the scorers run over fixed-capacity rings. This guard pins all of
-//! that: after warm-up, `Detector::step` (and the scorer-bank
-//! `step_fanout`) on a drift-free stream must not allocate at all.
+//! that: after warm-up, `Detector::step` on a drift-free stream must not
+//! allocate at all.
 //!
 //! The model under the detector emits a direct [`ModelOutput::Score`] so
 //! the guard isolates the framework machinery — the model layers have
@@ -67,7 +67,7 @@ fn count_allocs(f: impl FnOnce()) -> usize {
 
 use sad_core::{
     AnomalyLikelihood, AnomalyScorer, Detector, DetectorConfig, FeatureVector, ModelOutput,
-    MovingAverage, MuSigmaChange, RawScore, ScorerBank, SlidingWindowSet, StreamModel,
+    MovingAverage, MuSigmaChange, RawScore, SlidingWindowSet, StreamModel,
 };
 
 /// Heap-free stand-in model: a direct nonconformity score computed from the
@@ -161,30 +161,4 @@ fn steady_state_step_is_allocation_free_moving_average() {
 #[test]
 fn steady_state_step_is_allocation_free_anomaly_likelihood() {
     assert_step_is_allocation_free(Box::new(AnomalyLikelihood::new(12, 3)), "SW + μ/σ + AL");
-}
-
-/// The scorer fan-out used by the grid shares the guarantee: once the teed
-/// output vector has its capacity, `step_fanout` stays off the heap too.
-#[test]
-fn steady_state_fanout_step_is_allocation_free() {
-    let mut det = detector_with(Box::new(RawScore));
-    let mut t = 0usize;
-    settle(&mut det, &mut t);
-    let mut bank = ScorerBank::new(vec![
-        Box::new(RawScore) as Box<dyn AnomalyScorer>,
-        Box::new(MovingAverage::new(8)),
-        Box::new(AnomalyLikelihood::new(12, 3)),
-    ]);
-    let mut teed = Vec::with_capacity(3);
-    // One unarmed pass fills the teed vector to its final length.
-    det.step_fanout(&stream_vector(t), &mut bank, &mut teed);
-    t += 1;
-    let n = count_allocs(|| {
-        for _ in 0..256 {
-            let out = det.step_fanout(&stream_vector(t), &mut bank, &mut teed);
-            assert!(out.is_some() && teed.len() == 3);
-            t += 1;
-        }
-    });
-    assert_eq!(n, 0, "steady-state step_fanout must not allocate, saw {n}");
 }

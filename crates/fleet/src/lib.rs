@@ -19,7 +19,7 @@
 //! workspace amortizes fine-tuning. `forward_batch` computes every output
 //! row independently and identically to `Mlp::infer`, so the batched path
 //! is bitwise identical to N scalar `Detector::step` calls — the
-//! `fleet_parity` suite proves it in the same style as `tree_parity.rs`.
+//! `fleet_parity` suite proves it in the same style as `eval_parity.rs`.
 //!
 //! Cohorts are maintained exactly: parameters are only compared on
 //! *training events* (a member joins at its warm-up fit; a member is

@@ -19,7 +19,7 @@
 //!
 //! and level shifts mid-series so drift → fine-tune → cohort-rebuild
 //! events happen inside the measured window. Comparisons are `to_bits`
-//! with no tolerance, in the style of `tree_parity.rs`.
+//! with no tolerance, in the style of `eval_parity.rs`.
 
 use sad_core::{paper_algorithms, AlgorithmSpec, Detector, DetectorConfig, ScoreKind, StepOutput};
 use sad_fleet::{DetectorFleet, FleetConfig};

@@ -150,7 +150,7 @@ pub fn build_scorer(score: ScoreKind, params: &BuildParams) -> Box<dyn AnomalySc
 /// Builds a [`ScorerBank`] holding one fresh scorer per [`ScoreKind`], in
 /// the given order — the fan-out counterpart of [`build_scorer`]. Each
 /// bank scorer is constructed exactly as a standalone detector's scorer
-/// would be, so teeing one nonconformity stream through the bank
+/// would be, so replaying one nonconformity stream through the bank
 /// reproduces per-scorer runs bitwise (when the detector trajectory is
 /// scorer-independent; see [`Detector::scorer_feedback_free`]).
 pub fn build_scorer_bank(kinds: &[ScoreKind], params: &BuildParams) -> ScorerBank {
@@ -258,14 +258,12 @@ mod tests {
         let kinds = [ScoreKind::Raw, ScoreKind::Average, ScoreKind::AnomalyLikelihood];
         let mut bank = build_scorer_bank(&kinds, &params);
         assert_eq!(bank.names(), vec!["Raw", "Avg", "AL"]);
-        let mut out = Vec::new();
-        let mut standalone: Vec<_> =
-            kinds.iter().map(|&kind| build_scorer(kind, &params)).collect();
-        for i in 0..60 {
-            let a = ((i * 13) % 100) as f64 / 100.0;
-            bank.update_into(a, &mut out);
-            for (k, scorer) in standalone.iter_mut().enumerate() {
-                assert_eq!(out[k].to_bits(), scorer.update(a).to_bits(), "scorer {k}");
+        let trace: Vec<f64> = (0..60).map(|i| ((i * 13) % 100) as f64 / 100.0).collect();
+        let out = bank.replay_packed(&trace);
+        for (k, &kind) in kinds.iter().enumerate() {
+            let mut scorer = build_scorer(kind, &params);
+            for (i, &a) in trace.iter().enumerate() {
+                assert_eq!(out[k][i].to_bits(), scorer.update(a).to_bits(), "scorer {k}");
             }
         }
     }

@@ -8,8 +8,8 @@
 //!
 //! ## Pinned reduction orders
 //!
-//! Every parity proof in this workspace (`batch_parity`, `fanout_parity`,
-//! `tree_parity`, `fleet_parity`, grid stdout byte-identity) rests on the
+//! Every parity proof in this workspace (`batch_parity`, `eval_parity`,
+//! `fleet_parity`, grid stdout byte-identity) rests on the
 //! f64 kernels performing IEEE-754 operations in a fixed order. The dot
 //! kernel therefore uses a *per-precision* fixed lane count:
 //!

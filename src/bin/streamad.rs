@@ -35,7 +35,8 @@
 //! drop-oldest`. Detections at or above `--threshold` print to stdout as
 //! they happen; `--metrics-json` snapshots are flushed on EOF, after
 //! every connection, *and* on dirty disconnects, so an interrupted server
-//! still leaves its final counters behind.
+//! still leaves its final counters behind. If stdout closes (say, piped
+//! into `head`), printing stops and serving goes on.
 //!
 //! ```sh
 //! streamad serve --stdin < frames.bin
@@ -56,6 +57,23 @@ use streamad::ingest::{
 use streamad::metrics::{best_f1, intervals_from_labels, nab_score, pr_auc, vus_pr};
 use streamad::models::{build_detector, BuildParams};
 use streamad::obs::{Histogram, Registry};
+
+/// Writes to stdout until a write fails, then drops all further output:
+/// a closed pipe (e.g. `streamad … | head`) must not panic the process,
+/// and a server keeps serving without its log consumer.
+fn out(text: std::fmt::Arguments) {
+    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+    // Relaxed: the flag guards nothing but itself.
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if !CLOSED.load(Relaxed) && std::io::stdout().write_fmt(text).is_err() {
+        CLOSED.store(true, Relaxed);
+    }
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => { out(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 struct Args {
     path: Option<String>,
@@ -266,9 +284,7 @@ fn main() -> ExitCode {
     };
     let specs = paper_algorithms();
     if args.list {
-        // Write in one shot and ignore EPIPE so `streamad --list | head`
-        // does not panic when the pipe closes early.
-        let _ = std::io::stdout().write_all(algorithm_table(&specs, &args).as_bytes());
+        out(format_args!("{}", algorithm_table(&specs, &args)));
         return ExitCode::SUCCESS;
     }
     if args.algo >= specs.len() {
@@ -335,13 +351,13 @@ fn main() -> ExitCode {
     // Detections: maximal runs of scores above the threshold.
     let pred: Vec<bool> = scores.iter().map(|&s| s >= args.threshold).collect();
     let detections = intervals_from_labels(&pred);
-    println!("detections (threshold {}):", args.threshold);
+    outln!("detections (threshold {}):", args.threshold);
     for iv in &detections {
         let peak = scores[iv.start..iv.end].iter().cloned().fold(0.0f64, f64::max);
-        println!("  t = {}..{}  peak score {:.3}", offset + iv.start, offset + iv.end, peak);
+        outln!("  t = {}..{}  peak score {:.3}", offset + iv.start, offset + iv.end, peak);
     }
     if detections.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
     eprintln!("fine-tune sessions: {}", detector.fine_tune_count());
     eprintln!(
@@ -367,9 +383,9 @@ fn main() -> ExitCode {
         let vus = vus_pr(&scores, labels, args.window, 40);
         let fixed: Vec<bool> = scores.iter().map(|&s| s >= args.threshold).collect();
         let nab = nab_score(&fixed, labels).score;
-        println!("\nmetrics vs ground truth:");
-        println!("  best-F1 threshold {th:.3}: precision {p:.3}, recall {r:.3}, F1 {f1:.3}");
-        println!("  PR-AUC {auc:.3}   VUS-PR {vus:.3}   NAB (at --threshold) {nab:.3}");
+        outln!("\nmetrics vs ground truth:");
+        outln!("  best-F1 threshold {th:.3}: precision {p:.3}, recall {r:.3}, F1 {f1:.3}");
+        outln!("  PR-AUC {auc:.3}   VUS-PR {vus:.3}   NAB (at --threshold) {nab:.3}");
     }
     ExitCode::SUCCESS
 }
@@ -432,7 +448,7 @@ impl EngineSink for ServeSink {
         self.outputs += 1;
         if out.anomaly_score >= self.threshold {
             self.detections += 1;
-            println!(
+            outln!(
                 "detect stream={} t={} score={:.3}{}",
                 stream,
                 out.t,
@@ -692,13 +708,13 @@ fn run_fleet(args: &Args, spec: AlgorithmSpec, series: &LabeledSeries, n: usize)
 
     let stats = fleet.stats();
     let steps_per_sec = stats.steps as f64 / (total_ns.max(1) as f64 / 1e9);
-    println!(
+    outln!(
         "served {} detector steps: {} batched rows in {} shared passes ({} f32), {} scalar",
         stats.steps, stats.batched_rows, stats.batches, stats.f32_rows, stats.scalar_steps,
     );
-    println!("cohort rebuilds: {}", stats.cohort_rebuilds);
-    println!("throughput: {:.0} steps/s over {} rounds", steps_per_sec, latency.count());
-    println!(
+    outln!("cohort rebuilds: {}", stats.cohort_rebuilds);
+    outln!("throughput: {:.0} steps/s over {} rounds", steps_per_sec, latency.count());
+    outln!(
         "round latency: p50 {:.1} us, p99 {:.1} us",
         latency.quantile(0.50) * 1e6,
         latency.quantile(0.99) * 1e6,

@@ -267,3 +267,36 @@ fn serve_stdin_dirty_disconnect_still_flushes_metrics() {
     assert!(json.contains("\"sad_ingest_frames_total\": 159"), "engine counter: {json}");
     assert!(stderr.contains("served 159 frames"), "backlog still drained: {stderr}");
 }
+
+#[test]
+fn serve_keeps_serving_after_stdout_closes() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    // 4 x (2000 - 60) detect lines (~250 KB) overrun the pipe buffer, so the
+    // server is still printing when the reader goes away.
+    let frames = write_frames("servepipe", 4, 2000);
+    let json_path = std::env::temp_dir()
+        .join(format!("streamad-cli-smoke-servepipe-{}.json", std::process::id()));
+    let mut child = streamad()
+        .args(["serve", "--stdin", "--window", "6", "--warmup", "60", "--capacity", "16"])
+        .args(["--threshold", "0", "--metrics-json", json_path.to_str().unwrap()])
+        .stdin(std::fs::File::open(&frames).expect("frame file opens"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first detect line");
+    // The reader is dropped here: stdout is now a closed pipe.
+    let out = child.wait_with_output().expect("binary exits");
+    std::fs::remove_file(&frames).ok();
+    let json = std::fs::read_to_string(&json_path);
+    std::fs::remove_file(&json_path).ok();
+    assert!(first.starts_with("detect stream="), "first line: {first:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "a closed stdout must not kill the server: {stderr}");
+    let json = json.expect("--metrics-json written after stdout closed");
+    assert!(json.contains("\"sad_fleet_steps_total\": 8000"), "every frame stepped: {json}");
+}
