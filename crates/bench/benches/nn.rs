@@ -6,12 +6,18 @@
 //! The `batch=1` row quantifies what killing the per-step allocations is
 //! worth on its own (identical arithmetic, identical trajectory); larger
 //! batches add the GEMM-shaped weight-gradient kernels on top.
+//!
+//! `optim/adam_step` isolates the optimizer, which dominates a B=1 step:
+//! one full Adam step over an AE-sized parameter buffer through the
+//! dispatched `step_segment` (the AVX2+FMA reciprocal kernel where the CPU
+//! has it) against the portable pinned loop. Divide the time by the
+//! parameter count for ns per parameter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_nn::{Activation, Mlp};
-use sad_tensor::Adam;
+use sad_tensor::{Adam, Optimizer};
 use std::hint::black_box;
 
 /// Harness-shaped AE dimensions (Table III quick profile: w=20, N=9 →
@@ -117,5 +123,33 @@ fn bench_training_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_training_paths);
+/// Parameter counts of the grid AE (180→45→180) and the `serve_churn`
+/// AE (190→47→190).
+const ADAM_PARAMS: [usize; 2] = [16_425, 18_097];
+
+fn bench_adam_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("optim/adam_step");
+    group.sample_size(30);
+    for p in ADAM_PARAMS {
+        let grads: Vec<f64> = (0..p).map(|i| ((i as f64) * 0.37).sin() * 1e-2).collect();
+        for (name, pinned) in [("dispatched", false), ("pinned", true)] {
+            group.bench_with_input(BenchmarkId::new(name, p), &grads, |b, grads| {
+                let mut opt = Adam::new(1e-3);
+                let mut params = vec![0.5; grads.len()];
+                b.iter(|| {
+                    opt.begin_step(grads.len());
+                    if pinned {
+                        opt.step_segment_pinned(0, &mut params, black_box(grads));
+                    } else {
+                        opt.step_segment(0, &mut params, black_box(grads));
+                    }
+                });
+                black_box(&params);
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_training_paths, bench_adam_step);
 criterion_main!(benches);

@@ -22,10 +22,15 @@
 //! * **Squared-distance sweep** ([`sq_dist_accum_f64_avx2`]): the kNN
 //!   snapshot kernel, `acc[c] += (x_j − refs[c])²` — element-wise, same
 //!   argument.
+//! * **Adam step** (`adam_step_f64_avx2_fma`): the element-wise update of
+//!   [`Adam`](crate::Adam), with its two bias-correction divisions replaced
+//!   by a correctly rounded constant-divisor quotient.
 //!
-//! No kernel uses FMA: fused multiply-add skips the intermediate rounding
-//! of the product and would change bits (see the crate-level discussion in
-//! [`crate::scalar`]).
+//! FMA never contracts a product into a sum: fusing would skip the
+//! product's rounding and change bits (see the crate-level discussion in
+//! [`crate::scalar`]). Its one use is the exact remainder `a − b·q` inside
+//! the Adam kernel's constant-divisor quotient, whose result is the
+//! correctly rounded quotient `RN(a/b)` — the same bits a division gives.
 
 use std::arch::x86_64::*;
 
@@ -461,5 +466,261 @@ pub unsafe fn sq_dist_accum_f32_avx2(xj: f32, refs: &[f32], acc: &mut [f32]) {
         let d = xj - *rp.add(i);
         *ap.add(i) += d * d;
         i += 1;
+    }
+}
+
+/// The constants of one [`Adam`](crate::Adam) step: its hyper-parameters,
+/// the bias corrections `bcᵢ = 1 − βᵢ^t` and their reciprocals
+/// `RN(1/bcᵢ)`, which the caller guarantees for bias corrections in
+/// [2⁻³², 2³²] only.
+pub(crate) struct AdamCoeffs {
+    pub(crate) lr: f64,
+    pub(crate) beta1: f64,
+    pub(crate) beta2: f64,
+    pub(crate) eps: f64,
+    pub(crate) bc: (f64, f64),
+    pub(crate) inv_bc: (f64, f64),
+}
+
+/// Smallest dividend magnitude the reciprocal quotient takes (2⁻⁸⁰⁰).
+const QUOTIENT_MIN: f64 = f64::from_bits((1023 - 800) << 52);
+/// Largest dividend magnitude the reciprocal quotient takes (2⁸⁰⁰).
+const QUOTIENT_MAX: f64 = f64::from_bits((1023 + 800) << 52);
+
+/// AVX2+FMA Adam update over the 4-lane head of one parameter segment;
+/// returns how many leading elements it updated (`n / 4 · 4`). The caller
+/// runs the pinned loop over the rest.
+///
+/// Per lane this is the pinned loop's arithmetic, operation for operation:
+/// `m ← β₁·m + (1−β₁)·g` and `v ← β₂·v + ((1−β₂)·g)·g` with separate
+/// multiplies and adds, then `p ← p − (α·m̂)/(√v̂ + ε)`. Only `m̂ = m/bc₁`
+/// and `v̂ = v/bc₂` are computed differently — by
+/// [`div_by_reciprocal_pd`], which returns the correctly rounded quotient
+/// — so every result is bit-identical and the step costs one division and
+/// one square root per parameter instead of three and one.
+///
+/// # Safety
+/// Caller must verify AVX2 and FMA at runtime; `grads`, `m` and `v` have
+/// `params.len()` elements; `c.inv_bc` holds `RN(1/bcᵢ)` for bias
+/// corrections in [2⁻³², 2³²].
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn adam_step_f64_avx2_fma(
+    c: &AdamCoeffs,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) -> usize {
+    let n = params.len();
+    debug_assert!(grads.len() == n && m.len() == n && v.len() == n);
+    let beta1 = _mm256_set1_pd(c.beta1);
+    let one_minus_beta1 = _mm256_set1_pd(1.0 - c.beta1);
+    let beta2 = _mm256_set1_pd(c.beta2);
+    let one_minus_beta2 = _mm256_set1_pd(1.0 - c.beta2);
+    let (bc1, bc2) = (_mm256_set1_pd(c.bc.0), _mm256_set1_pd(c.bc.1));
+    let (inv_bc1, inv_bc2) = (_mm256_set1_pd(c.inv_bc.0), _mm256_set1_pd(c.inv_bc.1));
+    let lr = _mm256_set1_pd(c.lr);
+    let eps = _mm256_set1_pd(c.eps);
+    let (pp, gp, mp, vp) = (params.as_mut_ptr(), grads.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+    let head = n / 4 * 4;
+    let mut i = 0;
+    while i < head {
+        let g = _mm256_loadu_pd(gp.add(i));
+        let mi = _mm256_add_pd(
+            _mm256_mul_pd(beta1, _mm256_loadu_pd(mp.add(i))),
+            _mm256_mul_pd(one_minus_beta1, g),
+        );
+        let vi = _mm256_add_pd(
+            _mm256_mul_pd(beta2, _mm256_loadu_pd(vp.add(i))),
+            _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g),
+        );
+        _mm256_storeu_pd(mp.add(i), mi);
+        _mm256_storeu_pd(vp.add(i), vi);
+        let m_hat = div_by_reciprocal_pd(mi, bc1, inv_bc1);
+        let v_hat = div_by_reciprocal_pd(vi, bc2, inv_bc2);
+        let step = _mm256_div_pd(_mm256_mul_pd(lr, m_hat), _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
+        _mm256_storeu_pd(pp.add(i), _mm256_sub_pd(_mm256_loadu_pd(pp.add(i)), step));
+        i += 4;
+    }
+    head
+}
+
+/// `RN(a/b)` in every lane, from the reciprocal `y = RN(1/b)` and two
+/// exact-remainder FMA corrections; a lane outside the guard takes the
+/// true division.
+///
+/// ```text
+/// q₀ = RN(a·y)
+/// r₀ = RN(a − b·q₀)   q₁ = RN(q₀ + r₀·y)     (fnmadd, fmadd)
+/// r₁ = a − b·q₁       q₂ = RN(q₁ + r₁·y)     (fnmadd exact, fmadd)
+/// ```
+///
+/// **Why `q₂ = RN(a/b)`.** Let `u = 2⁻⁵³` and `ulp = ulp(a/b)`, and take
+/// `2⁻⁸⁰⁰ ≤ |a| ≤ 2⁸⁰⁰` and `2⁻³² ≤ b ≤ 2³²`.
+///
+/// 1. `|a·y − a/b| = |a|·|y − 1/b| ≤ |a|·½ulp(1/b) < 1 ulp`, and rounding
+///    adds at most ½ ulp: `|q₀ − a/b| < 1.5 ulp`. That is too far for the
+///    theorem below, so one correction alone has no proof.
+/// 2. With `e₀ = q₀ − a/b`, `y = (1+δ)/b` and `r₀ = −b·e₀·(1+ε)`
+///    (`|δ|, |ε| ≤ u`), the first correction's pre-rounding value is
+///    `a/b − e₀·(δ + ε + δε)`, within `1.5·(2u + u²) ulp ≲ 3u·ulp` of
+///    `a/b`. `q₁`, the float nearest that value, is therefore within
+///    `½ ulp + 6u·ulp < 1 ulp` of `a/b`.
+/// 3. Markstein's theorem (P. Markstein, IBM J. Res. Dev. 34(1), 1990;
+///    restated in Muller et al., *Handbook of Floating-Point
+///    Arithmetic*): if `y` is within ½ ulp of `1/b`, `q₁` is within 1 ulp
+///    of `a/b`, and nothing underflows or overflows, then `r₁ = a − b·q₁`
+///    is exactly representable — so the FMA computes it without error —
+///    and `RN(q₁ + r₁·y) = RN(a/b)`.
+///
+/// The premises are enforced, not assumed. `y` is a true division done
+/// once per step, and the caller passes it only for `b ∈ [2⁻³², 2³²]`.
+/// Within those ranges `|a/b| ≤ 2⁸³²`, and a nonzero remainder is a
+/// multiple of `ulp(b)·ulp(q₁) ≥ 2⁻⁹⁶⁹`, far above the normal minimum
+/// 2⁻¹⁰²², so nothing overflows or underflows. Any lane with `|a|`
+/// outside [2⁻⁸⁰⁰, 2⁸⁰⁰] — ±0, subnormals, ±∞ and NaN, which fails both
+/// ordered compares — is blended from `a / b` instead.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn div_by_reciprocal_pd(a: __m256d, b: __m256d, y: __m256d) -> __m256d {
+    let q0 = _mm256_mul_pd(a, y);
+    let q1 = _mm256_fmadd_pd(_mm256_fnmadd_pd(q0, b, a), y, q0);
+    let q2 = _mm256_fmadd_pd(_mm256_fnmadd_pd(q1, b, a), y, q1);
+    let mag = _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
+    let ok = _mm256_and_pd(
+        _mm256_cmp_pd::<_CMP_GE_OQ>(mag, _mm256_set1_pd(QUOTIENT_MIN)),
+        _mm256_cmp_pd::<_CMP_LE_OQ>(mag, _mm256_set1_pd(QUOTIENT_MAX)),
+    );
+    if _mm256_movemask_pd(ok) == 0b1111 {
+        q2
+    } else {
+        _mm256_blendv_pd(_mm256_div_pd(a, b), q2, ok)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fma_available() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+    }
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *state >> 11
+    }
+
+    /// A float with a random mantissa and a binary exponent in `exp`.
+    fn random_float(state: &mut u64, exp: std::ops::Range<i64>) -> f64 {
+        let e = exp.start + (lcg(state) % (exp.end - exp.start) as u64) as i64;
+        let mantissa = lcg(state) & ((1 << 52) - 1);
+        f64::from_bits((((1023 + e) as u64) << 52) | mantissa)
+    }
+
+    /// Every distinct bias correction `1 − βᵗ` the default betas produce
+    /// before it saturates at 1.0, computed as `Adam::begin_step` does.
+    fn default_bias_corrections() -> Vec<f64> {
+        let mut bcs: Vec<f64> = (1..=400)
+            .map(|t| 1.0 - 0.9f64.powi(t))
+            .chain((1..=40_000).map(|t| 1.0 - 0.999f64.powi(t)))
+            .collect();
+        bcs.sort_by(f64::total_cmp);
+        bcs.dedup();
+        bcs
+    }
+
+    /// Lanes of `div_by_reciprocal_pd(a, b, RN(1/b))` whose bits differ
+    /// from `a / b` (NaN lanes must both be NaN: Rust leaves NaN payloads
+    /// unspecified).
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn mismatches(a: [f64; 4], b: f64, y: f64) -> usize {
+        let mut got = [0.0; 4];
+        let q = div_by_reciprocal_pd(_mm256_loadu_pd(a.as_ptr()), _mm256_set1_pd(b), _mm256_set1_pd(y));
+        _mm256_storeu_pd(got.as_mut_ptr(), q);
+        let same = |g: f64, w: f64| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        a.iter().zip(got).filter(|&(&x, g)| !same(g, x / b)).count()
+    }
+
+    /// The exactness proof, checked: the hard dividends are those whose
+    /// quotient sits next to a rounding midpoint `x + ½ulp(x)`, so for
+    /// every default bias correction `b` this walks ±2 ulp around
+    /// `(x + ½ulp(x))·b` for random `x` of both signs, plus random
+    /// dividends across the whole guarded range. (Debug builds check a
+    /// sample; release CI runs all ~124M.)
+    #[test]
+    fn reciprocal_quotient_is_correctly_rounded_for_every_default_bias_correction() {
+        if !fma_available() {
+            return;
+        }
+        let bcs = default_bias_corrections();
+        assert_eq!(bcs.len(), 31_091);
+        let (mids, randoms) = if cfg!(debug_assertions) { (4, 4) } else { (400, 40) };
+        let mut state = 0x5eed_u64;
+        let (mut checks, mut bad) = (0usize, 0usize);
+        for &b in &bcs {
+            let y = 1.0 / b;
+            for _ in 0..mids {
+                let x = random_float(&mut state, -700..700);
+                let half_ulp = (f64::from_bits(x.to_bits() + 1) - x) * 0.5;
+                let mid = (x * b + half_ulp * b).to_bits();
+                let [n2, n1, n0, p1, p2] = [-2, -1, 0, 1, 2].map(|k| f64::from_bits(mid.wrapping_add_signed(k)));
+                // SAFETY: AVX2 + FMA checked above.
+                unsafe {
+                    bad += mismatches([n2, n1, n0, p1], b, y);
+                    bad += mismatches([p2, -n2, -n1, -n0], b, y);
+                    bad += mismatches([-p1, -p2, x * b, -(x * b)], b, y);
+                }
+                checks += 12;
+            }
+            for _ in 0..randoms {
+                let a = [0; 4].map(|_| {
+                    let r = random_float(&mut state, -800..800);
+                    if lcg(&mut state) & 1 == 0 { r } else { -r }
+                });
+                // SAFETY: AVX2 + FMA checked above.
+                bad += unsafe { mismatches(a, b, y) };
+                checks += 4;
+            }
+        }
+        assert_eq!(bad, 0, "{bad} of {checks} quotients differ from a / b");
+    }
+
+    /// Lanes outside the guard (±0, subnormals, ±∞, NaN, |a| beyond
+    /// [2⁻⁸⁰⁰, 2⁸⁰⁰]) take the true division, blended lane by lane with
+    /// in-range neighbours.
+    #[test]
+    fn guarded_lanes_take_the_true_division() {
+        if !fma_available() {
+            return;
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -2.2e-310,
+            f64::MIN_POSITIVE,
+            QUOTIENT_MIN,
+            QUOTIENT_MIN * 0.75,
+            QUOTIENT_MAX,
+            QUOTIENT_MAX * 1.5,
+            -1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for b in [0.1, 0.19, 0.271, 0.999, 1.0 - 0.999f64.powi(7), 1.0] {
+            let y = 1.0 / b;
+            for (i, &s) in specials.iter().enumerate() {
+                let other = specials[(i * 5 + 3) % specials.len()];
+                // SAFETY: AVX2 + FMA checked above.
+                let bad = unsafe { mismatches([s, 0.37, other, -s], b, y) };
+                assert_eq!(bad, 0, "a = {s:e}, b = {b}");
+            }
+        }
     }
 }

@@ -112,6 +112,30 @@ impl Optimizer for Sgd {
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias-corrected moments.
+///
+/// Per parameter the update is, in this order and with no contraction,
+///
+/// ```text
+/// m ← β₁·m + (1−β₁)·g        v ← β₂·v + ((1−β₂)·g)·g
+/// p ← p − (α·(m/bc₁)) / (√(v/bc₂) + ε)      bcᵢ = 1 − βᵢ^t
+/// ```
+///
+/// **Dispatch.** With the `simd` feature on an x86-64 CPU that reports
+/// AVX2 and FMA at runtime, [`Optimizer::step_segment`] runs the 4-lane
+/// head of each segment through an AVX2+FMA kernel that replaces the two
+/// bias-correction divisions by a multiply with `RN(1/bcᵢ)` (computed once
+/// per step in [`Optimizer::begin_step`]) plus two exact-remainder FMA
+/// corrections — one division and one square root per parameter instead
+/// of three and one. The correction returns the correctly rounded quotient
+/// (the proof is on the kernel, `microkernel::adam_step_f64_avx2_fma`), so
+/// every bit equals [`Adam::step_segment_pinned`], the portable loop that
+/// runs everywhere else and on the `n % 4` tail.
+///
+/// **Guard.** The proof needs its premises, and they are checked rather
+/// than assumed: a lane whose `m` or `v` lies outside [2⁻⁸⁰⁰, 2⁸⁰⁰] in
+/// magnitude (±0, subnormals, ±∞ and NaN included) takes the true
+/// division, and a step whose `bc₁` or `bc₂` lies outside [2⁻³², 2³²]
+/// runs the pinned loop whole.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate (α).
@@ -127,7 +151,15 @@ pub struct Adam {
     t: u64,
     /// Bias corrections `1 − βᵢ^t` of the step opened by `begin_step`.
     bc: (f64, f64),
+    /// `(RN(1/bc₁), RN(1/bc₂))` when both bias corrections lie in
+    /// [`BC_MIN`, `BC_MAX`]; `None` sends the whole step to the pinned loop.
+    inv_bc: Option<(f64, f64)>,
 }
+
+/// Smallest bias correction the reciprocal kernel accepts (2⁻³²).
+const BC_MIN: f64 = 1.0 / 4_294_967_296.0;
+/// Largest bias correction the reciprocal kernel accepts (2³²).
+const BC_MAX: f64 = 4_294_967_296.0;
 
 impl Adam {
     /// Creates Adam with the canonical β₁=0.9, β₂=0.999, ε=1e-8.
@@ -141,6 +173,31 @@ impl Adam {
             v: Vec::new(),
             t: 0,
             bc: (1.0, 1.0),
+            inv_bc: None,
+        }
+    }
+
+    /// The portable pinned loop behind [`Optimizer::step_segment`]: three
+    /// divisions and one square root per parameter, in the order the type
+    /// docs give. It is what every build without the AVX2+FMA kernel runs,
+    /// and public as the reference that kernel is benchmarked against
+    /// (`optim/adam_step` in `sad-bench`).
+    ///
+    /// # Panics
+    /// Panics if `params.len() != grads.len()` or the segment exceeds the
+    /// buffer declared by [`Optimizer::begin_step`].
+    pub fn step_segment_pinned(&mut self, offset: usize, params: &mut [f64], grads: &[f64]) {
+        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
+        let (bc1, bc2) = self.bc;
+        let m = &mut self.m[offset..offset + params.len()];
+        let v = &mut self.v[offset..offset + params.len()];
+        for i in 0..params.len() {
+            let g = grads[i];
+            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
+            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
+            let m_hat = m[i] / bc1;
+            let v_hat = v[i] / bc2;
+            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
 }
@@ -165,23 +222,44 @@ impl Optimizer for Adam {
         }
         assert_eq!(self.m.len(), total_len, "optimizer reused on different buffer");
         self.t += 1;
-        self.bc =
-            (1.0 - self.beta1.powi(self.t as i32), 1.0 - self.beta2.powi(self.t as i32));
+        // `powi` takes an i32: saturate rather than wrap, so a stream past
+        // 2³¹ steps keeps the limit bias corrections (both 1.0 by then)
+        // instead of −∞ (t = 2³¹) or 0 (t = 2³²).
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let bc = (1.0 - self.beta1.powi(t), 1.0 - self.beta2.powi(t));
+        let in_range = |b: f64| (BC_MIN..=BC_MAX).contains(&b);
+        self.bc = bc;
+        self.inv_bc = (in_range(bc.0) && in_range(bc.1)).then(|| (1.0 / bc.0, 1.0 / bc.1));
     }
 
     fn step_segment(&mut self, offset: usize, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        let (bc1, bc2) = self.bc;
-        let m = &mut self.m[offset..offset + params.len()];
-        let v = &mut self.v[offset..offset + params.len()];
-        for i in 0..params.len() {
-            let g = grads[i];
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if let Some(inv_bc) = self.inv_bc {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                let coeffs = crate::microkernel::AdamCoeffs {
+                    lr: self.lr,
+                    beta1: self.beta1,
+                    beta2: self.beta2,
+                    eps: self.eps,
+                    bc: self.bc,
+                    inv_bc,
+                };
+                let m = &mut self.m[offset..offset + params.len()];
+                let v = &mut self.v[offset..offset + params.len()];
+                // SAFETY: AVX2 and FMA support were just verified at runtime;
+                // all four slices have `params.len()` elements.
+                let head = unsafe {
+                    crate::microkernel::adam_step_f64_avx2_fma(&coeffs, params, grads, m, v)
+                };
+                let (params, grads) = (&mut params[head..], &grads[head..]);
+                self.step_segment_pinned(offset + head, params, grads);
+                return;
+            }
         }
+        self.step_segment_pinned(offset, params, grads);
     }
 }
 
@@ -374,6 +452,28 @@ mod tests {
     #[test]
     fn adam_segmented_step_is_bitwise_flat_step() {
         assert_segmented_matches_flat(Adam::new(0.05), Adam::new(0.05), 2, 25);
+    }
+
+    #[test]
+    fn adam_step_counter_saturates_instead_of_wrapping() {
+        // `powi` takes an i32. A wrapping cast made the step at t = 2³¹
+        // use powi(i32::MIN) (bias corrections −∞, every update −0) and the
+        // step at t = 2³² use powi(0) (bias corrections 0, weights NaN).
+        let grads = [0.3, -1.2, 4.0e-3, 2.5, -0.7];
+        let step_at = |t: u64| {
+            let mut opt = Adam::new(0.01);
+            let mut p = [0.5, -0.25, 1.0, 0.0, 2.0];
+            opt.step(&mut p, &grads);
+            let before = p;
+            opt.t = t - 1;
+            opt.step(&mut p, &grads);
+            assert!(p.iter().all(|x| x.is_finite()), "t = {t}: {p:?}");
+            assert!(p.iter().zip(&before).all(|(a, b)| a != b), "t = {t}: no update");
+            p.map(f64::to_bits)
+        };
+        let limit = step_at(i32::MAX as u64);
+        assert_eq!(step_at(1 << 31), limit);
+        assert_eq!(step_at(u64::from(u32::MAX) + 1), limit);
     }
 
     #[test]

@@ -25,11 +25,14 @@
 //! 2×4-output GEMM panel kernel for `A · Bᵀ` where every output keeps its
 //! own pinned lane accumulator, and AVX2 element-wise axpy / rank-4 /
 //! squared-distance sweeps. All of them use separate multiply and add
-//! instructions — **never FMA**, which contracts the intermediate rounding
-//! step and would change bits — and reduce horizontally in the same pinned
-//! order, so enabling the feature is observationally invisible: the f64
-//! parity suites pass with it on or off (asserted by
-//! `tests/precision_parity.rs`).
+//! instructions — FMA **never contracts a product into a sum**, which
+//! would skip the product's rounding and change bits — and reduce
+//! horizontally in the same pinned order, so enabling the feature is
+//! observationally invisible: the f64 parity suites pass with it on or off
+//! (asserted by `tests/precision_parity.rs`). FMA's one use is the exact
+//! remainder `a − b·q` in the Adam step's constant-divisor quotient
+//! ([`crate::Adam`]), whose result is the correctly rounded quotient — the
+//! bits a division gives.
 //!
 //! [`Matrix`]: crate::Matrix
 
@@ -438,10 +441,11 @@ pub fn dot_pinned_f32(a: &[f32], b: &[f32]) -> f32 {
 
 /// AVX2 `core::arch` variants of the pinned dot kernels.
 ///
-/// Both use separate `mul`/`add` instructions (no FMA — FMA skips the
-/// intermediate rounding and would change bits) and horizontal-reduce in
-/// the exact order of the scalar reference, so they are bitwise-identical
-/// to [`dot_pinned_f64`] / [`dot_pinned_f32`] on every input.
+/// Both use separate `mul`/`add` instructions (FMA never contracts a
+/// product into a sum: it skips the product's rounding and would change
+/// bits) and horizontal-reduce in the exact order of the scalar reference,
+/// so they are bitwise-identical to [`dot_pinned_f64`] / [`dot_pinned_f32`]
+/// on every input.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     use std::arch::x86_64::*;

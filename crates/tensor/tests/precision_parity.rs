@@ -16,11 +16,16 @@
 //!
 //! Shapes sweep every tile boundary: the 4-wide k-block and 8-wide lane
 //! tiles at size−1 / size / size+1, plus degenerate 1×N and N×1.
+//!
+//! The Adam step is held to the same standard: whichever path
+//! `Adam::step_segment` dispatches to (the AVX2+FMA reciprocal kernel or
+//! the portable loop) must reproduce a frozen copy of the three-division
+//! loop bit for bit, through t = 355 where `1 − 0.9^t` reaches 1.0.
 
 use proptest::prelude::*;
 use sad_tensor::{
-    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, sq_dist_accum_tiled, Matrix,
-    Scalar,
+    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, sq_dist_accum_tiled, Adam,
+    Matrix, Optimizer, Scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -96,6 +101,31 @@ fn ref_matvec_t(a: &Matrix<f64>, v: &[f64]) -> Vec<f64> {
         }
     }
     out
+}
+
+/// Legacy Adam state: default betas and ε, moments sized on creation.
+struct RefAdam {
+    lr: f64,
+    m: Vec<f64>,
+    v: Vec<f64>,
+    t: i32,
+}
+
+/// Legacy `Adam::step`: bias corrections from `powi`, then per parameter
+/// the moment updates, three divisions and one square root.
+fn ref_adam_step(s: &mut RefAdam, params: &mut [f64], grads: &[f64]) {
+    let (beta1, beta2, eps) = (0.9f64, 0.999f64, 1e-8);
+    s.t += 1;
+    let bc1 = 1.0 - beta1.powi(s.t);
+    let bc2 = 1.0 - beta2.powi(s.t);
+    for i in 0..params.len() {
+        let g = grads[i];
+        s.m[i] = beta1 * s.m[i] + (1.0 - beta1) * g;
+        s.v[i] = beta2 * s.v[i] + (1.0 - beta2) * g * g;
+        let m_hat = s.m[i] / bc1;
+        let v_hat = s.v[i] / bc2;
+        params[i] -= s.lr * m_hat / (v_hat.sqrt() + eps);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -330,6 +360,76 @@ fn dispatched_sq_dist_sweep_matches_portable_and_sequential_sums_bitwise() {
     }
 }
 
+/// Gradients that stay finite but leave the quotient kernel's guarded
+/// range: zeros (which also keep `m` at ±0), subnormals and 1e±300
+/// (whose square overflows or underflows `v`).
+const ADAM_EDGE_GRADS: &[f64] = &[0.0, -0.0, 5e-324, -1.1e-310, 1e300, -1e300, 1e-300, -1e-300];
+
+/// One Adam gradient: mostly magnitudes 1e-8..1e2 of either sign; an
+/// edge value one time in `edge_one_in` (never when it is 0).
+fn adam_grad(state: &mut u64, edge_one_in: u64) -> f64 {
+    let r = lcg(state);
+    if edge_one_in > 0 && r.is_multiple_of(edge_one_in) {
+        return ADAM_EDGE_GRADS[(lcg(state) % ADAM_EDGE_GRADS.len() as u64) as usize];
+    }
+    let mag = 10f64.powi((lcg(state) % 11) as i32 - 8);
+    let x = (lcg(state) % 1999) as f64 / 1000.0 - 0.999;
+    x * mag
+}
+
+/// Bits equal, or both NaN (Rust does not pin NaN payloads).
+fn assert_adam_params_eq(got: &[f64], want: &[f64], ctx: &str) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{ctx}: param {i}: {g:e} vs {w:e}",
+        );
+    }
+}
+
+/// Steps `Adam` (through `step_segment` over the segments cut at `cuts`)
+/// and the frozen reference side by side for `steps` steps on gradients
+/// from `adam_grad`, comparing every parameter after every step. At step
+/// `poison.0` gradient `poison.1 % len` becomes `poison.2` (±∞ or NaN).
+fn assert_adam_tracks_reference(
+    len: usize,
+    cuts: &[usize],
+    steps: usize,
+    seed: u64,
+    edge_one_in: u64,
+    poison: (usize, usize, f64),
+) {
+    let mut opt = Adam::new(1e-3);
+    let mut reference = RefAdam { lr: 1e-3, m: vec![0.0; len], v: vec![0.0; len], t: 0 };
+    let mut params = vector(len, seed);
+    let mut want = params.clone();
+    let mut state = seed.wrapping_mul(0x2545f4914f6cdd1d).wrapping_add(7);
+    let mut grads = vec![0.0; len];
+    for step in 1..=steps {
+        for g in grads.iter_mut() {
+            *g = adam_grad(&mut state, edge_one_in);
+        }
+        if step == poison.0 && len > 0 {
+            grads[poison.1 % len] = poison.2;
+        }
+        opt.begin_step(len);
+        let mut start = 0;
+        for &end in cuts.iter().chain([&len]) {
+            opt.step_segment(start, &mut params[start..end], &grads[start..end]);
+            start = end;
+        }
+        ref_adam_step(&mut reference, &mut want, &grads);
+        assert_adam_params_eq(&params, &want, &format!("len {len} cuts {cuts:?} t={step}"));
+    }
+}
+
+/// The churn AE's parameter count, 400 steps: the dispatched step stays
+/// on the legacy trajectory through t = 355, where `bc₁` becomes 1.0.
+#[test]
+fn adam_step_matches_legacy_bitwise_at_churn_ae_size() {
+    assert_adam_tracks_reference(18_097, &[8_930, 8_977, 17_907], 400, 42, 0, (0, 0, 0.0));
+}
+
 // ---------------------------------------------------------------------------
 // 2. Property tests: random shapes and values (with planted 0.0 / -0.0),
 //    f64 bitwise vs reference and f32 within tolerance of f64.
@@ -362,6 +462,28 @@ proptest! {
         a.matmul_transpose_a_acc(&lhs, &mut got);
         ref_matmul_transpose_a_acc(&a, &lhs, &mut want);
         assert_bits_eq(&got, &want, "prop matmul_transpose_a_acc");
+    }
+
+    /// `Adam::step_segment` against the frozen three-division loop at
+    /// every length 0–67 (every `n % 4` tail), split into up to three
+    /// segments at random offsets, over 400 steps (across t = 355), with
+    /// edge gradients (±0, subnormals, 1e±300) at a random rate and one
+    /// planted ±∞ or NaN.
+    #[test]
+    fn prop_adam_step_is_bitwise_legacy(
+        len in 0usize..=67,
+        cut_a in 0usize..=67,
+        cut_b in 0usize..=67,
+        seed in 0u64..100000,
+        edge_one_in in 0u64..64,
+        poison_step in 1usize..=500,
+        poison_at in 0usize..67,
+        poison_kind in 0usize..3,
+    ) {
+        let mut cuts = [cut_a.min(len), cut_b.min(len)];
+        cuts.sort_unstable();
+        let poison = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][poison_kind];
+        assert_adam_tracks_reference(len, &cuts, 400, seed, edge_one_in, (poison_step, poison_at, poison));
     }
 
     /// Whatever dispatch leg runs, the f32 serving GEMM stays bitwise on
