@@ -115,35 +115,41 @@ impl TimingArtifact {
     pub fn to_registry(&self) -> sad_obs::Registry {
         use sad_obs::{with_label, Histogram, Registry};
         let mut reg = Registry::new();
-        let jobs = reg.register_gauge("sad_grid_jobs", "Worker threads used.");
-        reg.set_gauge(jobs, self.jobs as f64);
-        let wall = reg.register_gauge("sad_grid_wall_seconds", "End-to-end grid wall time.");
-        reg.set_gauge(wall, self.wall_time.as_secs_f64());
-        let cpu = reg.register_gauge("sad_grid_cpu_seconds", "Serial-equivalent grid cost.");
-        reg.set_gauge(cpu, self.cpu_time.as_secs_f64());
-        let fits = reg.register_counter(
+        reg.register_gauge("sad_grid_jobs", "Worker threads used.", self.jobs as f64);
+        reg.register_gauge(
+            "sad_grid_wall_seconds",
+            "End-to-end grid wall time.",
+            self.wall_time.as_secs_f64(),
+        );
+        reg.register_gauge(
+            "sad_grid_cpu_seconds",
+            "Serial-equivalent grid cost.",
+            self.cpu_time.as_secs_f64(),
+        );
+        reg.register_counter(
             "sad_grid_initial_fits_total",
             "fit_initial invocations across the grid.",
+            self.roots.iter().map(|r| r.initial_fits as u64).sum(),
         );
-        reg.inc(fits, self.roots.iter().map(|r| r.initial_fits as u64).sum());
-        let unit_wall = reg.register_histogram(
-            "sad_grid_unit_seconds",
-            "Wall time per scheduling unit (root).",
-            Histogram::log2(1e-3, 4096.0),
-        );
+        let mut unit_wall = Histogram::log2(1e-3, 4096.0);
         for root in &self.roots {
-            reg.record(unit_wall, root.wall.as_secs_f64());
-            let w = reg.register_gauge(
+            unit_wall.record(root.wall.as_secs_f64());
+            reg.register_gauge(
                 &with_label("sad_grid_unit_wall_seconds", "unit", &root.label),
                 "Wall time of one scheduling unit.",
+                root.wall.as_secs_f64(),
             );
-            reg.set_gauge(w, root.wall.as_secs_f64());
-            let t = reg.register_gauge(
+            reg.register_gauge(
                 &with_label("sad_grid_unit_train_seconds", "unit", &root.label),
                 "Model-training share of one scheduling unit.",
+                root.train_seconds,
             );
-            reg.set_gauge(t, root.train_seconds);
         }
+        reg.register_histogram(
+            "sad_grid_unit_seconds",
+            "Wall time per scheduling unit (root).",
+            unit_wall,
+        );
         reg
     }
 }

@@ -20,7 +20,7 @@ use crate::nonconformity::nonconformity;
 use crate::repr::{FeatureVector, RawWindow};
 use crate::score::{AnomalyScorer, ScorerBank};
 use crate::strategy::{SetUpdate, TrainingSetStrategy};
-use crate::telemetry::LifecycleTelemetry;
+use sad_obs::{with_label, Histogram, Registry};
 
 /// Static configuration of a [`Detector`].
 #[derive(Debug, Clone)]
@@ -170,9 +170,12 @@ pub struct Detector {
     mid_step: bool,
     drift_times: Vec<usize>,
     fine_tunes: usize,
-    /// Lifecycle metric registry (warm-up, drift, fine-tune, per-step
-    /// nonconformity). Pure observation — never feeds back into detection.
-    telemetry: LifecycleTelemetry,
+    /// Completed post-warm-up steps. Kept apart from the histogram's
+    /// count, which skips NaN scores.
+    steps: u64,
+    /// Per-step nonconformity scores. Pure observation — never feeds back
+    /// into detection.
+    nonconformity: Histogram,
 }
 
 impl Detector {
@@ -195,10 +198,6 @@ impl Detector {
         drift: Box<dyn DriftDetector>,
         scorer: Box<dyn AnomalyScorer>,
     ) -> Self {
-        let mut telemetry = LifecycleTelemetry::new(drift.name());
-        if trunk.warmed_up {
-            telemetry.on_warmup_complete();
-        }
         Self {
             trunk,
             drift,
@@ -206,7 +205,8 @@ impl Detector {
             mid_step: false,
             drift_times: Vec::new(),
             fine_tunes: 0,
-            telemetry,
+            steps: 0,
+            nonconformity: nonconformity_histogram(),
         }
     }
 
@@ -242,10 +242,6 @@ impl Detector {
     pub fn begin_step(&mut self, s: &[f64]) -> bool {
         assert!(!self.mid_step, "begin_step called twice without finish_step");
         if !self.trunk.push(s, std::slice::from_mut(&mut self.drift)) {
-            if self.trunk.warmed_up {
-                // This step ran the initial fit.
-                self.telemetry.on_warmup_complete();
-            }
             return false;
         }
         self.mid_step = true;
@@ -275,7 +271,8 @@ impl Detector {
         let trunk = &mut self.trunk;
         let t = trunk.t - 1;
         let a_t = nonconformity(&trunk.scratch, output);
-        self.telemetry.record_step(a_t);
+        self.steps += 1;
+        self.nonconformity.record(a_t);
         let f_t = self.scorer.update(a_t);
         let update = trunk.strategy.update(&trunk.scratch, f_t);
         let drift = self.drift.observe(&trunk.scratch, &update, trunk.strategy.training_set());
@@ -285,7 +282,6 @@ impl Detector {
         let mut fine_tuned = false;
         if drift {
             self.drift_times.push(t);
-            self.telemetry.on_drift();
             let started = std::time::Instant::now();
             for _ in 0..trunk.config.fine_tune_epochs {
                 trunk.model.fine_tune(trunk.strategy.training_set());
@@ -298,7 +294,6 @@ impl Detector {
             fine_tuned = trunk.config.fine_tune_epochs > 0;
             if fine_tuned {
                 self.fine_tunes += 1;
-                self.telemetry.on_fine_tune();
             }
         }
         StepOutput { t, nonconformity: a_t, anomaly_score: f_t, drift, fine_tuned }
@@ -434,24 +429,106 @@ impl Detector {
         self.drift.removal_misses()
     }
 
-    /// The detector's lifecycle telemetry (read-only).
-    pub fn telemetry(&self) -> &LifecycleTelemetry {
-        &self.telemetry
-    }
-
-    /// Snapshots the full per-detector metric registry: the lifecycle
-    /// registry plus `sad_detector_removal_misses_total` and
-    /// `sad_detector_train_seconds`. Snapshots of any two detectors merge
-    /// via [`sad_obs::Registry::merge_from`] (the schema is shared across
-    /// Task-2 variants). Allocates — export path only.
-    pub fn export_metrics(&self) -> sad_obs::Registry {
-        self.telemetry.snapshot(self.drift.removal_misses(), self.trunk.train_time)
+    /// Exports this detector's lifecycle metrics (see
+    /// [`register_lifecycle`]). Allocates — export path only.
+    pub fn export_metrics(&self) -> Registry {
+        let mut reg = Registry::new();
+        register_lifecycle(&mut reg, [self]);
+        reg
     }
 
     /// Component names as `(model, task1, task2, scorer)` for reports.
     pub fn component_names(&self) -> (&'static str, &'static str, &'static str, &'static str) {
         (self.trunk.model.name(), self.trunk.strategy.name(), self.drift.name(), self.scorer.name())
     }
+}
+
+/// The paper's three Task-2 variants (Table I). A lifecycle export always
+/// carries their drift counters, so exports of any two populations share
+/// one leading schema.
+const PAPER_TASK2_VARIANTS: [&str; 3] = ["Regular", "μ/σ", "KS"];
+
+/// The bucket schema of every detector's nonconformity histogram: 20
+/// equal buckets over `a_t ∈ [0, 1]`.
+fn nonconformity_histogram() -> Histogram {
+    Histogram::linear(0.0, 1.0, 20)
+}
+
+/// Registers the `sad_detector_*` lifecycle families of a detector
+/// population — one detector for [`Detector::export_metrics`], the live
+/// streams of a serving fleet — read from the fields each detector keeps
+/// anyway: warm-up and initial-fit counts from its warm-up state, drift
+/// counts from its drift times, fine-tune counts from its fine-tune tally.
+///
+/// Counters are sums over the population; drift counts are summed by
+/// [`DriftDetector::name`], the paper's three labels first (always
+/// present), then any other name in first-seen order. The train-time
+/// gauge is the population's maximum [`Detector::train_time`], and the
+/// nonconformity histograms merge bucket-wise. An empty population
+/// registers nothing. Allocates — export path only.
+pub fn register_lifecycle<'a>(
+    reg: &mut Registry,
+    detectors: impl IntoIterator<Item = &'a Detector>,
+) {
+    let mut detectors = detectors.into_iter().peekable();
+    if detectors.peek().is_none() {
+        return;
+    }
+    let (mut steps, mut warmed_up, mut fine_tunes, mut removal_misses) = (0, 0, 0, 0);
+    let mut train_seconds = 0.0f64;
+    let mut drifts: Vec<(&str, u64)> = PAPER_TASK2_VARIANTS.iter().map(|&v| (v, 0)).collect();
+    let mut nonconformity = nonconformity_histogram();
+    for det in detectors {
+        steps += det.steps;
+        warmed_up += u64::from(det.trunk.warmed_up);
+        fine_tunes += det.fine_tunes as u64;
+        removal_misses += det.drift.removal_misses();
+        train_seconds = train_seconds.max(det.trunk.train_time.as_secs_f64());
+        let (name, count) = (det.drift.name(), det.drift_times.len() as u64);
+        match drifts.iter_mut().find(|(variant, _)| *variant == name) {
+            Some((_, total)) => *total += count,
+            None => drifts.push((name, count)),
+        }
+        nonconformity.merge_from(&det.nonconformity);
+    }
+    reg.register_counter("sad_detector_steps_total", "Post-warm-up detector steps.", steps);
+    reg.register_counter(
+        "sad_detector_warmup_completions_total",
+        "Warm-up segments completed.",
+        warmed_up,
+    );
+    reg.register_counter(
+        "sad_detector_initial_fits_total",
+        "Initial model fits at the end of warm-up.",
+        warmed_up,
+    );
+    for (variant, count) in drifts {
+        reg.register_counter(
+            &with_label("sad_detector_drift_events_total", "task2", variant),
+            "Drift triggers by Task-2 variant.",
+            count,
+        );
+    }
+    reg.register_counter(
+        "sad_detector_fine_tune_events_total",
+        "Fine-tune sessions (drift events with a trainable model).",
+        fine_tunes,
+    );
+    reg.register_counter(
+        "sad_detector_removal_misses_total",
+        "Training-set removals the Task-2 detector could not honor.",
+        removal_misses,
+    );
+    reg.register_gauge(
+        "sad_detector_train_seconds",
+        "Cumulative model training wall time (max across merged detectors).",
+        train_seconds,
+    );
+    reg.register_histogram(
+        "sad_detector_nonconformity",
+        "Per-step nonconformity scores a_t.",
+        nonconformity,
+    );
 }
 
 /// Shared-prefix warm-up driver: one warm-up + initial fit forked across
@@ -631,6 +708,113 @@ mod tests {
         // 50 post-warm-up steps with interval 10 -> 5 fine-tunes.
         assert_eq!(det.fine_tune_count(), 5);
         assert_eq!(det.drift_times(), &[19, 29, 39, 49, 59]);
+    }
+
+    /// Delegates to [`RegularInterval`] under a name outside the paper's
+    /// three Task-2 variants, and reports a fixed number of removal misses.
+    #[derive(Clone)]
+    struct CustomInterval(RegularInterval);
+
+    const CUSTOM_REMOVAL_MISSES: u64 = 3;
+
+    impl DriftDetector for CustomInterval {
+        fn name(&self) -> &'static str {
+            "Custom"
+        }
+        fn removal_misses(&self) -> u64 {
+            CUSTOM_REMOVAL_MISSES
+        }
+        fn observe(
+            &mut self,
+            x: &FeatureVector,
+            update: &SetUpdate,
+            train: &[FeatureVector],
+        ) -> bool {
+            self.0.observe(x, update, train)
+        }
+        fn on_fine_tune(&mut self, train: &[FeatureVector]) {
+            self.0.on_fine_tune(train)
+        }
+        fn ops(&self) -> sad_stats::OpCount {
+            self.0.ops()
+        }
+        fn clone_box(&self) -> Box<dyn DriftDetector> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn interval_detector(drift: Box<dyn DriftDetector>) -> Detector {
+        let config = DetectorConfig {
+            window: 3,
+            channels: 2,
+            warmup: 10,
+            initial_epochs: 1,
+            fine_tune_epochs: 1,
+        };
+        Detector::new(
+            config,
+            Box::new(LastValueModel::default()),
+            Box::new(SlidingWindowSet::new(5)),
+            drift,
+            Box::new(RawScore),
+        )
+    }
+
+    /// The lifecycle export reads each detector's own fields: drift counts
+    /// sum by variant name (paper labels first, then first-seen names),
+    /// removal misses sum over the population, frozen drift events count
+    /// as drift but not as fine-tunes, and a detector still in warm-up
+    /// adds no warm-up, step or drift.
+    #[test]
+    fn lifecycle_export_sums_a_population_by_variant_name() {
+        let mut regular = interval_detector(Box::new(RegularInterval::new(10)));
+        let _ = regular.run(&smooth_series(60));
+        let mut custom = interval_detector(Box::new(CustomInterval(RegularInterval::new(10))));
+        let _ = custom.run(&smooth_series(40));
+        let mut frozen = interval_detector(Box::new(CustomInterval(RegularInterval::new(10))));
+        frozen.freeze_model();
+        let _ = frozen.run(&smooth_series(60));
+        let mut warming = make_detector(20);
+        let _ = warming.run(&smooth_series(5));
+
+        let mut reg = Registry::new();
+        register_lifecycle(&mut reg, [&regular, &custom, &frozen, &warming]);
+        let counter = |name: &str| reg.counter_by_name(name).unwrap();
+        let drift =
+            |variant| counter(&with_label("sad_detector_drift_events_total", "task2", variant));
+        assert_eq!(counter("sad_detector_steps_total"), 50 + 30 + 50);
+        assert_eq!(counter("sad_detector_warmup_completions_total"), 3);
+        assert_eq!(counter("sad_detector_initial_fits_total"), 3);
+        assert_eq!((drift("Regular"), drift("μ/σ"), drift("KS"), drift("Custom")), (5, 0, 0, 3 + 5));
+        assert_eq!(counter("sad_detector_fine_tune_events_total"), 5 + 3);
+        assert_eq!(counter("sad_detector_removal_misses_total"), 2 * CUSTOM_REMOVAL_MISSES);
+        let names: Vec<&str> = reg.counters().map(|(name, _, _)| name).collect();
+        let custom_at = names.iter().position(|n| n.contains("Custom")).unwrap();
+        assert!(names[custom_at - 1].contains("\"KS\""), "after the paper labels: {names:?}");
+        let slowest = [&regular, &custom, &frozen].map(|d| d.train_time().as_secs_f64());
+        assert_eq!(
+            reg.gauge_by_name("sad_detector_train_seconds"),
+            Some(slowest.into_iter().fold(0.0, f64::max))
+        );
+        assert_eq!(reg.histogram_by_name("sad_detector_nonconformity").unwrap().count(), 130);
+
+        let mut empty = Registry::new();
+        register_lifecycle(&mut empty, []);
+        assert!(empty.is_empty(), "an empty population exports nothing");
+    }
+
+    /// A step whose nonconformity is NaN still counts as a step; the
+    /// histogram, which skips NaN, does not see it.
+    #[test]
+    fn nan_nonconformity_counts_as_a_step_but_not_an_observation() {
+        let mut det = make_detector(20);
+        let _ = det.run(&smooth_series(30));
+        assert!(det.begin_step(&[0.1, 0.2]));
+        let out = det.finish_step(&ModelOutput::Forecast(vec![f64::NAN, f64::NAN]));
+        assert!(out.nonconformity.is_nan());
+        let reg = det.export_metrics();
+        assert_eq!(reg.counter_by_name("sad_detector_steps_total"), Some(11));
+        assert_eq!(reg.histogram_by_name("sad_detector_nonconformity").unwrap().count(), 10);
     }
 
     #[test]

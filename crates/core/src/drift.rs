@@ -44,7 +44,7 @@ pub trait DriftDetector: Send {
     /// value was absent from the detector's internal state. Only
     /// [`KswinDetector`] maintains removable state, so the default is 0;
     /// a non-zero count flags a Task-1 strategy bug (surfaced through the
-    /// telemetry registry as `sad_detector_removal_misses_total`).
+    /// lifecycle export as `sad_detector_removal_misses_total`).
     fn removal_misses(&self) -> u64 {
         0
     }

@@ -34,9 +34,10 @@ pub mod registry;
 pub mod repr;
 pub mod score;
 pub mod strategy;
-pub mod telemetry;
 
-pub use detector::{Detector, DetectorConfig, FanoutRun, SharedWarmup, StepOutput};
+pub use detector::{
+    register_lifecycle, Detector, DetectorConfig, FanoutRun, SharedWarmup, StepOutput,
+};
 pub use drift::{DriftDetector, KswinDetector, MuSigmaChange, RegularInterval};
 pub use model::{ModelOutput, StreamModel};
 pub use nonconformity::{nonconformity, NonconformityKind};
@@ -46,4 +47,3 @@ pub use score::{AnomalyLikelihood, AnomalyScorer, MovingAverage, RawScore, Score
 pub use strategy::{
     AnomalyAwareReservoir, SetUpdate, SlidingWindowSet, TrainingSetStrategy, UniformReservoir,
 };
-pub use telemetry::LifecycleTelemetry;

@@ -56,27 +56,29 @@
 //!
 //! ## Telemetry
 //!
-//! Each shard owns a `sad_obs` metric registry (shard-local — no atomics,
-//! matching the disjoint-state model): serving counters, a queue-depth
-//! high-water gauge, and batch-width / round-latency histograms. Every
-//! recording call in the drain loop is zero-alloc (the steady-state
-//! allocation guard runs with telemetry on), and nothing observed feeds
-//! back into detection. [`DetectorFleet::stats`] is a snapshot of those
-//! counters; [`DetectorFleet::export_metrics`] merges the shard
-//! registries with the per-detector lifecycle aggregate for the
-//! Prometheus/JSON sinks. `FleetConfig::telemetry` gates only the clock
-//! reads and the queue sweep (the measured overhead knob).
+//! Each shard counts its own serving events in a plain [`FleetStats`]
+//! (shard-local — no atomics, matching the disjoint-state model), next to
+//! a queue-depth high-water mark and batch-width / round-latency
+//! `sad_obs::Histogram`s. Counting is an integer add and recording is
+//! zero-alloc (the steady-state allocation guard runs with telemetry on),
+//! and nothing observed feeds back into detection.
+//! [`DetectorFleet::stats`] sums the shards' counters;
+//! [`DetectorFleet::export_metrics`] builds a `sad_obs::Registry` from
+//! them, the merged histograms and the live detectors' lifecycle
+//! (`sad_core::register_lifecycle`) for the Prometheus/JSON sinks.
+//! `FleetConfig::telemetry` gates only the clock reads and the queue sweep
+//! (the measured overhead knob).
 
 use sad_core::{Detector, ModelOutput, StepOutput, StreamModel};
 use sad_models::{
     batch_arch_key, infer_state_equal, infer_view, ArchKey, InferBatch, InferSnapshot, InferView,
     Scalar,
 };
-use sad_obs::{CounterId, GaugeId, Histogram, HistogramId, Registry};
+use sad_obs::{Histogram, Registry};
 
 /// What to do with an incoming stream vector when its bounded per-stream
-/// queue is full ([`DetectorFleet::offer`]). Every policy is accounted in
-/// the shard metric registries (`sad_fleet_bp_*_total`).
+/// queue is full ([`DetectorFleet::offer`]). Every policy is counted in
+/// [`FleetStats`] (exported as `sad_fleet_bp_*_total`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
     /// Refuse the vector and report [`OfferOutcome::WouldBlock`]: the
@@ -153,11 +155,12 @@ impl Default for FleetConfig {
     }
 }
 
-/// Cumulative serving counters — a snapshot derived from the per-shard
-/// metric registries by [`DetectorFleet::stats`].
+/// Cumulative serving counters. Each shard counts its own; a snapshot from
+/// [`DetectorFleet::stats`] sums them over shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Detector steps completed (warm-up steps included).
+    /// Detector steps completed (warm-up steps included): always
+    /// `scalar_steps + batched_rows`, derived when the stats are read.
     pub steps: usize,
     /// Steps served through the scalar per-stream path.
     pub scalar_steps: usize,
@@ -187,111 +190,6 @@ pub struct FleetStats {
     pub admitted: usize,
     /// Streams retired through [`DetectorFleet::retire`].
     pub retired: usize,
-}
-
-/// A shard's metric registry plus the preregistered handles its hot loop
-/// records through. Built once per shard; every recording call in
-/// [`Shard::round`] is zero-alloc by the `sad_obs` registry contract (the
-/// shard's steady-state allocation guard runs with these live).
-struct ShardMetrics {
-    reg: Registry,
-    steps: CounterId,
-    scalar_steps: CounterId,
-    batched_rows: CounterId,
-    batches: CounterId,
-    f32_rows: CounterId,
-    cohort_rebuilds: CounterId,
-    f32_resyncs: CounterId,
-    bp_blocked: CounterId,
-    bp_dropped_newest: CounterId,
-    bp_dropped_oldest: CounterId,
-    admitted: CounterId,
-    retired: CounterId,
-    queue_high_water: GaugeId,
-    batch_rows: HistogramId,
-    round_seconds: HistogramId,
-}
-
-impl ShardMetrics {
-    fn new() -> Self {
-        let mut reg = Registry::new();
-        let steps =
-            reg.register_counter("sad_fleet_steps_total", "Detector steps served (all paths).");
-        let scalar_steps = reg.register_counter(
-            "sad_fleet_scalar_steps_total",
-            "Steps served through the scalar per-stream path.",
-        );
-        let batched_rows = reg.register_counter(
-            "sad_fleet_batched_rows_total",
-            "Steps served through a shared batched forward pass.",
-        );
-        let batches = reg
-            .register_counter("sad_fleet_batches_total", "Shared batched forward passes executed.");
-        let f32_rows = reg.register_counter(
-            "sad_fleet_f32_rows_total",
-            "Batched rows served through an f32 weight snapshot.",
-        );
-        let cohort_rebuilds = reg.register_counter(
-            "sad_fleet_cohort_rebuilds_total",
-            "Cohort rebuilds triggered by training events.",
-        );
-        let f32_resyncs = reg.register_counter(
-            "sad_fleet_f32_resyncs_total",
-            "f32 weight-snapshot re-syncs performed by cohort rebuilds.",
-        );
-        let bp_blocked = reg.register_counter(
-            "sad_fleet_bp_blocked_total",
-            "offer() refusals on a full queue under the block policy.",
-        );
-        let bp_dropped_newest = reg.register_counter(
-            "sad_fleet_bp_dropped_newest_total",
-            "Incoming vectors discarded under the drop-newest policy.",
-        );
-        let bp_dropped_oldest = reg.register_counter(
-            "sad_fleet_bp_dropped_oldest_total",
-            "Queued vectors evicted under the drop-oldest policy.",
-        );
-        let admitted = reg.register_counter(
-            "sad_fleet_admitted_total",
-            "Streams admitted dynamically after fleet construction.",
-        );
-        let retired = reg.register_counter(
-            "sad_fleet_retired_total",
-            "Streams retired from the fleet.",
-        );
-        let queue_high_water = reg.register_gauge(
-            "sad_fleet_queue_high_water",
-            "Deepest per-stream input queue observed at a round start.",
-        );
-        let batch_rows = reg.register_histogram(
-            "sad_fleet_batch_rows",
-            "Rows amortized per shared forward pass.",
-            Histogram::log2(1.0, 4096.0),
-        );
-        let round_seconds = reg.register_histogram(
-            "sad_fleet_round_seconds",
-            "Shard round latency (rounds that served at least one step).",
-            Histogram::log2(1e-6, 16.0),
-        );
-        Self {
-            reg,
-            steps,
-            scalar_steps,
-            batched_rows,
-            batches,
-            f32_rows,
-            cohort_rebuilds,
-            f32_resyncs,
-            bp_blocked,
-            bp_dropped_newest,
-            bp_dropped_oldest,
-            admitted,
-            retired,
-            queue_high_water,
-            batch_rows,
-            round_seconds,
-        }
-    }
 }
 
 /// Fixed-capacity ring queue of `n`-channel stream vectors. Steady-state
@@ -443,7 +341,15 @@ struct Shard {
     f32_infer: bool,
     /// Gates the timed/shape telemetry (see [`FleetConfig::telemetry`]).
     telemetry: bool,
-    metrics: ShardMetrics,
+    /// This shard's serving counters; `steps` stays 0 here and is derived
+    /// by [`DetectorFleet::stats`].
+    stats: FleetStats,
+    /// Deepest per-stream input queue seen at a round start.
+    queue_high_water: f64,
+    /// Rows amortized per shared forward pass.
+    batch_rows: Histogram,
+    /// Latency of rounds that served at least one step.
+    round_seconds: Histogram,
 }
 
 impl Shard {
@@ -456,7 +362,10 @@ impl Shard {
             batching,
             f32_infer,
             telemetry,
-            metrics: ShardMetrics::new(),
+            stats: FleetStats::default(),
+            queue_high_water: 0.0,
+            batch_rows: Histogram::log2(1.0, 4096.0),
+            round_seconds: Histogram::log2(1e-6, 16.0),
         }
     }
 
@@ -508,7 +417,7 @@ impl Shard {
             group.dirty = true;
         }
         self.outs[slot] = None;
-        self.metrics.reg.inc(self.metrics.retired, 1);
+        self.stats.retired += 1;
     }
 
     /// Joins `slot` to the arch group matching its model, creating the
@@ -609,17 +518,15 @@ impl Shard {
     /// one step. Results land in `self.outs` (slot order).
     fn round(&mut self) {
         // Timed/shape telemetry: clock reads and the queue-depth sweep are
-        // the only per-round costs the flag adds — every recording call
-        // below them is zero-alloc indexed arithmetic.
+        // the only per-round costs the flag adds — every count and record
+        // below them is zero-alloc arithmetic.
         let started = self.telemetry.then(std::time::Instant::now);
         if self.telemetry {
             for slot in self.slots.iter().flatten() {
-                self.metrics
-                    .reg
-                    .gauge_max(self.metrics.queue_high_water, slot.queue.len() as f64);
+                self.queue_high_water = self.queue_high_water.max(slot.queue.len() as f64);
             }
         }
-        let steps_before = self.metrics.reg.counter(self.metrics.steps);
+        let served_before = self.served();
 
         for out in &mut self.outs {
             *out = None;
@@ -638,8 +545,7 @@ impl Shard {
                 slot.queue.pop_front();
                 self.outs[i] = out;
             }
-            self.metrics.reg.inc(self.metrics.steps, 1);
-            self.metrics.reg.inc(self.metrics.scalar_steps, 1);
+            self.stats.scalar_steps += 1;
             // Batching eligibility is decided once the model has fitted
             // (networks materialize at the warm-up fit).
             let slot = self.slots[i].as_ref().expect("slot was live above");
@@ -650,12 +556,11 @@ impl Shard {
         }
 
         // ---- Batched path, one arch group at a time.
-        let Shard { slots, out_bufs, outs, groups, telemetry, metrics, .. } = self;
+        let Shard { slots, out_bufs, outs, groups, telemetry, stats, batch_rows, .. } = self;
         for group in groups.iter_mut() {
             if group.dirty {
-                let resyncs = Self::rebuild_cohorts(group, slots);
-                metrics.reg.inc(metrics.cohort_rebuilds, 1);
-                metrics.reg.inc(metrics.f32_resyncs, resyncs as u64);
+                stats.f32_resyncs += Self::rebuild_cohorts(group, slots);
+                stats.cohort_rebuilds += 1;
             }
             // begin_step every member with input; all are post-warm-up, so
             // every begin yields a feature vector.
@@ -699,7 +604,7 @@ impl Shard {
                     Serving::F32 { batch, snapshots } => {
                         let view = snapshots[c].view();
                         serve_cohort(batch, view, positions, members, slots, out_bufs);
-                        metrics.reg.inc(metrics.f32_rows, rows as u64);
+                        stats.f32_rows += rows;
                     }
                 }
                 for &pos in group.cohort_rows.iter() {
@@ -710,12 +615,11 @@ impl Shard {
                         group.dirty = true;
                     }
                     outs[si] = Some(out);
-                    metrics.reg.inc(metrics.steps, 1);
-                    metrics.reg.inc(metrics.batched_rows, 1);
                 }
-                metrics.reg.inc(metrics.batches, 1);
+                stats.batched_rows += rows;
+                stats.batches += 1;
                 if *telemetry {
-                    metrics.reg.record(metrics.batch_rows, rows as f64);
+                    batch_rows.record(rows as f64);
                 }
             }
         }
@@ -723,12 +627,15 @@ impl Shard {
         // Round latency covers rounds that actually served a step — an
         // idle drain would otherwise drag the percentiles toward zero.
         if let Some(started) = started {
-            if self.metrics.reg.counter(self.metrics.steps) > steps_before {
-                self.metrics
-                    .reg
-                    .record(self.metrics.round_seconds, started.elapsed().as_secs_f64());
+            if self.served() > served_before {
+                self.round_seconds.record(started.elapsed().as_secs_f64());
             }
         }
+    }
+
+    /// Steps served on this shard so far, over both paths.
+    fn served(&self) -> usize {
+        self.stats.scalar_steps + self.stats.batched_rows
     }
 
     /// Streams on this shard with at least one queued vector.
@@ -799,8 +706,7 @@ impl DetectorFleet {
             .min_by_key(|&i| (self.shards[i].live(), i))
             .expect("a fleet has at least one shard");
         let slot = self.shards[shard].push_stream(self.addr.len(), det, self.config.queue_capacity);
-        let m = &mut self.shards[shard].metrics;
-        m.reg.inc(m.admitted, 1);
+        self.shards[shard].stats.admitted += 1;
         self.addr.push(Some((shard, slot)));
         self.addr.len() - 1
     }
@@ -823,9 +729,11 @@ impl DetectorFleet {
         self.addr.get(stream).is_some_and(Option::is_some)
     }
 
-    /// Number of live streams.
+    /// Number of live streams: the shards' occupied slots. Retired slots
+    /// are reused, so this costs the shards' peak live stream counts, not
+    /// the number of ids ever issued.
     pub fn live(&self) -> usize {
-        self.addr.iter().filter(|a| a.is_some()).count()
+        self.shards.iter().map(Shard::live).sum()
     }
 
     /// Number of stream ids ever issued (live + retired).
@@ -866,7 +774,7 @@ impl DetectorFleet {
     /// Enqueues one stream vector under a back-pressure `policy`: like
     /// [`Self::enqueue`], but a full queue is resolved per policy (refuse /
     /// drop the incoming vector / evict the oldest queued one) and the
-    /// outcome is counted in the owning shard's metric registry
+    /// outcome is counted in the owning shard's [`FleetStats`]
     /// (`sad_fleet_bp_*_total`). Zero-alloc — safe on the ingest hot path.
     ///
     /// # Panics
@@ -879,21 +787,20 @@ impl DetectorFleet {
         if queue.push(s) {
             return OfferOutcome::Enqueued;
         }
-        let m = &mut sh.metrics;
         match policy {
             BackpressurePolicy::Block => {
-                m.reg.inc(m.bp_blocked, 1);
+                sh.stats.bp_blocked += 1;
                 OfferOutcome::WouldBlock
             }
             BackpressurePolicy::DropNewest => {
-                m.reg.inc(m.bp_dropped_newest, 1);
+                sh.stats.bp_dropped_newest += 1;
                 OfferOutcome::DroppedNewest
             }
             BackpressurePolicy::DropOldest => {
                 queue.pop_front();
                 let accepted = queue.push(s);
                 debug_assert!(accepted, "eviction frees exactly one slot");
-                m.reg.inc(m.bp_dropped_oldest, 1);
+                sh.stats.bp_dropped_oldest += 1;
                 OfferOutcome::DroppedOldest
             }
         }
@@ -972,61 +879,117 @@ impl DetectorFleet {
         &self.shards[shard].slots[slot].as_ref().expect("addressed slot is live").det
     }
 
-    /// Cumulative serving counters — a snapshot of the per-shard metric
-    /// registries, summed over shards.
+    /// Cumulative serving counters, summed over shards.
     pub fn stats(&self) -> FleetStats {
         let mut total = FleetStats::default();
         for shard in &self.shards {
-            let m = &shard.metrics;
-            total.steps += m.reg.counter(m.steps) as usize;
-            total.scalar_steps += m.reg.counter(m.scalar_steps) as usize;
-            total.batched_rows += m.reg.counter(m.batched_rows) as usize;
-            total.batches += m.reg.counter(m.batches) as usize;
-            total.f32_rows += m.reg.counter(m.f32_rows) as usize;
-            total.cohort_rebuilds += m.reg.counter(m.cohort_rebuilds) as usize;
-            total.f32_resyncs += m.reg.counter(m.f32_resyncs) as usize;
-            total.bp_blocked += m.reg.counter(m.bp_blocked) as usize;
-            total.bp_dropped_newest += m.reg.counter(m.bp_dropped_newest) as usize;
-            total.bp_dropped_oldest += m.reg.counter(m.bp_dropped_oldest) as usize;
-            total.admitted += m.reg.counter(m.admitted) as usize;
-            total.retired += m.reg.counter(m.retired) as usize;
+            let s = &shard.stats;
+            total.scalar_steps += s.scalar_steps;
+            total.batched_rows += s.batched_rows;
+            total.batches += s.batches;
+            total.f32_rows += s.f32_rows;
+            total.cohort_rebuilds += s.cohort_rebuilds;
+            total.f32_resyncs += s.f32_resyncs;
+            total.bp_blocked += s.bp_blocked;
+            total.bp_dropped_newest += s.bp_dropped_newest;
+            total.bp_dropped_oldest += s.bp_dropped_oldest;
+            total.admitted += s.admitted;
+            total.retired += s.retired;
         }
+        total.steps = total.scalar_steps + total.batched_rows;
         total
     }
 
-    /// Exports the fleet's full metric registry: the per-shard serving
-    /// registries folded together (counters add, the queue high-water
-    /// gauge takes the max, latency/batch-width histograms merge
-    /// bucket-wise), the aggregated per-detector lifecycle registries, and
-    /// two fleet-shape gauges (`sad_fleet_streams`, `sad_fleet_shards`).
-    /// Allocates — export path only, never called from `drain_round`.
+    /// Exports the fleet's metric registry: the serving counters of
+    /// [`Self::stats`], the deepest queue seen on any shard, two
+    /// fleet-shape gauges (`sad_fleet_streams`, `sad_fleet_shards`), the
+    /// shards' batch-width and round-latency histograms merged
+    /// bucket-wise, and the live detectors' lifecycle
+    /// (`sad_core::register_lifecycle`; retired detectors are gone, their
+    /// serving history stays in the counters). Allocates — export path
+    /// only, never called from `drain_round`.
     pub fn export_metrics(&self) -> Registry {
-        let mut reg = self.shards[0].metrics.reg.clone();
-        for shard in &self.shards[1..] {
-            reg.merge_from(&shard.metrics.reg);
+        let stats = self.stats();
+        let mut reg = Registry::new();
+        for (name, help, value) in [
+            ("sad_fleet_steps_total", "Detector steps served (all paths).", stats.steps),
+            (
+                "sad_fleet_scalar_steps_total",
+                "Steps served through the scalar per-stream path.",
+                stats.scalar_steps,
+            ),
+            (
+                "sad_fleet_batched_rows_total",
+                "Steps served through a shared batched forward pass.",
+                stats.batched_rows,
+            ),
+            ("sad_fleet_batches_total", "Shared batched forward passes executed.", stats.batches),
+            (
+                "sad_fleet_f32_rows_total",
+                "Batched rows served through an f32 weight snapshot.",
+                stats.f32_rows,
+            ),
+            (
+                "sad_fleet_cohort_rebuilds_total",
+                "Cohort rebuilds triggered by training events.",
+                stats.cohort_rebuilds,
+            ),
+            (
+                "sad_fleet_f32_resyncs_total",
+                "f32 weight-snapshot re-syncs performed by cohort rebuilds.",
+                stats.f32_resyncs,
+            ),
+            (
+                "sad_fleet_bp_blocked_total",
+                "offer() refusals on a full queue under the block policy.",
+                stats.bp_blocked,
+            ),
+            (
+                "sad_fleet_bp_dropped_newest_total",
+                "Incoming vectors discarded under the drop-newest policy.",
+                stats.bp_dropped_newest,
+            ),
+            (
+                "sad_fleet_bp_dropped_oldest_total",
+                "Queued vectors evicted under the drop-oldest policy.",
+                stats.bp_dropped_oldest,
+            ),
+            (
+                "sad_fleet_admitted_total",
+                "Streams admitted dynamically after fleet construction.",
+                stats.admitted,
+            ),
+            ("sad_fleet_retired_total", "Streams retired from the fleet.", stats.retired),
+        ] {
+            reg.register_counter(name, help, value as u64);
         }
-        let streams = reg.register_gauge("sad_fleet_streams", "Live streams served by this fleet.");
-        reg.set_gauge(streams, self.live() as f64);
-        let shards = reg.register_gauge("sad_fleet_shards", "Worker shards.");
-        reg.set_gauge(shards, self.shards.len() as f64);
-
-        // Detector lifecycle aggregate: every live detector's snapshot
-        // shares one schema, so they fold into a single population
-        // registry. Retired detectors are gone — their serving history
-        // stays in the shard counters above.
-        let mut lifecycle: Option<Registry> = None;
-        for shard in &self.shards {
-            for slot in shard.slots.iter().flatten() {
-                let snap = slot.det.export_metrics();
-                match &mut lifecycle {
-                    None => lifecycle = Some(snap),
-                    Some(acc) => acc.merge_from(&snap),
-                }
+        reg.register_gauge(
+            "sad_fleet_queue_high_water",
+            "Deepest per-stream input queue observed at a round start.",
+            self.shards.iter().map(|s| s.queue_high_water).fold(0.0, f64::max),
+        );
+        let live = self.live() as f64;
+        reg.register_gauge("sad_fleet_streams", "Live streams served by this fleet.", live);
+        reg.register_gauge("sad_fleet_shards", "Worker shards.", self.shards.len() as f64);
+        let merged = |pick: fn(&Shard) -> &Histogram| {
+            let mut total = pick(&self.shards[0]).clone();
+            for shard in &self.shards[1..] {
+                total.merge_from(pick(shard));
             }
-        }
-        if let Some(lifecycle) = lifecycle {
-            reg.absorb(&lifecycle);
-        }
+            total
+        };
+        reg.register_histogram(
+            "sad_fleet_batch_rows",
+            "Rows amortized per shared forward pass.",
+            merged(|s| &s.batch_rows),
+        );
+        reg.register_histogram(
+            "sad_fleet_round_seconds",
+            "Shard round latency (rounds that served at least one step).",
+            merged(|s| &s.round_seconds),
+        );
+        let live = self.shards.iter().flat_map(|s| s.slots.iter().flatten()).map(|slot| &slot.det);
+        sad_core::register_lifecycle(&mut reg, live);
         reg
     }
 
@@ -1224,6 +1187,36 @@ mod tests {
         let id = fleet.admit(ae_detector(1));
         fleet.retire(id);
         let _ = fleet.enqueue(id, &[0.0, 0.0]);
+    }
+
+    /// Admit/retire cycles reuse slots, and `live()` — a sum over the
+    /// shards' occupied slots — agrees with the ids still live after every
+    /// cycle, however many ids have been issued.
+    #[test]
+    fn live_counts_occupied_slots_through_admit_retire_cycles() {
+        let config = FleetConfig { shards: 3, ..FleetConfig::default() };
+        let mut fleet = DetectorFleet::open(config);
+        let template = ae_detector(1);
+        let mut live_ids = Vec::new();
+        for cycle in 0..200usize {
+            live_ids.push(fleet.admit(template.clone()));
+            if cycle % 3 == 0 {
+                live_ids.push(fleet.admit(template.clone()));
+            }
+            while live_ids.len() > 4 {
+                fleet.retire(live_ids.remove(cycle % live_ids.len()));
+            }
+            let by_id = (0..fleet.len()).filter(|&id| fleet.is_live(id)).count();
+            assert_eq!(fleet.live(), by_id, "cycle {cycle}");
+            assert_eq!(fleet.live(), live_ids.len(), "cycle {cycle}");
+        }
+        let stats = fleet.stats();
+        assert_eq!(stats.admitted - stats.retired, fleet.live());
+        assert!(fleet.len() > 250, "ids keep growing: {}", fleet.len());
+        // At most 6 streams are ever live at once, and admission to the
+        // least-loaded shard keeps each of the 3 shards at most 3 deep.
+        let slots: usize = fleet.shards.iter().map(|s| s.slots.len()).sum();
+        assert!(slots <= 9, "slots are reused, bounded by the live peak: {slots}");
     }
 
     /// Dynamically-admitted replicas of a construction-time fleet must

@@ -13,12 +13,12 @@
 //! ## Round scheduling
 //!
 //! The engine drains one fleet round after every `live-stream-count`
-//! frames (or [`EngineConfig::round_frames`] when set) and whenever a
-//! blocked `offer` needs room. Per-stream traces are invariant to the
-//! drain schedule — each detector consumes its own queue in arrival
-//! order, and the batched path is bitwise-identical to scalar stepping —
-//! so serve-mode outputs match [`DetectorFleet::run`] exactly no matter
-//! how the wire interleaves frames (`tests/serve_parity.rs`).
+//! frames and whenever a blocked `offer` needs room. Per-stream traces
+//! are invariant to the drain schedule — each detector consumes its own
+//! queue in arrival order, and the batched path is bitwise-identical to
+//! scalar stepping — so serve-mode outputs match [`DetectorFleet::run`]
+//! exactly no matter how the wire interleaves frames
+//! (`tests/serve_parity.rs`).
 //!
 //! ## Dynamic admission
 //!
@@ -35,7 +35,7 @@ use std::io;
 use sad_core::{AlgorithmSpec, Detector, StepOutput};
 use sad_fleet::{BackpressurePolicy, DetectorFleet, FleetConfig, FleetStats, OfferOutcome};
 use sad_models::{build_detector, BuildParams};
-use sad_obs::{CounterId, Histogram, HistogramId, Registry};
+use sad_obs::{Histogram, Registry};
 
 use crate::frame::Frame;
 use crate::transport::Transport;
@@ -78,10 +78,6 @@ pub struct EngineConfig {
     /// Retire a stream after this many consecutive drain rounds with no
     /// arriving frame (once its backlog is empty). `None` = never retire.
     pub idle_rounds: Option<u64>,
-    /// Frames between scheduled drain rounds; `0` (the default) adapts to
-    /// one frame per live stream — the cadence that keeps whole-fleet
-    /// batched rounds full without adding latency.
-    pub round_frames: usize,
     /// Cap on concurrently live streams. Frames for unknown ids beyond
     /// the cap are rejected (counted in `sad_ingest_rejected_total`).
     pub max_streams: usize,
@@ -92,7 +88,6 @@ impl Default for EngineConfig {
         Self {
             policy: BackpressurePolicy::Block,
             idle_rounds: None,
-            round_frames: 0,
             max_streams: 65_536,
         }
     }
@@ -118,12 +113,12 @@ impl<F: FnMut(u64, &StepOutput)> EngineSink for F {
     }
 }
 
-/// Cumulative engine counters — a snapshot of the engine registry plus
-/// the fleet's own serving counters.
+/// Cumulative engine counters plus the fleet's own serving counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Frames accepted from transports (admitted to a queue or shed by a
-    /// drop policy — everything that decoded and routed).
+    /// Frames handed to the engine, whatever became of them: queued, shed
+    /// by a drop policy, rejected by the live-stream cap, or ignored for
+    /// a wrong channel width.
     pub frames: usize,
     /// Payload bytes consumed from transports.
     pub bytes: u64,
@@ -140,47 +135,6 @@ pub struct IngestStats {
     pub fleet: FleetStats,
 }
 
-/// Preregistered engine metric handles (`sad_ingest_*` families).
-struct EngineMetrics {
-    reg: Registry,
-    frames: CounterId,
-    bytes: CounterId,
-    rejected: CounterId,
-    channel_mismatches: CounterId,
-    rounds: CounterId,
-    idle_retired: CounterId,
-    round_frames: HistogramId,
-}
-
-impl EngineMetrics {
-    fn new() -> Self {
-        let mut reg = Registry::new();
-        let frames =
-            reg.register_counter("sad_ingest_frames_total", "Frames decoded and routed.");
-        let bytes =
-            reg.register_counter("sad_ingest_bytes_total", "Payload bytes consumed from transports.");
-        let rejected = reg.register_counter(
-            "sad_ingest_rejected_total",
-            "Frames for unknown wire ids rejected by the live-stream cap.",
-        );
-        let channel_mismatches = reg.register_counter(
-            "sad_ingest_channel_mismatch_total",
-            "Frames whose channel count disagreed with their stream's detector.",
-        );
-        let rounds = reg.register_counter("sad_ingest_rounds_total", "Fleet drain rounds executed.");
-        let idle_retired = reg.register_counter(
-            "sad_ingest_idle_retired_total",
-            "Streams retired by the idle timeout.",
-        );
-        let round_frames = reg.register_histogram(
-            "sad_ingest_round_frames",
-            "Frames ingested between consecutive drain rounds.",
-            Histogram::log2(1.0, 65_536.0),
-        );
-        Self { reg, frames, bytes, rejected, channel_mismatches, rounds, idle_retired, round_frames }
-    }
-}
-
 /// The ingestion engine. See the module docs for the routing, round
 /// scheduling and admission model.
 pub struct IngestEngine {
@@ -193,11 +147,15 @@ pub struct IngestEngine {
     wire_of: Vec<u64>,
     /// Fleet stream id → round count when its last frame arrived.
     last_input: Vec<u64>,
-    rounds: u64,
     frames_since_drain: usize,
     out: Vec<Option<StepOutput>>,
     retire_scratch: Vec<usize>,
-    metrics: EngineMetrics,
+    /// The engine's own counters (`rounds` is the drain-round clock);
+    /// `fleet` stays default here and is read from the fleet by
+    /// [`Self::stats`].
+    stats: IngestStats,
+    /// Frames ingested between consecutive drain rounds.
+    round_frames: Histogram,
 }
 
 impl IngestEngine {
@@ -212,36 +170,37 @@ impl IngestEngine {
             route: HashMap::new(),
             wire_of: Vec::new(),
             last_input: Vec::new(),
-            rounds: 0,
             frames_since_drain: 0,
             out: Vec::new(),
             retire_scratch: Vec::new(),
-            metrics: EngineMetrics::new(),
+            stats: IngestStats::default(),
+            round_frames: Histogram::log2(1.0, 65_536.0),
         }
     }
 
     /// Ingests one decoded frame: route (admitting on first contact),
-    /// offer under the back-pressure policy, and drain when the round
-    /// budget is reached. Blocked offers drain immediately and retry.
+    /// offer under the back-pressure policy, and drain once one frame per
+    /// live stream has arrived. Blocked offers drain immediately and
+    /// retry.
     pub fn ingest(&mut self, frame: &Frame, sink: &mut impl EngineSink) {
-        self.metrics.reg.inc(self.metrics.frames, 1);
+        self.stats.frames += 1;
         let id = match self.route.get(&frame.stream) {
             Some(&id) => id,
             None => {
                 if self.fleet.live() >= self.cfg.max_streams {
-                    self.metrics.reg.inc(self.metrics.rejected, 1);
+                    self.stats.rejected += 1;
                     return;
                 }
                 let id = self.fleet.admit(self.template.build(frame.values.len()));
                 self.route.insert(frame.stream, id);
                 debug_assert_eq!(self.wire_of.len(), id);
                 self.wire_of.push(frame.stream);
-                self.last_input.push(self.rounds);
+                self.last_input.push(self.stats.rounds);
                 id
             }
         };
         if self.fleet.detector(id).config().channels != frame.values.len() {
-            self.metrics.reg.inc(self.metrics.channel_mismatches, 1);
+            self.stats.channel_mismatches += 1;
             return;
         }
         loop {
@@ -252,13 +211,9 @@ impl IngestEngine {
                 OfferOutcome::WouldBlock => self.drain(sink),
             }
         }
-        self.last_input[id] = self.rounds;
+        self.last_input[id] = self.stats.rounds;
         self.frames_since_drain += 1;
-        let target = match self.cfg.round_frames {
-            0 => self.fleet.live().max(1),
-            n => n,
-        };
-        if self.frames_since_drain >= target {
+        if self.frames_since_drain >= self.fleet.live().max(1) {
             self.drain(sink);
         }
     }
@@ -266,11 +221,10 @@ impl IngestEngine {
     /// Runs one fleet drain round, delivers its outputs, and sweeps for
     /// idle streams to retire.
     fn drain(&mut self, sink: &mut impl EngineSink) {
-        self.metrics.reg.record(self.metrics.round_frames, self.frames_since_drain as f64);
+        self.round_frames.record(self.frames_since_drain as f64);
         self.frames_since_drain = 0;
         self.fleet.drain_round(&mut self.out);
-        self.rounds += 1;
-        self.metrics.reg.inc(self.metrics.rounds, 1);
+        self.stats.rounds += 1;
         for (id, o) in self.out.iter().enumerate() {
             if let Some(o) = o {
                 sink.output(self.wire_of[id], o);
@@ -281,7 +235,7 @@ impl IngestEngine {
             self.retire_scratch.clear();
             for id in 0..self.wire_of.len() {
                 if self.fleet.is_live(id)
-                    && self.rounds.saturating_sub(self.last_input[id]) >= idle
+                    && self.stats.rounds.saturating_sub(self.last_input[id]) >= idle
                     && self.fleet.queued(id) == 0
                 {
                     self.retire_scratch.push(id);
@@ -291,10 +245,10 @@ impl IngestEngine {
                 let id = self.retire_scratch[i];
                 self.fleet.retire(id);
                 self.route.remove(&self.wire_of[id]);
-                self.metrics.reg.inc(self.metrics.idle_retired, 1);
+                self.stats.idle_retired += 1;
             }
         }
-        sink.round(self.rounds, &self.stats());
+        sink.round(self.stats.rounds, &self.stats());
     }
 
     /// Drains until every queue is empty (end-of-stream flush).
@@ -326,23 +280,14 @@ impl IngestEngine {
                 Err(e) => break Err(e),
             }
         };
-        self.metrics.reg.inc(self.metrics.bytes, transport.bytes_read() - before);
+        self.stats.bytes += transport.bytes_read() - before;
         self.finish(sink);
         result
     }
 
     /// Counter snapshot (engine + fleet).
     pub fn stats(&self) -> IngestStats {
-        let m = &self.metrics;
-        IngestStats {
-            frames: m.reg.counter(m.frames) as usize,
-            bytes: m.reg.counter(m.bytes),
-            rejected: m.reg.counter(m.rejected) as usize,
-            channel_mismatches: m.reg.counter(m.channel_mismatches) as usize,
-            rounds: m.reg.counter(m.rounds),
-            idle_retired: m.reg.counter(m.idle_retired) as usize,
-            fleet: self.fleet.stats(),
-        }
+        IngestStats { fleet: self.fleet.stats(), ..self.stats }
     }
 
     /// The fleet this engine feeds.
@@ -352,7 +297,7 @@ impl IngestEngine {
 
     /// Drain rounds executed so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.stats.rounds
     }
 
     /// Fleet stream id currently serving wire id `stream`, if live.
@@ -366,7 +311,34 @@ impl IngestEngine {
     /// lifecycle). Allocates — export path only.
     pub fn export_metrics(&self) -> Registry {
         let mut reg = self.fleet.export_metrics();
-        reg.absorb(&self.metrics.reg);
+        let s = &self.stats;
+        for (name, help, value) in [
+            ("sad_ingest_frames_total", "Frames decoded and routed.", s.frames as u64),
+            ("sad_ingest_bytes_total", "Payload bytes consumed from transports.", s.bytes),
+            (
+                "sad_ingest_rejected_total",
+                "Frames for unknown wire ids rejected by the live-stream cap.",
+                s.rejected as u64,
+            ),
+            (
+                "sad_ingest_channel_mismatch_total",
+                "Frames whose channel count disagreed with their stream's detector.",
+                s.channel_mismatches as u64,
+            ),
+            ("sad_ingest_rounds_total", "Fleet drain rounds executed.", s.rounds),
+            (
+                "sad_ingest_idle_retired_total",
+                "Streams retired by the idle timeout.",
+                s.idle_retired as u64,
+            ),
+        ] {
+            reg.register_counter(name, help, value);
+        }
+        reg.register_histogram(
+            "sad_ingest_round_frames",
+            "Frames ingested between consecutive drain rounds.",
+            self.round_frames.clone(),
+        );
         reg
     }
 }
@@ -465,18 +437,31 @@ mod tests {
 
     #[test]
     fn finish_flushes_every_queued_frame() {
-        // Large round budget: nothing drains during ingest.
-        let cfg = EngineConfig { round_frames: 1000, ..EngineConfig::default() };
-        let mut engine = IngestEngine::new(template(4, 6), FleetConfig::default(), cfg);
+        // Three live streams drain once per three frames. Interleaved
+        // ticks keep every queue short; after the first frame of the next
+        // tick closes the last round, two back-to-back frames for wire id
+        // 2 stay below the cadence and leave it a two-deep backlog that
+        // `finish` needs two rounds to serve.
+        let mut engine =
+            IngestEngine::new(template(4, 6), FleetConfig::default(), EngineConfig::default());
         let mut sink = Collect { outputs: Vec::new() };
+        let value = |t: usize, id: u64| [(t as f64 * 0.4 + id as f64).sin()];
         for t in 0..20 {
-            engine.ingest(&frame(1, &[(t as f64 * 0.4).sin()]), &mut sink);
+            for id in [1, 2, 3] {
+                engine.ingest(&frame(id, &value(t, id)), &mut sink);
+            }
         }
-        assert_eq!(engine.stats().rounds, 0, "round budget not reached");
+        engine.ingest(&frame(1, &value(20, 1)), &mut sink);
+        assert_eq!(engine.stats().fleet.steps, 61, "the cadence served every frame so far");
+        engine.ingest(&frame(2, &value(20, 2)), &mut sink);
+        engine.ingest(&frame(2, &value(21, 2)), &mut sink);
+        assert_eq!(engine.fleet().queued(engine.stream_id(2).unwrap()), 2, "backlog of two");
+        let rounds = engine.stats().rounds;
         engine.finish(&mut sink);
-        assert_eq!(engine.stats().fleet.steps, 20, "finish served the whole backlog");
-        // warm-up 6 → 14 post-warm-up outputs, all for wire id 1.
-        assert_eq!(sink.outputs.len(), 14);
-        assert!(sink.outputs.iter().all(|(id, _)| *id == 1));
+        assert_eq!(engine.stats().rounds, rounds + 2, "one round per queued frame");
+        assert_eq!(engine.stats().fleet.steps, 63, "finish served the whole backlog");
+        // warm-up 6: 21, 22 and 20 frames give 15, 16 and 14 outputs.
+        let outputs = |id| sink.outputs.iter().filter(|(s, _)| *s == id).count();
+        assert_eq!((outputs(1), outputs(2), outputs(3)), (15, 16, 14));
     }
 }

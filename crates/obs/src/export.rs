@@ -186,20 +186,14 @@ mod tests {
 
     fn sample() -> Registry {
         let mut reg = Registry::new();
-        let c = reg.register_counter("steps_total", "Detector steps served.");
-        let cl = reg.register_counter(&with_label("drift_events_total", "task2", "KS"), "Drift.");
-        let g = reg.register_gauge("queue_high_water", "Deepest queue.");
-        let h = reg.register_histogram(
-            "round_seconds",
-            "Round latency.",
-            Histogram::linear(0.0, 1.0, 2),
-        );
-        reg.inc(c, 7);
-        reg.inc(cl, 2);
-        reg.set_gauge(g, 3.0);
-        reg.record(h, 0.25);
-        reg.record(h, 0.75);
-        reg.record(h, 5.0);
+        reg.register_counter("steps_total", "Detector steps served.", 7);
+        reg.register_counter(&with_label("drift_events_total", "task2", "KS"), "Drift.", 2);
+        reg.register_gauge("queue_high_water", "Deepest queue.", 3.0);
+        let mut h = Histogram::linear(0.0, 1.0, 2);
+        h.record(0.25);
+        h.record(0.75);
+        h.record(5.0);
+        reg.register_histogram("round_seconds", "Round latency.", h);
         reg
     }
 

@@ -1,51 +1,38 @@
 //! # sad-obs
 //!
 //! Hand-rolled, dependency-free observability substrate for the streamad
-//! workspace: a shard-local metric [`Registry`] holding counters, gauges
-//! and fixed-bucket [`Histogram`]s, plus two export sinks (Prometheus-style
-//! text exposition and a JSON snapshot — see [`export`]).
+//! workspace: a metric [`Registry`] of counters, gauges and fixed-bucket
+//! [`Histogram`]s, plus two export sinks (Prometheus-style text exposition
+//! and a JSON snapshot — see [`export`]).
 //!
 //! ## Design rules
 //!
-//! * **Preallocate at registration, never in the hot path.** Registering a
-//!   metric allocates (name, help, bucket arrays); *recording* into one —
-//!   [`Registry::inc`], [`Registry::set_gauge`], [`Registry::gauge_max`],
-//!   [`Registry::record`] — is pure indexed arithmetic and performs **zero
-//!   heap allocations**. The counting-allocator guard in
-//!   `tests/zero_alloc.rs` pins this, in the same style as the fleet's
-//!   steady-state guard.
-//! * **Shard-local, merge on export.** Each worker shard owns its own
-//!   registry (no atomics, no locks — the shards already own disjoint
-//!   state). An exporter clones one shard's registry and folds the rest in
-//!   with [`Registry::merge_from`]: counters add, gauges take the maximum
-//!   (every gauge in this workspace is a high-water mark), histograms add
-//!   bucket-wise. The merge invariant — total recorded count equals total
-//!   observed count — is proptest-pinned in `tests/registry_props.rs`.
+//! * **Count in plain fields, register at export.** Each layer keeps its
+//!   counts where the events happen — integer fields next to the state
+//!   they describe (a detector's drift times, a shard's `FleetStats`, the
+//!   ingest engine's `IngestStats`) — and nowhere else. A [`Registry`] is
+//!   built only when someone asks for one: one schema function per layer
+//!   registers every metric together with its current value, in a fixed
+//!   order, so the rendered text is a pure function of those fields.
+//! * **Histograms are the only recorded type, and recording never
+//!   allocates.** A [`Histogram`] is allocated at construction;
+//!   [`Histogram::record`] is a binary search plus a few scalar updates —
+//!   zero heap allocations, pinned by the counting-allocator guard in
+//!   `tests/zero_alloc.rs` — so the guarded steady-state loops can record
+//!   with telemetry on. Populations (the shards of a fleet, the live
+//!   detectors) fold their histograms at export with
+//!   [`Histogram::merge_from`]; the merge loses and double-counts nothing
+//!   and is order-insensitive, proptest-pinned in
+//!   `tests/histogram_props.rs`.
 //! * **Observation must not perturb results.** Nothing in this crate feeds
 //!   back into detection: the load-bearing grid/parity invariants of the
 //!   workspace hold with instrumentation compiled in and enabled.
-//!
-//! Handles ([`CounterId`], [`GaugeId`], [`HistogramId`]) are plain indices
-//! into the owning registry; they are `Copy` and intended to be stored next
-//! to the registry in a shard's metrics struct.
 
 mod histogram;
 
 pub mod export;
 
 pub use histogram::Histogram;
-
-/// Handle to a registered counter (monotonically increasing `u64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge (instantaneous `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
 
 /// Name + help text of a registered metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +41,9 @@ struct Meta {
     help: String,
 }
 
-/// A shard-local metric registry. See the crate docs for the allocation
-/// and merge model.
+/// A metric registry: named counters, gauges and histograms with their
+/// values, in registration order. See the crate docs for when one is
+/// built.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: Vec<(Meta, u64)>,
@@ -94,78 +82,31 @@ impl Registry {
         assert!(!taken, "metric {name:?} registered twice");
     }
 
-    /// Registers a counter (allocates; do this at setup time).
+    /// Registers a counter with its value.
     ///
     /// # Panics
     /// Panics if `name` is already registered.
-    pub fn register_counter(&mut self, name: &str, help: &str) -> CounterId {
+    pub fn register_counter(&mut self, name: &str, help: &str, value: u64) {
         self.assert_fresh(name);
-        self.counters.push((Meta { name: name.into(), help: help.into() }, 0));
-        CounterId(self.counters.len() - 1)
+        self.counters.push((Meta { name: name.into(), help: help.into() }, value));
     }
 
-    /// Registers a gauge (allocates; do this at setup time).
+    /// Registers a gauge with its reading.
     ///
     /// # Panics
     /// Panics if `name` is already registered.
-    pub fn register_gauge(&mut self, name: &str, help: &str) -> GaugeId {
+    pub fn register_gauge(&mut self, name: &str, help: &str, value: f64) {
         self.assert_fresh(name);
-        self.gauges.push((Meta { name: name.into(), help: help.into() }, 0.0));
-        GaugeId(self.gauges.len() - 1)
+        self.gauges.push((Meta { name: name.into(), help: help.into() }, value));
     }
 
-    /// Registers a histogram over `histogram`'s buckets (allocates; do
-    /// this at setup time).
+    /// Registers a histogram with its recorded observations.
     ///
     /// # Panics
     /// Panics if `name` is already registered.
-    pub fn register_histogram(&mut self, name: &str, help: &str, histogram: Histogram) -> HistogramId {
+    pub fn register_histogram(&mut self, name: &str, help: &str, histogram: Histogram) {
         self.assert_fresh(name);
         self.histograms.push((Meta { name: name.into(), help: help.into() }, histogram));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Increments a counter. Zero-alloc.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
-    }
-
-    /// Sets a gauge. Zero-alloc.
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
-        self.gauges[id.0].1 = value;
-    }
-
-    /// Raises a gauge to `value` if it is higher than the current reading
-    /// (high-water-mark semantics, matching the max-merge). Zero-alloc.
-    #[inline]
-    pub fn gauge_max(&mut self, id: GaugeId, value: f64) {
-        let g = &mut self.gauges[id.0].1;
-        if value > *g {
-            *g = value;
-        }
-    }
-
-    /// Records one observation into a histogram. Zero-alloc.
-    #[inline]
-    pub fn record(&mut self, id: HistogramId, value: f64) {
-        self.histograms[id.0].1.record(value);
-    }
-
-    /// Current counter value.
-    pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// Current gauge reading.
-    pub fn gauge(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
-    /// The histogram behind `id`.
-    pub fn histogram(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
     }
 
     /// Looks up a counter value by full metric name (exporters / tests).
@@ -193,74 +134,6 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Folds another (shard-local) registry into this one by metric name:
-    /// counters add, gauges take the maximum (high-water semantics),
-    /// histograms merge bucket-wise. Every metric of `other` must already
-    /// be registered here — clone one shard's registry as the accumulator
-    /// and fold the siblings in.
-    ///
-    /// # Panics
-    /// Panics when `other` holds a metric this registry does not, or when
-    /// a histogram pair disagrees on bucket boundaries.
-    pub fn merge_from(&mut self, other: &Registry) {
-        for (meta, value) in &other.counters {
-            let (_, v) = self
-                .counters
-                .iter_mut()
-                .find(|(m, _)| m.name == meta.name)
-                .unwrap_or_else(|| panic!("merge: counter {:?} not registered here", meta.name));
-            *v += value;
-        }
-        for (meta, value) in &other.gauges {
-            let (_, v) = self
-                .gauges
-                .iter_mut()
-                .find(|(m, _)| m.name == meta.name)
-                .unwrap_or_else(|| panic!("merge: gauge {:?} not registered here", meta.name));
-            if *value > *v {
-                *v = *value;
-            }
-        }
-        for (meta, hist) in &other.histograms {
-            let (_, h) = self
-                .histograms
-                .iter_mut()
-                .find(|(m, _)| m.name == meta.name)
-                .unwrap_or_else(|| panic!("merge: histogram {:?} not registered here", meta.name));
-            h.merge_from(hist);
-        }
-    }
-
-    /// Like [`Self::merge_from`], but metrics of `other` that are missing
-    /// here are registered first — composition of registries with
-    /// *different* schemas (e.g. a serving layer appending the detector
-    /// population's lifecycle aggregate to its own shard metrics).
-    /// Allocates when registering — export path only.
-    pub fn absorb(&mut self, other: &Registry) {
-        for (meta, value) in &other.counters {
-            match self.counters.iter_mut().find(|(m, _)| m.name == meta.name) {
-                Some((_, v)) => *v += value,
-                None => self.counters.push((meta.clone(), *value)),
-            }
-        }
-        for (meta, value) in &other.gauges {
-            match self.gauges.iter_mut().find(|(m, _)| m.name == meta.name) {
-                Some((_, v)) => {
-                    if *value > *v {
-                        *v = *value;
-                    }
-                }
-                None => self.gauges.push((meta.clone(), *value)),
-            }
-        }
-        for (meta, hist) in &other.histograms {
-            match self.histograms.iter_mut().find(|(m, _)| m.name == meta.name) {
-                Some((_, h)) => h.merge_from(hist),
-                None => self.histograms.push((meta.clone(), hist.clone())),
-            }
-        }
-    }
-
     /// Iterates `(name, help, value)` over counters, registration order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, &str, u64)> {
         self.counters.iter().map(|(m, v)| (m.name.as_str(), m.help.as_str(), *v))
@@ -283,83 +156,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_and_histograms_round_trip() {
+    fn registered_values_are_found_by_name() {
         let mut reg = Registry::new();
-        let c = reg.register_counter("steps_total", "steps");
-        let g = reg.register_gauge("queue_high_water", "depth");
-        let h = reg.register_histogram("latency", "s", Histogram::log2(1e-6, 1.0));
-        reg.inc(c, 3);
-        reg.inc(c, 2);
-        reg.set_gauge(g, 4.0);
-        reg.gauge_max(g, 2.0); // lower — ignored
-        reg.gauge_max(g, 9.0);
-        reg.record(h, 1e-4);
-        assert_eq!(reg.counter(c), 5);
-        assert_eq!(reg.gauge(g), 9.0);
-        assert_eq!(reg.histogram(h).count(), 1);
+        reg.register_counter("steps_total", "steps", 5);
+        reg.register_gauge("queue_high_water", "depth", 9.0);
+        let mut latency = Histogram::log2(1e-6, 1.0);
+        latency.record(1e-4);
+        reg.register_histogram("latency", "s", latency);
         assert_eq!(reg.counter_by_name("steps_total"), Some(5));
         assert_eq!(reg.gauge_by_name("queue_high_water"), Some(9.0));
-        assert!(reg.histogram_by_name("latency").is_some());
+        assert_eq!(reg.histogram_by_name("latency").unwrap().count(), 1);
         assert_eq!(reg.counter_by_name("nope"), None);
         assert_eq!(reg.len(), 3);
-    }
-
-    #[test]
-    fn merge_adds_counters_maxes_gauges_and_merges_histograms() {
-        let schema = |_: ()| {
-            let mut reg = Registry::new();
-            let c = reg.register_counter("c", "");
-            let g = reg.register_gauge("g", "");
-            let h = reg.register_histogram("h", "", Histogram::linear(0.0, 1.0, 4));
-            (reg, c, g, h)
-        };
-        let (mut a, c, g, h) = schema(());
-        let (mut b, ..) = schema(());
-        a.inc(c, 2);
-        a.set_gauge(g, 1.0);
-        a.record(h, 0.1);
-        b.inc(c, 5);
-        b.set_gauge(g, 7.0);
-        b.record(h, 0.9);
-        a.merge_from(&b);
-        assert_eq!(a.counter(c), 7);
-        assert_eq!(a.gauge(g), 7.0);
-        assert_eq!(a.histogram(h).count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_name_panics_across_kinds() {
         let mut reg = Registry::new();
-        reg.register_counter("m", "");
-        reg.register_gauge("m", "");
-    }
-
-    #[test]
-    fn absorb_registers_missing_metrics_and_merges_shared_ones() {
-        let mut a = Registry::new();
-        let ca = a.register_counter("shared", "");
-        a.inc(ca, 2);
-        let mut b = Registry::new();
-        let cb = b.register_counter("shared", "");
-        let gb = b.register_gauge("only_in_b", "");
-        let hb = b.register_histogram("hist_b", "", Histogram::linear(0.0, 1.0, 2));
-        b.inc(cb, 5);
-        b.set_gauge(gb, 3.0);
-        b.record(hb, 0.5);
-        a.absorb(&b);
-        assert_eq!(a.counter_by_name("shared"), Some(7));
-        assert_eq!(a.gauge_by_name("only_in_b"), Some(3.0));
-        assert_eq!(a.histogram_by_name("hist_b").unwrap().count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not registered here")]
-    fn merge_with_unknown_metric_panics() {
-        let mut a = Registry::new();
-        let mut b = Registry::new();
-        b.register_counter("only_in_b", "");
-        a.merge_from(&b);
+        reg.register_counter("m", "", 0);
+        reg.register_gauge("m", "", 0.0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Allocation-count guard for steady-state metric recording.
 //!
-//! The registry's contract is that everything is preallocated at
-//! registration time: once the metrics exist, `inc` / `set_gauge` /
-//! `gauge_max` / `record` (and histogram quantile reads) are pure indexed
-//! arithmetic. This pins that with the same counting-global-allocator
-//! idiom as `crates/fleet/tests/zero_alloc.rs`, so instrumenting the
-//! fleet's guarded steady-state loops with these calls cannot regress
-//! their own zero-alloc proofs.
+//! Counters are plain integer fields in the layers that own them; the
+//! only recorded type in this crate is the histogram, which allocates
+//! its buckets at construction. After that, `record`, quantile reads and
+//! `merge_from` are pure indexed arithmetic. This pins that with the same
+//! counting-global-allocator idiom as `crates/fleet/tests/zero_alloc.rs`,
+//! so recording into histograms inside the fleet's guarded steady-state
+//! loops cannot regress their own zero-alloc proofs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,34 +60,26 @@ fn count_allocs(f: impl FnOnce()) -> usize {
     ALLOCS.with(|c| c.get())
 }
 
-use sad_obs::{Histogram, Registry};
+use sad_obs::Histogram;
 
 #[test]
 fn steady_state_recording_is_allocation_free() {
-    let mut reg = Registry::new();
-    let steps = reg.register_counter("steps_total", "steps");
-    let depth = reg.register_gauge("queue_high_water", "depth");
-    let latency =
-        reg.register_histogram("round_seconds", "latency", Histogram::log2(1e-6, 16.0));
-    let scores = reg.register_histogram("nonconformity", "a_t", Histogram::linear(0.0, 1.0, 20));
+    let mut latency = Histogram::log2(1e-6, 16.0);
+    let mut scores = Histogram::linear(0.0, 1.0, 20);
 
     // Touch everything once before arming (nothing lazy should exist, but
     // the guard must measure steady state, not first use).
-    reg.inc(steps, 1);
-    reg.set_gauge(depth, 1.0);
-    reg.record(latency, 1e-4);
-    reg.record(scores, 0.5);
+    latency.record(1e-4);
+    scores.record(0.5);
 
     let n = count_allocs(|| {
         for i in 0..10_000u64 {
-            reg.inc(steps, 1);
-            reg.gauge_max(depth, (i % 64) as f64);
-            reg.record(latency, 1e-6 * (1 + i % 1000) as f64);
-            reg.record(scores, (i % 100) as f64 / 100.0);
+            latency.record(1e-6 * (1 + i % 1000) as f64);
+            scores.record((i % 100) as f64 / 100.0);
         }
     });
     assert_eq!(n, 0, "steady-state recording must not allocate, saw {n}");
-    assert_eq!(reg.counter(steps), 10_001);
+    assert_eq!(latency.count(), 10_001);
 }
 
 #[test]
@@ -107,22 +99,13 @@ fn histogram_reads_are_allocation_free() {
 }
 
 #[test]
-fn merge_of_preallocated_registries_is_allocation_free() {
-    let schema = || {
-        let mut reg = Registry::new();
-        let c = reg.register_counter("c", "");
-        let g = reg.register_gauge("g", "");
-        let h = reg.register_histogram("h", "", Histogram::linear(0.0, 1.0, 8));
-        (reg, c, g, h)
-    };
-    let (mut a, _, _, ha) = schema();
-    let (mut b, cb, gb, hb) = schema();
-    b.inc(cb, 3);
-    b.set_gauge(gb, 2.0);
-    b.record(hb, 0.4);
+fn merge_of_preallocated_histograms_is_allocation_free() {
+    let mut a = Histogram::linear(0.0, 1.0, 8);
+    let mut b = Histogram::linear(0.0, 1.0, 8);
+    b.record(0.4);
     let n = count_allocs(|| {
         a.merge_from(&b);
     });
-    assert_eq!(n, 0, "same-schema merge must not allocate, saw {n}");
-    assert_eq!(a.histogram(ha).count(), 1);
+    assert_eq!(n, 0, "same-bounds merge must not allocate, saw {n}");
+    assert_eq!(a.count(), 1);
 }

@@ -509,7 +509,6 @@ fn run_serve(args: &Args, spec: AlgorithmSpec) -> ExitCode {
     let engine_config = EngineConfig {
         policy: args.policy,
         idle_rounds: args.idle_rounds,
-        round_frames: 0,
         max_streams: args.max_streams,
     };
     let mut engine = IngestEngine::new(DetectorTemplate::new(spec, params), fleet_config, engine_config);
@@ -723,13 +722,11 @@ fn run_fleet(args: &Args, spec: AlgorithmSpec, series: &LabeledSeries, n: usize)
         // Fleet serving + aggregated detector lifecycle, plus the
         // CLI-boundary round latency under its own name.
         let mut reg = fleet.export_metrics();
-        let mut cli = Registry::new();
-        cli.register_histogram(
+        reg.register_histogram(
             "sad_cli_round_seconds",
             "drain_round latency measured at the CLI boundary.",
             latency,
         );
-        reg.absorb(&cli);
         if !write_metrics_json(path, &reg) {
             return ExitCode::FAILURE;
         }
