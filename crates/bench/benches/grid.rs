@@ -133,49 +133,5 @@ fn bench_warmup_fork(c: &mut Criterion) {
     group.finish();
 }
 
-/// kNN k-th-neighbour query: per-point scalar distances vs the packed
-/// snapshot sweep.
-///
-/// * `per_point` — the frozen legacy path
-///   ([`sad_models::KnnDistanceModel::kth_distance_of`]): one sequential
-///   squared-difference sum per reference vector.
-/// * `snapshot_sweep` — the offline-scoring path: the reference set packed
-///   transposed into a contiguous matrix at training time, every query
-///   answered by a feature-major `sq_dist_accum` sweep + quickselect
-///   (bitwise-equal to `per_point`, pinned in `knn_snapshot_parity`).
-///
-/// Shapes use the Table III quick-profile feature dim (w·N = 180) at two
-/// reference-set sizes bracketing the SW/reservoir capacities.
-fn bench_knn_sweep(c: &mut Criterion) {
-    use sad_core::{FeatureVector, StreamModel};
-    use sad_models::KnnDistanceModel;
-
-    let dim = 180usize;
-    let k = 5usize;
-    let mut state = 0x0005_1ee7_u64;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
-    let mut group = c.benchmark_group("knn_sweep");
-    for &m in &[40usize, 200] {
-        let refs: Vec<FeatureVector> =
-            (0..m).map(|_| FeatureVector::new((0..dim).map(|_| next()).collect(), dim, 1)).collect();
-        let query = FeatureVector::new((0..dim).map(|_| next()).collect(), dim, 1);
-        let mut model = KnnDistanceModel::new(k);
-        model.fine_tune(&refs);
-        let id = format!("m{m}_dim{dim}");
-        group.bench_with_input(BenchmarkId::new("per_point", &id), &m, |b, _| {
-            b.iter(|| {
-                black_box(KnnDistanceModel::kth_distance_of(k, black_box(&query), &refs))
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("snapshot_sweep", &id), &m, |b, _| {
-            b.iter(|| black_box(model.snapshot_kth_distance(k, black_box(&query))));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_group, bench_warmup_fork, bench_knn_sweep);
+criterion_group!(benches, bench_group, bench_warmup_fork);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Roofline-style kernel measurement for the dense GEMM behind fleet
-//! serving plus the kNN snapshot sweep (§E12/§E13 of EXPERIMENTS.md).
+//! serving (§E12 of EXPERIMENTS.md).
 //!
 //! Five kernels per shape, all computing `A · Bᵀ` (the serving GEMM —
 //! one `X · Wᵀ` per NN layer):
@@ -24,8 +24,7 @@
 //! scalar-f64 legacy GFLOP/s on at least one shape, and the f32
 //! register-blocked panel must clear ≥1.5× the f32 tiled dot-loop at
 //! B = 16 — so the committed artifact can only be regenerated while the
-//! claims hold. It also times the kNN k-th-neighbour query per-point vs
-//! over the packed snapshot (`KnnDistanceModel`), the §E13 table source.
+//! claims hold.
 //!
 //! ```sh
 //! cargo run --release --bin tensor_kernels            # quick (default)
@@ -34,8 +33,6 @@
 
 use std::time::Instant;
 
-use sad_core::{FeatureVector, StreamModel};
-use sad_models::KnnDistanceModel;
 use sad_tensor::{Matrix, Scalar};
 
 /// Deterministic dense fill, same LCG as the criterion benches.
@@ -109,46 +106,6 @@ fn result(kernel: &'static str, secs: f64, m: usize, n: usize, k: usize, elem: u
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
     let bytes = ((m * k + k * n + m * n) * elem) as f64;
     KernelResult { kernel, secs, gflops: flops / secs / 1e9, gbps: bytes / secs / 1e9 }
-}
-
-/// Times the kNN k-th-neighbour query per-point (frozen legacy path) vs
-/// over the packed transposed snapshot, asserting the answers stay
-/// bitwise-equal while timing. Returns `(t_per_point, t_snapshot)`.
-fn time_knn_sweep(reps: usize, m: usize, dim: usize, k: usize) -> (f64, f64) {
-    let mut state = 0xfeed_beefu64;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
-    let refs: Vec<FeatureVector> =
-        (0..m).map(|_| FeatureVector::new((0..dim).map(|_| next()).collect(), dim, 1)).collect();
-    let queries: Vec<FeatureVector> =
-        (0..32).map(|_| FeatureVector::new((0..dim).map(|_| next()).collect(), dim, 1)).collect();
-    let mut model = KnnDistanceModel::new(k);
-    model.fine_tune(&refs);
-    for q in &queries {
-        assert_eq!(
-            model.snapshot_kth_distance(k, q).map(f64::to_bits),
-            KnnDistanceModel::kth_distance_of(k, q, &refs).map(f64::to_bits),
-            "snapshot sweep diverged from per-point reference",
-        );
-    }
-    let iters = (20_000 / m).clamp(2, 400);
-    let t_per_point = best_time(reps, iters, || {
-        for q in &queries {
-            std::hint::black_box(KnnDistanceModel::kth_distance_of(
-                k,
-                std::hint::black_box(q),
-                &refs,
-            ));
-        }
-    });
-    let t_snapshot = best_time(reps, iters, || {
-        for q in &queries {
-            std::hint::black_box(model.snapshot_kth_distance(k, std::hint::black_box(q)));
-        }
-    });
-    (t_per_point / queries.len() as f64, t_snapshot / queries.len() as f64)
 }
 
 fn main() {
@@ -273,31 +230,13 @@ fn main() {
         );
     }
 
-    // kNN offline scoring: per-point k-th-neighbour query vs the packed
-    // snapshot sweep, at the Table III quick-profile feature dim (w·N =
-    // 180) and a post-warm-up reference set size.
-    let (knn_m, knn_dim, knn_k) = (200usize, 180usize, 5usize);
-    let (t_per_point, t_snapshot) = time_knn_sweep(reps, knn_m, knn_dim, knn_k);
-    let knn_speedup = t_per_point / t_snapshot;
-    println!(
-        "  knn_kth_distance (m={knn_m} dim={knn_dim} k={knn_k}):\n    \
-         per_point  {:>9.2} us/query\n    snapshot   {:>9.2} us/query\n    \
-         speedup: {knn_speedup:.2}x (bitwise-equal answers)",
-        t_per_point * 1e6,
-        t_snapshot * 1e6,
-    );
-
     let json = format!(
         "{{\n  \"harness\": \"tensor_kernels\",\n  \"profile\": \"{}\",\n  \
          \"gemm\": \"A(mxk) . B^T(nxk)\",\n  \"simd_feature\": {simd},\n  \
          \"best_f32_vs_legacy\": {best_f32_vs_legacy:.3},\n  \
-         \"f32_micro_vs_tiled_b16\": {f32_micro_vs_tiled_b16:.3},\n  \"shapes\": [\n{}\n  ],\n  \
-         \"knn_sweep\": {{\"m\": {knn_m}, \"dim\": {knn_dim}, \"k\": {knn_k}, \
-         \"per_point_us\": {:.3}, \"snapshot_us\": {:.3}, \"speedup\": {knn_speedup:.3}}}\n}}\n",
+         \"f32_micro_vs_tiled_b16\": {f32_micro_vs_tiled_b16:.3},\n  \"shapes\": [\n{}\n  ]\n}}\n",
         if full { "full" } else { "quick" },
         entries.join(",\n"),
-        t_per_point * 1e6,
-        t_snapshot * 1e6,
     );
     match std::fs::create_dir_all("bench_output")
         .and_then(|()| std::fs::write("bench_output/tensor_kernels.json", &json))

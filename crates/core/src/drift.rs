@@ -266,8 +266,16 @@ impl KswinDetector {
         }
     }
 
+    /// Whether `v` sorts before `value` in a channel multiset: ascending,
+    /// with NaN last (plain `<` on NaN-free values). A NaN inserted by `<`
+    /// alone would land at the front and make later binary searches place
+    /// numbers out of order.
+    fn sorts_before(v: f64, value: f64) -> bool {
+        v < value || (value.is_nan() && !v.is_nan())
+    }
+
     fn insert_sorted(channel: &mut Vec<f64>, value: f64, ops: &mut OpCount) {
-        let idx = channel.partition_point(|&v| v < value);
+        let idx = channel.partition_point(|&v| Self::sorts_before(v, value));
         ops.comparisons += (channel.len().max(2) as f64).log2().ceil() as u64;
         channel.insert(idx, value);
     }
@@ -283,7 +291,7 @@ impl KswinDetector {
     /// reports the outcome so the caller can log and count the anomaly
     /// instead of silently desynchronizing the multiset.
     fn remove_sorted(channel: &mut Vec<f64>, value: f64, ops: &mut OpCount) -> bool {
-        let idx = channel.partition_point(|&v| v < value);
+        let idx = channel.partition_point(|&v| Self::sorts_before(v, value));
         ops.comparisons += (channel.len().max(2) as f64).log2().ceil() as u64;
         if idx < channel.len() && channel[idx] == value {
             channel.remove(idx);
@@ -649,6 +657,29 @@ mod tests {
         assert_eq!(channel.len(), 3);
         assert!(!KswinDetector::remove_sorted(&mut channel, 9.0, &mut ops));
         assert_eq!(channel.len(), 3);
+    }
+
+    /// NaN sorts last in the channel multisets, so the binary-search
+    /// inserts keep the numbers in order around it, and the multisets are
+    /// NaN-free and sorted again once the NaN slides out of the window.
+    #[test]
+    fn kswin_channels_stay_sorted_through_a_nan() {
+        let mut det = KswinDetector::new(0.01);
+        let mut strat = SlidingWindowSet::new(5);
+        let nan_last = |c: &[f64]| c.windows(2).all(|p| p[0] <= p[1] || p[1].is_nan());
+        for t in 0..30 {
+            let x = fv(if t == 10 { f64::NAN } else { ((t * 7) % 11) as f64 });
+            let update = strat.update(&x, 0.0);
+            det.observe(&x, &update, strat.training_set());
+            if t == 12 {
+                det.on_fine_tune(strat.training_set());
+            }
+            for c in &det.current {
+                assert!(nan_last(c), "t = {t}: {c:?}");
+            }
+        }
+        assert!(det.current.iter().flatten().all(|v| !v.is_nan()));
+        assert_eq!(det.removal_misses(), 0);
     }
 
     /// The Unchanged update (reservoir rejection) must not mutate the

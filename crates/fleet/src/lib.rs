@@ -25,7 +25,7 @@
 //! *training events* (a member joins at its warm-up fit; a member is
 //! re-cohorted after any fine-tune in its group), never per step. Streams
 //! whose models never materialize a batchable network (PCB-iForest,
-//! ARIMA, kNN, …) — and every stream when `FleetConfig::batching` is off
+//! ARIMA) — and every stream when `FleetConfig::batching` is off
 //! — run the plain scalar `Detector::step` path.
 //!
 //! ## One serving loop, two precisions

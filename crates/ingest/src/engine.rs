@@ -117,11 +117,13 @@ impl<F: FnMut(u64, &StepOutput)> EngineSink for F {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Frames handed to the engine, whatever became of them: queued, shed
-    /// by a drop policy, rejected by the live-stream cap, or ignored for
-    /// a wrong channel width.
+    /// by a drop policy, rejected for a non-finite value, rejected by the
+    /// live-stream cap, or ignored for a wrong channel width.
     pub frames: usize,
     /// Payload bytes consumed from transports.
     pub bytes: u64,
+    /// Frames rejected for holding a NaN or ±∞ value.
+    pub non_finite: usize,
     /// Frames for unknown wire ids rejected by the live-stream cap.
     pub rejected: usize,
     /// Frames whose channel count disagreed with their stream's detector.
@@ -182,8 +184,17 @@ impl IngestEngine {
     /// offer under the back-pressure policy, and drain once one frame per
     /// live stream has arrived. Blocked offers drain immediately and
     /// retry.
+    ///
+    /// A frame holding a NaN or ±∞ is counted in
+    /// [`IngestStats::non_finite`] and goes no further: it admits no
+    /// detector, refreshes no idle timer and does not count toward the
+    /// drain cadence.
     pub fn ingest(&mut self, frame: &Frame, sink: &mut impl EngineSink) {
         self.stats.frames += 1;
+        if !frame.values.iter().all(|v| v.is_finite()) {
+            self.stats.non_finite += 1;
+            return;
+        }
         let id = match self.route.get(&frame.stream) {
             Some(&id) => id,
             None => {
@@ -316,6 +327,11 @@ impl IngestEngine {
             ("sad_ingest_frames_total", "Frames decoded and routed.", s.frames as u64),
             ("sad_ingest_bytes_total", "Payload bytes consumed from transports.", s.bytes),
             (
+                "sad_ingest_non_finite_total",
+                "Frames rejected for holding a NaN or infinite value.",
+                s.non_finite as u64,
+            ),
+            (
                 "sad_ingest_rejected_total",
                 "Frames for unknown wire ids rejected by the live-stream cap.",
                 s.rejected as u64,
@@ -395,6 +411,18 @@ mod tests {
         engine.ingest(&frame(99, &[1.0]), &mut sink);
         assert_eq!(engine.stats().channel_mismatches, 1);
         assert_eq!(engine.stats().frames, 3);
+        // Non-finite frames, for a known and an unknown id, are counted
+        // and go no further: nothing is admitted, queued or stepped.
+        let queued = engine.fleet().queued(id7);
+        engine.ingest(&frame(7, &[f64::NAN]), &mut sink);
+        engine.ingest(&frame(5, &[f64::INFINITY, 0.5]), &mut sink);
+        let stats = engine.stats();
+        assert_eq!((stats.non_finite, stats.frames), (2, 5));
+        assert_eq!((engine.fleet().live(), stats.fleet.admitted), (2, 2));
+        assert!(engine.stream_id(5).is_none());
+        assert_eq!(engine.fleet().queued(id7), queued, "the NaN frame was not queued");
+        engine.finish(&mut sink);
+        assert_eq!(engine.stats().fleet.steps, 2, "only the two admitting frames stepped");
     }
 
     #[test]
@@ -417,7 +445,7 @@ mod tests {
         let mut engine = IngestEngine::new(template(4, 10), FleetConfig::default(), cfg);
         let mut sink = Collect { outputs: Vec::new() };
         // Two streams; stream 2 goes quiet while stream 1 keeps rounds
-        // ticking.
+        // ticking. Its NaN frames are rejected and refresh no idle timer.
         for t in 0..6 {
             engine.ingest(&frame(1, &[t as f64]), &mut sink);
             engine.ingest(&frame(2, &[t as f64]), &mut sink);
@@ -425,6 +453,7 @@ mod tests {
         assert_eq!(engine.fleet().live(), 2);
         for t in 6..20 {
             engine.ingest(&frame(1, &[t as f64]), &mut sink);
+            engine.ingest(&frame(2, &[f64::NAN]), &mut sink);
         }
         assert_eq!(engine.fleet().live(), 1, "idle stream 2 was retired");
         assert!(engine.stream_id(2).is_none());

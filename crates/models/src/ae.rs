@@ -14,21 +14,18 @@ use sad_tensor::Adam;
 
 /// Two-layer autoencoder over the flattened feature vector.
 ///
-/// Training runs through the batched, workspace-backed `sad-nn` path: the
-/// fine-tune loop packs `batch_size` windows into a row-major matrix and
-/// performs zero heap allocations in steady state. The default
-/// `batch_size = 1` reproduces the original per-sample SGD trajectory bit
-/// for bit (one Adam step per window).
+/// Training runs through the workspace-backed `sad-nn` path, one Adam step
+/// per window (the original per-sample trajectory, bit for bit), with zero
+/// heap allocations in steady state.
 #[derive(Clone)]
 pub struct TwoLayerAe {
     net: Option<Mlp>,
     scaler: Option<Affine>,
     opt: Adam,
-    /// Reusable batched-training buffers (created with the net).
+    /// Reusable training buffers (created with the net).
     ws: Option<MlpWorkspace>,
     grads: Option<MlpGrads>,
     hidden: usize,
-    batch_size: usize,
     seed: u64,
 }
 
@@ -36,16 +33,7 @@ impl TwoLayerAe {
     /// Creates an AE with `hidden` units and Adam learning rate `lr`.
     pub fn new(hidden: usize, lr: f64, seed: u64) -> Self {
         assert!(hidden > 0, "hidden width must be positive");
-        Self {
-            net: None,
-            scaler: None,
-            opt: Adam::new(lr),
-            ws: None,
-            grads: None,
-            hidden,
-            batch_size: 1,
-            seed,
-        }
+        Self { net: None, scaler: None, opt: Adam::new(lr), ws: None, grads: None, hidden, seed }
     }
 
     /// A reasonable default: hidden = dim/4 clamped to [4, 64], lr 1e-3.
@@ -53,30 +41,19 @@ impl TwoLayerAe {
         Self::new((dim / 4).clamp(4, 64), 1e-3, seed)
     }
 
-    /// Sets the training minibatch size (default 1 = per-sample updates,
-    /// matching the original trajectory; larger batches take one
-    /// mean-gradient Adam step per chunk).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.batch_size = batch_size;
-        self.ws = None; // resized lazily on next training call
-        self
-    }
-
     fn ensure_net(&mut self, dim: usize) {
-        if self.net.is_none() {
-            let mut rng = StdRng::seed_from_u64(self.seed);
-            self.net = Some(Mlp::new(
-                &[dim, self.hidden, dim],
-                &[Activation::Sigmoid, Activation::Identity],
-                &mut rng,
-            ));
+        if self.net.is_some() {
+            return;
         }
-        if self.ws.is_none() {
-            let net = self.net.as_ref().expect("just initialized");
-            self.ws = Some(net.workspace(self.batch_size));
-            self.grads = Some(net.zero_grads());
-        }
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let net = Mlp::new(
+            &[dim, self.hidden, dim],
+            &[Activation::Sigmoid, Activation::Identity],
+            &mut rng,
+        );
+        self.ws = Some(net.workspace(1));
+        self.grads = Some(net.zero_grads());
+        self.net = Some(net);
     }
 
     fn scaled(&self, x: &FeatureVector) -> Vec<f64> {
@@ -94,8 +71,9 @@ impl TwoLayerAe {
         Some(InferView { nets: Nets::Ae(net), scaler: self.scaler.as_ref() })
     }
 
-    /// One training epoch over `train`, batched. Zero heap allocations in
-    /// steady state (workspace and gradient buffers are reused).
+    /// One training epoch over `train`, one Adam step per window. Zero heap
+    /// allocations in steady state (workspace and gradient buffers are
+    /// reused).
     fn epoch(&mut self, train: &[FeatureVector]) {
         if train.is_empty() {
             return;
@@ -104,13 +82,10 @@ impl TwoLayerAe {
         let net = self.net.as_mut().expect("just initialized");
         let ws = self.ws.as_mut().expect("just initialized");
         let grads = self.grads.as_mut().expect("just initialized");
-        for chunk in train.chunks(self.batch_size) {
-            ws.set_batch(chunk.len());
-            for (b, x) in chunk.iter().enumerate() {
-                match &self.scaler {
-                    Some(s) => s.transform_into(x.as_slice(), ws.input_row_mut(b)),
-                    None => ws.input_row_mut(b).copy_from_slice(x.as_slice()),
-                }
+        for x in train {
+            match &self.scaler {
+                Some(s) => s.transform_into(x.as_slice(), ws.input_row_mut(0)),
+                None => ws.input_row_mut(0).copy_from_slice(x.as_slice()),
             }
             net.train_batch_mse_identity(ws, grads, &mut self.opt);
         }

@@ -22,29 +22,14 @@
 //! independently.
 
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
-use sad_tensor::{OnlineNewtonStep, Optimizer};
-
-/// Coefficient update rule for [`OnlineArima`].
-#[derive(Debug, Clone)]
-enum ArimaUpdate {
-    /// Plain online gradient descent with a fixed learning rate (the
-    /// simplification evaluated in the paper's experiments).
-    Sgd {
-        /// Learning rate.
-        lr: f64,
-    },
-    /// The Online Newton Step — the optimizer Liu et al.'s ARIMA-ONS
-    /// variant actually uses.
-    Ons(OnlineNewtonStep),
-}
 
 /// Online ARIMA with shared coefficients across channels.
 #[derive(Debug, Clone)]
 pub struct OnlineArima {
     /// Differencing order `d`.
     d: usize,
-    /// Coefficient update rule.
-    update: ArimaUpdate,
+    /// OGD learning rate.
+    lr: f64,
     /// Coefficients `γ ∈ R^L`, lazily sized to `w − d − 1` on first use.
     gamma: Vec<f64>,
     /// Binomial coefficients `(−1)ⁱ C(d,i)` for the differencing operator.
@@ -55,8 +40,6 @@ pub struct OnlineArima {
     chan: Vec<f64>,
     /// Scratch: lag regressor vector `z`.
     z: Vec<f64>,
-    /// Scratch: ONS gradient vector.
-    grad: Vec<f64>,
 }
 
 impl OnlineArima {
@@ -70,32 +53,7 @@ impl OnlineArima {
         let diff_coeffs = (0..=d)
             .map(|i| if i % 2 == 0 { binomial(d, i) } else { -binomial(d, i) })
             .collect();
-        Self {
-            d,
-            update: ArimaUpdate::Sgd { lr },
-            gamma: Vec::new(),
-            diff_coeffs,
-            chan: Vec::new(),
-            z: Vec::new(),
-            grad: Vec::new(),
-        }
-    }
-
-    /// Creates the ARIMA-ONS variant (Liu et al. 2016, Algorithm 1):
-    /// coefficients updated by the Online Newton Step.
-    pub fn with_ons(d: usize, eta: f64, eps: f64) -> Self {
-        let diff_coeffs = (0..=d)
-            .map(|i| if i % 2 == 0 { binomial(d, i) } else { -binomial(d, i) })
-            .collect();
-        Self {
-            d,
-            update: ArimaUpdate::Ons(OnlineNewtonStep::new(eta, eps)),
-            gamma: Vec::new(),
-            diff_coeffs,
-            chan: Vec::new(),
-            z: Vec::new(),
-            grad: Vec::new(),
-        }
+        Self { d, lr, gamma: Vec::new(), diff_coeffs, chan: Vec::new(), z: Vec::new() }
     }
 
     /// Current coefficient vector `γ` (empty before the first fit).
@@ -123,9 +81,6 @@ impl OnlineArima {
             // Zero init: the prediction starts as the pure integration term
             // Σ ∇ⁱ s_{t−1}, which for d=1 is the persistence forecast.
             self.gamma = vec![0.0; len];
-            if let ArimaUpdate::Ons(opt) = &mut self.update {
-                opt.reset(); // A⁻¹ must be re-sized with γ
-            }
         }
     }
 
@@ -162,10 +117,9 @@ impl OnlineArima {
         (pred, z)
     }
 
-    /// One update step on one channel window: squared loss on the final
-    /// value, gradient `2(s̃ − s) z` (norm-clipped), applied by the
-    /// configured rule (OGD or ONS). Runs entirely on the reusable `z` /
-    /// `grad` scratch buffers.
+    /// One OGD step on one channel window: squared loss on the final
+    /// value, gradient `2(s̃ − s) z` (norm-clipped). Runs entirely on the
+    /// reusable `z` scratch buffer.
     fn train_channel(&mut self, series: &[f64]) {
         let mut z = std::mem::take(&mut self.z);
         let pred = self.predict_into(series, &mut z);
@@ -176,19 +130,8 @@ impl OnlineArima {
             if gnorm > Self::GRAD_CLIP {
                 scale *= Self::GRAD_CLIP / gnorm;
             }
-            match &mut self.update {
-                ArimaUpdate::Sgd { lr } => {
-                    for (g, zi) in self.gamma.iter_mut().zip(&z) {
-                        *g -= *lr * scale * zi;
-                    }
-                }
-                ArimaUpdate::Ons(opt) => {
-                    let mut grad = std::mem::take(&mut self.grad);
-                    grad.clear();
-                    grad.extend(z.iter().map(|zi| scale * zi));
-                    opt.step(&mut self.gamma, &grad);
-                    self.grad = grad;
-                }
+            for (g, zi) in self.gamma.iter_mut().zip(&z) {
+                *g -= self.lr * scale * zi;
             }
         }
         self.z = z;
@@ -369,32 +312,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn ons_variant_learns_linear_trend() {
-        let mut m = OnlineArima::with_ons(1, 0.5, 0.1);
-        let series: Vec<f64> = (0..12).map(|t| 2.0 * t as f64).collect();
-        let windows: Vec<FeatureVector> = series.windows(6).map(window_from).collect();
-        m.fit_initial(&windows, 100);
-        let x = window_from(&[20.0, 22.0, 24.0, 26.0, 28.0, 30.0]);
-        let (pred, _) = m.predict_channel(&x.channel(0));
-        assert!((pred - 30.0).abs() < 1.5, "ONS prediction {pred}");
-        assert!(m.gamma().iter().all(|g| g.is_finite()));
-    }
-
-    #[test]
-    fn ons_variant_resets_on_window_resize() {
-        let mut m = OnlineArima::with_ons(1, 0.5, 0.1);
-        let w6: Vec<FeatureVector> =
-            (0..10).map(|t| window_from(&[t as f64, 1.0, 2.0, 3.0, 4.0, 5.0])).collect();
-        m.fit_initial(&w6, 3);
-        // Switching to windows of a different length must not panic (the
-        // ONS buffer is re-sized with γ).
-        let w8: Vec<FeatureVector> =
-            (0..10).map(|t| window_from(&[t as f64, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])).collect();
-        m.fine_tune(&w8);
-        assert_eq!(m.gamma().len(), 6);
     }
 
     #[test]

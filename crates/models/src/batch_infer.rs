@@ -657,9 +657,9 @@ mod tests {
         let ae = TwoLayerAe::new(8, 5e-3, 1); // no net yet
         assert!(batch_arch_key(&ae).is_none());
         assert!(InferBatch::<f64>::new(&ae, 4).is_none());
-        let knn = crate::KnnDistanceModel::new(3);
-        assert!(batch_arch_key(&knn).is_none());
-        assert!(InferBatch::<f32>::new(&knn, 4).is_none());
+        let arima = crate::OnlineArima::new(1, 1e-3);
+        assert!(batch_arch_key(&arima).is_none());
+        assert!(InferBatch::<f32>::new(&arima, 4).is_none());
     }
 
     #[test]

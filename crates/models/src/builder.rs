@@ -32,11 +32,6 @@ pub struct BuildParams {
     /// KSWIN test stride (1 = test every step, as in the paper; larger
     /// strides trade detection latency for throughput in long sweeps).
     pub kswin_stride: usize,
-    /// Training minibatch size for the neural models (AE/USAD/N-BEATS).
-    /// 1 (the default) reproduces the per-sample update trajectory of the
-    /// reference implementation bitwise; larger values take one
-    /// mean-gradient step per chunk through the batched GEMM path.
-    pub nn_batch_size: usize,
     /// Master seed for all stochastic components.
     pub seed: u64,
 }
@@ -52,7 +47,6 @@ impl BuildParams {
             score_k_short: 5,
             kswin_alpha: KswinDetector::DEFAULT_ALPHA,
             kswin_stride: 1,
-            nn_batch_size: 1,
             seed: 42,
             config,
         }
@@ -81,14 +75,6 @@ impl BuildParams {
         self.kswin_stride = stride;
         self
     }
-
-    /// Sets the neural-model training minibatch size (see
-    /// [`Self::nn_batch_size`]).
-    pub fn with_nn_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.nn_batch_size = batch_size;
-        self
-    }
 }
 
 /// Builds the model component for a [`ModelKind`].
@@ -97,14 +83,11 @@ pub fn build_model(kind: ModelKind, params: &BuildParams) -> Box<dyn StreamModel
     let seed = params.seed;
     match kind {
         ModelKind::OnlineArima => Box::new(OnlineArima::new(1, 1e-3)),
-        ModelKind::TwoLayerAe => {
-            Box::new(TwoLayerAe::for_dim(dim, seed).with_batch_size(params.nn_batch_size))
+        ModelKind::TwoLayerAe => Box::new(TwoLayerAe::for_dim(dim, seed)),
+        ModelKind::Usad => Box::new(Usad::for_dim(dim, seed)),
+        ModelKind::NBeats => {
+            Box::new(NBeats::for_dims(params.config.window, params.config.channels, seed))
         }
-        ModelKind::Usad => Box::new(Usad::for_dim(dim, seed).with_batch_size(params.nn_batch_size)),
-        ModelKind::NBeats => Box::new(
-            NBeats::for_dims(params.config.window, params.config.channels, seed)
-                .with_batch_size(params.nn_batch_size),
-        ),
         ModelKind::PcbIForest => {
             // Subsample bounded by the training-set size (one point per
             // training feature vector).

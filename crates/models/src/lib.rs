@@ -12,7 +12,6 @@
 //! | PCB-iForest (Heigl et al. 2021) | direct iForest score | [`pcb`] |
 //! | 2-layer autoencoder | reconstruction of `x_t` | [`ae`] |
 //! | USAD (Audibert et al. 2020) | reconstruction of `x_t` | [`usad`] |
-//! | kNN distance (SAFARI special case, extension) | direct score | [`knn`] |
 //! | N-BEATS (Oreshkin et al. 2020) | forecast of `s_t` | [`nbeats`] |
 //!
 //! [`builder`] turns a `sad_core::AlgorithmSpec` (one of the 26 Table I
@@ -27,7 +26,6 @@ pub mod ae;
 pub mod arima;
 pub mod batch_infer;
 pub mod builder;
-pub mod knn;
 pub mod nbeats;
 pub mod pcb;
 pub mod scaler;
@@ -44,7 +42,6 @@ pub use builder::{
     build_detector, build_model, build_scorer, build_scorer_bank, build_shared_warmup,
     build_task1, build_task2, BuildParams,
 };
-pub use knn::KnnDistanceModel;
 pub use nbeats::{BasisKind, NBeats};
 pub use pcb::PcbIForestModel;
 pub use scaler::Affine;

@@ -81,7 +81,7 @@ impl<T: Scalar> Block<T> {
     }
 }
 
-/// Reusable batched-training buffers for one block: a workspace per
+/// Reusable training buffers for one block: a workspace per
 /// sub-network (trunk, backcast head, forecast head) and the matching
 /// gradient accumulators. Block `l`'s residual input lives in
 /// `ws_t.input`, so the forward chain writes `x_{l+1}` directly into the
@@ -96,18 +96,18 @@ struct BlockBuffers {
     g_f: MlpGrads,
 }
 
-/// Stack-level training buffers. Sized once for the configured minibatch
-/// capacity; the steady-state fine-tune loop does not allocate.
+/// Stack-level training buffers for one window. Sized once; the
+/// steady-state fine-tune loop does not allocate.
 #[derive(Clone)]
 struct NBeatsBuffers {
     blocks: Vec<BlockBuffers>,
-    /// `B×n` forecast targets (the standardized last stream vectors).
+    /// `1×n` forecast target (the standardized last stream vector).
     targets: Matrix,
-    /// `B×n` running forecast sum `Σ_l ŷ_l`.
+    /// `1×n` running forecast sum `Σ_l ŷ_l`.
     forecast: Matrix,
-    /// `B×n` forecast-loss gradient `∂L/∂ŷ` (shared by every block).
+    /// `1×n` forecast-loss gradient `∂L/∂ŷ` (shared by every block).
     g_forecast: Matrix,
-    /// `B×input` residual gradient `∂L/∂x_{l+1}` accumulator.
+    /// `1×input` residual gradient `∂L/∂x_{l+1}` accumulator.
     g_residual: Matrix,
     /// Scratch for the standardized full window before the history/target
     /// split (`w·N` wide).
@@ -197,11 +197,11 @@ impl Block {
         self.trunk.num_params() + self.backcast_head.num_params() + self.forecast_head.num_params()
     }
 
-    fn buffers(&self, max_batch: usize) -> BlockBuffers {
+    fn buffers(&self) -> BlockBuffers {
         BlockBuffers {
-            ws_t: self.trunk.workspace(max_batch),
-            ws_b: self.backcast_head.workspace(max_batch),
-            ws_f: self.forecast_head.workspace(max_batch),
+            ws_t: self.trunk.workspace(1),
+            ws_b: self.backcast_head.workspace(1),
+            ws_f: self.forecast_head.workspace(1),
             g_t: self.trunk.zero_grads(),
             g_b: self.backcast_head.zero_grads(),
             g_f: self.forecast_head.zero_grads(),
@@ -225,7 +225,6 @@ pub struct NBeats {
     plan: Vec<(BasisKind, usize)>,
     hidden: usize,
     lr: f64,
-    batch_size: usize,
     seed: u64,
 }
 
@@ -241,19 +240,8 @@ impl NBeats {
             plan: vec![(BasisKind::Generic, theta); n_blocks],
             hidden,
             lr,
-            batch_size: 1,
             seed,
         }
-    }
-
-    /// Sets the training minibatch size (default 1 = per-sample updates,
-    /// matching the original trajectory; larger batches take one
-    /// mean-gradient step per chunk).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.batch_size = batch_size;
-        self.bufs = None; // resized lazily on next training call
-        self
     }
 
     /// Creates the paper-described *interpretable* configuration: one trend
@@ -271,7 +259,6 @@ impl NBeats {
             plan: vec![(BasisKind::Trend, degree), (BasisKind::Seasonal, 2 * harmonics)],
             hidden,
             lr,
-            batch_size: 1,
             seed,
         }
     }
@@ -289,7 +276,6 @@ impl NBeats {
 
     fn ensure_blocks(&mut self, input: usize, output: usize) {
         if self.blocks.is_some() {
-            self.ensure_bufs();
             return;
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -301,26 +287,15 @@ impl NBeats {
         // One optimizer per block (each drives that block's segmented
         // trunk|backcast|forecast parameter range).
         self.opts = (0..self.plan.len()).map(|_| Adam::new(self.lr)).collect();
-        self.blocks = Some(blocks);
-        self.ensure_bufs();
-    }
-
-    fn ensure_bufs(&mut self) {
-        if self.bufs.is_some() {
-            return;
-        }
-        let bs = self.batch_size;
-        let blocks = self.blocks.as_ref().expect("blocks initialized");
-        let input = blocks[0].trunk.in_dim();
-        let output = blocks[0].forecast_head.out_dim();
         self.bufs = Some(NBeatsBuffers {
-            blocks: blocks.iter().map(|b| b.buffers(bs)).collect(),
-            targets: Matrix::zeros(bs, output),
-            forecast: Matrix::zeros(bs, output),
-            g_forecast: Matrix::zeros(bs, output),
-            g_residual: Matrix::zeros(bs, input),
+            blocks: blocks.iter().map(|b| b.buffers()).collect(),
+            targets: Matrix::zeros(1, output),
+            forecast: Matrix::zeros(1, output),
+            g_forecast: Matrix::zeros(1, output),
+            g_residual: Matrix::zeros(1, input),
             scratch: vec![0.0; input + output],
         });
+        self.blocks = Some(blocks);
     }
 
     /// Splits a feature vector into (history = first w−1 steps, target = s_t)
@@ -358,46 +333,24 @@ impl NBeats {
         forecast.expect("at least one block")
     }
 
-    /// Loads one minibatch into the training buffers: the standardized
-    /// history rows go into block 0's trunk workspace, the standardized
-    /// targets into the `targets` matrix. Allocation-free (the full scaled
-    /// window passes through the `scratch` buffer).
-    fn load_chunk(&mut self, chunk: &[FeatureVector]) {
-        let bufs = self.bufs.as_mut().expect("buffers initialized");
-        let b = chunk.len();
-        for bb in &mut bufs.blocks {
-            bb.ws_t.set_batch(b);
-            bb.ws_b.set_batch(b);
-            bb.ws_f.set_batch(b);
-        }
-        bufs.targets.resize_rows(b);
-        bufs.forecast.resize_rows(b);
-        bufs.g_forecast.resize_rows(b);
-        bufs.g_residual.resize_rows(b);
-        let n = chunk[0].n();
-        for (i, x) in chunk.iter().enumerate() {
-            match &self.scaler {
-                Some(s) => s.transform_into(x.as_slice(), &mut bufs.scratch),
-                None => bufs.scratch.copy_from_slice(x.as_slice()),
-            }
-            let split = bufs.scratch.len() - n;
-            bufs.blocks[0].ws_t.input_row_mut(i).copy_from_slice(&bufs.scratch[..split]);
-            bufs.targets.row_mut(i).copy_from_slice(&bufs.scratch[split..]);
-        }
-    }
-
-    /// One SSE training step on the minibatch currently loaded in the
-    /// buffers (see [`Self::load_chunk`]). Batched through the workspace
-    /// path; zero heap allocations. At batch size 1 this reproduces the
-    /// original per-sample step bitwise (same summation order in every
-    /// kernel, same segmented optimizer trajectory); larger batches scale
-    /// the summed gradients by `1/B` (minibatch mean) before stepping.
-    fn train_chunk(&mut self) {
+    /// One SSE training step on window `x` through the workspace path,
+    /// with zero heap allocations: the original per-sample step, bit for
+    /// bit (same summation order in every kernel, same segmented optimizer
+    /// trajectory). The standardized history goes into block 0's trunk
+    /// workspace and the standardized target into `targets`, both through
+    /// the `scratch` buffer.
+    fn train_step(&mut self, x: &FeatureVector) {
         let blocks = self.blocks.as_mut().expect("blocks initialized");
-        let NBeatsBuffers { blocks: bbs, targets, forecast, g_forecast, g_residual, .. } =
+        let NBeatsBuffers { blocks: bbs, targets, forecast, g_forecast, g_residual, scratch } =
             self.bufs.as_mut().expect("buffers initialized");
         let n_blocks = blocks.len();
-        let bsz = targets.rows();
+        match &self.scaler {
+            Some(s) => s.transform_into(x.as_slice(), scratch),
+            None => scratch.copy_from_slice(x.as_slice()),
+        }
+        let split = scratch.len() - x.n();
+        bbs[0].ws_t.input_row_mut(0).copy_from_slice(&scratch[..split]);
+        targets.row_mut(0).copy_from_slice(&scratch[split..]);
 
         // ---- Forward down the residual stack, accumulating the forecast.
         forecast.fill(0.0);
@@ -409,10 +362,8 @@ impl NBeats {
                 blocks[l].backcast_head.forward_batch(&mut bb.ws_b);
                 bb.ws_f.input_mut().copy_from(bb.ws_t.output());
                 blocks[l].forecast_head.forward_batch(&mut bb.ws_f);
-                for b in 0..bsz {
-                    for (acc, &fv) in forecast.row_mut(b).iter_mut().zip(bb.ws_f.output().row(b)) {
-                        *acc += fv;
-                    }
+                for (acc, &fv) in forecast.row_mut(0).iter_mut().zip(bb.ws_f.output().row(0)) {
+                    *acc += fv;
                 }
             }
             // x_{l+1} = x_l − x̂_l, written straight into the next block's
@@ -421,28 +372,23 @@ impl NBeats {
                 let (cur, rest) = bbs.split_at_mut(l + 1);
                 let bb = &cur[l];
                 let next = &mut rest[0];
-                for b in 0..bsz {
-                    for ((o, &r), &bv) in next
-                        .ws_t
-                        .input_row_mut(b)
-                        .iter_mut()
-                        .zip(bb.ws_t.input().row(b))
-                        .zip(bb.ws_b.output().row(b))
-                    {
-                        *o = r - bv;
-                    }
+                for ((o, &r), &bv) in next
+                    .ws_t
+                    .input_row_mut(0)
+                    .iter_mut()
+                    .zip(bb.ws_t.input().row(0))
+                    .zip(bb.ws_b.output().row(0))
+                {
+                    *o = r - bv;
                 }
             }
         }
 
         // ---- Backward through the residual chain.
         // ∂SSE/∂ŷ = 2(ŷ − y), identical for every block (ŷ is the sum).
-        for b in 0..bsz {
-            for ((g, &p), &t) in
-                g_forecast.row_mut(b).iter_mut().zip(forecast.row(b)).zip(targets.row(b))
-            {
-                *g = 2.0 * (p - t);
-            }
+        for ((g, &p), &t) in g_forecast.row_mut(0).iter_mut().zip(forecast.row(0)).zip(targets.row(0))
+        {
+            *g = 2.0 * (p - t);
         }
         g_residual.fill(0.0); // ∂L/∂x_L (unused tail)
         for l in (0..n_blocks).rev() {
@@ -455,33 +401,23 @@ impl NBeats {
             bb.ws_f.grad_out_mut().copy_from(g_forecast);
             block.forecast_head.backward_batch(&mut bb.ws_f, &mut bb.g_f, true);
             // Backcast head: x_{l+1} = x_l − x̂_l ⇒ ∂L/∂x̂_l = −∂L/∂x_{l+1}.
-            for b in 0..bsz {
-                for (g, &r) in bb.ws_b.grad_out_mut().row_mut(b).iter_mut().zip(g_residual.row(b))
-                {
-                    *g = -r;
-                }
+            for (g, &r) in bb.ws_b.grad_out_mut().row_mut(0).iter_mut().zip(g_residual.row(0)) {
+                *g = -r;
             }
             block.backcast_head.backward_batch(&mut bb.ws_b, &mut bb.g_b, true);
             // Trunk output gradient: forecast path + backcast path.
             {
                 let go = bb.ws_t.grad_out_mut();
-                for b in 0..bsz {
-                    for ((g, &f), &bv) in go
-                        .row_mut(b)
-                        .iter_mut()
-                        .zip(bb.ws_f.grad_in().row(b))
-                        .zip(bb.ws_b.grad_in().row(b))
-                    {
-                        *g = f + bv;
-                    }
+                for ((g, &f), &bv) in
+                    go.row_mut(0).iter_mut().zip(bb.ws_f.grad_in().row(0)).zip(bb.ws_b.grad_in().row(0))
+                {
+                    *g = f + bv;
                 }
             }
             // Trunk: ∂L/∂x_l gets the trunk path plus the residual pass-through.
             block.trunk.backward_batch(&mut bb.ws_t, &mut bb.g_t, true);
-            for b in 0..bsz {
-                for (g, &t) in g_residual.row_mut(b).iter_mut().zip(bb.ws_t.grad_in().row(b)) {
-                    *g += t;
-                }
+            for (g, &t) in g_residual.row_mut(0).iter_mut().zip(bb.ws_t.grad_in().row(0)) {
+                *g += t;
             }
         }
 
@@ -500,12 +436,6 @@ impl NBeats {
                     frozen.weights.fill(0.0);
                     frozen.bias.fill(0.0);
                 }
-            }
-            if bsz > 1 {
-                let s = 1.0 / bsz as f64;
-                bb.g_t.scale(s);
-                bb.g_b.scale(s);
-                bb.g_f.scale(s);
             }
             opt.begin_step(block.num_params());
             let off = block.trunk.apply_grads_segmented(&bb.g_t, opt, 0);
@@ -574,9 +504,8 @@ impl StreamModel for NBeats {
             return;
         }
         self.ensure_blocks((train[0].w() - 1) * train[0].n(), train[0].n());
-        for chunk in train.chunks(self.batch_size) {
-            self.load_chunk(chunk);
-            self.train_chunk();
+        for x in train {
+            self.train_step(x);
         }
     }
 
@@ -708,30 +637,6 @@ mod tests {
         let after = loss(&nb);
         assert!(after < before, "gradient steps must descend: {before} -> {after}");
         assert!(after < before * 0.7, "descent should be substantial: {before} -> {after}");
-    }
-
-    /// Larger minibatches must still descend on the same objective.
-    #[test]
-    fn batched_training_still_learns() {
-        let train = sine_windows(40, 8);
-        let mut nb = NBeats::new(2, 16, 6, 2e-3, 11).with_batch_size(8);
-        let mut untrained = nb.clone();
-        untrained.fit_initial(&train, 0);
-        nb.fit_initial(&train, 150);
-        let probe = &train[20];
-        let err = |m: &mut NBeats| -> f64 {
-            match m.predict(probe) {
-                ModelOutput::Forecast(f) => f
-                    .iter()
-                    .zip(probe.last_step())
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>(),
-                _ => unreachable!(),
-            }
-        };
-        let before = err(&mut untrained);
-        let after = err(&mut nb);
-        assert!(after < before * 0.5, "batched training must help: {before} -> {after}");
     }
 
     #[test]

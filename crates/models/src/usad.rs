@@ -31,13 +31,13 @@ use sad_core::{FeatureVector, ModelOutput, StreamModel};
 use sad_nn::{Activation, Mlp, MlpGrads, MlpWorkspace};
 use sad_tensor::{Adam, Matrix};
 
-/// Reusable batched-training buffers for the five forward instances of the
+/// Reusable training buffers for the five forward instances of the
 /// adversarial step (`E(x)`, `D₁(z)`, `E(r₁)`, `D₂(z₂)`, `D₂(z)`) plus the
 /// gradient accumulators. Sized once; the steady-state fine-tune loop does
 /// not allocate.
 #[derive(Clone)]
 struct UsadBuffers {
-    /// `E(x)` — its input rows hold the scaled minibatch `z_in`.
+    /// `E(x)` — its input row holds the scaled window `z_in`.
     ws_e: MlpWorkspace,
     /// `D₁(z)` → `r₁`.
     ws_d1: MlpWorkspace,
@@ -72,8 +72,6 @@ pub struct Usad {
     opt_e2: Adam,
     opt_d2: Adam,
     latent: usize,
-    lr: f64,
-    batch_size: usize,
     seed: u64,
     /// Training epoch counter `n` (1-based, as in the loss definition).
     epoch: usize,
@@ -94,8 +92,6 @@ impl Usad {
             opt_e2: Adam::new(lr),
             opt_d2: Adam::new(lr),
             latent,
-            lr,
-            batch_size: 1,
             seed,
             epoch: 0,
         }
@@ -106,17 +102,6 @@ impl Usad {
         Self::new((dim / 8).clamp(2, 16), 1e-3, seed)
     }
 
-    /// Sets the training minibatch size (default 1 = per-sample updates,
-    /// matching the original trajectory; larger batches take one
-    /// mean-gradient adversarial step per chunk, USAD's own minibatch
-    /// formulation).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.batch_size = batch_size;
-        self.bufs = None; // resized lazily on next training call
-        self
-    }
-
     /// Current epoch counter `n`.
     pub fn epoch(&self) -> usize {
         self.epoch
@@ -124,7 +109,6 @@ impl Usad {
 
     fn ensure_nets(&mut self, dim: usize) {
         if self.encoder.is_some() {
-            self.ensure_bufs();
             return;
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -142,33 +126,24 @@ impl Usad {
         // maximization from diverging (as in the reference implementation).
         let enc_acts = [Activation::Tanh, Activation::Tanh, Activation::Identity];
         let dec_acts = [Activation::Tanh, Activation::Tanh, Activation::Sigmoid];
-        self.encoder = Some(Mlp::new(&[dim, h1, h2, self.latent], &enc_acts, &mut rng));
-        self.dec1 = Some(Mlp::new(&[self.latent, h2, h1, dim], &dec_acts, &mut rng));
-        self.dec2 = Some(Mlp::new(&[self.latent, h2, h1, dim], &dec_acts, &mut rng));
-        let _ = self.lr;
-        self.ensure_bufs();
-    }
-
-    fn ensure_bufs(&mut self) {
-        if self.bufs.is_some() {
-            return;
-        }
-        let bs = self.batch_size;
-        let encoder = self.encoder.as_ref().expect("nets initialized");
-        let dec1 = self.dec1.as_ref().expect("nets initialized");
-        let dec2 = self.dec2.as_ref().expect("nets initialized");
+        let encoder = Mlp::new(&[dim, h1, h2, self.latent], &enc_acts, &mut rng);
+        let dec1 = Mlp::new(&[self.latent, h2, h1, dim], &dec_acts, &mut rng);
+        let dec2 = Mlp::new(&[self.latent, h2, h1, dim], &dec_acts, &mut rng);
         self.bufs = Some(UsadBuffers {
-            ws_e: encoder.workspace(bs),
-            ws_d1: dec1.workspace(bs),
-            ws_e2: encoder.workspace(bs),
-            ws_d2b: dec2.workspace(bs),
-            ws_d2r: dec2.workspace(bs),
+            ws_e: encoder.workspace(1),
+            ws_d1: dec1.workspace(1),
+            ws_e2: encoder.workspace(1),
+            ws_d2b: dec2.workspace(1),
+            ws_d2r: dec2.workspace(1),
             g_e: encoder.zero_grads(),
             g_d1: dec1.zero_grads(),
             g_d2: dec2.zero_grads(),
             g_d1_discard: dec1.zero_grads(),
             g_d2_discard: dec2.zero_grads(),
         });
+        self.encoder = Some(encoder);
+        self.dec1 = Some(dec1);
+        self.dec2 = Some(dec2);
     }
 
     fn scaled(&self, x: &FeatureVector) -> Vec<f64> {
@@ -178,30 +153,10 @@ impl Usad {
         }
     }
 
-    /// Loads one minibatch of scaled inputs into the training buffers.
-    fn load_chunk(&mut self, chunk: &[FeatureVector]) {
-        let bufs = self.bufs.as_mut().expect("buffers initialized");
-        let b = chunk.len();
-        bufs.ws_e.set_batch(b);
-        bufs.ws_d1.set_batch(b);
-        bufs.ws_e2.set_batch(b);
-        bufs.ws_d2b.set_batch(b);
-        bufs.ws_d2r.set_batch(b);
-        for (i, x) in chunk.iter().enumerate() {
-            match &self.scaler {
-                Some(s) => s.transform_into(x.as_slice(), bufs.ws_e.input_row_mut(i)),
-                None => bufs.ws_e.input_row_mut(i).copy_from_slice(x.as_slice()),
-            }
-        }
-    }
-
-    /// One adversarial training step on the minibatch currently loaded in
-    /// the buffers (see [`Self::load_chunk`]). Batched through the
-    /// workspace path; zero heap allocations. At batch size 1 this is
-    /// bitwise identical to the original per-sample adversarial step; for
-    /// larger batches the summed gradients are scaled by `1/B` before each
-    /// Adam step (minibatch mean, as in the USAD reference).
-    fn train_chunk(&mut self) {
+    /// One adversarial training step on window `x`, through the workspace
+    /// path with zero heap allocations: the original per-sample adversarial
+    /// step, bit for bit.
+    fn train_step(&mut self, x: &FeatureVector) {
         let n = self.epoch.max(1) as f64;
         let w_rec = 1.0 / n;
         let w_adv = (n - 1.0) / n;
@@ -220,7 +175,10 @@ impl Usad {
             g_d1_discard,
             g_d2_discard,
         } = self.bufs.as_mut().expect("buffers initialized");
-        let bsz = ws_e.batch();
+        match &self.scaler {
+            Some(s) => s.transform_into(x.as_slice(), ws_e.input_row_mut(0)),
+            None => ws_e.input_row_mut(0).copy_from_slice(x.as_slice()),
+        }
 
         // ---- Phase 1: update {E, D1} on L_AE1 = w_rec·R1 + w_adv·R_both.
         {
@@ -238,7 +196,7 @@ impl Usad {
 
             // ∂L/∂rboth, back through D2 (param grads discarded) and the
             // re-encoding into ∂L/∂r1.
-            mse_grad_rows_scaled(ws_d2b, ws_e.input(), w_adv);
+            mse_grad_scaled(ws_d2b, ws_e.input(), w_adv);
             dec2.backward_batch(ws_d2b, g_d2_discard, true); // → g_z2
             ws_e2.grad_out_mut().copy_from(ws_d2b.grad_in());
             encoder.backward_batch(ws_e2, g_e, true); // → g_r1_adv
@@ -251,27 +209,17 @@ impl Usad {
                 let adv = ws_e2.grad_in();
                 let d = r1.cols();
                 let scale = 2.0 / d.max(1) as f64;
-                for b in 0..bsz {
-                    for (((g, &p), &t), &a) in go
-                        .row_mut(b)
-                        .iter_mut()
-                        .zip(r1.row(b))
-                        .zip(z_in.row(b))
-                        .zip(adv.row(b))
-                    {
-                        *g = scale * (p - t);
-                        *g = *g * w_rec + a;
-                    }
+                for (((g, &p), &t), &a) in
+                    go.row_mut(0).iter_mut().zip(r1.row(0)).zip(z_in.row(0)).zip(adv.row(0))
+                {
+                    *g = scale * (p - t);
+                    *g = *g * w_rec + a;
                 }
             }
             dec1.backward_batch(ws_d1, g_d1, true); // → g_z
             ws_e.grad_out_mut().copy_from(ws_d1.grad_in());
             encoder.backward_batch(ws_e, g_e, false);
 
-            if bsz > 1 {
-                g_e.scale(1.0 / bsz as f64);
-                g_d1.scale(1.0 / bsz as f64);
-            }
             encoder.apply_grads(g_e, &mut self.opt_e1);
             dec1.apply_grads(g_d1, &mut self.opt_d1);
         }
@@ -293,11 +241,11 @@ impl Usad {
             g_d1_discard.zero(); // D1 frozen this phase
 
             // + w_rec·R2 path: x → E → z → D2 → r2.
-            mse_grad_rows_scaled(ws_d2r, ws_e.input(), w_rec);
+            mse_grad_scaled(ws_d2r, ws_e.input(), w_rec);
             dec2.backward_batch(ws_d2r, g_d2, true); // → g_z_a
 
             // − w_adv·R_both path: …D1(E(x)) → E → z2 → D2 → rboth.
-            mse_grad_rows_scaled(ws_d2b, ws_e.input(), -w_adv);
+            mse_grad_scaled(ws_d2b, ws_e.input(), -w_adv);
             dec2.backward_batch(ws_d2b, g_d2, true); // → g_z2
             ws_e2.grad_out_mut().copy_from(ws_d2b.grad_in());
             encoder.backward_batch(ws_e2, g_e, true); // → g_r1
@@ -307,20 +255,14 @@ impl Usad {
             // g_z = g_z_a + g_z_b, through the first encoding.
             {
                 let go = ws_e.grad_out_mut();
-                for b in 0..bsz {
-                    for ((g, &a), &c) in
-                        go.row_mut(b).iter_mut().zip(ws_d2r.grad_in().row(b)).zip(ws_d1.grad_in().row(b))
-                    {
-                        *g = a + c;
-                    }
+                for ((g, &a), &c) in
+                    go.row_mut(0).iter_mut().zip(ws_d2r.grad_in().row(0)).zip(ws_d1.grad_in().row(0))
+                {
+                    *g = a + c;
                 }
             }
             encoder.backward_batch(ws_e, g_e, false);
 
-            if bsz > 1 {
-                g_e.scale(1.0 / bsz as f64);
-                g_d2.scale(1.0 / bsz as f64);
-            }
             encoder.apply_grads(g_e, &mut self.opt_e2);
             dec2.apply_grads(g_d2, &mut self.opt_d2);
         }
@@ -360,21 +302,18 @@ impl Usad {
 }
 
 /// Writes `factor · ∂mean((out − target)²)/∂out` into the workspace's output
-/// gradient, row by row.
+/// gradient.
 ///
 /// The two-operation form (`scale·(p − t)` then `*= factor`) replicates the
 /// original per-sample code path (`mse_grad` followed by a separate scaling
-/// pass) exactly, keeping batch size 1 bitwise identical to the per-sample
-/// trajectory.
-fn mse_grad_rows_scaled(ws: &mut MlpWorkspace, target: &Matrix, factor: f64) {
+/// pass) exactly, bit for bit.
+fn mse_grad_scaled(ws: &mut MlpWorkspace, target: &Matrix, factor: f64) {
     let (_, out, go) = ws.io_split();
     let d = out.cols();
     let scale = 2.0 / d.max(1) as f64;
-    for b in 0..out.rows() {
-        for ((g, &p), &t) in go.row_mut(b).iter_mut().zip(out.row(b)).zip(target.row(b)) {
-            *g = scale * (p - t);
-            *g *= factor;
-        }
+    for ((g, &p), &t) in go.row_mut(0).iter_mut().zip(out.row(0)).zip(target.row(0)) {
+        *g = scale * (p - t);
+        *g *= factor;
     }
 }
 
@@ -411,9 +350,8 @@ impl StreamModel for Usad {
         }
         self.ensure_nets(train[0].dim());
         self.epoch += 1;
-        for chunk in train.chunks(self.batch_size) {
-            self.load_chunk(chunk);
-            self.train_chunk();
+        for x in train {
+            self.train_step(x);
         }
     }
 

@@ -78,12 +78,20 @@ pub fn ks_statistic(a: &[f64], b: &[f64], ops: Option<&mut OpCount>) -> f64 {
 /// This is the hot path of the KSWIN drift detector, which maintains its
 /// training-set snapshots as incrementally sorted per-channel arrays and
 /// therefore never pays the sort.
+///
+/// Total on every input: NaN is unordered, so "sorted" means no adjacent
+/// pair in descending order, and the merge walk steps past a NaN as soon
+/// as it reaches one (see [`walked_past`]). Each pass of the walk then
+/// consumes at least one value, so it ends after at most `r1 + r2` passes
+/// wherever NaN sits in either sample. On NaN-free input the walk, its
+/// result bits and its [`OpCount`] tallies are those of the plain `≤`
+/// merge.
 pub fn ks_statistic_sorted(sa: &[f64], sb: &[f64], ops: Option<&mut OpCount>) -> f64 {
     if sa.is_empty() || sb.is_empty() {
         return 0.0;
     }
-    debug_assert!(sa.windows(2).all(|p| p[0] <= p[1]), "first sample not sorted");
-    debug_assert!(sb.windows(2).all(|p| p[0] <= p[1]), "second sample not sorted");
+    debug_assert!(sa.windows(2).all(|p| walked_past(p[0], p[1])), "first sample not sorted");
+    debug_assert!(sb.windows(2).all(|p| walked_past(p[0], p[1])), "second sample not sorted");
     let mut count = OpCount::default();
 
     // Walk the merged order of both samples, tracking each ECDF. The loop
@@ -100,11 +108,11 @@ pub fn ks_statistic_sorted(sa: &[f64], sb: &[f64], ops: Option<&mut OpCount>) ->
             (None, None) => unreachable!("loop condition guarantees one side remains"),
         };
         count.comparisons += 1;
-        while i < sa.len() && sa[i] <= x {
+        while i < sa.len() && walked_past(sa[i], x) {
             i += 1;
             count.comparisons += 1;
         }
-        while j < sb.len() && sb[j] <= x {
+        while j < sb.len() && walked_past(sb[j], x) {
             j += 1;
             count.comparisons += 1;
         }
@@ -120,6 +128,15 @@ pub fn ks_statistic_sorted(sa: &[f64], sb: &[f64], ops: Option<&mut OpCount>) ->
         *o += count;
     }
     d_max.clamp(0.0, 1.0)
+}
+
+/// Whether the merge walk at `x` has reached `v`: `v ≤ x`, or either one is
+/// NaN. `x` is the smaller head (`f64::min` returns the non-NaN operand),
+/// so a NaN head is passed as soon as the walk meets it, and a head always
+/// passes itself — `x ≤ x` for a number, the NaN rule for a NaN.
+#[inline]
+fn walked_past(v: f64, x: f64) -> bool {
+    v <= x || v.is_nan() || x.is_nan()
 }
 
 /// Runs the full two-sample KS test at significance `alpha`.
@@ -239,6 +256,68 @@ mod tests {
         ks_critical_value(0.0, 10, 10);
     }
 
+    /// The walk ends, in [0, 1], wherever NaN sits: first, last (where
+    /// KSWIN's sorted insert puts it), in between, in both samples, or
+    /// everywhere.
+    #[test]
+    fn walk_terminates_on_nan_anywhere() {
+        let nan = f64::NAN;
+        let cases: [(&[f64], &[f64]); 6] = [
+            (&[nan, 0.0, 1.0], &[0.5, 2.0]),
+            (&[0.0, 1.0, nan], &[0.5, 2.0]),
+            (&[0.5, 2.0], &[nan, 0.0, 1.0]),
+            (&[nan, 0.0, 1.0], &[0.5, 2.0, nan]),
+            (&[0.0, nan, 1.0], &[nan, 0.5, 2.0]),
+            (&[nan, nan], &[nan]),
+        ];
+        for (a, b) in cases {
+            let mut ops = OpCount::default();
+            let d = ks_statistic_sorted(a, b, Some(&mut ops));
+            assert!((0.0..=1.0).contains(&d), "{a:?} vs {b:?}: {d}");
+            // One outer pass per distinct step at most, plus one inner
+            // comparison per consumed value.
+            let n = (a.len() + b.len()) as u64;
+            assert!(ops.comparisons <= 3 * n, "{a:?} vs {b:?}: {ops:?}");
+        }
+    }
+
+    /// The plain `≤` merge walk, frozen as the reference for the NaN-free
+    /// property below: there the total walk must match it bit for bit and
+    /// tally for tally.
+    fn frozen_walk(sa: &[f64], sb: &[f64], ops: &mut OpCount) -> f64 {
+        if sa.is_empty() || sb.is_empty() {
+            return 0.0;
+        }
+        let (na, nb) = (sa.len() as f64, sb.len() as f64);
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut d_max = 0.0f64;
+        while i < sa.len() || j < sb.len() {
+            let x = match (sa.get(i), sb.get(j)) {
+                (Some(&a), Some(&b)) => a.min(b),
+                (Some(&a), None) => a,
+                (None, Some(&b)) => b,
+                (None, None) => unreachable!(),
+            };
+            ops.comparisons += 1;
+            while i < sa.len() && sa[i] <= x {
+                i += 1;
+                ops.comparisons += 1;
+            }
+            while j < sb.len() && sb[j] <= x {
+                j += 1;
+                ops.comparisons += 1;
+            }
+            let d = (i as f64 / na - j as f64 / nb).abs();
+            ops.additions += 1;
+            ops.multiplications += 2;
+            ops.comparisons += 1;
+            if d > d_max {
+                d_max = d;
+            }
+        }
+        d_max.clamp(0.0, 1.0)
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -263,6 +342,31 @@ mod tests {
                 let d1 = ks_statistic(&a, &b, None);
                 let d2 = ks_statistic(&b, &a, None);
                 prop_assert!((d1 - d2).abs() < 1e-12);
+            }
+
+            /// On NaN-free sorted samples (ties and ±0 included) the walk
+            /// matches the frozen `≤` walk: same statistic bits, same
+            /// operation tallies.
+            #[test]
+            fn nan_free_walk_matches_frozen_walk(
+                a in proptest::collection::vec((-12i32..12).prop_map(|v| v as f64 * 0.25), 0..60),
+                b in proptest::collection::vec((-12i32..12).prop_map(|v| v as f64 * 0.25), 0..60),
+                neg_zero in 0usize..4,
+            ) {
+                let (mut a, mut b) = (a, b);
+                // Turn some zeros into -0.0: `f64::min` may return either.
+                for v in a.iter_mut().chain(b.iter_mut()).step_by(neg_zero + 1) {
+                    if *v == 0.0 {
+                        *v = -0.0;
+                    }
+                }
+                a.sort_by(f64::total_cmp);
+                b.sort_by(f64::total_cmp);
+                let (mut got_ops, mut want_ops) = (OpCount::default(), OpCount::default());
+                let got = ks_statistic_sorted(&a, &b, Some(&mut got_ops));
+                let want = frozen_walk(&a, &b, &mut want_ops);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                prop_assert_eq!(got_ops, want_ops);
             }
 
             /// A sample compared against itself is never rejected.

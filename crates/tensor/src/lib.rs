@@ -43,10 +43,9 @@ pub mod solve;
 pub mod vector;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, OnlineNewtonStep, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer, Sgd};
 pub use scalar::{
-    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, simd_enabled,
-    sq_dist_accum_tiled, Scalar,
+    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, simd_enabled, Scalar,
 };
 pub use solve::{invert, least_squares, solve, SolveError};
 pub use vector::{axpy, cosine_similarity, dot, l2_norm, linf_norm, mean, scale, sub};

@@ -19,9 +19,6 @@
 //! * **axpy / rank-4 row update**: element-wise sweeps where vectorization
 //!   cannot change the per-element operation order; AVX2 only widens the
 //!   lanes past the SSE2 baseline the default target emits.
-//! * **Squared-distance sweep** ([`sq_dist_accum_f64_avx2`]): the kNN
-//!   snapshot kernel, `acc[c] += (x_j − refs[c])²` — element-wise, same
-//!   argument.
 //! * **Adam step** (`adam_step_f64_avx2_fma`): the element-wise update of
 //!   [`Adam`](crate::Adam), with its two bias-correction divisions replaced
 //!   by a correctly rounded constant-divisor quotient.
@@ -403,68 +400,6 @@ pub unsafe fn rank4_f32_avx2(a: [f32; 4], r0: &[f32], r1: &[f32], r2: &[f32], r3
         t += a[2] * *r2.get_unchecked(i);
         t += a[3] * *r3.get_unchecked(i);
         *yp.add(i) = t;
-        i += 1;
-    }
-}
-
-/// AVX2 squared-distance sweep `acc[c] += (x_j − refs[c])²` (f64) — the
-/// kNN snapshot kernel. Element-wise: each accumulator receives one
-/// subtract, one multiply, one add, same as the portable
-/// [`sq_dist_accum_tiled`](crate::scalar::sq_dist_accum_tiled).
-///
-/// # Safety
-/// Caller must verify AVX2 at runtime; `refs.len() == acc.len()`.
-#[target_feature(enable = "avx2")]
-pub unsafe fn sq_dist_accum_f64_avx2(xj: f64, refs: &[f64], acc: &mut [f64]) {
-    debug_assert_eq!(refs.len(), acc.len());
-    let n = refs.len();
-    let vx = _mm256_set1_pd(xj);
-    let rp = refs.as_ptr();
-    let ap = acc.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        let d0 = _mm256_sub_pd(vx, _mm256_loadu_pd(rp.add(i)));
-        let d1 = _mm256_sub_pd(vx, _mm256_loadu_pd(rp.add(i + 4)));
-        let a0 = _mm256_loadu_pd(ap.add(i));
-        let a1 = _mm256_loadu_pd(ap.add(i + 4));
-        _mm256_storeu_pd(ap.add(i), _mm256_add_pd(a0, _mm256_mul_pd(d0, d0)));
-        _mm256_storeu_pd(ap.add(i + 4), _mm256_add_pd(a1, _mm256_mul_pd(d1, d1)));
-        i += 8;
-    }
-    while i + 4 <= n {
-        let d0 = _mm256_sub_pd(vx, _mm256_loadu_pd(rp.add(i)));
-        let a0 = _mm256_loadu_pd(ap.add(i));
-        _mm256_storeu_pd(ap.add(i), _mm256_add_pd(a0, _mm256_mul_pd(d0, d0)));
-        i += 4;
-    }
-    while i < n {
-        let d = xj - *rp.add(i);
-        *ap.add(i) += d * d;
-        i += 1;
-    }
-}
-
-/// AVX2 squared-distance sweep (f32).
-///
-/// # Safety
-/// Caller must verify AVX2 at runtime; `refs.len() == acc.len()`.
-#[target_feature(enable = "avx2")]
-pub unsafe fn sq_dist_accum_f32_avx2(xj: f32, refs: &[f32], acc: &mut [f32]) {
-    debug_assert_eq!(refs.len(), acc.len());
-    let n = refs.len();
-    let vx = _mm256_set1_ps(xj);
-    let rp = refs.as_ptr();
-    let ap = acc.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        let d0 = _mm256_sub_ps(vx, _mm256_loadu_ps(rp.add(i)));
-        let a0 = _mm256_loadu_ps(ap.add(i));
-        _mm256_storeu_ps(ap.add(i), _mm256_add_ps(a0, _mm256_mul_ps(d0, d0)));
-        i += 8;
-    }
-    while i < n {
-        let d = xj - *rp.add(i);
-        *ap.add(i) += d * d;
         i += 1;
     }
 }

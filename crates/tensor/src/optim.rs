@@ -1,8 +1,8 @@
 //! First-order optimizers over flat parameter slices.
 //!
-//! Every gradient-trained model in the workspace (online ARIMA, the
-//! autoencoders, USAD, N-BEATS) exposes its parameters as one flat `[f64]`
-//! buffer; the optimizer consumes an equally shaped gradient buffer. This
+//! Every optimizer-trained model in the workspace (the autoencoder, USAD,
+//! N-BEATS) exposes its parameters as one flat `[f64]` buffer; the
+//! optimizer consumes an equally shaped gradient buffer. This
 //! mirrors the paper's `grads := Σ Opt(∂L/∂θ)` formulation (§IV-B) where the
 //! optimizer is an interchangeable component of the fine-tuning step.
 
@@ -19,9 +19,6 @@ pub trait Optimizer {
     /// Panics if `params.len() != grads.len()`, or if the same optimizer is
     /// reused on a buffer of a different length.
     fn step(&mut self, params: &mut [f64], grads: &[f64]);
-
-    /// Resets all internal state (moments, step counters).
-    fn reset(&mut self);
 
     /// Begins one *segmented* step over a logical parameter buffer of
     /// `total_len` scalars that is physically split across several slices
@@ -79,10 +76,6 @@ impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         self.begin_step(params.len());
         self.step_segment(0, params, grads);
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
     }
 
     fn begin_step(&mut self, total_len: usize) {
@@ -209,12 +202,6 @@ impl Optimizer for Adam {
         self.step_segment(0, params, grads);
     }
 
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
-    }
-
     fn begin_step(&mut self, total_len: usize) {
         if self.m.is_empty() {
             self.m = vec![0.0; total_len];
@@ -260,82 +247,6 @@ impl Optimizer for Adam {
             }
         }
         self.step_segment_pinned(offset, params, grads);
-    }
-}
-
-/// The Online Newton Step (Hazan et al. 2007), the second-order online
-/// optimizer used by Liu et al.'s online ARIMA.
-///
-/// Maintains `A_t = εI + Σ g g^T` and its inverse via the Sherman–Morrison
-/// identity, updating `θ ← θ − (1/η) A_t⁻¹ g`. Memory and per-step cost are
-/// `O(d²)`, which is fine for the small coefficient vectors it is meant for
-/// (ARIMA's `γ ∈ R^{w−d−1}`) and intentionally not for neural nets.
-#[derive(Debug, Clone)]
-pub struct OnlineNewtonStep {
-    /// Step-size parameter η (larger = smaller steps).
-    pub eta: f64,
-    /// Initialization constant: `A₀ = eps · I`.
-    pub eps: f64,
-    a_inv: crate::matrix::Matrix,
-    initialized: bool,
-}
-
-impl OnlineNewtonStep {
-    /// Creates an ONS optimizer with step parameter `eta` and
-    /// initialization `A₀ = eps·I`.
-    pub fn new(eta: f64, eps: f64) -> Self {
-        assert!(eta > 0.0 && eps > 0.0, "eta and eps must be positive");
-        Self { eta, eps, a_inv: crate::matrix::Matrix::zeros(0, 0), initialized: false }
-    }
-}
-
-impl Optimizer for OnlineNewtonStep {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        let d = params.len();
-        if !self.initialized {
-            self.a_inv = crate::matrix::Matrix::from_fn(d, d, |i, j| {
-                if i == j {
-                    1.0 / self.eps
-                } else {
-                    0.0
-                }
-            });
-            self.initialized = true;
-        }
-        assert_eq!(self.a_inv.rows(), d, "optimizer reused on different buffer");
-        // Sherman–Morrison: A⁻¹ ← A⁻¹ − (A⁻¹ g)(A⁻¹ g)ᵀ / (1 + gᵀ A⁻¹ g).
-        let ag = self.a_inv.matvec(grads);
-        let denom = 1.0 + grads.iter().zip(&ag).map(|(g, v)| g * v).sum::<f64>();
-        if denom.abs() > f64::EPSILON {
-            for i in 0..d {
-                for j in 0..d {
-                    self.a_inv[(i, j)] -= ag[i] * ag[j] / denom;
-                }
-            }
-        }
-        // θ ← θ − (1/η) A⁻¹ g (recomputed with the updated inverse, as in
-        // the standard ONS formulation).
-        let direction = self.a_inv.matvec(grads);
-        for (p, dgi) in params.iter_mut().zip(&direction) {
-            *p -= dgi / self.eta;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.initialized = false;
-    }
-
-    fn begin_step(&mut self, _total_len: usize) {
-        // ONS updates a dense d×d inverse Hessian approximation; there is no
-        // meaningful way to update it from disjoint parameter slices. The
-        // small coefficient buffers it serves (online ARIMA) always step in
-        // one piece, so a segmented step is a single full-buffer segment.
-    }
-
-    fn step_segment(&mut self, offset: usize, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(offset, 0, "OnlineNewtonStep supports only single-segment steps");
-        self.step(params, grads);
     }
 }
 
@@ -386,17 +297,6 @@ mod tests {
         let mut p = [0.0];
         opt.step(&mut p, &[123.0]);
         assert!((p[0] + 0.01).abs() < 1e-6, "got {}", p[0]);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut opt = Adam::new(0.1);
-        let mut p = [0.0];
-        opt.step(&mut p, &[1.0]);
-        opt.reset();
-        // After reset the optimizer accepts a differently sized buffer.
-        let mut q = [0.0, 0.0];
-        opt.step(&mut q, &[1.0, 1.0]);
     }
 
     #[test]
@@ -489,62 +389,5 @@ mod tests {
     #[test]
     fn sgd_plain_segmented_step_is_bitwise_flat_step() {
         assert_segmented_matches_flat(Sgd::new(0.1), Sgd::new(0.1), 1, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "single-segment")]
-    fn ons_rejects_partial_segments() {
-        let mut opt = OnlineNewtonStep::new(0.5, 0.1);
-        opt.begin_step(2);
-        let mut p = [0.0];
-        opt.step_segment(1, &mut p, &[1.0]);
-    }
-
-    #[test]
-    fn ons_converges_on_quadratic() {
-        let mut opt = OnlineNewtonStep::new(0.1, 0.01);
-        assert!((minimize(&mut opt, 500) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ons_steps_are_descent_directions() {
-        // On a convex quadratic every ONS update must move against the
-        // gradient (A⁻¹ stays positive definite under Sherman–Morrison).
-        let mut opt = OnlineNewtonStep::new(0.5, 0.1);
-        let mut p = [4.0f64, -2.0];
-        for _ in 0..100 {
-            let g = [6.0 * (p[0] - 1.0), 2.0 * (p[1] + 1.0)];
-            let before = p;
-            opt.step(&mut p, &g);
-            let delta = [p[0] - before[0], p[1] - before[1]];
-            let along_grad = delta[0] * g[0] + delta[1] * g[1];
-            assert!(along_grad <= 1e-12, "update must descend: {along_grad}");
-        }
-    }
-
-    #[test]
-    fn ons_step_sizes_decay() {
-        // The accumulated A grows with every gradient, so ONS step lengths
-        // shrink — the O(1/t) schedule that gives its regret bound.
-        let mut opt = OnlineNewtonStep::new(0.5, 0.1);
-        let mut x = [10.0f64];
-        let mut steps = Vec::new();
-        for _ in 0..30 {
-            let g = [2.0 * (x[0] - 3.0)];
-            let before = x[0];
-            opt.step(&mut x, &g);
-            steps.push((x[0] - before).abs());
-        }
-        assert!(steps[5] > steps[29], "early steps larger than late: {:?}", &steps[..6]);
-    }
-
-    #[test]
-    fn ons_reset_allows_new_buffer() {
-        let mut opt = OnlineNewtonStep::new(1.0, 1.0);
-        let mut p = [0.0];
-        opt.step(&mut p, &[1.0]);
-        opt.reset();
-        let mut q = [0.0, 0.0];
-        opt.step(&mut q, &[1.0, 1.0]);
     }
 }

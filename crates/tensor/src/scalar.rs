@@ -23,8 +23,8 @@
 //! support) swaps in `core::arch` AVX2 variants of the dot kernels plus
 //! the register-blocked micro-kernel layer in [`crate::microkernel`]: a
 //! 2×4-output GEMM panel kernel for `A · Bᵀ` where every output keeps its
-//! own pinned lane accumulator, and AVX2 element-wise axpy / rank-4 /
-//! squared-distance sweeps. All of them use separate multiply and add
+//! own pinned lane accumulator, and AVX2 element-wise axpy and rank-4
+//! sweeps. All of them use separate multiply and add
 //! instructions — FMA **never contracts a product into a sum**, which
 //! would skip the product's rounding and change bits — and reduce
 //! horizontally in the same pinned order, so enabling the feature is
@@ -133,17 +133,6 @@ pub trait Scalar:
         rank4_update_tiled(a, r0, r1, r2, r3, y);
     }
 
-    /// Squared-distance sweep `acc[c] += (xj − refs[c])²` — the kNN
-    /// snapshot kernel (one call per feature dimension, `refs` holding that
-    /// feature across the packed reference set).
-    ///
-    /// Element-wise; every dispatch leg is bitwise-equal to
-    /// [`sq_dist_accum_tiled`].
-    #[inline]
-    fn sq_dist_accum(xj: Self, refs: &[Self], acc: &mut [Self]) {
-        sq_dist_accum_tiled(xj, refs, acc);
-    }
-
     /// Register-blocked `out = A · Bᵀ` micro-kernel (`A` is `m×k`, `B` is
     /// `n×k`, both row-major).
     ///
@@ -248,17 +237,6 @@ impl Scalar for f64 {
 
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[inline]
-    fn sq_dist_accum(xj: Self, refs: &[Self], acc: &mut [Self]) {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { crate::microkernel::sq_dist_accum_f64_avx2(xj, refs, acc) }
-        } else {
-            sq_dist_accum_tiled(xj, refs, acc);
-        }
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
     fn gemm_tb_blocked(a: &[Self], b: &[Self], out: &mut [Self], m: usize, n: usize, k: usize) -> bool {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just verified at runtime; the shape
@@ -347,17 +325,6 @@ impl Scalar for f32 {
             unsafe { crate::microkernel::rank4_f32_avx2(a, r0, r1, r2, r3, y) }
         } else {
             rank4_update_tiled(a, r0, r1, r2, r3, y);
-        }
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn sq_dist_accum(xj: Self, refs: &[Self], acc: &mut [Self]) {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { crate::microkernel::sq_dist_accum_f32_avx2(xj, refs, acc) }
-        } else {
-            sq_dist_accum_tiled(xj, refs, acc);
         }
     }
 
@@ -565,23 +532,6 @@ pub fn rank4_update_tiled<T: Scalar>(
         t += a[2] * r2[j];
         t += a[3] * r3[j];
         y[j] = t;
-    }
-}
-
-/// Squared-distance sweep `acc[c] += (xj − refs[c])²` — the portable kNN
-/// snapshot kernel behind [`Scalar::sq_dist_accum`].
-///
-/// Element-wise with one subtract, one multiply, one `+=` per accumulator
-/// — exactly the operation sequence of the sequential per-point distance
-/// `Σ_j (x_j − r_j)²` when called once per feature `j` over a transposed
-/// (feature-major) reference snapshot, so the sweep reproduces the legacy
-/// per-point sums bit for bit.
-#[inline]
-pub fn sq_dist_accum_tiled<T: Scalar>(xj: T, refs: &[T], acc: &mut [T]) {
-    debug_assert_eq!(refs.len(), acc.len());
-    for (o, &r) in acc.iter_mut().zip(refs) {
-        let d = xj - r;
-        *o += d * d;
     }
 }
 

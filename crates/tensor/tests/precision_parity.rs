@@ -24,8 +24,7 @@
 
 use proptest::prelude::*;
 use sad_tensor::{
-    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, sq_dist_accum_tiled, Adam,
-    Matrix, Optimizer, Scalar,
+    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, Adam, Matrix, Optimizer, Scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -302,9 +301,9 @@ fn f32_matmul_transpose_b_is_pinned_8_lane_at_tile_boundaries() {
 }
 
 // ---------------------------------------------------------------------------
-// 1c. Dispatching element-wise kernels (`Scalar::axpy` / `rank4_update` /
-//     `sq_dist_accum`) are bitwise-equal to the frozen portable tiles on
-//     whatever leg this build runs.
+// 1c. Dispatching element-wise kernels (`Scalar::axpy` / `rank4_update`)
+//     are bitwise-equal to the frozen portable tiles on whatever leg this
+//     build runs.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -327,35 +326,6 @@ fn dispatched_axpy_and_rank4_match_portable_tiles_bitwise() {
             f64::rank4_update(coeffs, &r[0], &r[1], &r[2], &r[3], &mut got4);
             rank4_update_tiled(coeffs, &r[0], &r[1], &r[2], &r[3], &mut want4);
             assert_vec_bits_eq(&got4, &want4, &format!("rank4 len={len}"));
-        }
-    }
-}
-
-#[test]
-fn dispatched_sq_dist_sweep_matches_portable_and_sequential_sums_bitwise() {
-    for &dim in DIMS {
-        for &m in &[1usize, 2, 5, 8, 9, 16, 33, 100] {
-            // Transposed snapshot: feature j of reference c at refs[j][c].
-            let refs: Vec<Vec<f64>> = (0..dim).map(|j| vector(m, (dim * 31 + j) as u64)).collect();
-            let x = vector(dim, (dim + m * 7) as u64);
-            let mut got = vec![0.0; m];
-            let mut want = vec![0.0; m];
-            for (j, &xj) in x.iter().enumerate() {
-                f64::sq_dist_accum(xj, &refs[j], &mut got);
-                sq_dist_accum_tiled(xj, &refs[j], &mut want);
-            }
-            assert_vec_bits_eq(&got, &want, &format!("sq_dist dim={dim} m={m}"));
-            // The sweep reproduces the legacy per-point sequential sum.
-            for c in 0..m {
-                let seq: f64 =
-                    x.iter().enumerate().map(|(j, &xj)| (xj - refs[j][c]) * (xj - refs[j][c])).sum();
-                assert_eq!(
-                    got[c].to_bits(),
-                    seq.to_bits(),
-                    "sq_dist dim={dim} m={m} ref {c}: sweep {} vs sequential {seq}",
-                    got[c],
-                );
-            }
         }
     }
 }

@@ -1,6 +1,9 @@
 //! End-to-end integration: every one of the paper's 26 algorithms runs on a
 //! real (synthetic) corpus through the full pipeline.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
 use streamad::core::{paper_algorithms, DetectorConfig, ModelKind, ScoreKind};
 use streamad::data::{daphnet_like, CorpusParams};
 use streamad::models::{build_detector, BuildParams};
@@ -117,4 +120,38 @@ fn detectors_survive_extreme_stream_values() {
             assert!(out.anomaly_score.is_finite(), "t={t}");
         }
     }
+}
+
+/// One NaN value after warm-up must not stall or panic any Table I
+/// algorithm. It reaches the KSWIN training-set samples, where a KS merge
+/// walk that cannot pass a NaN spins forever (or trips its sortedness
+/// assertion in a debug build), so every run goes through a worker thread
+/// and must report back before a deadline.
+#[test]
+fn every_algorithm_finishes_a_stream_holding_one_nan() {
+    const DEADLINE: Duration = Duration::from_secs(60);
+    let mut data = tiny_corpus().series[0].data[..200].to_vec();
+    data[170][3] = f64::NAN;
+    let expected = data.len() - tiny_params().config.warmup;
+    let (tx, rx) = mpsc::channel();
+    // Joined only on success: a run that misses the deadline is left
+    // spinning until the test process exits.
+    let worker = std::thread::spawn(move || {
+        for spec in paper_algorithms() {
+            let steps = build_detector(spec, &tiny_params()).run(&data).len();
+            if tx.send(steps).is_err() {
+                return;
+            }
+        }
+    });
+    for spec in paper_algorithms() {
+        match rx.recv_timeout(DEADLINE) {
+            Ok(steps) => assert_eq!(steps, expected, "{}", spec.label()),
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{} did not finish within {DEADLINE:?}", spec.label())
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("{} panicked", spec.label()),
+        }
+    }
+    worker.join().expect("the worker finished every run");
 }

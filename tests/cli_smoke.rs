@@ -4,7 +4,9 @@
 //! `--fleet` serving mode.
 
 use std::fmt::Write as _;
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn streamad() -> Command {
     Command::new(env!("CARGO_BIN_EXE_streamad"))
@@ -299,4 +301,90 @@ fn serve_keeps_serving_after_stdout_closes() {
     assert!(out.status.success(), "a closed stdout must not kill the server: {stderr}");
     let json = json.expect("--metrics-json written after stdout closed");
     assert!(json.contains("\"sad_fleet_steps_total\": 8000"), "every frame stepped: {json}");
+}
+
+/// Runs `cmd` with stdin read from `input` and returns its output, killing
+/// it and failing the test if it has not exited within `deadline`.
+fn output_within(mut cmd: Command, input: &std::path::Path, deadline: Duration) -> Output {
+    let mut child = cmd
+        .stdin(std::fs::File::open(input).expect("input file opens"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Drain both pipes on their own threads so a full pipe cannot stall
+    // the child while it is being timed.
+    let drain = |mut pipe: Box<dyn Read + Send>| {
+        std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            pipe.read_to_end(&mut bytes).expect("pipe reads");
+            bytes
+        })
+    };
+    let stdout = drain(Box::new(child.stdout.take().expect("piped stdout")));
+    let stderr = drain(Box::new(child.stderr.take().expect("piped stderr")));
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        if started.elapsed() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{cmd:?} did not exit within {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    Output { status, stdout: stdout.join().unwrap(), stderr: stderr.join().unwrap() }
+}
+
+/// One `NaN` on the wire must neither stall `serve` nor silence a stream.
+/// The NaN frame is rejected and counted; every other post-warm-up frame
+/// gets a finite verdict. Admitted, the NaN would reach the KS walk under
+/// `--algo 1` (ARIMA/SW/KS), and under the default (USAD/SW/μσ) it would
+/// turn later scores into NaN, which no threshold prints.
+#[test]
+fn serve_rejects_and_counts_a_nan_frame_and_keeps_serving() {
+    let mut csv = String::new();
+    for t in 0..900 {
+        let x = t as f64 * 0.09;
+        let first = if t == 700 { "NaN".to_string() } else { x.sin().to_string() };
+        let _ = writeln!(csv, "0,{first},{}", (x * 0.63).cos());
+    }
+    let frames = std::env::temp_dir()
+        .join(format!("streamad-cli-smoke-servenan-{}.csv", std::process::id()));
+    std::fs::write(&frames, csv).expect("temp CSV is writable");
+    for algo in [Some("1"), None] {
+        let json_path = std::env::temp_dir().join(format!(
+            "streamad-cli-smoke-servenan-{}-{}.json",
+            algo.unwrap_or("default"),
+            std::process::id()
+        ));
+        let mut cmd = streamad();
+        cmd.args(["serve", "--stdin", "--csv", "--warmup", "300", "--window", "10"]);
+        cmd.args(["--threshold", "0", "--metrics-json", json_path.to_str().unwrap()]);
+        if let Some(algo) = algo {
+            cmd.args(["--algo", algo]);
+        }
+        let out = output_within(cmd, &frames, Duration::from_secs(120));
+        let json = std::fs::read_to_string(&json_path);
+        std::fs::remove_file(&json_path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--algo {algo:?} must exit 0: {stderr}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let scores: Vec<f64> = stdout
+            .lines()
+            .filter(|l| l.starts_with("detect stream="))
+            .map(|l| {
+                let score = l.split(" score=").nth(1).expect("verdicts carry a score");
+                score.split(' ').next().unwrap().parse().expect("score parses")
+            })
+            .collect();
+        // 899 accepted frames, 300 of them warm-up.
+        assert_eq!(scores.len(), 599, "--algo {algo:?}: one verdict per accepted step");
+        assert!(scores.iter().all(|s| s.is_finite()), "--algo {algo:?}: {stdout}");
+        let json = json.expect("--metrics-json written");
+        assert!(json.contains("\"sad_ingest_non_finite_total\": 1"), "--algo {algo:?}: {json}");
+    }
+    std::fs::remove_file(&frames).ok();
 }

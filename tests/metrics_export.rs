@@ -169,12 +169,16 @@ fn population_export_reports_the_slowest_detectors_train_time() {
 #[test]
 fn ingest_export_with_a_rejection_a_width_mismatch_and_an_idle_retirement() {
     // Wire ids 10, 20 and 30 fill a three-stream cap, so id 40 is
-    // rejected; id 10 sends one frame of the wrong width; id 30 stops
-    // after 100 ticks and is retired six rounds later.
+    // rejected; id 10 sends one frame of the wrong width; id 20 sends one
+    // extra frame holding a NaN, which is counted and goes no further; id
+    // 30 stops after 100 ticks and is retired six rounds later.
     let mut wire = Vec::new();
     for t in 0..140 {
         encode_frame_into(10, &vector(t, 0.0, 90), &mut wire);
         encode_frame_into(20, &vector(t, 0.5, 90), &mut wire);
+        if t == 60 {
+            encode_frame_into(20, &[f64::NAN, 0.5], &mut wire);
+        }
         if t < 100 {
             encode_frame_into(30, &vector(t, 1.0, 90), &mut wire);
         }
@@ -192,7 +196,10 @@ fn ingest_export_with_a_rejection_a_width_mismatch_and_an_idle_retirement() {
     let mut sink = |_: u64, _: &StepOutput| {};
     engine.run(&mut FramedTransport::new(Cursor::new(wire)), &mut sink).expect("clean stream");
     let stats = engine.stats();
-    assert_eq!((stats.rejected, stats.channel_mismatches, stats.idle_retired), (1, 1, 1));
+    assert_eq!(
+        (stats.non_finite, stats.rejected, stats.channel_mismatches, stats.idle_retired),
+        (1, 1, 1, 1)
+    );
     assert_exports(
         "ingest",
         &engine.export_metrics(),
