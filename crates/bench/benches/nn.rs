@@ -61,7 +61,6 @@ fn bench_training_paths(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("workspace", batch), &batch, |b, &batch| {
             let mut net = net();
             let mut ws = net.workspace(batch);
-            let mut grads = net.zero_grads();
             let mut opt = Adam::new(1e-3);
             b.iter(|| {
                 for chunk in train.chunks(batch) {
@@ -69,7 +68,7 @@ fn bench_training_paths(c: &mut Criterion) {
                     for (i, x) in chunk.iter().enumerate() {
                         ws.input_row_mut(i).copy_from_slice(black_box(x));
                     }
-                    net.train_batch_mse_identity(&mut ws, &mut grads, &mut opt);
+                    net.train_batch_mse_identity(&mut ws, &mut opt);
                 }
             });
         });

@@ -803,18 +803,20 @@ mod tests {
         assert!(empty.is_empty(), "an empty population exports nothing");
     }
 
-    /// A step whose nonconformity is NaN still counts as a step; the
-    /// histogram, which skips NaN, does not see it.
+    /// A NaN forecast scores nonconformity 1.0 — maximally suspicious, not
+    /// a NaN that no threshold flags — so its step counts as a step and as
+    /// a nonconformity observation, and the anomaly score stays finite.
     #[test]
-    fn nan_nonconformity_counts_as_a_step_but_not_an_observation() {
+    fn nan_forecast_scores_one_and_counts_as_a_step_and_an_observation() {
         let mut det = make_detector(20);
         let _ = det.run(&smooth_series(30));
         assert!(det.begin_step(&[0.1, 0.2]));
         let out = det.finish_step(&ModelOutput::Forecast(vec![f64::NAN, f64::NAN]));
-        assert!(out.nonconformity.is_nan());
+        assert_eq!(out.nonconformity, 1.0);
+        assert!(out.anomaly_score.is_finite());
         let reg = det.export_metrics();
         assert_eq!(reg.counter_by_name("sad_detector_steps_total"), Some(11));
-        assert_eq!(reg.histogram_by_name("sad_detector_nonconformity").unwrap().count(), 10);
+        assert_eq!(reg.histogram_by_name("sad_detector_nonconformity").unwrap().count(), 11);
     }
 
     #[test]

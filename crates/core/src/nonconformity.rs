@@ -41,27 +41,28 @@ impl NonconformityKind {
 ///
 /// Dispatch follows §IV-D: reconstructions compare against the full feature
 /// vector, forecasts against the most recent stream vector `s_t`, and
-/// direct scores pass through (clamped defensively).
+/// direct scores pass through (clamped defensively). A comparison that
+/// comes out NaN — a NaN in the window, the prediction or the direct score
+/// — scores 1.0: maximally suspicious, not silently normal.
 ///
 /// # Panics
 /// Panics if a reconstruction/forecast has the wrong dimensionality.
 pub fn nonconformity(x: &FeatureVector, output: &ModelOutput) -> f64 {
-    match output {
+    let a = match output {
         ModelOutput::Reconstruction(r) => {
             assert_eq!(r.len(), x.dim(), "reconstruction dimensionality mismatch");
-            (1.0 - cosine_similarity(x.as_slice(), r)).clamp(0.0, 1.0)
+            1.0 - cosine_similarity(x.as_slice(), r)
         }
         ModelOutput::Forecast(f) => {
             assert_eq!(f.len(), x.n(), "forecast dimensionality mismatch");
-            (1.0 - cosine_similarity(x.last_step(), f)).clamp(0.0, 1.0)
+            1.0 - cosine_similarity(x.last_step(), f)
         }
-        ModelOutput::Score(s) => {
-            if s.is_nan() {
-                1.0 // a NaN score is maximally suspicious, not silently normal
-            } else {
-                s.clamp(0.0, 1.0)
-            }
-        }
+        ModelOutput::Score(s) => *s,
+    };
+    if a.is_nan() {
+        1.0
+    } else {
+        a.clamp(0.0, 1.0)
     }
 }
 
@@ -120,6 +121,24 @@ mod tests {
         assert_eq!(nonconformity(&x, &ModelOutput::Score(7.0)), 1.0);
         assert_eq!(nonconformity(&x, &ModelOutput::Score(-1.0)), 0.0);
         assert_eq!(nonconformity(&x, &ModelOutput::Score(f64::NAN)), 1.0);
+    }
+
+    /// A NaN in the prediction or in the window makes the cosine NaN; an
+    /// infinite prediction does too (∞/∞). Each scores 1.0.
+    #[test]
+    fn nan_comparison_scores_one() {
+        let x = fv(vec![1.0, 2.0, 3.0, 4.0], 2, 2);
+        let with_nan = fv(vec![1.0, 2.0, f64::NAN, 4.0], 2, 2);
+        let cases = [
+            (&x, ModelOutput::Reconstruction(vec![1.0, f64::NAN, 3.0, 4.0])),
+            (&x, ModelOutput::Reconstruction(vec![f64::INFINITY, 2.0, 3.0, 4.0])),
+            (&x, ModelOutput::Forecast(vec![f64::NAN, 4.0])),
+            (&with_nan, ModelOutput::Reconstruction(vec![1.0, 2.0, 3.0, 4.0])),
+            (&with_nan, ModelOutput::Forecast(vec![3.0, 4.0])),
+        ];
+        for (x, output) in &cases {
+            assert_eq!(nonconformity(x, output), 1.0, "{output:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::scaler::Affine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
-use sad_nn::{Activation, Mlp, MlpGrads, MlpWorkspace};
+use sad_nn::{Activation, Mlp, MlpWorkspace};
 use sad_tensor::Adam;
 
 /// Two-layer autoencoder over the flattened feature vector.
@@ -22,9 +22,8 @@ pub struct TwoLayerAe {
     net: Option<Mlp>,
     scaler: Option<Affine>,
     opt: Adam,
-    /// Reusable training buffers (created with the net).
+    /// Reusable training workspace (created with the net).
     ws: Option<MlpWorkspace>,
-    grads: Option<MlpGrads>,
     hidden: usize,
     seed: u64,
 }
@@ -33,7 +32,7 @@ impl TwoLayerAe {
     /// Creates an AE with `hidden` units and Adam learning rate `lr`.
     pub fn new(hidden: usize, lr: f64, seed: u64) -> Self {
         assert!(hidden > 0, "hidden width must be positive");
-        Self { net: None, scaler: None, opt: Adam::new(lr), ws: None, grads: None, hidden, seed }
+        Self { net: None, scaler: None, opt: Adam::new(lr), ws: None, hidden, seed }
     }
 
     /// A reasonable default: hidden = dim/4 clamped to [4, 64], lr 1e-3.
@@ -52,7 +51,6 @@ impl TwoLayerAe {
             &mut rng,
         );
         self.ws = Some(net.workspace(1));
-        self.grads = Some(net.zero_grads());
         self.net = Some(net);
     }
 
@@ -72,8 +70,7 @@ impl TwoLayerAe {
     }
 
     /// One training epoch over `train`, one Adam step per window. Zero heap
-    /// allocations in steady state (workspace and gradient buffers are
-    /// reused).
+    /// allocations in steady state (the workspace is reused).
     fn epoch(&mut self, train: &[FeatureVector]) {
         if train.is_empty() {
             return;
@@ -81,13 +78,12 @@ impl TwoLayerAe {
         self.ensure_net(train[0].dim());
         let net = self.net.as_mut().expect("just initialized");
         let ws = self.ws.as_mut().expect("just initialized");
-        let grads = self.grads.as_mut().expect("just initialized");
         for x in train {
             match &self.scaler {
                 Some(s) => s.transform_into(x.as_slice(), ws.input_row_mut(0)),
                 None => ws.input_row_mut(0).copy_from_slice(x.as_slice()),
             }
-            net.train_batch_mse_identity(ws, grads, &mut self.opt);
+            net.train_batch_mse_identity(ws, &mut self.opt);
         }
     }
 }

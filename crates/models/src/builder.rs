@@ -77,6 +77,15 @@ impl BuildParams {
     }
 }
 
+/// Smallest representation length `w` a [`ModelKind`] can be built with:
+/// [`NBeats::MIN_WINDOW`] for N-BEATS, one step for every other model.
+pub fn min_window(kind: ModelKind) -> usize {
+    match kind {
+        ModelKind::NBeats => NBeats::MIN_WINDOW,
+        _ => 1,
+    }
+}
+
 /// Builds the model component for a [`ModelKind`].
 pub fn build_model(kind: ModelKind, params: &BuildParams) -> Box<dyn StreamModel> {
     let dim = params.config.window * params.config.channels;

@@ -40,7 +40,7 @@ pub use batch_infer::{
 };
 pub use builder::{
     build_detector, build_model, build_scorer, build_scorer_bank, build_shared_warmup,
-    build_task1, build_task2, BuildParams,
+    build_task1, build_task2, min_window, BuildParams,
 };
 pub use nbeats::{BasisKind, NBeats};
 pub use pcb::PcbIForestModel;

@@ -28,7 +28,7 @@ use crate::scaler::Affine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
-use sad_nn::{Activation, Mlp, MlpGrads, MlpWorkspace};
+use sad_nn::{Activation, Mlp, MlpWorkspace};
 use sad_tensor::{Adam, Matrix, Optimizer, Scalar};
 
 /// Basis family of one block.
@@ -82,18 +82,15 @@ impl<T: Scalar> Block<T> {
 }
 
 /// Reusable training buffers for one block: a workspace per
-/// sub-network (trunk, backcast head, forecast head) and the matching
-/// gradient accumulators. Block `l`'s residual input lives in
-/// `ws_t.input`, so the forward chain writes `x_{l+1}` directly into the
-/// next block's workspace — no intermediate residual vectors.
+/// sub-network (trunk, backcast head, forecast head), whose deltas the
+/// optimizer step forms its gradient from. Block `l`'s residual input
+/// lives in `ws_t.input`, so the forward chain writes `x_{l+1}` directly
+/// into the next block's workspace — no intermediate residual vectors.
 #[derive(Clone)]
 struct BlockBuffers {
     ws_t: MlpWorkspace,
     ws_b: MlpWorkspace,
     ws_f: MlpWorkspace,
-    g_t: MlpGrads,
-    g_b: MlpGrads,
-    g_f: MlpGrads,
 }
 
 /// Stack-level training buffers for one window. Sized once; the
@@ -202,9 +199,6 @@ impl Block {
             ws_t: self.trunk.workspace(1),
             ws_b: self.backcast_head.workspace(1),
             ws_f: self.forecast_head.workspace(1),
-            g_t: self.trunk.zero_grads(),
-            g_b: self.backcast_head.zero_grads(),
-            g_f: self.forecast_head.zero_grads(),
         }
     }
 
@@ -229,6 +223,10 @@ pub struct NBeats {
 }
 
 impl NBeats {
+    /// Smallest window `w` N-BEATS accepts: it forecasts `s_t` from the
+    /// `w − 1` steps before it, so it needs at least one step of history.
+    pub const MIN_WINDOW: usize = 2;
+
     /// Creates an N-BEATS model with `n_blocks` generic-basis blocks.
     pub fn new(n_blocks: usize, hidden: usize, theta: usize, lr: f64, seed: u64) -> Self {
         assert!(n_blocks > 0 && hidden > 0 && theta > 0, "block dimensions must be positive");
@@ -269,7 +267,11 @@ impl NBeats {
     }
 
     /// A reasonable default configuration for a `w×N` representation.
+    ///
+    /// # Panics
+    /// Panics if `w` is below [`Self::MIN_WINDOW`].
     pub fn for_dims(w: usize, n: usize, seed: u64) -> Self {
+        assert!(w >= Self::MIN_WINDOW, "N-BEATS needs at least two steps of history");
         let input = (w - 1) * n;
         Self::new(2, (input / 2).clamp(8, 64), 8, 1e-3, seed)
     }
@@ -394,17 +396,22 @@ impl NBeats {
         for l in (0..n_blocks).rev() {
             let bb = &mut bbs[l];
             let block = &blocks[l];
-            bb.g_t.zero();
-            bb.g_b.zero();
-            bb.g_f.zero();
             // Forecast head: every block's forecast feeds the sum directly.
             bb.ws_f.grad_out_mut().copy_from(g_forecast);
-            block.forecast_head.backward_batch(&mut bb.ws_f, &mut bb.g_f, true);
+            block.forecast_head.backward_batch(&mut bb.ws_f, true);
             // Backcast head: x_{l+1} = x_l − x̂_l ⇒ ∂L/∂x̂_l = −∂L/∂x_{l+1}.
             for (g, &r) in bb.ws_b.grad_out_mut().row_mut(0).iter_mut().zip(g_residual.row(0)) {
                 *g = -r;
             }
-            block.backcast_head.backward_batch(&mut bb.ws_b, &mut bb.g_b, true);
+            block.backcast_head.backward_batch(&mut bb.ws_b, true);
+            // Interpretable bases are fixed: zero the expansion layer's
+            // (layer 1 of each head) deltas, so its gradient is +0.0 and
+            // the optimizer (whose moments are fed zeros too) never moves
+            // the basis vectors. Nothing reads these deltas again.
+            if block.basis != BasisKind::Generic {
+                bb.ws_f.zero_delta(1);
+                bb.ws_b.zero_delta(1);
+            }
             // Trunk output gradient: forecast path + backcast path.
             {
                 let go = bb.ws_t.grad_out_mut();
@@ -415,32 +422,20 @@ impl NBeats {
                 }
             }
             // Trunk: ∂L/∂x_l gets the trunk path plus the residual pass-through.
-            block.trunk.backward_batch(&mut bb.ws_t, &mut bb.g_t, true);
+            block.trunk.backward_batch(&mut bb.ws_t, true);
             for (g, &t) in g_residual.row_mut(0).iter_mut().zip(bb.ws_t.grad_in().row(0)) {
                 *g += t;
             }
         }
 
         // ---- Apply per-block updates: one segmented optimizer step over
-        // the trunk|backcast|forecast parameter range (bitwise identical to
-        // the former flatten → step → unflatten round-trip, minus the
-        // copies).
-        for ((block, bb), opt) in blocks.iter_mut().zip(bbs.iter_mut()).zip(&mut self.opts) {
-            // Interpretable bases are fixed: kill their gradients so the
-            // optimizer (whose moments are also fed zeros here) never moves
-            // the expansion vectors. The expansion layer is layer index 1
-            // of each two-layer head.
-            if block.basis != BasisKind::Generic {
-                for g in [&mut bb.g_b, &mut bb.g_f] {
-                    let frozen = &mut g.layers_mut()[1];
-                    frozen.weights.fill(0.0);
-                    frozen.bias.fill(0.0);
-                }
-            }
+        // the trunk|backcast|forecast parameter range, each gradient
+        // streamed from that sub-network's workspace.
+        for ((block, bb), opt) in blocks.iter_mut().zip(bbs.iter()).zip(&mut self.opts) {
             opt.begin_step(block.num_params());
-            let off = block.trunk.apply_grads_segmented(&bb.g_t, opt, 0);
-            let off = block.backcast_head.apply_grads_segmented(&bb.g_b, opt, off);
-            block.forecast_head.apply_grads_segmented(&bb.g_f, opt, off);
+            let off = block.trunk.step_terms(&[&bb.ws_t], opt, 0);
+            let off = block.backcast_head.step_terms(&[&bb.ws_b], opt, off);
+            block.forecast_head.step_terms(&[&bb.ws_f], opt, off);
         }
     }
 
@@ -477,7 +472,7 @@ impl StreamModel for NBeats {
     }
 
     fn predict(&mut self, x: &FeatureVector) -> ModelOutput {
-        assert!(x.w() >= 2, "N-BEATS needs at least two steps of history");
+        assert!(x.w() >= Self::MIN_WINDOW, "N-BEATS needs at least two steps of history");
         self.ensure_blocks((x.w() - 1) * x.n(), x.n());
         let (hist, _) = self.split_scaled(x);
         let forecast_z = self.forecast_scaled(&hist);

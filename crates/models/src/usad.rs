@@ -28,13 +28,14 @@ use crate::scaler::Affine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
-use sad_nn::{Activation, Mlp, MlpGrads, MlpWorkspace};
-use sad_tensor::{Adam, Matrix};
+use sad_nn::{Activation, Mlp, MlpWorkspace};
+use sad_tensor::{Adam, Matrix, Optimizer};
 
 /// Reusable training buffers for the five forward instances of the
-/// adversarial step (`E(x)`, `D₁(z)`, `E(r₁)`, `D₂(z₂)`, `D₂(z)`) plus the
-/// gradient accumulators. Sized once; the steady-state fine-tune loop does
-/// not allocate.
+/// adversarial step (`E(x)`, `D₁(z)`, `E(r₁)`, `D₂(z₂)`, `D₂(z)`). Each
+/// optimizer step forms its gradient from the deltas these hold, so there
+/// are no gradient accumulators. Sized once; the steady-state fine-tune
+/// loop does not allocate.
 #[derive(Clone)]
 struct UsadBuffers {
     /// `E(x)` — its input row holds the scaled window `z_in`.
@@ -49,14 +50,6 @@ struct UsadBuffers {
     ws_d2b: MlpWorkspace,
     /// `D₂(z)` → `r₂` (phase 2 only).
     ws_d2r: MlpWorkspace,
-    g_e: MlpGrads,
-    g_d1: MlpGrads,
-    g_d2: MlpGrads,
-    /// D₁ is frozen in phase 2: its gradients are computed (the chain needs
-    /// `∂L/∂z` through it) but discarded.
-    g_d1_discard: MlpGrads,
-    /// D₂ is frozen in phase 1.
-    g_d2_discard: MlpGrads,
 }
 
 /// The USAD adversarial autoencoder.
@@ -135,11 +128,6 @@ impl Usad {
             ws_e2: encoder.workspace(1),
             ws_d2b: dec2.workspace(1),
             ws_d2r: dec2.workspace(1),
-            g_e: encoder.zero_grads(),
-            g_d1: dec1.zero_grads(),
-            g_d2: dec2.zero_grads(),
-            g_d1_discard: dec1.zero_grads(),
-            g_d2_discard: dec2.zero_grads(),
         });
         self.encoder = Some(encoder);
         self.dec1 = Some(dec1);
@@ -163,18 +151,8 @@ impl Usad {
         let encoder = self.encoder.as_mut().expect("nets initialized");
         let dec1 = self.dec1.as_mut().expect("nets initialized");
         let dec2 = self.dec2.as_mut().expect("nets initialized");
-        let UsadBuffers {
-            ws_e,
-            ws_d1,
-            ws_e2,
-            ws_d2b,
-            ws_d2r,
-            g_e,
-            g_d1,
-            g_d2,
-            g_d1_discard,
-            g_d2_discard,
-        } = self.bufs.as_mut().expect("buffers initialized");
+        let UsadBuffers { ws_e, ws_d1, ws_e2, ws_d2b, ws_d2r } =
+            self.bufs.as_mut().expect("buffers initialized");
         match &self.scaler {
             Some(s) => s.transform_into(x.as_slice(), ws_e.input_row_mut(0)),
             None => ws_e.input_row_mut(0).copy_from_slice(x.as_slice()),
@@ -190,16 +168,12 @@ impl Usad {
             ws_d2b.input_mut().copy_from(ws_e2.output());
             dec2.forward_batch(ws_d2b); // rboth
 
-            g_e.zero();
-            g_d1.zero();
-            g_d2_discard.zero(); // D2 frozen this phase
-
-            // ∂L/∂rboth, back through D2 (param grads discarded) and the
-            // re-encoding into ∂L/∂r1.
+            // ∂L/∂rboth, back through D2 (frozen this phase: input
+            // gradient only) and the re-encoding into ∂L/∂r1.
             mse_grad_scaled(ws_d2b, ws_e.input(), w_adv);
-            dec2.backward_batch(ws_d2b, g_d2_discard, true); // → g_z2
+            dec2.backward_batch(ws_d2b, true); // → g_z2
             ws_e2.grad_out_mut().copy_from(ws_d2b.grad_in());
-            encoder.backward_batch(ws_e2, g_e, true); // → g_r1_adv
+            encoder.backward_batch(ws_e2, true); // → g_r1_adv
 
             // Direct reconstruction term ∂(w_rec·R1)/∂r1, plus the
             // adversarial term that flowed back through the re-encoding.
@@ -216,12 +190,16 @@ impl Usad {
                     *g = *g * w_rec + a;
                 }
             }
-            dec1.backward_batch(ws_d1, g_d1, true); // → g_z
+            dec1.backward_batch(ws_d1, true); // → g_z
             ws_e.grad_out_mut().copy_from(ws_d1.grad_in());
-            encoder.backward_batch(ws_e, g_e, false);
+            encoder.backward_batch(ws_e, false);
 
-            encoder.apply_grads(g_e, &mut self.opt_e1);
-            dec1.apply_grads(g_d1, &mut self.opt_d1);
+            // E's gradient sums its two backward passes in the order they
+            // ran: the re-encoding, then the first encoding.
+            self.opt_e1.begin_step(encoder.num_params());
+            encoder.step_terms(&[&*ws_e2, &*ws_e], &mut self.opt_e1, 0);
+            self.opt_d1.begin_step(dec1.num_params());
+            dec1.step_terms(&[&*ws_d1], &mut self.opt_d1, 0);
         }
 
         // ---- Phase 2: update {E, D2} on L_AE2 = w_rec·R2 − w_adv·R_both.
@@ -236,21 +214,18 @@ impl Usad {
             ws_d2r.input_mut().copy_from(ws_e.output());
             dec2.forward_batch(ws_d2r); // r2
 
-            g_e.zero();
-            g_d2.zero();
-            g_d1_discard.zero(); // D1 frozen this phase
-
             // + w_rec·R2 path: x → E → z → D2 → r2.
             mse_grad_scaled(ws_d2r, ws_e.input(), w_rec);
-            dec2.backward_batch(ws_d2r, g_d2, true); // → g_z_a
+            dec2.backward_batch(ws_d2r, true); // → g_z_a
 
-            // − w_adv·R_both path: …D1(E(x)) → E → z2 → D2 → rboth.
+            // − w_adv·R_both path: …D1(E(x)) → E → z2 → D2 → rboth, with D1
+            // frozen this phase (input gradient only).
             mse_grad_scaled(ws_d2b, ws_e.input(), -w_adv);
-            dec2.backward_batch(ws_d2b, g_d2, true); // → g_z2
+            dec2.backward_batch(ws_d2b, true); // → g_z2
             ws_e2.grad_out_mut().copy_from(ws_d2b.grad_in());
-            encoder.backward_batch(ws_e2, g_e, true); // → g_r1
+            encoder.backward_batch(ws_e2, true); // → g_r1
             ws_d1.grad_out_mut().copy_from(ws_e2.grad_in());
-            dec1.backward_batch(ws_d1, g_d1_discard, true); // → g_z_b
+            dec1.backward_batch(ws_d1, true); // → g_z_b
 
             // g_z = g_z_a + g_z_b, through the first encoding.
             {
@@ -261,10 +236,12 @@ impl Usad {
                     *g = a + c;
                 }
             }
-            encoder.backward_batch(ws_e, g_e, false);
+            encoder.backward_batch(ws_e, false);
 
-            encoder.apply_grads(g_e, &mut self.opt_e2);
-            dec2.apply_grads(g_d2, &mut self.opt_d2);
+            self.opt_e2.begin_step(encoder.num_params());
+            encoder.step_terms(&[&*ws_e2, &*ws_e], &mut self.opt_e2, 0);
+            self.opt_d2.begin_step(dec2.num_params());
+            dec2.step_terms(&[&*ws_d2r, &*ws_d2b], &mut self.opt_d2, 0);
         }
     }
 

@@ -9,14 +9,19 @@
 //!
 //! * **forward**: one [`Matrix::matmul_transpose_b_into`] per layer
 //!   (`X · Wᵀ`, every output element a contiguous `dot4`),
-//! * **backward**: one [`Matrix::matmul_transpose_a_acc`] per layer for
-//!   the weight gradient (`δᵀ · X` — one GEMM instead of `B` rank-1
-//!   sweeps) and one [`Matrix::matmul_into`] for the input gradient
-//!   (`δ · W`),
-//! * **buffers**: a reusable [`MlpWorkspace`] holds every activation,
-//!   delta and gradient matrix, sized once — the steady-state inner loop
-//!   performs **zero heap allocations** (guarded by the
-//!   `alloc_free_training` integration test).
+//! * **backward**: one [`Matrix::matmul_into`] per layer turns the output
+//!   gradient into pre-activation deltas and, on request, the input
+//!   gradient (`δ · W`); no parameter gradient is stored,
+//! * **optimizer step**: [`Mlp::step_terms`] forms each parameter's
+//!   gradient from the deltas and layer inputs the workspaces already
+//!   hold, 512 doubles at a time in a stack chunk, and hands each chunk
+//!   to [`Optimizer::step_segment`]. A trainable network holds nothing
+//!   the size of its parameters except the parameters and the optimizer
+//!   moments,
+//! * **buffers**: a reusable [`MlpWorkspace`] holds every activation and
+//!   delta matrix, sized once — the steady-state inner loop performs
+//!   **zero heap allocations** (guarded by the `zero_alloc` integration
+//!   test).
 //!
 //! ## Pinned summation order (bitwise parity)
 //!
@@ -28,9 +33,15 @@
 //!   per-sample [`Matrix::matvec`] computes `dot4(w_o, x_b)` — IEEE-754
 //!   multiplication commutes and the four-accumulator reduction order is
 //!   identical, so the results agree bitwise.
-//! * weight gradients: `matmul_transpose_a_acc` accumulates one rank-1
-//!   row sweep per sample, ascending — the exact loop order of
-//!   [`crate::Dense::backward`].
+//! * weight gradients: per element, the streamed chunk runs the per-sample
+//!   accumulation of [`crate::Dense::backward`] into a zeroed buffer — terms
+//!   in call order, then rows ascending, `+= δ·x` with `δ == 0` rows
+//!   skipped. The first contribution is written as `0.0 + δ·x`, so no zero
+//!   fill is needed and a `−0.0` product still lands as `+0.0`. Bias
+//!   gradients add every row's `δ` the same way, without the skip, and a
+//!   batch of `B > 1` is then scaled by `1/B`. Chunks cross row
+//!   boundaries; they only decide which slice the optimizer sees, and the
+//!   optimizer is per element.
 //! * input gradients: the i-k-j `matmul_into` with its `a == 0.0` skip is
 //!   the row-batched form of [`Matrix::matvec_t`] with its `vi == 0.0`
 //!   skip.
@@ -38,10 +49,11 @@
 //!   parameter buffer in order is bitwise identical to one flat
 //!   [`Optimizer::step`].
 //!
-//! The parity tests in `tests/batch_parity.rs` assert these equalities
-//! exactly (`f64::to_bits`), with no tolerances.
+//! The parity tests in `tests/batch_parity.rs` and the recording-optimizer
+//! tests in `tests/grad_capture.rs` assert these equalities exactly
+//! (`f64::to_bits`), with no tolerances.
 
-use crate::mlp::{Mlp, MlpGrads};
+use crate::mlp::Mlp;
 use sad_tensor::{Matrix, Optimizer, Scalar};
 
 /// Reusable buffers for one network's batched forward/backward pass, in
@@ -68,9 +80,10 @@ pub struct MlpWorkspace<T: Scalar = f64> {
     acts: Vec<Matrix<T>>,
     /// Per layer: `B × out_dim(l)` gradient buffer. During
     /// [`Mlp::backward_batch`], `deltas[l]` first holds `∂L/∂act_l` and is
-    /// then turned into the pre-activation delta in place. The caller seeds
-    /// `deltas[last]` (via [`Self::grad_out_mut`]) with `∂L/∂ŷ`. Empty for
-    /// inference-only workspaces.
+    /// then turned into the pre-activation delta in place, which
+    /// [`Mlp::step_terms`] then reads with the layer inputs. The caller
+    /// seeds `deltas[last]` (via [`Self::grad_out_mut`]) with `∂L/∂ŷ`.
+    /// Empty for inference-only workspaces.
     deltas: Vec<Matrix<T>>,
     /// `B × in_dim` input gradient (filled on request). `1 × in_dim` for
     /// inference-only workspaces (never resized, never read).
@@ -210,6 +223,24 @@ impl<T: Scalar> MlpWorkspace<T> {
         &self.grad_in
     }
 
+    /// Zeroes layer `layer`'s deltas after [`Mlp::backward_batch`], so the
+    /// next [`Mlp::step_terms`] forms a +0.0 gradient for that layer's
+    /// parameters — how a frozen layer is kept still. Nothing else reads
+    /// the deltas once the backward pass is done.
+    pub fn zero_delta(&mut self, layer: usize) {
+        assert!(self.training, "inference-only workspace has no gradient buffers");
+        self.deltas[layer].fill(T::ZERO);
+    }
+
+    /// The input of layer `l` in the last forward pass.
+    fn layer_input(&self, l: usize) -> &Matrix<T> {
+        if l == 0 {
+            &self.input
+        } else {
+            &self.acts[l - 1]
+        }
+    }
+
     fn check_geometry(&self, mlp: &Mlp<T>) {
         assert_eq!(self.dims.len(), mlp.layers.len() + 1, "workspace/layer count mismatch");
         assert_eq!(self.dims[0], mlp.in_dim(), "workspace input width mismatch");
@@ -257,20 +288,18 @@ impl<T: Scalar> Mlp<T> {
 }
 
 impl Mlp {
-
     /// Batched backward pass.
     ///
     /// Expects the caller to have run [`Self::forward_batch`] on `ws` and
-    /// written `∂L/∂ŷ` into [`MlpWorkspace::grad_out_mut`]. Accumulates
-    /// parameter gradients into `grads` (summed over the batch in ascending
-    /// sample order — see the module docs for why this order is pinned) and,
-    /// if `want_grad_in`, writes `∂L/∂X` into the workspace's
-    /// [`MlpWorkspace::grad_in`] buffer for cross-network chaining.
-    /// Performs no heap allocation.
-    pub fn backward_batch(&self, ws: &mut MlpWorkspace, grads: &mut MlpGrads, want_grad_in: bool) {
+    /// written `∂L/∂ŷ` into [`MlpWorkspace::grad_out_mut`]. Turns it into
+    /// every layer's pre-activation deltas, in place, and, if
+    /// `want_grad_in`, writes `∂L/∂X` into [`MlpWorkspace::grad_in`] for
+    /// cross-network chaining. No parameter gradient is formed here: the
+    /// deltas and the layer inputs left in `ws` are all
+    /// [`Self::step_terms`] needs. Performs no heap allocation.
+    pub fn backward_batch(&self, ws: &mut MlpWorkspace, want_grad_in: bool) {
         ws.check_geometry(self);
         assert!(ws.training, "backward_batch needs a training workspace (see MlpWorkspace::inference)");
-        assert_eq!(grads.layers.len(), self.layers.len(), "grad shape mismatch");
         let batch = ws.batch;
         for l in (0..self.layers.len()).rev() {
             let layer = &self.layers[l];
@@ -284,16 +313,6 @@ impl Mlp {
                     }
                 }
             }
-            // ∂L/∂W += δᵀ · X — one GEMM accumulating rank-1 terms in
-            // ascending sample order.
-            let x = if l == 0 { &ws.input } else { &ws.acts[l - 1] };
-            ws.deltas[l].matmul_transpose_a_acc(x, &mut grads.layers[l].weights);
-            // ∂L/∂b += Σ_b δ_b, ascending.
-            for b in 0..batch {
-                for (gb, &d) in grads.layers[l].bias.iter_mut().zip(ws.deltas[l].row(b)) {
-                    *gb += d;
-                }
-            }
             // ∂L/∂act_{l−1} = δ_l · W_l, into the next delta buffer down.
             if l > 0 {
                 let (below, here) = ws.deltas.split_at_mut(l);
@@ -304,6 +323,73 @@ impl Mlp {
         }
     }
 
+    /// One optimizer step over this network's parameters, with the
+    /// gradient formed from the backward passes held in `terms`.
+    ///
+    /// Call `opt.begin_step(total)` first; this network's parameters sit at
+    /// `offset` in the optimizer's logical buffer (layer by layer, weights
+    /// then bias, as in [`Self::params_flat`]), and the offset just past
+    /// them is returned, so several networks can share one optimizer step.
+    ///
+    /// Each term is a workspace after [`Self::backward_batch`]; all share
+    /// one batch size `B`. Per parameter the gradient is what summing
+    /// per-sample [`Self::backward`] passes into zeroed [`crate::MlpGrads`]
+    /// gives, bit for bit: terms in order, rows ascending, `+= δ·x` with
+    /// rows whose `δ == 0` skipped (weights only), times `1/B` when
+    /// `B > 1` (the minibatch mean). It is formed 512 doubles at a time on
+    /// the stack and handed to [`Optimizer::step_segment`], so no gradient
+    /// buffer the size of the parameters exists.
+    ///
+    /// # Panics
+    /// Panics if `terms` is empty, a term is inference-only or shaped for
+    /// another network, or the terms' batch sizes differ.
+    pub fn step_terms(&mut self, terms: &[&MlpWorkspace], opt: &mut dyn Optimizer, offset: usize) -> usize {
+        let batch = terms.first().expect("at least one gradient term").batch;
+        for ws in terms {
+            ws.check_geometry(self);
+            assert!(ws.training, "step_terms needs training workspaces");
+            assert_eq!(ws.batch, batch, "gradient terms must share one batch size");
+        }
+        let mean = (batch > 1).then(|| 1.0 / batch as f64);
+        let mut chunk = [0.0; GRAD_CHUNK];
+        let mut off = offset;
+        for (l, layer) in self.layers.iter_mut().enumerate() {
+            let w = layer.weights.as_mut_slice();
+            for start in (0..w.len()).step_by(GRAD_CHUNK) {
+                let end = (start + GRAD_CHUNK).min(w.len());
+                let g = &mut chunk[..end - start];
+                let mut first = true;
+                for ws in terms {
+                    let x = ws.layer_input(l);
+                    for b in 0..batch {
+                        outer_rows(g, start, ws.deltas[l].row(b), x.row(b), first);
+                        first = false;
+                    }
+                }
+                scale(g, mean);
+                opt.step_segment(off + start, &mut w[start..end], g);
+            }
+            off += w.len();
+            let bias = &mut layer.bias;
+            for start in (0..bias.len()).step_by(GRAD_CHUNK) {
+                let end = (start + GRAD_CHUNK).min(bias.len());
+                let g = &mut chunk[..end - start];
+                g.fill(0.0);
+                for ws in terms {
+                    for b in 0..batch {
+                        for (gk, &d) in g.iter_mut().zip(&ws.deltas[l].row(b)[start..end]) {
+                            *gk += d;
+                        }
+                    }
+                }
+                scale(g, mean);
+                opt.step_segment(off + start, &mut bias[start..end], g);
+            }
+            off += bias.len();
+        }
+        off
+    }
+
     /// One batched MSE *autoencoder* training step: target ≡ input.
     ///
     /// The caller fills `ws.input_row_mut(b)` for `b < ws.batch()`. For
@@ -312,12 +398,7 @@ impl Mlp {
     /// step is bitwise identical to [`Mlp::train_step_mse`] with
     /// `target == x`. Returns the mean per-sample MSE before the update.
     /// Performs no steady-state heap allocation.
-    pub fn train_batch_mse_identity(
-        &mut self,
-        ws: &mut MlpWorkspace,
-        grads: &mut MlpGrads,
-        opt: &mut dyn Optimizer,
-    ) -> f64 {
+    pub fn train_batch_mse_identity(&mut self, ws: &mut MlpWorkspace, opt: &mut dyn Optimizer) -> f64 {
         self.forward_batch(ws);
         let batch = ws.batch;
         let mut loss_sum = 0.0;
@@ -337,13 +418,60 @@ impl Mlp {
                 loss_sum += sq / d.max(1) as f64;
             }
         }
-        grads.zero();
-        self.backward_batch(ws, grads, false);
-        if batch > 1 {
-            grads.scale(1.0 / batch as f64);
-        }
-        self.apply_grads(grads, opt);
+        self.backward_batch(ws, false);
+        opt.begin_step(self.num_params());
+        self.step_terms(&[ws], opt, 0);
         loss_sum / batch as f64
+    }
+}
+
+/// Doubles per gradient chunk that [`Mlp::step_terms`] hands to the
+/// optimizer (4 KiB on the stack). A multiple of 4, so only the last chunk
+/// of each weight matrix and bias vector leaves an `n % 4` tail for a
+/// 4-lane optimizer kernel — as many as one segment per matrix does.
+const GRAD_CHUNK: usize = 512;
+
+/// Adds one batch row's `δ ⊗ x` to the chunk `g` holding elements
+/// `start..start + g.len()` of a row-major `δ.len() × x.len()` weight
+/// gradient. The chunk may begin and end inside a row.
+///
+/// Per element this is what a zeroed buffer plus one `axpy` per row gives:
+/// rows whose `δ == 0` are skipped (left at +0.0 when `first`), and
+/// otherwise `first` writes `0.0 + δ·x` — no zero fill needed, and the
+/// `0.0 +` keeps +0.0 where the product is −0.0 — while later calls add
+/// `δ·x`. Kept out of line: compiled on its own, with `g` known not to
+/// alias `δ` or `x`, the first-term loop vectorizes.
+#[inline(never)]
+fn outer_rows(g: &mut [f64], start: usize, delta: &[f64], x: &[f64], first: bool) {
+    let n = x.len();
+    let (mut k, mut j) = (start / n, start % n);
+    let mut at = 0;
+    while at < g.len() {
+        let take = (n - j).min(g.len() - at);
+        let (dst, xs, d) = (&mut g[at..at + take], &x[j..j + take], delta[k]);
+        if d == 0.0 {
+            if first {
+                dst.fill(0.0);
+            }
+        } else if first {
+            for (o, &v) in dst.iter_mut().zip(xs) {
+                *o = 0.0 + d * v;
+            }
+        } else {
+            f64::axpy(d, xs, dst);
+        }
+        at += take;
+        k += 1;
+        j = 0;
+    }
+}
+
+/// Multiplies `g` by the minibatch-mean factor, if there is one.
+fn scale(g: &mut [f64], mean: Option<f64>) {
+    if let Some(s) = mean {
+        for v in g {
+            *v *= s;
+        }
     }
 }
 
@@ -355,6 +483,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sad_tensor::Adam;
+
+    /// Records the gradient of every `step_segment` at its offset and
+    /// leaves the parameters alone.
+    #[derive(Default)]
+    struct Recorder(Vec<f64>);
+
+    impl Optimizer for Recorder {
+        fn step(&mut self, params: &mut [f64], grads: &[f64]) {
+            self.begin_step(params.len());
+            self.step_segment(0, params, grads);
+        }
+        fn begin_step(&mut self, total_len: usize) {
+            self.0 = vec![f64::NAN; total_len];
+        }
+        fn step_segment(&mut self, offset: usize, _params: &mut [f64], grads: &[f64]) {
+            self.0[offset..offset + grads.len()].copy_from_slice(grads);
+        }
+    }
 
     fn tiny_mlp(seed: u64) -> Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -384,7 +530,7 @@ mod tests {
 
     #[test]
     fn backward_batch_equals_accumulated_per_sample_grads_bitwise() {
-        let mlp = tiny_mlp(2);
+        let mut mlp = tiny_mlp(2);
         let target = [0.2, -0.1, 0.4];
 
         // Reference: per-sample backward, accumulated in ascending order.
@@ -407,11 +553,14 @@ mod tests {
             let g = mse_grad(ws.output().row(b), &target);
             ws.grad_out_mut().row_mut(b).copy_from_slice(&g);
         }
-        let mut grads = mlp.zero_grads();
-        mlp.backward_batch(&mut ws, &mut grads, false);
+        mlp.backward_batch(&mut ws, false);
+        let mut grads = Recorder::default();
+        grads.begin_step(mlp.num_params());
+        mlp.step_terms(&[&ws], &mut grads, 0);
 
-        let a: Vec<u64> = grads.flatten().iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u64> = ref_grads.flatten().iter().map(|v| v.to_bits()).collect();
+        // The step takes the minibatch mean of the summed rows.
+        let a: Vec<u64> = grads.0.iter().map(|v| v.to_bits()).collect();
+        let b: Vec<u64> = ref_grads.flatten().iter().map(|v| (v * (1.0 / 3.0)).to_bits()).collect();
         assert_eq!(a, b);
     }
 
@@ -428,8 +577,7 @@ mod tests {
         for b in 0..2 {
             ws.grad_out_mut().row_mut(b).copy_from_slice(&grad_out);
         }
-        let mut grads = mlp.zero_grads();
-        mlp.backward_batch(&mut ws, &mut grads, true);
+        mlp.backward_batch(&mut ws, true);
 
         for b in 0..2 {
             let x = sample(b + 5);
@@ -449,13 +597,12 @@ mod tests {
         let mut opt_a = Adam::new(5e-3);
         let mut opt_b = Adam::new(5e-3);
         let mut ws = b.workspace(1);
-        let mut grads = b.zero_grads();
         for k in 0..20 {
             let x = sample(k);
             a.train_step_mse(&x, &x, &mut opt_a);
             ws.set_batch(1);
             ws.input_row_mut(0).copy_from_slice(&x);
-            b.train_batch_mse_identity(&mut ws, &mut grads, &mut opt_b);
+            b.train_batch_mse_identity(&mut ws, &mut opt_b);
         }
         let pa: Vec<u64> = a.params_flat().iter().map(|v| v.to_bits()).collect();
         let pb: Vec<u64> = b.params_flat().iter().map(|v| v.to_bits()).collect();
@@ -467,7 +614,6 @@ mod tests {
         let mut mlp = tiny_mlp(9);
         let mut opt = Adam::new(1e-2);
         let mut ws = mlp.workspace(4);
-        let mut grads = mlp.zero_grads();
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..300 {
@@ -475,7 +621,7 @@ mod tests {
             for b in 0..4 {
                 ws.input_row_mut(b).copy_from_slice(&sample(b));
             }
-            last = mlp.train_batch_mse_identity(&mut ws, &mut grads, &mut opt);
+            last = mlp.train_batch_mse_identity(&mut ws, &mut opt);
             first.get_or_insert(last);
         }
         let first = first.unwrap();
@@ -526,8 +672,7 @@ mod tests {
         ws.set_batch(1);
         ws.input_row_mut(0).copy_from_slice(&sample(0));
         mlp.forward_batch(&mut ws);
-        let mut grads = mlp.zero_grads();
-        mlp.backward_batch(&mut ws, &mut grads, false);
+        mlp.backward_batch(&mut ws, false);
     }
 
     #[test]

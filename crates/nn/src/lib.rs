@@ -15,16 +15,18 @@
 //!   USAD chain `∂‖x − AE₂(AE₁(x))‖²/∂θ_{AE₁}` through the second
 //!   autoencoder, and lets N-BEATS propagate through its residual stacking.
 //! * Parameters update **in place** through the segmented
-//!   `sad_tensor::Optimizer` API ([`Mlp::apply_grads`]), bitwise identical
-//!   to one flat step over [`Mlp::params_flat`] — mirroring the paper's
-//!   `θ ← θ − Σ Opt(∂L/∂θ)` fine-tuning formulation without the
-//!   flatten/unflatten copies.
+//!   `sad_tensor::Optimizer` API, bitwise identical to one flat step over
+//!   [`Mlp::params_flat`] — mirroring the paper's `θ ← θ − Σ Opt(∂L/∂θ)`
+//!   fine-tuning formulation without the flatten/unflatten copies.
 //! * The streaming models train through the batched, zero-allocation
 //!   workspace path in [`batch`] ([`Mlp::forward_batch`],
-//!   [`Mlp::backward_batch`], [`MlpWorkspace`]), which packs minibatches
-//!   into row-major matrices and drives the cache-blocked `sad-tensor`
-//!   GEMM kernels; it reproduces the per-sample path bit for bit at batch
-//!   size 1 (see `batch`'s module docs for the pinned summation order).
+//!   [`Mlp::backward_batch`], [`Mlp::step_terms`], [`MlpWorkspace`]). The
+//!   backward pass leaves only deltas in the workspaces; the step streams
+//!   each parameter's gradient from them through a fixed 512-double stack
+//!   chunk into the optimizer, so no gradient buffer the size of the
+//!   parameters exists. It reproduces the per-sample path
+//!   ([`Mlp::backward`] into [`MlpGrads`], then [`Mlp::apply_grads`]) bit
+//!   for bit (see `batch`'s module docs for the pinned summation order).
 //! * [`Dense`], [`Mlp`] and [`MlpWorkspace`] are generic over the tensor
 //!   precision (`f64` by default). Training is f64-only; an `Mlp<f32>` is
 //!   an inference snapshot of a trained network ([`Mlp::from_precision`],

@@ -34,7 +34,9 @@ impl MlpCache {
     }
 }
 
-/// Parameter gradients for a whole [`Mlp`].
+/// Parameter gradients for a whole [`Mlp`], as the per-sample
+/// [`Mlp::backward`] accumulates them: the reference the streamed
+/// training step ([`Mlp::step_terms`]) is checked against.
 #[derive(Debug, Clone)]
 pub struct MlpGrads {
     pub(crate) layers: Vec<DenseGrads>,
@@ -175,39 +177,17 @@ impl Mlp {
     /// Uses the optimizer's segmented-step API ([`Optimizer::begin_step`] +
     /// one [`Optimizer::step_segment`] per weight matrix / bias vector), so
     /// the update is bitwise identical to flattening the parameters through
-    /// `params_flat()`/`set_params_flat()` and calling `opt.step` once —
-    /// without the three `O(P)` copies and two heap allocations that
-    /// round-trip used to cost per training step.
+    /// `params_flat()`/`set_params_flat()` and calling `opt.step` once.
     pub fn apply_grads(&mut self, grads: &MlpGrads, opt: &mut dyn Optimizer) {
-        opt.begin_step(self.num_params());
-        self.apply_grads_segmented(grads, opt, 0);
-    }
-
-    /// Applies `opt.step_segment` for every layer, starting at `offset`
-    /// within the optimizer's logical parameter buffer; returns the offset
-    /// just past this network.
-    ///
-    /// This is the composition hook for models that drive *several*
-    /// networks from one optimizer instance (N-BEATS steps each block's
-    /// trunk + backcast head + forecast head as one logical buffer): call
-    /// `opt.begin_step(total)` once, then chain `apply_grads_segmented`
-    /// over the networks in the pinned parameter order.
-    pub fn apply_grads_segmented(
-        &mut self,
-        grads: &MlpGrads,
-        opt: &mut dyn Optimizer,
-        offset: usize,
-    ) -> usize {
         assert_eq!(self.layers.len(), grads.layers.len(), "grad shape mismatch");
-        let mut off = offset;
+        opt.begin_step(self.num_params());
+        let mut off = 0;
         for (layer, lg) in self.layers.iter_mut().zip(&grads.layers) {
-            let w = layer.weights.as_mut_slice();
-            opt.step_segment(off, w, lg.weights.as_slice());
+            opt.step_segment(off, layer.weights.as_mut_slice(), lg.weights.as_slice());
             off += lg.weights.rows() * lg.weights.cols();
             opt.step_segment(off, &mut layer.bias, &lg.bias);
             off += lg.bias.len();
         }
-        off
     }
 
     /// One full MSE training step on a single example. Returns the loss
@@ -267,47 +247,6 @@ impl MlpGrads {
             out.extend_from_slice(&layer.bias);
         }
         out
-    }
-
-    /// Adds another gradient accumulation (for mini-batches).
-    pub fn accumulate(&mut self, other: &MlpGrads) {
-        assert_eq!(self.layers.len(), other.layers.len(), "grad shape mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.weights.add_scaled(&b.weights, 1.0);
-            for (x, y) in a.bias.iter_mut().zip(&b.bias) {
-                *x += y;
-            }
-        }
-    }
-
-    /// Scales all gradients by `s` (e.g. `1/batch`), in place — no
-    /// temporary matrix is allocated.
-    pub fn scale(&mut self, s: f64) {
-        for layer in &mut self.layers {
-            layer.weights.scale_mut(s);
-            for b in &mut layer.bias {
-                *b *= s;
-            }
-        }
-    }
-
-    /// Zeroes every gradient in place (reusing the buffers between steps).
-    pub fn zero(&mut self) {
-        for layer in &mut self.layers {
-            layer.weights.fill(0.0);
-            layer.bias.fill(0.0);
-        }
-    }
-
-    /// The per-layer gradient buffers, in layer order.
-    pub fn layers(&self) -> &[DenseGrads] {
-        &self.layers
-    }
-
-    /// Mutable per-layer gradient buffers (e.g. to zero a frozen layer's
-    /// gradients before an optimizer step).
-    pub fn layers_mut(&mut self) -> &mut [DenseGrads] {
-        &mut self.layers
     }
 }
 
@@ -414,27 +353,6 @@ mod tests {
         for p in &points {
             let y = mlp.infer(p);
             assert!(mse(&y, p) < 1e-3, "point {p:?} -> {y:?}");
-        }
-    }
-
-    #[test]
-    fn accumulate_and_scale() {
-        let mlp = tiny_mlp(31);
-        let x = [0.3, -0.1, 0.5];
-        let target = [0.2, -0.7];
-        let cache = mlp.forward(&x);
-        let grad_out = mse_grad(cache.output(), &target);
-
-        let mut g1 = mlp.zero_grads();
-        mlp.backward(&cache, &grad_out, &mut g1);
-        let mut g2 = mlp.zero_grads();
-        mlp.backward(&cache, &grad_out, &mut g2);
-        g2.accumulate(&g1);
-        g2.scale(0.5);
-        let f1 = g1.flatten();
-        let f2 = g2.flatten();
-        for (a, b) in f1.iter().zip(&f2) {
-            assert!((a - b).abs() < 1e-12);
         }
     }
 

@@ -14,6 +14,8 @@
 //!   of batch sizes is replayed, no row of any output may ever depend on
 //!   stale state left over from a previous, larger batch.
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,14 +49,13 @@ fn batch_of_one_reproduces_per_sample_trajectory_bitwise() {
         let mut opt_a = Adam::new(1e-3);
         let mut opt_b = Adam::new(1e-3);
         let mut ws = batched.workspace(1);
-        let mut grads = batched.zero_grads();
         let dim = dims[0];
         for k in 0..50 {
             let x = sample(dim, k);
             per_sample.train_step_mse(&x, &x, &mut opt_a);
             ws.set_batch(1);
             ws.input_row_mut(0).copy_from_slice(&x);
-            batched.train_batch_mse_identity(&mut ws, &mut grads, &mut opt_b);
+            batched.train_batch_mse_identity(&mut ws, &mut opt_b);
         }
         let a: Vec<u64> = per_sample.params_flat().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u64> = batched.params_flat().iter().map(|v| v.to_bits()).collect();
@@ -74,13 +75,12 @@ fn batch_of_one_is_bitwise_under_sgd_variants() {
         let mut opt_a = Sgd::with_momentum(5e-3, momentum);
         let mut opt_b = Sgd::with_momentum(5e-3, momentum);
         let mut ws = batched.workspace(1);
-        let mut grads = batched.zero_grads();
         for k in 0..40 {
             let x = sample(4, k);
             per_sample.train_step_mse(&x, &x, &mut opt_a);
             ws.set_batch(1);
             ws.input_row_mut(0).copy_from_slice(&x);
-            batched.train_batch_mse_identity(&mut ws, &mut grads, &mut opt_b);
+            batched.train_batch_mse_identity(&mut ws, &mut opt_b);
         }
         let a: Vec<u64> = per_sample.params_flat().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u64> = batched.params_flat().iter().map(|v| v.to_bits()).collect();
@@ -104,13 +104,12 @@ fn chunked_training_with_ragged_tail_is_bitwise() {
         per_sample.train_step_mse(x, x, &mut opt_a);
     }
     let mut ws = batched.workspace(1);
-    let mut grads = batched.zero_grads();
     for chunk in train.chunks(1) {
         ws.set_batch(chunk.len());
         for (b, x) in chunk.iter().enumerate() {
             ws.input_row_mut(b).copy_from_slice(x);
         }
-        batched.train_batch_mse_identity(&mut ws, &mut grads, &mut opt_b);
+        batched.train_batch_mse_identity(&mut ws, &mut opt_b);
     }
     let a: Vec<u64> = per_sample.params_flat().iter().map(|v| v.to_bits()).collect();
     let b: Vec<u64> = batched.params_flat().iter().map(|v| v.to_bits()).collect();
@@ -165,7 +164,7 @@ proptest! {
         second in 1usize..6,
         seed in 0u64..1000,
     ) {
-        let net = make_net(&[3, 4, 3], &[Activation::Sigmoid, Activation::Identity], seed);
+        let mut net = make_net(&[3, 4, 3], &[Activation::Sigmoid, Activation::Identity], seed);
         let mut ws = net.workspace(6);
         // History: one batch of `first` samples, trained through, then a
         // batch of `second` — only the second is compared.
@@ -185,8 +184,8 @@ proptest! {
             let g = sad_nn::mse_grad(ws.output_row(b).to_vec().as_slice(), x);
             ws.grad_out_mut().row_mut(b).copy_from_slice(&g);
         }
-        let mut batched = net.zero_grads();
-        net.backward_batch(&mut ws, &mut batched, false);
+        net.backward_batch(&mut ws, false);
+        let batched = common::streamed_grads(&mut net, &[&ws]);
 
         // Reference: accumulate per-sample backward passes in row order.
         let mut reference = net.zero_grads();
@@ -195,8 +194,9 @@ proptest! {
             let g = sad_nn::mse_grad(cache.output(), x);
             net.backward(&cache, &g, &mut reference);
         }
-        let a: Vec<u64> = batched.flatten().iter().map(|v| v.to_bits()).collect();
-        let bvec: Vec<u64> = reference.flatten().iter().map(|v| v.to_bits()).collect();
+        let a: Vec<u64> = batched.iter().map(|v| v.to_bits()).collect();
+        let bvec: Vec<u64> =
+            common::minibatch_mean(&reference.flatten(), second).iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(a, bvec);
     }
 }

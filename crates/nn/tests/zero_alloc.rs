@@ -83,7 +83,6 @@ fn steady_state_training_loop_does_not_allocate() {
         &mut rng,
     );
     let mut ws = net.workspace(4);
-    let mut grads = net.zero_grads();
     let mut opt = Adam::new(1e-3);
     let xs: Vec<Vec<f64>> = (0..8)
         .map(|k| (0..16).map(|i| ((k * 17 + i) as f64 * 0.37).sin()).collect())
@@ -95,7 +94,7 @@ fn steady_state_training_loop_does_not_allocate() {
         for (b, x) in chunk.iter().enumerate() {
             ws.input_row_mut(b).copy_from_slice(x);
         }
-        net.train_batch_mse_identity(&mut ws, &mut grads, &mut opt);
+        net.train_batch_mse_identity(&mut ws, &mut opt);
     }
 
     // Steady state: 25 epochs over the same data, alternating batch sizes
@@ -107,7 +106,7 @@ fn steady_state_training_loop_does_not_allocate() {
                 for (b, x) in chunk.iter().enumerate() {
                     ws.input_row_mut(b).copy_from_slice(x);
                 }
-                net.train_batch_mse_identity(&mut ws, &mut grads, &mut opt);
+                net.train_batch_mse_identity(&mut ws, &mut opt);
             }
         }
     });

@@ -416,22 +416,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Scales every element by `s` in place (no allocation) — the gradient
-    /// averaging kernel of the minibatch training path.
-    pub fn scale_mut(&mut self, s: T) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
-    /// In-place `self += s * rhs` (the workhorse of gradient updates).
-    pub fn add_scaled(&mut self, rhs: &Matrix<T>, s: T) {
-        assert_eq!(self.shape(), rhs.shape(), "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += s * b;
-        }
-    }
-
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(T) -> T) -> Matrix<T> {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
@@ -591,14 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_mut_matches_scale() {
-        let a = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64 - 5.5);
-        let mut b = a.clone();
-        b.scale_mut(-0.25);
-        assert_eq!(b, a.scale(-0.25));
-    }
-
-    #[test]
     fn matmul_into_matches_matmul() {
         let a = Matrix::from_fn(3, 4, |i, j| (i + j) as f64 * 0.5 - 1.0);
         let b = Matrix::from_fn(4, 2, |i, j| (i as f64) - (j as f64) * 2.0);
@@ -654,14 +630,6 @@ mod tests {
     fn copy_from_shape_mismatch_panics() {
         let mut b = Matrix::<f64>::zeros(2, 3);
         b.copy_from(&Matrix::zeros(3, 2));
-    }
-
-    #[test]
-    fn add_scaled_in_place() {
-        let mut a = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let g = Matrix::from_rows(&[&[2.0, -4.0]]);
-        a.add_scaled(&g, -0.5);
-        assert_eq!(a, Matrix::from_rows(&[&[0.0, 3.0]]));
     }
 
     #[test]

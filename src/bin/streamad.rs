@@ -55,7 +55,7 @@ use streamad::ingest::{
     IngestEngine, IngestStats,
 };
 use streamad::metrics::{best_f1, intervals_from_labels, nab_score, pr_auc, vus_pr};
-use streamad::models::{build_detector, BuildParams};
+use streamad::models::{build_detector, min_window, BuildParams};
 use streamad::obs::{Histogram, Registry};
 
 /// Writes to stdout until a write fails, then drops all further output:
@@ -274,6 +274,31 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Rejects detector settings that would panic once input arrives (a
+/// window the model cannot be built with, a warm-up shorter than one
+/// window) or silently flag nothing (a non-finite threshold). Both modes
+/// call it before reading any input.
+fn check_detector_args(args: &Args, spec: AlgorithmSpec) -> Result<(), String> {
+    let min = min_window(spec.model);
+    if args.window < min {
+        return Err(format!(
+            "--window {} is too small: {} needs at least {min}",
+            args.window,
+            spec.model.label()
+        ));
+    }
+    if args.warmup < args.window {
+        return Err(format!(
+            "--warmup {} must cover at least one window (--window {})",
+            args.warmup, args.window
+        ));
+    }
+    if !args.threshold.is_finite() {
+        return Err(format!("--threshold must be a finite number, got {}", args.threshold));
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -296,6 +321,10 @@ fn main() -> ExitCode {
             algorithm_table(&specs, &args),
         );
         let _ = std::io::stderr().write_all(msg.as_bytes());
+        return ExitCode::FAILURE;
+    }
+    if let Err(msg) = check_detector_args(&args, specs[args.algo]) {
+        eprintln!("{msg}");
         return ExitCode::FAILURE;
     }
     if args.serve {

@@ -123,10 +123,13 @@ fn detectors_survive_extreme_stream_values() {
 }
 
 /// One NaN value after warm-up must not stall or panic any Table I
-/// algorithm. It reaches the KSWIN training-set samples, where a KS merge
-/// walk that cannot pass a NaN spins forever (or trips its sortedness
-/// assertion in a debug build), so every run goes through a worker thread
-/// and must report back before a deadline.
+/// algorithm, nor leave a non-finite score behind. It reaches the KSWIN
+/// training-set samples, where a KS merge walk that cannot pass a NaN
+/// spins forever (or trips its sortedness assertion in a debug build), so
+/// every run goes through a worker thread and must report back before a
+/// deadline. A window holding the NaN, or a prediction made from it,
+/// scores nonconformity 1.0, so every nonconformity and anomaly score
+/// stays finite.
 #[test]
 fn every_algorithm_finishes_a_stream_holding_one_nan() {
     const DEADLINE: Duration = Duration::from_secs(60);
@@ -138,15 +141,27 @@ fn every_algorithm_finishes_a_stream_holding_one_nan() {
     // spinning until the test process exits.
     let worker = std::thread::spawn(move || {
         for spec in paper_algorithms() {
-            let steps = build_detector(spec, &tiny_params()).run(&data).len();
-            if tx.send(steps).is_err() {
+            let outputs = build_detector(spec, &tiny_params()).run(&data);
+            if tx.send(outputs).is_err() {
                 return;
             }
         }
     });
     for spec in paper_algorithms() {
         match rx.recv_timeout(DEADLINE) {
-            Ok(steps) => assert_eq!(steps, expected, "{}", spec.label()),
+            Ok(outputs) => {
+                assert_eq!(outputs.len(), expected, "{}", spec.label());
+                for out in &outputs {
+                    assert!(
+                        out.nonconformity.is_finite() && out.anomaly_score.is_finite(),
+                        "{} at t = {}: nonconformity {}, anomaly score {}",
+                        spec.label(),
+                        out.t,
+                        out.nonconformity,
+                        out.anomaly_score
+                    );
+                }
+            }
             Err(RecvTimeoutError::Timeout) => {
                 panic!("{} did not finish within {DEADLINE:?}", spec.label())
             }

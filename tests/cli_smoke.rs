@@ -1,7 +1,7 @@
 //! End-to-end smoke tests for the `streamad` binary: the `--list` table
 //! (header carries the run settings), the out-of-range `--algo` UX (show
-//! the whole table, not just the bound), a plain detection run, and the
-//! `--fleet` serving mode.
+//! the whole table, not just the bound), detector settings rejected at
+//! startup, a plain detection run, the `--fleet` serving mode and `serve`.
 
 use std::fmt::Write as _;
 use std::io::Read;
@@ -52,6 +52,80 @@ fn out_of_range_algo_shows_the_full_table() {
     assert!(stderr.contains("--algo 99 is out of range"), "names the bad value: {stderr}");
     assert!(stderr.contains(" 0  Online ARIMA / SW"), "table starts in the error: {stderr}");
     assert!(stderr.contains("25  PCB-iForest"), "table ends in the error: {stderr}");
+}
+
+/// `len` wire frames for stream 0 in `serve --csv` form (`id,v0,v1`),
+/// written to a unique temp path per test.
+fn write_wire_csv(name: &str, len: usize) -> std::path::PathBuf {
+    let mut csv = String::new();
+    for t in 0..len {
+        let x = t as f64 * 0.09;
+        let _ = writeln!(csv, "0,{},{}", x.sin(), (x * 0.63).cos());
+    }
+    let path =
+        std::env::temp_dir().join(format!("streamad-cli-smoke-{name}-{}.wire.csv", std::process::id()));
+    std::fs::write(&path, csv).expect("temp CSV is writable");
+    path
+}
+
+/// Runs `streamad` with `args`, stdin from `input`, and asserts it exits 1
+/// with one stderr line that names `flag`.
+fn assert_rejected_at_startup(args: &[&str], input: &std::path::Path, flag: &str) {
+    let mut cmd = streamad();
+    cmd.args(args);
+    let out = output_within(cmd, input, Duration::from_secs(60));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: one line: {stderr}");
+    assert!(stderr.contains(flag), "{args:?}: names {flag}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing served or detected");
+}
+
+/// A window the model cannot be built with fails at startup instead of in
+/// `Trunk::new` (`--window 0`) or in an N-BEATS layer of width
+/// `(w − 1)·N = 0` once warm-up ends (`--window 1`, algorithms 18–23).
+#[test]
+fn window_below_the_model_minimum_is_rejected_at_startup() {
+    let csv = write_csv("window", 700);
+    let path = csv.to_str().unwrap();
+    assert_rejected_at_startup(&[path, "--window", "0"], &csv, "--window");
+    for algo in ["18", "23"] {
+        assert_rejected_at_startup(&[path, "--algo", algo, "--window", "1"], &csv, "--window");
+    }
+    let wire = write_wire_csv("window", 700);
+    let serve = ["serve", "--stdin", "--csv", "--algo", "18", "--window", "1"];
+    assert_rejected_at_startup(&serve, &wire, "--window");
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_file(&wire).ok();
+}
+
+/// A warm-up shorter than one window fails at startup instead of in
+/// `Trunk::new`, in a file run and on the first served frame.
+#[test]
+fn warmup_shorter_than_the_window_is_rejected_at_startup() {
+    let csv = write_csv("warmup", 100);
+    let path = csv.to_str().unwrap();
+    assert_rejected_at_startup(&[path, "--window", "16", "--warmup", "10"], &csv, "--warmup");
+    let wire = write_wire_csv("warmup", 100);
+    let serve = ["serve", "--stdin", "--csv", "--window", "16", "--warmup", "3"];
+    assert_rejected_at_startup(&serve, &wire, "--warmup");
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_file(&wire).ok();
+}
+
+/// No score is `>=` a NaN threshold, so a run with one would silently flag
+/// nothing; a non-finite threshold fails at startup in both modes.
+#[test]
+fn non_finite_threshold_is_rejected_at_startup() {
+    let csv = write_csv("threshold", 320);
+    let path = csv.to_str().unwrap();
+    let run = [path, "--algo", "0", "--window", "6", "--warmup", "80", "--threshold", "nan"];
+    assert_rejected_at_startup(&run, &csv, "--threshold");
+    let wire = write_wire_csv("threshold", 100);
+    let serve = ["serve", "--stdin", "--csv", "--algo", "0", "--threshold", "inf"];
+    assert_rejected_at_startup(&serve, &wire, "--threshold");
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_file(&wire).ok();
 }
 
 #[test]
