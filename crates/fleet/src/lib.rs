@@ -47,12 +47,14 @@
 //!
 //! ## Sharding
 //!
-//! Stream `i` lives on shard `i % shards` (deterministic, so parity holds
-//! at any shard count). Shards own disjoint state; with
-//! `FleetConfig::parallel` a drain round runs one scoped thread per shard
-//! (the PR 1 scoped-thread pattern). Outputs are always scattered back
-//! into stream-id order, so results are byte-identical across shard
-//! counts and parallelism settings.
+//! A stream id is the address of its slot: slot `k` of shard `s` is id
+//! `k · shards + s`, reused once its stream retires (see [`DetectorFleet`]).
+//! A fleet built by [`DetectorFleet::new`] puts stream `i` on shard
+//! `i % shards` (deterministic, so parity holds at any shard count). Shards
+//! own disjoint state; with `FleetConfig::parallel` a drain round runs one
+//! scoped thread per shard. Outputs are always scattered back into
+//! stream-id order, so results are byte-identical across shard counts and
+//! parallelism settings.
 //!
 //! ## Telemetry
 //!
@@ -237,8 +239,6 @@ impl RingQueue {
 
 /// One stream's state on its shard.
 struct StreamSlot {
-    /// Global stream id.
-    id: usize,
     det: Detector,
     queue: RingQueue,
     /// Index into the shard's arch groups once the stream joined one.
@@ -246,6 +246,8 @@ struct StreamSlot {
     /// Whether batching eligibility has been decided (checked once, at
     /// the warm-up transition — models materialize their networks there).
     eligibility_checked: bool,
+    /// This stream's output of the current round.
+    out: Option<StepOutput>,
 }
 
 /// One arch group: streams sharing a batchable architecture, partitioned
@@ -331,11 +333,11 @@ fn serve_cohort<T: Scalar>(
 /// admissions so slot indices stay stable for the group membership lists.
 struct Shard {
     slots: Vec<Option<StreamSlot>>,
+    /// Occupied slots.
+    live: usize,
     /// Per-slot model-output buffer (sibling of `slots` so the batched
     /// path can borrow a slot's detector and its output buffer at once).
     out_bufs: Vec<ModelOutput>,
-    /// Per-slot output of the current round.
-    outs: Vec<Option<StepOutput>>,
     groups: Vec<ArchGroup>,
     batching: bool,
     f32_infer: bool,
@@ -356,8 +358,8 @@ impl Shard {
     fn new(batching: bool, f32_infer: bool, telemetry: bool) -> Self {
         Self {
             slots: Vec::new(),
+            live: 0,
             out_bufs: Vec::new(),
-            outs: Vec::new(),
             groups: Vec::new(),
             batching,
             f32_infer,
@@ -369,35 +371,29 @@ impl Shard {
         }
     }
 
-    /// Installs a stream into a vacant slot when one exists, else appends
-    /// a new slot. Returns the slot index.
-    fn push_stream(&mut self, id: usize, det: Detector, queue_capacity: usize) -> usize {
+    /// Installs a stream into the first vacant slot, appending one when
+    /// none is vacant. Returns the slot index.
+    fn install(&mut self, det: Detector, queue_capacity: usize) -> usize {
         let channels = det.config().channels;
         let slot = StreamSlot {
-            id,
             det,
             queue: RingQueue::new(channels, queue_capacity),
             group: None,
             eligibility_checked: false,
+            out: None,
         };
+        self.live += 1;
         if let Some(vacant) = self.slots.iter().position(Option::is_none) {
-            self.slots[vacant] = Some(slot);
             // The vacated output buffer is kept — the first batched emit
             // right-sizes it for the new stream's model.
-            self.outs[vacant] = None;
+            self.slots[vacant] = Some(slot);
             return vacant;
         }
         self.slots.push(Some(slot));
         // Placeholder variant; the first batched emit replaces it with a
         // right-sized buffer that is then reused forever.
         self.out_bufs.push(ModelOutput::Score(0.0));
-        self.outs.push(None);
         self.slots.len() - 1
-    }
-
-    /// Live (non-vacant) slot count.
-    fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Removes `slot` from the shard: drops the detector and any queued
@@ -405,6 +401,7 @@ impl Shard {
     /// its cohorts at the next round).
     fn vacate(&mut self, slot: usize) {
         let stream = self.slots[slot].take().expect("retire of a live stream");
+        self.live -= 1;
         if let Some(gi) = stream.group {
             let group = &mut self.groups[gi];
             let pos = group
@@ -416,7 +413,6 @@ impl Shard {
             group.cohort_of.remove(pos);
             group.dirty = true;
         }
-        self.outs[slot] = None;
         self.stats.retired += 1;
     }
 
@@ -515,7 +511,7 @@ impl Shard {
     }
 
     /// Serves one round: each stream with queued input advances exactly
-    /// one step. Results land in `self.outs` (slot order).
+    /// one step. Results land in each slot's `out`.
     fn round(&mut self) {
         // Timed/shape telemetry: clock reads and the queue-depth sweep are
         // the only per-round costs the flag adds — every count and record
@@ -528,22 +524,19 @@ impl Shard {
         }
         let served_before = self.served();
 
-        for out in &mut self.outs {
-            *out = None;
-        }
-
         // ---- Scalar path: ungrouped streams (warm-up, non-NN models,
         // batching disabled).
         for i in 0..self.slots.len() {
             {
                 let Some(slot) = self.slots[i].as_mut() else { continue };
+                // Grouped slots get this round's output from the batched path.
+                slot.out = None;
                 if slot.group.is_some() {
                     continue;
                 }
                 let Some(s) = slot.queue.front() else { continue };
-                let out = slot.det.step(s);
+                slot.out = slot.det.step(s);
                 slot.queue.pop_front();
-                self.outs[i] = out;
             }
             self.stats.scalar_steps += 1;
             // Batching eligibility is decided once the model has fitted
@@ -556,7 +549,7 @@ impl Shard {
         }
 
         // ---- Batched path, one arch group at a time.
-        let Shard { slots, out_bufs, outs, groups, telemetry, stats, batch_rows, .. } = self;
+        let Shard { slots, out_bufs, groups, telemetry, stats, batch_rows, .. } = self;
         for group in groups.iter_mut() {
             if group.dirty {
                 stats.f32_resyncs += Self::rebuild_cohorts(group, slots);
@@ -614,7 +607,7 @@ impl Shard {
                     if out.fine_tuned {
                         group.dirty = true;
                     }
-                    outs[si] = Some(out);
+                    slot.out = Some(out);
                 }
                 stats.batched_rows += rows;
                 stats.batches += 1;
@@ -649,18 +642,13 @@ impl Shard {
 ///
 /// Streams can be fixed at construction ([`DetectorFleet::new`]) or come
 /// and go dynamically ([`DetectorFleet::admit`] / [`DetectorFleet::retire`]
-/// on a fleet started with [`DetectorFleet::open`]): every stream gets a
-/// fresh monotonically-increasing id, and retired ids stay valid history
-/// (outputs are indexed by id forever) while their shard slots are reused
-/// by later admissions.
+/// on a fleet started with [`DetectorFleet::open`]). A stream id is the
+/// address of its slot, and the next admission into a retired stream's
+/// slot reuses its id: [`Self::len`] counts installs, and
+/// [`Self::drain_round`] fills one output per slot, not per id issued.
 pub struct DetectorFleet {
     shards: Vec<Shard>,
     config: FleetConfig,
-    /// Stream id → (shard, slot); `None` once the stream is retired.
-    /// Fleets built by [`DetectorFleet::new`] lay ids out round-robin
-    /// (`id % shards`, `id / shards`) — this table generalizes that
-    /// arithmetic to dynamic admission.
-    addr: Vec<Option<(usize, usize)>>,
 }
 
 impl DetectorFleet {
@@ -674,9 +662,8 @@ impl DetectorFleet {
         assert!(!detectors.is_empty(), "a fleet needs at least one stream");
         let n_shards = config.shards.min(detectors.len());
         let mut fleet = Self::open(FleetConfig { shards: n_shards, ..config });
-        for (id, det) in detectors.into_iter().enumerate() {
-            let slot = fleet.shards[id % n_shards].push_stream(id, det, fleet.config.queue_capacity);
-            fleet.addr.push(Some((id % n_shards, slot)));
+        for det in detectors {
+            fleet.install(det);
         }
         fleet
     }
@@ -695,77 +682,79 @@ impl DetectorFleet {
                 Shard::new(config.batching, config.batching && config.f32_infer, config.telemetry)
             })
             .collect();
-        Self { shards, config, addr: Vec::new() }
+        Self { shards, config }
     }
 
-    /// Admits a new stream: the detector lands on the shard with the
-    /// fewest live streams (lowest index on ties — deterministic), reusing
-    /// a retired slot when one exists. Returns the new stream id.
+    /// Admits a new stream and returns its id, which a retired stream may
+    /// have held before.
     pub fn admit(&mut self, det: Detector) -> usize {
-        let shard = (0..self.shards.len())
-            .min_by_key(|&i| (self.shards[i].live(), i))
+        let id = self.install(det);
+        let n = self.shards.len();
+        self.shards[id % n].stats.admitted += 1;
+        id
+    }
+
+    /// Installs `det` in the first vacant slot of the shard with the fewest
+    /// live streams (lowest index on ties) and returns the slot's address.
+    fn install(&mut self, det: Detector) -> usize {
+        let n = self.shards.len();
+        let shard = (0..n)
+            .min_by_key(|&i| (self.shards[i].live, i))
             .expect("a fleet has at least one shard");
-        let slot = self.shards[shard].push_stream(self.addr.len(), det, self.config.queue_capacity);
-        self.shards[shard].stats.admitted += 1;
-        self.addr.push(Some((shard, slot)));
-        self.addr.len() - 1
+        let slot = self.shards[shard].install(det, self.config.queue_capacity);
+        slot * n + shard
     }
 
     /// Retires `stream`: its detector (and any queued backlog) is dropped
-    /// and the slot becomes reusable by a later [`Self::admit`]. The id
-    /// stays valid history — [`Self::is_live`] turns `false`, and
-    /// re-admitting the same entity later builds a fresh detector.
+    /// and its slot, with its id, is free for a later [`Self::admit`].
     ///
     /// # Panics
-    /// Panics if `stream` is out of range or already retired.
+    /// Panics if `stream` is not live.
     pub fn retire(&mut self, stream: usize) {
-        assert!(stream < self.addr.len(), "stream {stream} out of 0..{}", self.addr.len());
-        let (shard, slot) = self.addr[stream].take().expect("retire of a live stream");
+        let (shard, slot) = self.live_addr(stream);
         self.shards[shard].vacate(slot);
     }
 
-    /// Whether `stream` is currently live (admitted and not retired).
+    /// Whether a live stream holds id `stream`.
     pub fn is_live(&self, stream: usize) -> bool {
-        self.addr.get(stream).is_some_and(Option::is_some)
+        let n = self.shards.len();
+        self.shards[stream % n].slots.get(stream / n).is_some_and(Option::is_some)
     }
 
-    /// Number of live streams: the shards' occupied slots. Retired slots
-    /// are reused, so this costs the shards' peak live stream counts, not
-    /// the number of ids ever issued.
+    /// Number of live streams, kept per shard at install and retirement.
     pub fn live(&self) -> usize {
-        self.shards.iter().map(Shard::live).sum()
+        self.shards.iter().map(|s| s.live).sum()
     }
 
-    /// Number of stream ids ever issued (live + retired).
+    /// Number of streams ever installed (live + retired), not of ids.
     pub fn len(&self) -> usize {
-        self.addr.len()
+        self.shards.iter().map(|s| s.live + s.stats.retired).sum()
     }
 
     /// Whether the fleet has never had a stream.
     pub fn is_empty(&self) -> bool {
-        self.addr.is_empty()
+        self.len() == 0
     }
 
     /// Queued (not yet served) vectors for `stream`.
     ///
     /// # Panics
-    /// Panics if `stream` is out of range or retired.
+    /// Panics if `stream` is not live.
     pub fn queued(&self, stream: usize) -> usize {
         let (shard, slot) = self.live_addr(stream);
         self.shards[shard].slots[slot].as_ref().expect("addressed slot is live").queue.len()
     }
 
     fn live_addr(&self, stream: usize) -> (usize, usize) {
-        assert!(stream < self.addr.len(), "stream {stream} out of 0..{}", self.addr.len());
-        self.addr[stream].expect("stream has been retired")
+        assert!(self.is_live(stream), "stream {stream} is retired or was never admitted");
+        (stream % self.shards.len(), stream / self.shards.len())
     }
 
     /// Enqueues one stream vector for `stream`; `false` when that
     /// stream's queue is full (drain first).
     ///
     /// # Panics
-    /// Panics if `stream` is out of range or retired, or `s` has the
-    /// wrong channel count.
+    /// Panics if `stream` is not live or `s` has the wrong channel count.
     pub fn enqueue(&mut self, stream: usize, s: &[f64]) -> bool {
         let (shard, slot) = self.live_addr(stream);
         self.shards[shard].slots[slot].as_mut().expect("addressed slot is live").queue.push(s)
@@ -778,8 +767,7 @@ impl DetectorFleet {
     /// (`sad_fleet_bp_*_total`). Zero-alloc — safe on the ingest hot path.
     ///
     /// # Panics
-    /// Panics if `stream` is out of range or retired, or `s` has the
-    /// wrong channel count.
+    /// Panics if `stream` is not live or `s` has the wrong channel count.
     pub fn offer(&mut self, stream: usize, s: &[f64], policy: BackpressurePolicy) -> OfferOutcome {
         let (shard, slot) = self.live_addr(stream);
         let sh = &mut self.shards[shard];
@@ -806,17 +794,20 @@ impl DetectorFleet {
         }
     }
 
+    /// Streams with at least one queued vector: the number of vectors the
+    /// next [`Self::drain_round`] consumes.
+    pub fn pending(&self) -> usize {
+        self.shards.iter().map(Shard::pending).sum()
+    }
+
     /// Drains one round: every stream with queued input advances exactly
-    /// one step. `out` is resized to one entry per stream (stream-id
-    /// order); `out[i]` is `Some` iff stream `i` consumed a vector *and*
-    /// is past warm-up — exactly `Detector::step`'s contract. Returns the
-    /// number of vectors consumed.
+    /// one step. `out` is resized to span the slot table, `shards ×` the
+    /// longest shard (up to `shards − 1` of its ids address no slot);
+    /// `out[i]` is `Some` iff stream `i` consumed a vector *and* is past
+    /// warm-up — exactly `Detector::step`'s contract. Returns the vectors
+    /// consumed.
     pub fn drain_round(&mut self, out: &mut Vec<Option<StepOutput>>) -> usize {
-        out.resize(self.addr.len(), None);
-        for o in out.iter_mut() {
-            *o = None;
-        }
-        let consumed: usize = self.shards.iter().map(Shard::pending).sum();
+        let consumed = self.pending();
 
         if self.config.parallel && self.shards.len() > 1 {
             // One scoped worker per shard; shards own disjoint state.
@@ -832,11 +823,13 @@ impl DetectorFleet {
         }
 
         // Scatter shard-local outputs back into stream-id order.
-        for shard in &self.shards {
-            for (slot, o) in shard.slots.iter().zip(&shard.outs) {
-                if let Some(slot) = slot {
-                    out[slot.id] = *o;
-                }
+        let n = self.shards.len();
+        let longest = self.shards.iter().map(|s| s.slots.len()).max().unwrap_or(0);
+        out.clear();
+        out.resize(n * longest, None);
+        for (s, shard) in self.shards.iter().enumerate() {
+            for (k, slot) in shard.slots.iter().enumerate() {
+                out[k * n + s] = slot.as_ref().and_then(|slot| slot.out);
             }
         }
         consumed
@@ -846,8 +839,8 @@ impl DetectorFleet {
     /// returns each stream's post-warm-up outputs — per stream, the exact
     /// trace of a standalone `Detector::run` over the same series.
     pub fn run(&mut self, series: &[Vec<Vec<f64>>]) -> Vec<Vec<StepOutput>> {
-        assert_eq!(series.len(), self.addr.len(), "one series per stream");
-        let n_streams = self.addr.len();
+        assert_eq!(series.len(), self.len(), "one series per stream");
+        let n_streams = self.len();
         let mut traces: Vec<Vec<StepOutput>> = (0..n_streams).map(|_| Vec::new()).collect();
         let mut round_out: Vec<Option<StepOutput>> = Vec::new();
         let longest = series.iter().map(Vec::len).max().unwrap_or(0);
@@ -873,7 +866,7 @@ impl DetectorFleet {
     /// The detector serving `stream`.
     ///
     /// # Panics
-    /// Panics if `stream` is out of range or retired.
+    /// Panics if `stream` is not live.
     pub fn detector(&self, stream: usize) -> &Detector {
         let (shard, slot) = self.live_addr(stream);
         &self.shards[shard].slots[slot].as_ref().expect("addressed slot is live").det
@@ -1134,7 +1127,7 @@ mod tests {
     }
 
     #[test]
-    fn admit_and_retire_reuse_slots_and_keep_ids_stable() {
+    fn admit_and_retire_reuse_slots_and_their_ids() {
         let config = FleetConfig { shards: 2, ..FleetConfig::default() };
         let mut fleet = DetectorFleet::open(config);
         assert!(fleet.is_empty());
@@ -1144,7 +1137,9 @@ mod tests {
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(fleet.live(), 3);
 
-        // Serve a few rounds across all three streams.
+        // Serve a few rounds across all three streams. Shard 0 holds a
+        // and c, shard 1 holds b: the output table spans two slots per
+        // shard, and id 3 (slot 1 of shard 1) addresses no stream.
         let data = series(40, 0.0);
         let mut out = Vec::new();
         for s in &data {
@@ -1152,7 +1147,8 @@ mod tests {
                 assert!(fleet.enqueue(id, s));
             }
             fleet.drain_round(&mut out);
-            assert_eq!(out.len(), 3);
+            assert_eq!(out.len(), 4);
+            assert_eq!(out[3], None);
         }
 
         // Retire b: its id goes dead, everyone else keeps serving.
@@ -1167,13 +1163,18 @@ mod tests {
             assert_eq!(out[b], None, "retired id yields no output");
         }
 
-        // A later admission reuses b's slot under a fresh id.
+        // A later admission lands in b's vacant slot and takes b's id,
+        // with a fresh detector.
         let d = fleet.admit(ae_detector(4));
-        assert_eq!(d, 3);
+        assert_eq!(d, b);
+        assert!(fleet.is_live(d));
         assert_eq!(fleet.live(), 3);
+        assert!(!fleet.detector(d).is_warmed_up(), "a fresh detector serves the reused id");
+        assert!(fleet.detector(a).is_warmed_up());
         assert!(fleet.enqueue(d, &data[0]));
         fleet.drain_round(&mut out);
-        assert_eq!(out.len(), 4, "outputs indexed by id history");
+        assert_eq!(out.len(), 4, "outputs span the slot table, not the ids issued");
+        assert_eq!(fleet.len(), 4, "len counts installs");
         let stats = fleet.stats();
         assert_eq!((stats.admitted, stats.retired), (4, 1), "{stats:?}");
         let reg = fleet.export_metrics();
@@ -1189,9 +1190,9 @@ mod tests {
         let _ = fleet.enqueue(id, &[0.0, 0.0]);
     }
 
-    /// Admit/retire cycles reuse slots, and `live()` — a sum over the
-    /// shards' occupied slots — agrees with the ids still live after every
-    /// cycle, however many ids have been issued.
+    /// Admit/retire cycles reuse slots, and `live()` — the sum of the
+    /// shards' live counts — agrees with the ids still live after every
+    /// cycle, however many streams have been installed.
     #[test]
     fn live_counts_occupied_slots_through_admit_retire_cycles() {
         let config = FleetConfig { shards: 3, ..FleetConfig::default() };
@@ -1212,7 +1213,7 @@ mod tests {
         }
         let stats = fleet.stats();
         assert_eq!(stats.admitted - stats.retired, fleet.live());
-        assert!(fleet.len() > 250, "ids keep growing: {}", fleet.len());
+        assert!(fleet.len() > 250, "installs keep counting: {}", fleet.len());
         // At most 6 streams are ever live at once, and admission to the
         // least-loaded shard keeps each of the 3 shards at most 3 deep.
         let slots: usize = fleet.shards.iter().map(|s| s.slots.len()).sum();

@@ -24,10 +24,12 @@
 //!
 //! A frame with an unknown wire id builds a detector through the
 //! template (channel count taken from the frame) and admits it to the
-//! least-loaded shard. A live stream that has seen no frame for
-//! [`EngineConfig::idle_rounds`] rounds and has drained its backlog is
-//! retired — its detector (and memory) is dropped, and the same wire id
-//! arriving later is admitted again from scratch with a fresh warm-up.
+//! least-loaded shard. A live stream is retired once
+//! [`EngineConfig::idle_rounds`] drain rounds have run since its last
+//! frame arrived, counting the round that serves that frame, and its
+//! backlog is empty. Its detector (and memory) is dropped, its fleet id is
+//! free for the next admission, and the same wire id arriving later is
+//! admitted again from scratch with a fresh warm-up.
 
 use std::collections::HashMap;
 use std::io;
@@ -75,8 +77,9 @@ pub struct EngineConfig {
     /// What to do when a stream's bounded queue is full. `Block` retries
     /// after draining a round (lossless); the drop policies shed load.
     pub policy: BackpressurePolicy,
-    /// Retire a stream after this many consecutive drain rounds with no
-    /// arriving frame (once its backlog is empty). `None` = never retire.
+    /// Retire a stream once this many drain rounds have run since its
+    /// last frame arrived, counting the round that serves that frame (and
+    /// once its backlog is empty). `None` = never retire.
     pub idle_rounds: Option<u64>,
     /// Cap on concurrently live streams. Frames for unknown ids beyond
     /// the cap are rejected (counted in `sad_ingest_rejected_total`).
@@ -137,6 +140,16 @@ pub struct IngestStats {
     pub fleet: FleetStats,
 }
 
+/// One fleet stream's engine state, overwritten when an admission reuses
+/// the fleet id.
+#[derive(Clone, Copy, Default)]
+struct StreamRecord {
+    /// The wire id the stream serves.
+    wire: u64,
+    /// Drain-round count when its last frame arrived.
+    last_input: u64,
+}
+
 /// The ingestion engine. See the module docs for the routing, round
 /// scheduling and admission model.
 pub struct IngestEngine {
@@ -145,13 +158,10 @@ pub struct IngestEngine {
     cfg: EngineConfig,
     /// Wire id → fleet stream id (live streams only).
     route: HashMap<u64, usize>,
-    /// Fleet stream id → wire id (grows monotonically with id history).
-    wire_of: Vec<u64>,
-    /// Fleet stream id → round count when its last frame arrived.
-    last_input: Vec<u64>,
+    /// Indexed by fleet stream id, so it spans the fleet's slot table.
+    streams: Vec<StreamRecord>,
     frames_since_drain: usize,
     out: Vec<Option<StepOutput>>,
-    retire_scratch: Vec<usize>,
     /// The engine's own counters (`rounds` is the drain-round clock);
     /// `fleet` stays default here and is read from the fleet by
     /// [`Self::stats`].
@@ -170,11 +180,9 @@ impl IngestEngine {
             template,
             cfg,
             route: HashMap::new(),
-            wire_of: Vec::new(),
-            last_input: Vec::new(),
+            streams: Vec::new(),
             frames_since_drain: 0,
             out: Vec::new(),
-            retire_scratch: Vec::new(),
             stats: IngestStats::default(),
             round_frames: Histogram::log2(1.0, 65_536.0),
         }
@@ -204,9 +212,8 @@ impl IngestEngine {
                 }
                 let id = self.fleet.admit(self.template.build(frame.values.len()));
                 self.route.insert(frame.stream, id);
-                debug_assert_eq!(self.wire_of.len(), id);
-                self.wire_of.push(frame.stream);
-                self.last_input.push(self.stats.rounds);
+                self.streams.resize(self.streams.len().max(id + 1), StreamRecord::default());
+                self.streams[id] = StreamRecord { wire: frame.stream, last_input: self.stats.rounds };
                 id
             }
         };
@@ -222,7 +229,7 @@ impl IngestEngine {
                 OfferOutcome::WouldBlock => self.drain(sink),
             }
         }
-        self.last_input[id] = self.stats.rounds;
+        self.streams[id].last_input = self.stats.rounds;
         self.frames_since_drain += 1;
         if self.frames_since_drain >= self.fleet.live().max(1) {
             self.drain(sink);
@@ -238,42 +245,30 @@ impl IngestEngine {
         self.stats.rounds += 1;
         for (id, o) in self.out.iter().enumerate() {
             if let Some(o) = o {
-                sink.output(self.wire_of[id], o);
+                sink.output(self.streams[id].wire, o);
             }
         }
 
         if let Some(idle) = self.cfg.idle_rounds {
-            self.retire_scratch.clear();
-            for id in 0..self.wire_of.len() {
+            for (id, stream) in self.streams.iter().enumerate() {
                 if self.fleet.is_live(id)
-                    && self.stats.rounds.saturating_sub(self.last_input[id]) >= idle
+                    && self.stats.rounds - stream.last_input >= idle
                     && self.fleet.queued(id) == 0
                 {
-                    self.retire_scratch.push(id);
+                    self.fleet.retire(id);
+                    self.route.remove(&stream.wire);
+                    self.stats.idle_retired += 1;
                 }
-            }
-            for i in 0..self.retire_scratch.len() {
-                let id = self.retire_scratch[i];
-                self.fleet.retire(id);
-                self.route.remove(&self.wire_of[id]);
-                self.stats.idle_retired += 1;
             }
         }
         sink.round(self.stats.rounds, &self.stats());
     }
 
-    /// Drains until every queue is empty (end-of-stream flush).
+    /// Drains until every queue is empty (end-of-stream flush), closing
+    /// the round of any frame ingested since the last drain.
     pub fn finish(&mut self, sink: &mut impl EngineSink) {
-        loop {
-            let consumed: usize =
-                (0..self.wire_of.len()).filter(|&id| self.fleet.is_live(id)).map(|id| self.fleet.queued(id)).sum();
-            if consumed == 0 && self.frames_since_drain == 0 {
-                return;
-            }
+        while self.frames_since_drain > 0 || self.fleet.pending() > 0 {
             self.drain(sink);
-            if consumed == 0 {
-                return;
-            }
         }
     }
 
@@ -458,10 +453,11 @@ mod tests {
         assert_eq!(engine.fleet().live(), 1, "idle stream 2 was retired");
         assert!(engine.stream_id(2).is_none());
         assert_eq!(engine.stats().idle_retired, 1);
-        // Stream 2 comes back: admitted afresh under a new fleet id.
+        // Stream 2 comes back: admitted afresh with a fresh detector.
         engine.ingest(&frame(2, &[0.0]), &mut sink);
         assert_eq!(engine.fleet().live(), 2);
         assert_eq!(engine.stats().fleet.admitted, 3);
+        assert_eq!(engine.stream_id(2), Some(1), "the vacated slot's id is reused");
     }
 
     #[test]

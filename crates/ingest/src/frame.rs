@@ -26,6 +26,12 @@
 //! (encoding uses shortest-round-trip formatting, which *is* value-exact
 //! for finite `f64`s) and ~3× the bytes of the binary frame, but writable
 //! from anything that can print. Blank lines are skipped.
+//!
+//! A line is at most [`MAX_CSV_LINE_BYTES`] bytes before its newline: the
+//! longest line the encoder writes. The decoder reads no further than
+//! that before it rejects a line, so an unterminated or oversized line
+//! cannot grow its buffer without bound, and error messages quote only a
+//! short prefix of the offending field.
 
 use std::io::{self, ErrorKind};
 
@@ -35,6 +41,15 @@ pub const MAX_FRAME_CHANNELS: usize = 4096;
 
 /// Smallest legal body: stream id + one channel.
 const MIN_BODY_BYTES: usize = 16;
+
+/// Longest CSV line [`encode_csv_line_into`] writes, newline excluded
+/// (1,343,508 bytes): a 20-digit id and [`MAX_FRAME_CHANNELS`] fields,
+/// each a comma and at most 327 bytes. `{}` prints an `f64` without an
+/// exponent, so a subnormal such as `-5e-324` takes 327 bytes.
+pub(crate) const MAX_CSV_LINE_BYTES: usize = 20 + MAX_FRAME_CHANNELS * (1 + 327);
+
+/// Longest prefix of a wire field or line that an error message quotes.
+const QUOTED_BYTES: usize = 32;
 
 /// One decoded sample: which stream it belongs to and its channel values.
 /// Reused across [`crate::Transport::next`] calls — steady-state decoding
@@ -83,8 +98,19 @@ pub fn encode_csv_line_into(stream: u64, values: &[f64], out: &mut String) {
     out.push('\n');
 }
 
-fn bad_data(msg: String) -> io::Error {
+pub(crate) fn bad_data(msg: String) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg)
+}
+
+/// `s` quoted for an error message, cut to its first [`QUOTED_BYTES`]
+/// bytes (on a char boundary) with a trailing `…` when longer.
+fn quoted(s: &str) -> String {
+    let mut end = s.len().min(QUOTED_BYTES);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    let more = if end < s.len() { "…" } else { "" };
+    format!("{:?}{more}", &s[..end])
 }
 
 /// Validates a binary length prefix and returns the body length in bytes.
@@ -120,7 +146,7 @@ pub(crate) fn decode_csv_line(line: &str, frame: &mut Frame) -> io::Result<()> {
     frame.stream = id
         .trim()
         .parse()
-        .map_err(|e| bad_data(format!("CSV stream id {id:?}: {e}")))?;
+        .map_err(|e| bad_data(format!("CSV stream id {}: {e}", quoted(id))))?;
     frame.values.clear();
     for field in fields {
         if frame.values.len() == MAX_FRAME_CHANNELS {
@@ -129,11 +155,11 @@ pub(crate) fn decode_csv_line(line: &str, frame: &mut Frame) -> io::Result<()> {
         let v: f64 = field
             .trim()
             .parse()
-            .map_err(|e| bad_data(format!("CSV value {field:?}: {e}")))?;
+            .map_err(|e| bad_data(format!("CSV value {}: {e}", quoted(field))))?;
         frame.values.push(v);
     }
     if frame.values.is_empty() {
-        return Err(bad_data(format!("CSV line {line:?} carries no channel values")));
+        return Err(bad_data(format!("CSV line {} carries no channel values", quoted(line))));
     }
     Ok(())
 }

@@ -24,7 +24,10 @@ use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 
 use sad_data::LabeledSeries;
 
-use crate::frame::{check_body_len, decode_body, decode_csv_line, encode_csv_line_into, encode_frame_into, Frame};
+use crate::frame::{
+    bad_data, check_body_len, decode_body, decode_csv_line, encode_csv_line_into, encode_frame_into,
+    Frame, MAX_CSV_LINE_BYTES,
+};
 
 /// A source of frames. `next` fills the caller's reusable [`Frame`] and
 /// reports `Ok(true)`, or `Ok(false)` on clean end-of-stream. Transport
@@ -92,7 +95,8 @@ fn truncated(e: io::Error) -> io::Error {
 }
 
 /// CSV line fallback over any `Read` (buffered internally). Blank lines
-/// are skipped; malformed lines are errors.
+/// are skipped; malformed lines, and lines longer than the encoder ever
+/// writes, are errors.
 pub struct CsvTransport<R: Read> {
     r: BufReader<R>,
     /// Reusable line buffer.
@@ -114,13 +118,18 @@ impl<R: Read> CsvTransport<R> {
 
 impl<R: Read> Transport for CsvTransport<R> {
     fn next(&mut self, frame: &mut Frame) -> io::Result<bool> {
+        // The longest legal line and its newline: one byte more is over.
+        let limit = MAX_CSV_LINE_BYTES as u64 + 1;
         loop {
             self.line.clear();
-            let n = self.r.read_line(&mut self.line)?;
+            let n = (&mut self.r).take(limit).read_line(&mut self.line)?;
             if n == 0 {
                 return Ok(false);
             }
             self.bytes += n as u64;
+            if n as u64 == limit && !self.line.ends_with('\n') {
+                return Err(bad_data(format!("CSV line exceeds {MAX_CSV_LINE_BYTES} bytes")));
+            }
             let line = self.line.trim_end_matches(['\n', '\r']);
             if line.is_empty() {
                 continue;
@@ -231,6 +240,7 @@ pub fn replay_interleaved<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_FRAME_CHANNELS;
     use std::io::Cursor;
 
     fn series(name: &str, len: usize, phase: f64) -> LabeledSeries {
@@ -306,5 +316,55 @@ mod tests {
         let mut frame = Frame::default();
         assert!(t.next(&mut frame).unwrap());
         assert!(t.next(&mut frame).is_err());
+    }
+
+    /// The longest line the encoder can write: id `u64::MAX` and every
+    /// channel the longest-printing value, a negative subnormal.
+    fn longest_csv_line() -> String {
+        let mut line = String::new();
+        encode_csv_line_into(u64::MAX, &[-5e-324; MAX_FRAME_CHANNELS], &mut line);
+        line
+    }
+
+    #[test]
+    fn longest_encodable_csv_line_round_trips() {
+        let line = longest_csv_line();
+        assert_eq!(line.len(), MAX_CSV_LINE_BYTES + 1, "the bound is the encoder's longest line");
+        let mut t = CsvTransport::new(Cursor::new(line.as_bytes()));
+        let mut frame = Frame::default();
+        assert!(t.next(&mut frame).unwrap());
+        assert_eq!(frame.stream, u64::MAX);
+        assert_eq!(frame.values.len(), MAX_FRAME_CHANNELS);
+        assert!(frame.values.iter().all(|v| v.to_bits() == (-5e-324f64).to_bits()));
+        assert!(!t.next(&mut frame).unwrap());
+    }
+
+    #[test]
+    fn csv_line_one_byte_past_the_bound_is_an_error_read_no_further() {
+        // One more zero in the first value: still a number, one byte too long.
+        let mut line = longest_csv_line();
+        let first_value = line.find(",-0.").expect("a subnormal field") + 4;
+        line.insert(first_value, '0');
+        line.push_str("1,2.0\n");
+        let mut t = CsvTransport::new(Cursor::new(line.as_bytes()));
+        let mut frame = Frame::default();
+        let err = t.next(&mut frame).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().len() < 100, "short message: {err}");
+        assert_eq!(t.bytes_read(), MAX_CSV_LINE_BYTES as u64 + 1, "read stopped at the bound");
+        assert!(t.line.len() <= MAX_CSV_LINE_BYTES + 1, "line buffer held {}", t.line.len());
+    }
+
+    #[test]
+    fn csv_parse_error_on_a_huge_field_quotes_a_short_prefix() {
+        let mut line = String::from("1,");
+        line.extend(std::iter::repeat_n('7', 1 << 20));
+        line.push_str("z\n");
+        let mut t = CsvTransport::new(Cursor::new(line.as_bytes()));
+        let err = t.next(&mut Frame::default()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(message.len() < 200, "{} bytes: {}", message.len(), &message[..200.min(message.len())]);
+        assert!(message.starts_with("CSV value \"7777"), "names the field: {message}");
     }
 }
