@@ -13,23 +13,46 @@
 //! ## Round scheduling
 //!
 //! The engine drains one fleet round after every `live-stream-count`
-//! frames and whenever a blocked `offer` needs room. Per-stream traces
-//! are invariant to the drain schedule — each detector consumes its own
-//! queue in arrival order, and the batched path is bitwise-identical to
-//! scalar stepping — so serve-mode outputs match [`DetectorFleet::run`]
-//! exactly no matter how the wire interleaves frames
-//! (`tests/serve_parity.rs`).
+//! frames. A round serves one queued frame per stream, so the frames a
+//! stream sends between two rounds (its share of one round window) are
+//! served one per round, in order. Under [`BackpressurePolicy::Block`] a
+//! frame never queues behind frames of its own stream that a round has
+//! passed over: if a stream sends again while frames it queued before
+//! the latest round still wait, the engine first drains rounds until
+//! they are served, and a full queue is drained the same way. So a
+//! stream's queue only ever holds frames from one round window, and the
+//! *k*-th frame a stream queues in a window is served by the *k*-th round
+//! after it is queued. On the churn shape of `tests/next_round.rs` (one
+//! frame per stream per tick, a retiring stream live beside the senders)
+//! that serves every frame by the first round after its `ingest` call,
+//! or within that call when it closes a round. A repeat within one window
+//! does not close a round: frames sent back to back queue behind each
+//! other and the count rule paces them, so a burst does not cost a round
+//! per frame. The drop policies keep the count cadence alone: they exist
+//! to shed a stream that outpaces the rounds, and an early round would
+//! serve that stream instead.
+//!
+//! Per-stream traces are invariant to the drain schedule — each detector
+//! consumes its own queue in arrival order, and the batched path is
+//! bitwise-identical to scalar stepping — so serve-mode outputs match
+//! [`DetectorFleet::run`] exactly no matter how the wire interleaves
+//! frames (`tests/serve_parity.rs`).
 //!
 //! ## Dynamic admission
 //!
 //! A frame with an unknown wire id builds a detector through the
 //! template (channel count taken from the frame) and admits it to the
-//! least-loaded shard. A live stream is retired once
-//! [`EngineConfig::idle_rounds`] drain rounds have run since its last
-//! frame arrived, counting the round that serves that frame, and its
-//! backlog is empty. Its detector (and memory) is dropped, its fleet id is
-//! free for the next admission, and the same wire id arriving later is
-//! admitted again from scratch with a fresh warm-up.
+//! least-loaded shard. A live stream is retired by the first round that
+//! finds its queue empty once more than [`EngineConfig::idle_rounds`]
+//! rounds have run since its last frame was queued. Every round counts,
+//! early ones included. For a stream whose last frame the next round
+//! serves, that is after N quiet rounds: with N idle rounds, a stream
+//! whose last frame round *r* serves is retired at the end of round
+//! *r* + N. Its detector (and memory) is dropped, its fleet id is free
+//! for the next admission, and the same wire id arriving later is
+//! admitted again from scratch with a fresh warm-up. A stream never
+//! retires while its own `ingest` call drains rounds for it: the call
+//! stamps the stream before each of them.
 
 use std::collections::HashMap;
 use std::io;
@@ -74,12 +97,20 @@ impl DetectorTemplate {
 /// Engine policy knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// What to do when a stream's bounded queue is full. `Block` retries
-    /// after draining a round (lossless); the drop policies shed load.
+    /// How a stream that sends faster than the rounds run is held back.
+    /// `Block` (lossless) never queues a frame behind frames of its own
+    /// stream that a round has passed over, nor into a full queue: it
+    /// drains rounds until they are served. The drop policies keep the
+    /// count cadence and shed load once a stream's queue holds
+    /// `FleetConfig::queue_capacity` frames. That capacity bounds every
+    /// policy's burst: under `Block`, the frames one stream may queue in
+    /// one round window.
     pub policy: BackpressurePolicy,
-    /// Retire a stream once this many drain rounds have run since its
-    /// last frame arrived, counting the round that serves that frame (and
-    /// once its backlog is empty). `None` = never retire.
+    /// Retire a stream once its queue is empty and more than this many
+    /// drain rounds, early ones included, have run since its last frame
+    /// was queued: for a stream whose last frame the next round serves,
+    /// after this many quiet rounds. Must be positive; `None` = never
+    /// retire.
     pub idle_rounds: Option<u64>,
     /// Cap on concurrently live streams. Frames for unknown ids beyond
     /// the cap are rejected (counted in `sad_ingest_rejected_total`).
@@ -146,7 +177,8 @@ pub struct IngestStats {
 struct StreamRecord {
     /// The wire id the stream serves.
     wire: u64,
-    /// Drain-round count when its last frame arrived.
+    /// Drain-round count when its last frame was queued (or when its
+    /// `ingest` call last drained a round for it).
     last_input: u64,
 }
 
@@ -175,6 +207,7 @@ impl IngestEngine {
     /// are admitted from the wire on first contact.
     pub fn new(template: DetectorTemplate, fleet: FleetConfig, cfg: EngineConfig) -> Self {
         assert!(cfg.max_streams > 0, "an engine needs room for at least one stream");
+        assert!(cfg.idle_rounds != Some(0), "idle_rounds must be positive");
         Self {
             fleet: DetectorFleet::open(fleet),
             template,
@@ -190,8 +223,9 @@ impl IngestEngine {
 
     /// Ingests one decoded frame: route (admitting on first contact),
     /// offer under the back-pressure policy, and drain once one frame per
-    /// live stream has arrived. Blocked offers drain immediately and
-    /// retry.
+    /// live stream has arrived. Under [`BackpressurePolicy::Block`], a
+    /// frame whose stream still has frames a round has passed over, or a
+    /// full queue, first drains rounds until they are served.
     ///
     /// A frame holding a NaN or ±∞ is counted in
     /// [`IngestStats::non_finite`] and goes no further: it admits no
@@ -221,13 +255,24 @@ impl IngestEngine {
             self.stats.channel_mismatches += 1;
             return;
         }
+        // Under Block a frame never queues behind frames of its own stream
+        // that a round has passed over (module docs), nor into a full
+        // queue. A stream in contact is not idle: stamping it before each
+        // round keeps those rounds from retiring it.
         loop {
-            match self.fleet.offer(id, &frame.values, self.cfg.policy) {
-                OfferOutcome::Enqueued
-                | OfferOutcome::DroppedNewest
-                | OfferOutcome::DroppedOldest => break,
-                OfferOutcome::WouldBlock => self.drain(sink),
+            let passed_over = self.cfg.policy == BackpressurePolicy::Block
+                && self.streams[id].last_input < self.stats.rounds
+                && self.fleet.queued(id) > 0;
+            if !passed_over {
+                match self.fleet.offer(id, &frame.values, self.cfg.policy) {
+                    OfferOutcome::Enqueued
+                    | OfferOutcome::DroppedNewest
+                    | OfferOutcome::DroppedOldest => break,
+                    OfferOutcome::WouldBlock => {}
+                }
             }
+            self.streams[id].last_input = self.stats.rounds;
+            self.drain(sink);
         }
         self.streams[id].last_input = self.stats.rounds;
         self.frames_since_drain += 1;
@@ -252,7 +297,7 @@ impl IngestEngine {
         if let Some(idle) = self.cfg.idle_rounds {
             for (id, stream) in self.streams.iter().enumerate() {
                 if self.fleet.is_live(id)
-                    && self.stats.rounds - stream.last_input >= idle
+                    && self.stats.rounds - stream.last_input > idle
                     && self.fleet.queued(id) == 0
                 {
                     self.fleet.retire(id);
@@ -377,13 +422,20 @@ mod tests {
         Frame { stream, values: values.to_vec() }
     }
 
+    #[derive(Default)]
     struct Collect {
         outputs: Vec<(u64, StepOutput)>,
+        /// The round that retired each idle stream, in retirement order.
+        retired_at: Vec<u64>,
     }
 
     impl EngineSink for Collect {
         fn output(&mut self, stream: u64, out: &StepOutput) {
             self.outputs.push((stream, *out));
+        }
+
+        fn round(&mut self, rounds: u64, engine_stats: &IngestStats) {
+            self.retired_at.resize(engine_stats.idle_retired, rounds);
         }
     }
 
@@ -394,7 +446,7 @@ mod tests {
             FleetConfig::default(),
             EngineConfig::default(),
         );
-        let mut sink = Collect { outputs: Vec::new() };
+        let mut sink = Collect::default();
         engine.ingest(&frame(99, &[0.5, 1.0, -0.5]), &mut sink);
         engine.ingest(&frame(7, &[0.5]), &mut sink);
         assert_eq!(engine.fleet().live(), 2);
@@ -424,7 +476,7 @@ mod tests {
     fn live_stream_cap_rejects_new_ids_but_serves_known_ones() {
         let cfg = EngineConfig { max_streams: 1, ..EngineConfig::default() };
         let mut engine = IngestEngine::new(template(4, 10), FleetConfig::default(), cfg);
-        let mut sink = Collect { outputs: Vec::new() };
+        let mut sink = Collect::default();
         engine.ingest(&frame(1, &[0.1]), &mut sink);
         engine.ingest(&frame(2, &[0.2]), &mut sink);
         engine.ingest(&frame(1, &[0.3]), &mut sink);
@@ -438,7 +490,7 @@ mod tests {
     fn idle_streams_retire_and_return_on_next_contact() {
         let cfg = EngineConfig { idle_rounds: Some(4), ..EngineConfig::default() };
         let mut engine = IngestEngine::new(template(4, 10), FleetConfig::default(), cfg);
-        let mut sink = Collect { outputs: Vec::new() };
+        let mut sink = Collect::default();
         // Two streams; stream 2 goes quiet while stream 1 keeps rounds
         // ticking. Its NaN frames are rejected and refresh no idle timer.
         for t in 0..6 {
@@ -446,6 +498,7 @@ mod tests {
             engine.ingest(&frame(2, &[t as f64]), &mut sink);
         }
         assert_eq!(engine.fleet().live(), 2);
+        let last_input = engine.rounds();
         for t in 6..20 {
             engine.ingest(&frame(1, &[t as f64]), &mut sink);
             engine.ingest(&frame(2, &[f64::NAN]), &mut sink);
@@ -453,6 +506,9 @@ mod tests {
         assert_eq!(engine.fleet().live(), 1, "idle stream 2 was retired");
         assert!(engine.stream_id(2).is_none());
         assert_eq!(engine.stats().idle_retired, 1);
+        // Round `last_input + 1` served stream 2's last frame; four quiet
+        // rounds later, the last of them retired it.
+        assert_eq!(sink.retired_at, [last_input + 1 + 4]);
         // Stream 2 comes back: admitted afresh with a fresh detector.
         engine.ingest(&frame(2, &[0.0]), &mut sink);
         assert_eq!(engine.fleet().live(), 2);
@@ -469,7 +525,7 @@ mod tests {
         // `finish` needs two rounds to serve.
         let mut engine =
             IngestEngine::new(template(4, 6), FleetConfig::default(), EngineConfig::default());
-        let mut sink = Collect { outputs: Vec::new() };
+        let mut sink = Collect::default();
         let value = |t: usize, id: u64| [(t as f64 * 0.4 + id as f64).sin()];
         for t in 0..20 {
             for id in [1, 2, 3] {
@@ -488,5 +544,80 @@ mod tests {
         // warm-up 6: 21, 22 and 20 frames give 15, 16 and 14 outputs.
         let outputs = |id| sink.outputs.iter().filter(|(s, _)| *s == id).count();
         assert_eq!((outputs(1), outputs(2), outputs(3)), (15, 16, 14));
+    }
+
+    #[test]
+    fn a_backlog_a_round_passed_over_is_served_before_its_stream_queues_again() {
+        // The set-up of `finish_flushes_every_queued_frame`: wire id 2
+        // holds two back-to-back frames, queued within one round window.
+        use BackpressurePolicy::{Block, DropOldest};
+        for policy in [Block, DropOldest] {
+            let cfg = EngineConfig { policy, ..EngineConfig::default() };
+            let mut engine = IngestEngine::new(template(4, 6), FleetConfig::default(), cfg);
+            let mut sink = Collect::default();
+            let value = |t: usize, id: u64| [(t as f64 * 0.4 + id as f64).sin()];
+            for t in 0..20 {
+                for id in [1, 2, 3] {
+                    engine.ingest(&frame(id, &value(t, id)), &mut sink);
+                }
+            }
+            engine.ingest(&frame(1, &value(20, 1)), &mut sink);
+            engine.ingest(&frame(2, &value(20, 2)), &mut sink);
+            engine.ingest(&frame(2, &value(21, 2)), &mut sink);
+            let id2 = engine.stream_id(2).unwrap();
+            // The next count round serves one of them and passes over the
+            // other.
+            let rounds = engine.rounds();
+            engine.ingest(&frame(3, &value(20, 3)), &mut sink);
+            let state = (engine.rounds(), engine.fleet().queued(id2));
+            assert_eq!(state, (rounds + 1, 1), "{policy:?}");
+            // Wire id 2 sends again. Under Block one early round serves
+            // the passed-over frame first, so the new one queues alone;
+            // the drop policies keep the count cadence and stack it.
+            engine.ingest(&frame(2, &value(22, 2)), &mut sink);
+            let (early, depth) = if policy == Block { (1, 1) } else { (0, 2) };
+            let state = (engine.rounds(), engine.fleet().queued(id2));
+            assert_eq!(state, (rounds + 1 + early, depth), "{policy:?}");
+            // A repeat within the same round window queues under either.
+            engine.ingest(&frame(2, &value(23, 2)), &mut sink);
+            let state = (engine.rounds(), engine.fleet().queued(id2));
+            assert_eq!(state, (rounds + 1 + early, depth + 1), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn back_to_back_frames_keep_the_count_cadence_and_the_idle_clock() {
+        // Four streams each send two frames back to back per tick. One
+        // round per four frames serves every queue once per round, and
+        // no frame meets a backlog a round passed over: the rounds keep
+        // pace with the frames, two per tick, whatever the stream count.
+        let cfg = EngineConfig { idle_rounds: Some(4), ..EngineConfig::default() };
+        let mut engine = IngestEngine::new(template(4, 6), FleetConfig::default(), cfg);
+        let mut sink = Collect::default();
+        let value = |t: usize, id: u64| [(t as f64 * 0.4 + id as f64).sin()];
+        let tick = |engine: &mut IngestEngine, sink: &mut Collect, t: usize, ids: &[u64]| {
+            for &id in ids {
+                for k in 0..2 {
+                    engine.ingest(&frame(id, &value(2 * t + k, id)), sink);
+                }
+            }
+        };
+        tick(&mut engine, &mut sink, 0, &[1, 2, 3, 4]);
+        let rounds = engine.rounds();
+        for t in 1..11 {
+            tick(&mut engine, &mut sink, t, &[1, 2, 3, 4]);
+            assert!(engine.fleet().pending() <= 2, "tick {t}: no backlog builds up");
+        }
+        assert_eq!(engine.rounds(), rounds + 20, "two rounds per tick");
+        // Wire id 4 goes quiet. Its last frame was queued just before the
+        // round its own ingest call closed; that round and the next serve
+        // its two frames, and it is retired at the first round that finds
+        // its queue empty more than four rounds after that stamp.
+        let last_input = engine.rounds() - 1;
+        for t in 11..16 {
+            tick(&mut engine, &mut sink, t, &[1, 2, 3]);
+        }
+        assert_eq!(sink.retired_at, [last_input + 4 + 1]);
+        assert!(engine.stream_id(4).is_none());
     }
 }

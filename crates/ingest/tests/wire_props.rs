@@ -9,18 +9,22 @@
 //!   least 20 bytes, a CSV line at least `0,1` and a newline).
 //! * Engine. Random frame sequences from a small set of wire ids, whose
 //!   widths change mid-stream and whose values mix NaN, ±∞, ±1e308 and
-//!   ±5e-324 into ordinary ones, go through an `IngestEngine` with fewer
-//!   stream slots than ids, queue capacity 2, an idle timeout of 1–3
-//!   rounds, each back-pressure policy and 1 or 2 shards. After `finish`,
-//!   each frame is exactly one of: a detector step, a non-finite
-//!   rejection, a cap rejection, a width mismatch or a back-pressure drop;
-//!   and admissions minus retirements equal the live streams. The random
-//!   churn also drives fleet ids through retirement and reuse.
+//!   ±5e-324 into ordinary ones, go through an `IngestEngine` running one
+//!   of the 26 Table I algorithms, with fewer stream slots than ids, queue
+//!   capacity 2, an idle timeout of 1–3 rounds, each back-pressure policy
+//!   and 1 or 2 shards. Under the block policy a frame never joins frames
+//!   of its stream that a round has passed over: after every `ingest`
+//!   call that ran no round, the frame's stream holds no more frames than
+//!   it queued since the latest round. After `finish`, each frame is
+//!   exactly one of: a detector step, a non-finite rejection, a cap
+//!   rejection, a width mismatch or a back-pressure drop; and admissions
+//!   minus retirements equal the live streams. The random churn also
+//!   drives fleet ids through retirement and reuse.
 
 use std::io::{Cursor, ErrorKind};
 
 use proptest::prelude::*;
-use sad_core::{AlgorithmSpec, DetectorConfig, ModelKind, ScoreKind, StepOutput, Task1, Task2};
+use sad_core::{paper_algorithms, DetectorConfig, ScoreKind, StepOutput};
 use sad_fleet::{BackpressurePolicy, FleetConfig};
 use sad_ingest::{
     CsvTransport, DetectorTemplate, EngineConfig, Frame, FrameWriter, FramedTransport, Framing,
@@ -117,12 +121,6 @@ fn same_frame(a: &Frame, b: &Frame) -> bool {
         && a.values.iter().zip(&b.values).all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
 }
 
-/// The algorithms the engine property draws from.
-const SPECS: [AlgorithmSpec; 2] = [
-    AlgorithmSpec { model: ModelKind::OnlineArima, task1: Task1::SlidingWindow, task2: Task2::Kswin },
-    AlgorithmSpec { model: ModelKind::TwoLayerAe, task1: Task1::SlidingWindow, task2: Task2::MuSigma },
-];
-
 const POLICIES: [BackpressurePolicy; 3] =
     [BackpressurePolicy::Block, BackpressurePolicy::DropNewest, BackpressurePolicy::DropOldest];
 
@@ -169,7 +167,8 @@ proptest! {
     #[test]
     fn engine_puts_every_frame_in_exactly_one_place(seed in 0u64..u64::MAX) {
         let mut rng = Rng(seed);
-        let spec = SPECS[rng.below(SPECS.len())];
+        let specs = paper_algorithms();
+        let spec = specs[rng.below(specs.len())];
         let policy = POLICIES[rng.below(POLICIES.len())];
         let ids = 3 + rng.below(4);
         let config = DetectorConfig {
@@ -193,6 +192,9 @@ proptest! {
         let mut outputs = 0usize;
         let mut sink = |_: u64, _: &StepOutput| outputs += 1;
         let mut frame = Frame::default();
+        // Per wire id, the frames it queued since the latest round; one
+        // too many, at most, when the call that queued it also ran one.
+        let mut since_round = vec![0usize; ids];
         for t in 0..n_frames {
             // Skewed toward low ids, so high ones go quiet and retire.
             let skew = 1 + rng.below(ids);
@@ -206,7 +208,26 @@ proptest! {
                 let v = rng.value(t, 20);
                 frame.values.push(v);
             }
+            let before = engine.stats();
             engine.ingest(&frame, &mut sink);
+            let after = engine.stats();
+            if after.rounds != before.rounds {
+                since_round.fill(0);
+            }
+            let queued_it = (after.non_finite, after.rejected, after.channel_mismatches)
+                == (before.non_finite, before.rejected, before.channel_mismatches);
+            if policy == BackpressurePolicy::Block && queued_it {
+                since_round[id] += 1;
+                if after.rounds == before.rounds {
+                    let stream = engine.stream_id(id as u64).expect("its stream is live");
+                    let queued = engine.fleet().queued(stream);
+                    prop_assert!(
+                        queued <= since_round[id],
+                        "{:?}: wire id {} holds {} frames, {} of them since the latest round",
+                        spec, id, queued, since_round[id]
+                    );
+                }
+            }
         }
         engine.finish(&mut sink);
 

@@ -30,9 +30,12 @@
 //! `streamad serve` runs the ingestion engine instead of a file replay:
 //! frames arrive over TCP (`--listen ADDR`) or stdin (`--stdin`), each
 //! unknown stream id admits a freshly built detector (channel count taken
-//! from its first frame), idle streams retire after `--idle-rounds`, and
-//! full per-stream queues resolve under `--policy block|drop-newest|
-//! drop-oldest`. Detections at or above `--threshold` print to stdout as
+//! from its first frame), idle streams retire after `--idle-rounds` quiet
+//! rounds, and `--policy block|drop-newest|drop-oldest` holds back a
+//! stream that sends faster than the rounds run: `block` serves the
+//! frames a round passed over, or a full `--queue-cap` queue, before
+//! queuing the next one, the drop policies shed frames beyond
+//! `--queue-cap`. Detections at or above `--threshold` print to stdout as
 //! they happen; `--metrics-json` snapshots are flushed on EOF, after
 //! every connection, *and* on dirty disconnects, so an interrupted server
 //! still leaves its final counters behind. If stdout closes (say, piped

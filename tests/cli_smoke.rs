@@ -462,3 +462,36 @@ fn serve_rejects_and_counts_a_nan_frame_and_keeps_serving() {
     }
     std::fs::remove_file(&frames).ok();
 }
+
+/// `--idle-rounds N` retires a stream after N quiet rounds, not counting
+/// the round that serves its last frame. Two interleaved streams send one
+/// frame each per round, so at `--idle-rounds 1` neither is quiet while
+/// both send: each is admitted once and every post-warm-up frame gets a
+/// verdict. A sweep that counted the serving round as quiet would retire
+/// each stream after every frame, and each frame would admit a fresh
+/// detector that never finishes its warm-up.
+#[test]
+fn serve_idle_rounds_one_keeps_two_interleaved_streams_live() {
+    let mut csv = String::new();
+    for t in 0..900 {
+        for id in 0..2 {
+            let x = t as f64 * 0.09 + id as f64 * 0.5;
+            let _ = writeln!(csv, "{id},{},{}", x.sin(), (x * 0.63).cos());
+        }
+    }
+    let frames = std::env::temp_dir()
+        .join(format!("streamad-cli-smoke-serveidle-{}.csv", std::process::id()));
+    std::fs::write(&frames, csv).expect("temp CSV is writable");
+    let mut cmd = streamad();
+    cmd.args(["serve", "--stdin", "--csv", "--algo", "6", "--window", "10", "--warmup", "300"]);
+    cmd.args(["--idle-rounds", "1", "--threshold", "0"]);
+    let out = output_within(cmd, &frames, Duration::from_secs(120));
+    std::fs::remove_file(&frames).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("streams: 2 admitted,"), "summary: {stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let verdicts = stdout.lines().filter(|l| l.starts_with("detect stream=")).count();
+    // 2 streams x (900 frames - 300 warm-up).
+    assert_eq!(verdicts, 1200, "one verdict per post-warm-up frame");
+}

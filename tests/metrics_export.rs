@@ -171,7 +171,7 @@ fn ingest_export_with_a_rejection_a_width_mismatch_and_an_idle_retirement() {
     // Wire ids 10, 20 and 30 fill a three-stream cap, so id 40 is
     // rejected; id 10 sends one frame of the wrong width; id 20 sends one
     // extra frame holding a NaN, which is counted and goes no further; id
-    // 30 stops after 100 ticks and is retired six rounds later.
+    // 30 stops after 100 ticks and is retired after six quiet rounds.
     let mut wire = Vec::new();
     for t in 0..140 {
         encode_frame_into(10, &vector(t, 0.0, 90), &mut wire);
