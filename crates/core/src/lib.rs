@@ -39,6 +39,9 @@ pub use detector::{
     register_lifecycle, Detector, DetectorConfig, FanoutRun, SharedWarmup, StepOutput,
 };
 pub use drift::{DriftDetector, KswinDetector, MuSigmaChange, RegularInterval};
+/// The tally [`DriftDetector::ops`] returns, so a drift detector can be
+/// written against this crate alone.
+pub use sad_stats::OpCount;
 pub use model::{ModelOutput, StreamModel};
 pub use nonconformity::{nonconformity, NonconformityKind};
 pub use registry::{paper_algorithms, AlgorithmSpec, ModelKind, ScoreKind, Task1, Task2};

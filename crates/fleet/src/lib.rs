@@ -45,16 +45,39 @@
 //!   dirty-on-training-event hook that rebuilds cohorts. Outputs agree
 //!   with the f64 path to f32 accuracy; training stays f64.
 //!
-//! ## Sharding
+//! ## Sharding and the worker pool
 //!
 //! A stream id is the address of its slot: slot `k` of shard `s` is id
 //! `k · shards + s`, reused once its stream retires (see [`DetectorFleet`]).
 //! A fleet built by [`DetectorFleet::new`] puts stream `i` on shard
 //! `i % shards` (deterministic, so parity holds at any shard count). Shards
-//! own disjoint state; with `FleetConfig::parallel` a drain round runs one
-//! scoped thread per shard. Outputs are always scattered back into
-//! stream-id order, so results are byte-identical across shard counts and
-//! parallelism settings.
+//! own disjoint state, and outputs are always scattered back into
+//! stream-id order.
+//!
+//! Every fleet owns one pool of `available_parallelism() − 1` helper
+//! threads, spawned by [`DetectorFleet::open`] and joined when the fleet
+//! drops. A drain round runs in three phases:
+//!
+//! 1. *Cohorts*, on the calling thread: cohort rebuilds, `begin_step` of
+//!    every grouped stream with input, and one shared forward pass per
+//!    cohort. With two or more shards each shard's cohort phase is one
+//!    pool job, so the shards' forward passes overlap.
+//! 2. *Streams*: the caller and the helpers claim grouped streams one at
+//!    a time and run each one's `finish_step`, where the fine-tunes run.
+//!    Every ungrouped stream's `Detector::step` stays on the caller, which
+//!    runs them before it claims: warm-up steps fill the training set and
+//!    end in the allocating initial fit, and a non-batchable model's
+//!    scalar predict builds its output per call.
+//! 3. *Bookkeeping*, on the caller, in slot order: serving counters,
+//!    batching eligibility and group joins, cohort-dirty flags.
+//!
+//! Each job touches only its own stream's detector (or its own shard), so
+//! every trace is bitwise the same at any shard or helper count
+//! (`tests/fleet_parity.rs`); the pool only overlaps the work. Jobs are
+//! moved by value through preallocated queues: dispatch allocates
+//! nothing and the crate has no `unsafe`. A panicking job is caught where
+//! it ran and re-raised by `drain_round` on the caller once every job of
+//! the round is back. If no helper can be spawned, rounds run inline.
 //!
 //! ## Telemetry
 //!
@@ -71,12 +94,16 @@
 //! `FleetConfig::telemetry` gates only the clock reads and the queue sweep
 //! (the measured overhead knob).
 
+mod pool;
+
 use sad_core::{Detector, ModelOutput, StepOutput, StreamModel};
 use sad_models::{
     batch_arch_key, infer_state_equal, infer_view, ArchKey, InferBatch, InferSnapshot, InferView,
     Scalar,
 };
 use sad_obs::{Histogram, Registry};
+
+use crate::pool::{Panic, Pool};
 
 /// What to do with an incoming stream vector when its bounded per-stream
 /// queue is full ([`DetectorFleet::offer`]). Every policy is counted in
@@ -118,9 +145,10 @@ pub struct FleetConfig {
     /// Enables cross-stream batched NN stepping (off = every stream runs
     /// the scalar `Detector::step` path).
     pub batching: bool,
-    /// Drains shards on one scoped thread each. Off by default: the
-    /// batching win is orthogonal to parallelism and benches honestly on
-    /// a single core.
+    /// Ignored. Every fleet runs its rounds on its worker pool (crate
+    /// docs, "Sharding and the worker pool"), whose size comes from
+    /// `std::thread::available_parallelism()`. Kept so that existing
+    /// struct literals still compile.
     pub parallel: bool,
     /// Per-stream input queue capacity (stream vectors).
     pub queue_capacity: usize,
@@ -237,6 +265,19 @@ impl RingQueue {
     }
 }
 
+/// A stream's part in the current round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Work {
+    /// No input this round.
+    Idle,
+    /// An ungrouped stream's `Detector::step` (warm-up, a non-batchable
+    /// model, or batching off). Runs on the caller.
+    Step,
+    /// A grouped stream's `finish_step` on the output of its cohort's
+    /// shared forward pass. Pooled.
+    Finish,
+}
+
 /// One stream's state on its shard.
 struct StreamSlot {
     det: Detector,
@@ -246,8 +287,39 @@ struct StreamSlot {
     /// Whether batching eligibility has been decided (checked once, at
     /// the warm-up transition — models materialize their networks there).
     eligibility_checked: bool,
+    /// What the current round does with this stream (set by the cohort
+    /// phase).
+    work: Work,
     /// This stream's output of the current round.
     out: Option<StepOutput>,
+}
+
+
+/// A unit of a round's pooled work, moved by value to whichever thread
+/// claims it and back.
+enum Job {
+    /// One shard's cohort phase (fleets of two or more shards).
+    Cohorts(Box<Shard>),
+    /// One grouped stream's [`Work::Finish`].
+    Stream {
+        shard: usize,
+        slot: usize,
+        stream: Box<StreamSlot>,
+        /// The stream's batched output, moved out of the shard's
+        /// `out_bufs` and back.
+        output: ModelOutput,
+    },
+}
+
+impl pool::Job for Job {
+    fn run(&mut self) {
+        match self {
+            Job::Cohorts(shard) => shard.cohort_phase(),
+            Job::Stream { stream, output, .. } => {
+                stream.out = Some(stream.det.finish_step(output));
+            }
+        }
+    }
 }
 
 /// One arch group: streams sharing a batchable architecture, partitioned
@@ -310,7 +382,7 @@ fn serve_cohort<T: Scalar>(
     view: InferView<'_, T>,
     positions: &[usize],
     members: &[usize],
-    slots: &[Option<StreamSlot>],
+    slots: &[Option<Box<StreamSlot>>],
     out_bufs: &mut [ModelOutput],
 ) {
     batch.begin(positions.len());
@@ -324,15 +396,18 @@ fn serve_cohort<T: Scalar>(
     }
 }
 
-/// One worker shard: a disjoint subset of streams plus their batching
-/// state. All per-round buffers are reused; the steady-state drain loop
-/// performs zero heap allocations (`fleet/tests/zero_alloc.rs`).
+/// One shard: a disjoint subset of streams plus their batching state.
+/// All per-round buffers are reused; the steady-state drain loop performs
+/// zero heap allocations (`fleet/tests/zero_alloc.rs`).
 ///
 /// A slot is `None` when its stream has been retired
-/// ([`DetectorFleet::retire`]); vacant slots are reused by later
-/// admissions so slot indices stay stable for the group membership lists.
+/// ([`DetectorFleet::retire`]), or, inside a round, while its stream is
+/// out on a pool job; vacant slots are reused by later admissions so slot
+/// indices stay stable for the group membership lists.
 struct Shard {
-    slots: Vec<Option<StreamSlot>>,
+    /// Position in the fleet's shard list.
+    index: usize,
+    slots: Vec<Option<Box<StreamSlot>>>,
     /// Occupied slots.
     live: usize,
     /// Per-slot model-output buffer (sibling of `slots` so the batched
@@ -346,6 +421,8 @@ struct Shard {
     /// This shard's serving counters; `steps` stays 0 here and is derived
     /// by [`DetectorFleet::stats`].
     stats: FleetStats,
+    /// Steps this shard served in the current round.
+    round_steps: usize,
     /// Deepest per-stream input queue seen at a round start.
     queue_high_water: f64,
     /// Rows amortized per shared forward pass.
@@ -355,8 +432,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(batching: bool, f32_infer: bool, telemetry: bool) -> Self {
+    fn new(index: usize, batching: bool, f32_infer: bool, telemetry: bool) -> Self {
         Self {
+            index,
             slots: Vec::new(),
             live: 0,
             out_bufs: Vec::new(),
@@ -365,6 +443,7 @@ impl Shard {
             f32_infer,
             telemetry,
             stats: FleetStats::default(),
+            round_steps: 0,
             queue_high_water: 0.0,
             batch_rows: Histogram::log2(1.0, 4096.0),
             round_seconds: Histogram::log2(1e-6, 16.0),
@@ -375,13 +454,14 @@ impl Shard {
     /// none is vacant. Returns the slot index.
     fn install(&mut self, det: Detector, queue_capacity: usize) -> usize {
         let channels = det.config().channels;
-        let slot = StreamSlot {
+        let slot = Box::new(StreamSlot {
             det,
             queue: RingQueue::new(channels, queue_capacity),
             group: None,
             eligibility_checked: false,
+            work: Work::Idle,
             out: None,
-        };
+        });
         self.live += 1;
         if let Some(vacant) = self.slots.iter().position(Option::is_none) {
             // The vacated output buffer is kept — the first batched emit
@@ -462,7 +542,7 @@ impl Shard {
     /// parameter comparison against each cohort's first member. O(k·c)
     /// comparisons for k members and c cohorts — and it only runs on
     /// training events, never in the per-step hot path.
-    fn rebuild_cohorts(group: &mut ArchGroup, slots: &[Option<StreamSlot>]) -> usize {
+    fn rebuild_cohorts(group: &mut ArchGroup, slots: &[Option<Box<StreamSlot>>]) -> usize {
         let live = |slot: usize| slots[slot].as_ref().expect("group members are live");
         group.n_cohorts = 0;
         for i in 0..group.members.len() {
@@ -510,46 +590,26 @@ impl Shard {
         resyncs
     }
 
-    /// Serves one round: each stream with queued input advances exactly
-    /// one step. Results land in each slot's `out`.
-    fn round(&mut self) {
-        // Timed/shape telemetry: clock reads and the queue-depth sweep are
-        // the only per-round costs the flag adds — every count and record
-        // below them is zero-alloc arithmetic.
-        let started = self.telemetry.then(std::time::Instant::now);
-        if self.telemetry {
-            for slot in self.slots.iter().flatten() {
+    /// Round phase 1: decides each stream's [`Work`], rebuilds dirty
+    /// cohorts, begins the step of every grouped stream with input and
+    /// runs one shared forward pass per cohort, leaving each row's output
+    /// in its slot's `out_bufs` entry for the pooled `finish_step`.
+    fn cohort_phase(&mut self) {
+        self.round_steps = 0;
+        for slot in self.slots.iter_mut().flatten() {
+            if self.telemetry {
                 self.queue_high_water = self.queue_high_water.max(slot.queue.len() as f64);
             }
-        }
-        let served_before = self.served();
-
-        // ---- Scalar path: ungrouped streams (warm-up, non-NN models,
-        // batching disabled).
-        for i in 0..self.slots.len() {
-            {
-                let Some(slot) = self.slots[i].as_mut() else { continue };
-                // Grouped slots get this round's output from the batched path.
-                slot.out = None;
-                if slot.group.is_some() {
-                    continue;
-                }
-                let Some(s) = slot.queue.front() else { continue };
-                slot.out = slot.det.step(s);
-                slot.queue.pop_front();
-            }
-            self.stats.scalar_steps += 1;
-            // Batching eligibility is decided once the model has fitted
-            // (networks materialize at the warm-up fit).
-            let slot = self.slots[i].as_ref().expect("slot was live above");
-            if self.batching && !slot.eligibility_checked && slot.det.is_warmed_up() {
-                self.slots[i].as_mut().expect("slot was live above").eligibility_checked = true;
-                self.join_group(i);
-            }
+            slot.out = None;
+            // A grouped stream with input becomes `Finish` below.
+            slot.work = if slot.queue.len() > 0 && slot.group.is_none() {
+                Work::Step
+            } else {
+                Work::Idle
+            };
         }
 
-        // ---- Batched path, one arch group at a time.
-        let Shard { slots, out_bufs, groups, telemetry, stats, batch_rows, .. } = self;
+        let Shard { slots, out_bufs, groups, telemetry, stats, round_steps, batch_rows, .. } = self;
         for group in groups.iter_mut() {
             if group.dirty {
                 stats.f32_resyncs += Self::rebuild_cohorts(group, slots);
@@ -566,10 +626,13 @@ impl Shard {
                 debug_assert!(ready, "grouped streams are past warm-up");
                 if ready {
                     group.active.push(pos);
+                    slot.work = Work::Finish;
                 }
             }
             // One shared forward pass per cohort with active members; the
             // cohort invariant makes any member's model a valid leader.
+            // Every row's output is scattered before any finish_step runs,
+            // so a fine-tune cannot perturb a sibling's emit.
             for c in 0..group.n_cohorts {
                 group.cohort_rows.clear();
                 group
@@ -579,10 +642,6 @@ impl Shard {
                     continue;
                 }
                 let rows = group.cohort_rows.len();
-                // Scatter every row's output *before* any finish_step: a
-                // fine-tune inside finish must not be able to perturb a
-                // sibling's emit (it can't — fine-tunes never refit the
-                // scaler — but the ordering makes parity unconditional).
                 let (positions, members) = (&group.cohort_rows[..], &group.members[..]);
                 match &mut group.serving {
                     Serving::F64(batch) => {
@@ -600,40 +659,90 @@ impl Shard {
                         stats.f32_rows += rows;
                     }
                 }
-                for &pos in group.cohort_rows.iter() {
-                    let si = group.members[pos];
-                    let slot = slots[si].as_mut().expect("group members are live");
-                    let out = slot.det.finish_step(&out_bufs[si]);
-                    if out.fine_tuned {
-                        group.dirty = true;
-                    }
-                    slot.out = Some(out);
-                }
                 stats.batched_rows += rows;
                 stats.batches += 1;
+                *round_steps += rows;
                 if *telemetry {
                     batch_rows.record(rows as f64);
                 }
             }
         }
+    }
 
-        // Round latency covers rounds that actually served a step — an
-        // idle drain would otherwise drag the percentiles toward zero.
-        if let Some(started) = started {
-            if self.served() > served_before {
-                self.round_seconds.record(started.elapsed().as_secs_f64());
-            }
+    /// Runs the caller's own per-stream work: every ungrouped step.
+    fn step_ungrouped(&mut self) {
+        for slot in self.slots.iter_mut().flatten().filter(|slot| slot.work == Work::Step) {
+            let s = slot.queue.front().expect("a stepping stream has input");
+            slot.out = slot.det.step(s);
+            slot.queue.pop_front();
         }
     }
 
-    /// Steps served on this shard so far, over both paths.
-    fn served(&self) -> usize {
-        self.stats.scalar_steps + self.stats.batched_rows
+    /// Whether this round has ungrouped steps for the caller.
+    fn has_ungrouped_steps(&self) -> bool {
+        self.slots.iter().flatten().any(|slot| slot.work == Work::Step)
+    }
+
+    /// Moves this shard's finishing streams, with their batched outputs,
+    /// out into jobs, in slot order.
+    fn finish_jobs(&mut self) -> impl Iterator<Item = Job> + '_ {
+        let shard = self.index;
+        let Shard { slots, out_bufs, .. } = self;
+        let streams = slots.iter_mut().zip(out_bufs.iter_mut()).enumerate();
+        streams.filter_map(move |(slot, (entry, buf))| {
+            if entry.as_ref()?.work != Work::Finish {
+                return None;
+            }
+            let stream = entry.take().expect("checked live above");
+            let output = std::mem::replace(buf, ModelOutput::Score(0.0));
+            Some(Job::Stream { shard, slot, stream, output })
+        })
+    }
+
+    /// Puts a stream and its batched output back from their job.
+    fn land(&mut self, slot: usize, stream: Box<StreamSlot>, output: ModelOutput) {
+        self.slots[slot] = Some(stream);
+        self.out_bufs[slot] = output;
+    }
+
+    /// Round phase 3, in slot order: counts scalar steps, decides
+    /// batching eligibility at the warm-up transition (models materialize
+    /// their networks at the warm-up fit) and marks the groups of
+    /// fine-tuned streams for a cohort rebuild at the next round.
+    fn bookkeeping(&mut self) {
+        for i in 0..self.slots.len() {
+            let Some(slot) = self.slots[i].as_mut() else { continue };
+            match slot.work {
+                Work::Idle => {}
+                Work::Step => {
+                    self.stats.scalar_steps += 1;
+                    self.round_steps += 1;
+                    if self.batching && !slot.eligibility_checked && slot.det.is_warmed_up() {
+                        slot.eligibility_checked = true;
+                        self.join_group(i);
+                    }
+                }
+                Work::Finish => {
+                    if slot.out.is_some_and(|o| o.fine_tuned) {
+                        let gi = slot.group.expect("a finishing stream is grouped");
+                        self.groups[gi].dirty = true;
+                    }
+                }
+            }
+        }
     }
 
     /// Streams on this shard with at least one queued vector.
     fn pending(&self) -> usize {
         self.slots.iter().flatten().filter(|s| s.queue.len() > 0).count()
+    }
+}
+
+/// Re-raises a panic a round caught, once the fleet's state is whole
+/// again.
+fn resume(panic: Option<Panic>) {
+    if let Some(panic) = panic {
+        std::panic::resume_unwind(panic);
     }
 }
 
@@ -647,8 +756,14 @@ impl Shard {
 /// slot reuses its id: [`Self::len`] counts installs, and
 /// [`Self::drain_round`] fills one output per slot, not per id issued.
 pub struct DetectorFleet {
-    shards: Vec<Shard>,
+    #[expect(
+        clippy::vec_box,
+        reason = "a round moves shards into pool jobs; boxed, a shard job is as small as a \
+                  stream job, and the pool's queues hold one job per slot"
+    )]
+    shards: Vec<Box<Shard>>,
     config: FleetConfig,
+    pool: Pool<Job>,
 }
 
 impl DetectorFleet {
@@ -672,17 +787,36 @@ impl DetectorFleet {
     /// for dynamic admission — the serving-engine entry point, where
     /// entities appear on first contact rather than at construction.
     ///
+    /// Spawns the fleet's worker pool: `available_parallelism() − 1`
+    /// helper threads named `sad-fleet-<i>`, joined when the fleet drops.
+    /// A failed spawn is not an error; the fleet runs with the helpers it
+    /// got, or inline with none.
+    ///
     /// # Panics
     /// Panics on a zero shard count / queue capacity.
     pub fn open(config: FleetConfig) -> Self {
+        let helpers = std::thread::available_parallelism().map_or(1, usize::from) - 1;
+        Self::with_pool(config, helpers, |i| {
+            std::thread::Builder::new().name(format!("sad-fleet-{i}"))
+        })
+    }
+
+    /// [`Self::open`] with `helpers` pool threads, each spawned from
+    /// `builder(i)`.
+    fn with_pool(
+        config: FleetConfig,
+        helpers: usize,
+        builder: impl Fn(usize) -> std::thread::Builder,
+    ) -> Self {
         assert!(config.shards > 0, "shard count must be positive");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
-        let shards: Vec<Shard> = (0..config.shards)
-            .map(|_| {
-                Shard::new(config.batching, config.batching && config.f32_infer, config.telemetry)
+        let shards: Vec<Box<Shard>> = (0..config.shards)
+            .map(|i| {
+                let f32_infer = config.batching && config.f32_infer;
+                Box::new(Shard::new(i, config.batching, f32_infer, config.telemetry))
             })
             .collect();
-        Self { shards, config }
+        Self { shards, config, pool: Pool::new(helpers, builder) }
     }
 
     /// Admits a new stream and returns its id, which a retired stream may
@@ -702,6 +836,10 @@ impl DetectorFleet {
             .min_by_key(|&i| (self.shards[i].live, i))
             .expect("a fleet has at least one shard");
         let slot = self.shards[shard].install(det, self.config.queue_capacity);
+        // One job per slot, plus one per shard: a round's dispatch never
+        // grows the pool's queues.
+        let slots: usize = self.shards.iter().map(|s| s.slots.len()).sum();
+        self.pool.reserve(slots + n);
         slot * n + shard
     }
 
@@ -797,7 +935,7 @@ impl DetectorFleet {
     /// Streams with at least one queued vector: the number of vectors the
     /// next [`Self::drain_round`] consumes.
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(Shard::pending).sum()
+        self.shards.iter().map(|s| s.pending()).sum()
     }
 
     /// Drains one round: every stream with queued input advances exactly
@@ -806,19 +944,62 @@ impl DetectorFleet {
     /// `out[i]` is `Some` iff stream `i` consumed a vector *and* is past
     /// warm-up — exactly `Detector::step`'s contract. Returns the vectors
     /// consumed.
+    ///
+    /// The round runs on the caller and the fleet's helper threads (crate
+    /// docs, "Sharding and the worker pool").
+    ///
+    /// # Panics
+    /// Re-raises, on the caller, the first panic of any step of the round,
+    /// whichever thread ran it, once every job of the round is back: every
+    /// stream is in the fleet again, though the one whose step panicked
+    /// may be left mid-step.
     pub fn drain_round(&mut self, out: &mut Vec<Option<StepOutput>>) -> usize {
         let consumed = self.pending();
+        let started = self.config.telemetry.then(std::time::Instant::now);
 
-        if self.config.parallel && self.shards.len() > 1 {
-            // One scoped worker per shard; shards own disjoint state.
-            std::thread::scope(|scope| {
-                for shard in &mut self.shards {
-                    scope.spawn(|| shard.round());
-                }
-            });
-        } else {
+        // Phase 1: cohorts. With two or more shards, one pool job each.
+        if self.shards.len() == 1 {
             for shard in &mut self.shards {
-                shard.round();
+                shard.cohort_phase();
+            }
+        } else {
+            let mut shards = std::mem::take(&mut self.shards);
+            self.pool.dispatch(shards.drain(..).map(Job::Cohorts), false);
+            let panic = self.pool.complete(None, |job| match job {
+                Job::Cohorts(shard) => shards.push(shard),
+                Job::Stream { .. } => unreachable!("the cohort phase queues shards only"),
+            });
+            shards.sort_unstable_by_key(|shard| shard.index);
+            self.shards = shards;
+            resume(panic);
+        }
+
+        // Phase 2: streams. The finish steps are queued first; the caller
+        // runs the ungrouped steps, then claims finish steps like a helper.
+        let caller_busy = self.shards.iter().any(|shard| shard.has_ungrouped_steps());
+        let shards = &mut self.shards;
+        self.pool.dispatch(shards.iter_mut().flat_map(|shard| shard.finish_jobs()), caller_busy);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for shard in shards.iter_mut() {
+                shard.step_ungrouped();
+            }
+        }));
+        let panic = self.pool.complete(caught.err(), |job| match job {
+            Job::Stream { shard, slot, stream, output } => shards[shard].land(slot, stream, output),
+            Job::Cohorts(_) => unreachable!("the stream phase queues streams only"),
+        });
+        resume(panic);
+
+        // Phase 3: bookkeeping.
+        for shard in &mut self.shards {
+            shard.bookkeeping();
+        }
+        // Round latency covers rounds that actually served a step — an
+        // idle drain would otherwise drag the percentiles toward zero.
+        if let Some(started) = started {
+            let seconds = started.elapsed().as_secs_f64();
+            for shard in self.shards.iter_mut().filter(|shard| shard.round_steps > 0) {
+                shard.round_seconds.record(seconds);
             }
         }
 
@@ -833,6 +1014,19 @@ impl DetectorFleet {
             }
         }
         consumed
+    }
+
+    /// Helper threads in the fleet's worker pool; 0 when rounds run
+    /// inline on the caller.
+    pub fn helpers(&self) -> usize {
+        self.pool.helpers()
+    }
+
+    /// Jobs the pool's helper threads have run: a diagnostic of how much
+    /// of the serving work left the calling thread. It depends on thread
+    /// scheduling, so it is no serving counter and is not exported.
+    pub fn helper_jobs(&self) -> usize {
+        self.pool.helper_jobs()
     }
 
     /// Convenience driver: streams `series[i]` into stream `i` and
@@ -1241,6 +1435,61 @@ mod tests {
             stats.batches <= stats.batched_rows / 2 + 2,
             "twin rows amortize into shared passes: {stats:?}",
         );
+    }
+
+    /// A round steps each stream once, also across its warm-up transition
+    /// with a second vector queued: the stream joins its arch group in the
+    /// round's bookkeeping, after its step, and its next vector waits for
+    /// the next round's batched pass.
+    #[test]
+    fn a_round_steps_a_stream_once_across_its_warm_up_transition() {
+        let data = series(62, 0.0);
+        let mut fleet = DetectorFleet::new(vec![ae_detector(7)], FleetConfig::default());
+        let mut out = Vec::new();
+        // Warm-up 60: the 60th vector runs the initial fit.
+        for s in &data[..59] {
+            assert!(fleet.enqueue(0, s));
+            fleet.drain_round(&mut out);
+        }
+        assert!(fleet.enqueue(0, &data[59]));
+        assert!(fleet.enqueue(0, &data[60]));
+        assert_eq!(fleet.drain_round(&mut out), 1);
+        assert_eq!(fleet.queued(0), 1, "one step per stream per round");
+        assert_eq!(out[0], None, "the fitting step emits nothing");
+        assert_eq!(fleet.stats().steps, 60);
+        fleet.drain_round(&mut out);
+        assert!(out[0].is_some());
+        assert_eq!(fleet.stats().batched_rows, 1, "the next step is batched");
+    }
+
+    /// A fleet whose helpers cannot be spawned runs every round inline on
+    /// the caller, with the traces of a fleet whose helpers run.
+    #[test]
+    fn a_failed_helper_spawn_runs_rounds_inline() {
+        let fleet_series: Vec<_> = (0..4).map(|i| series(160, i as f64 * 0.4)).collect();
+        let detectors = || (0..4).map(|i| ae_detector(7 + i % 2)).collect::<Vec<_>>();
+        for shards in [1, 2] {
+            let config = FleetConfig { shards, ..FleetConfig::default() };
+            let mut pooled = DetectorFleet::with_pool(config.clone(), 2, |i| {
+                std::thread::Builder::new().name(format!("sad-fleet-{i}"))
+            });
+            // No stack of 2^60 bytes can be mapped: every spawn fails
+            // before a thread starts.
+            let mut inline = DetectorFleet::with_pool(config, 2, |_| {
+                std::thread::Builder::new().stack_size(1 << 60)
+            });
+            assert_eq!((pooled.helpers(), inline.helpers()), (2, 0));
+            for det in detectors() {
+                pooled.install(det);
+            }
+            for det in detectors() {
+                inline.install(det);
+            }
+            let (a, b) = (pooled.run(&fleet_series), inline.run(&fleet_series));
+            assert_eq!(a, b, "shards={shards}: inline rounds serve the same traces");
+            assert_eq!(pooled.stats(), inline.stats(), "shards={shards}");
+            assert_eq!(inline.helper_jobs(), 0);
+        }
     }
 
     /// The exported registry agrees with the `stats()` snapshot, carries

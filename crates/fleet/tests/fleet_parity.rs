@@ -233,3 +233,162 @@ mod props {
         }
     }
 }
+
+/// Where a fleet's drift-triggered fine-tunes ran.
+#[derive(Default)]
+struct FineTuneLog {
+    threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    /// Whether a fine-tune waits, at most five seconds, until one has run
+    /// on another thread: the round's other fine-tunes then go to the
+    /// other threads even when the host starves a helper.
+    await_peer: bool,
+}
+
+impl FineTuneLog {
+    fn record(&self) {
+        let me = std::thread::current().id();
+        self.threads.lock().unwrap().push(me);
+        let since = std::time::Instant::now();
+        while self.await_peer
+            && since.elapsed() < std::time::Duration::from_secs(5)
+            && self.threads.lock().unwrap().iter().all(|&t| t == me)
+        {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A μσ drift detector that logs every drift-triggered fine-tune.
+/// `on_fine_tune` also runs once at the warm-up fit; that first call is
+/// not logged.
+#[derive(Clone)]
+struct ThreadRecorder {
+    inner: Box<dyn sad_core::DriftDetector>,
+    warmed: bool,
+    log: std::sync::Arc<FineTuneLog>,
+}
+
+impl sad_core::DriftDetector for ThreadRecorder {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn observe(
+        &mut self,
+        x: &sad_core::FeatureVector,
+        update: &sad_core::SetUpdate,
+        train: &[sad_core::FeatureVector],
+    ) -> bool {
+        self.inner.observe(x, update, train)
+    }
+
+    fn on_fine_tune(&mut self, train: &[sad_core::FeatureVector]) {
+        if self.warmed {
+            self.log.record();
+        }
+        self.warmed = true;
+        self.inner.on_fine_tune(train);
+    }
+
+    fn ops(&self) -> sad_core::OpCount {
+        self.inner.ops()
+    }
+
+    fn removal_misses(&self) -> u64 {
+        self.inner.removal_misses()
+    }
+
+    fn clone_box(&self) -> Box<dyn sad_core::DriftDetector> {
+        Box::new(self.clone())
+    }
+}
+
+/// `detector(idx, …)` with its μσ drift detector wrapped in a
+/// [`ThreadRecorder`] (batching keys on the model only).
+fn recording_detector(
+    idx: usize,
+    expect: &str,
+    seed: u64,
+    log: &std::sync::Arc<FineTuneLog>,
+) -> Detector {
+    let spec = spec(idx, expect);
+    assert_eq!(spec.task2, sad_core::Task2::MuSigma, "{expect}: a μσ combination");
+    let params = BuildParams::new(tiny_config())
+        .with_capacity(16)
+        .with_score(ScoreKind::Raw)
+        .with_seed(seed);
+    let drift = ThreadRecorder {
+        inner: sad_models::build_task2(spec.task2, &params),
+        warmed: false,
+        log: log.clone(),
+    };
+    Detector::new(
+        params.config.clone(),
+        sad_models::build_model(spec.model, &params),
+        sad_models::build_task1(spec.task1, &params),
+        Box::new(drift),
+        sad_models::build_scorer(params.score, &params),
+    )
+}
+
+/// Parity under real concurrency: eight AE streams and a USAD stream
+/// whose level shifts land in the same rounds, so each of those rounds
+/// queues several fine-tunes for the caller and the pool's helpers to
+/// claim. Traces, drift times and fine-tune counts are bitwise those of
+/// standalone detectors at 1 and 2 shards, and with a second core the
+/// fine-tunes ran on more than one thread (the first fine-tunes wait for
+/// a peer thread's, so a starved helper still gets its share).
+#[test]
+fn pooled_fine_tunes_match_standalone_detectors() {
+    let streams: Vec<(usize, &str, u64, Vec<Vec<f64>>)> = (0..9u64)
+        .map(|i| {
+            let (idx, expect) = if i == 8 { (12, "USAD") } else { (6, "AE") };
+            let shift = Some(90 + 40 * (i as usize % 3));
+            (idx, expect, 20 + i % 3, series(240, i as f64 * 0.35, shift))
+        })
+        .collect();
+    let fleet_series: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
+    let standalone = std::sync::Arc::new(FineTuneLog::default());
+    let mut references = Vec::new();
+    for &(idx, expect, seed, ref data) in &streams {
+        let mut det = recording_detector(idx, expect, seed, &standalone);
+        let trace = det.run(data);
+        references.push((trace, det));
+    }
+    let tunes: usize = references.iter().map(|(_, det)| det.fine_tune_count()).sum();
+    assert!(tunes >= 2 * streams.len(), "the level shifts must fine-tune every stream: {tunes}");
+
+    for shards in [1usize, 2] {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let await_peer = cores >= 2;
+        let log = std::sync::Arc::new(FineTuneLog { await_peer, ..FineTuneLog::default() });
+        let dets: Vec<Detector> = streams
+            .iter()
+            .map(|&(idx, expect, seed, _)| recording_detector(idx, expect, seed, &log))
+            .collect();
+        let config = FleetConfig { shards, queue_capacity: 4, ..FleetConfig::default() };
+        let mut fleet = DetectorFleet::new(dets, config);
+        let traces = fleet.run(&fleet_series);
+        for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
+            let stream = format!("pooled shards={shards} stream {i}");
+            assert_traces_identical(&traces[i], ref_trace, &stream);
+            let det = fleet.detector(i);
+            assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
+            assert_eq!(det.fine_tune_count(), ref_det.fine_tune_count(), "{stream}: fine-tunes");
+        }
+        let stats = fleet.stats();
+        assert!(stats.batched_rows > 0, "shards={shards}: the streams were grouped");
+        let threads = log.threads.lock().unwrap();
+        assert_eq!(threads.len(), tunes, "shards={shards}: one record per fine-tune");
+        if cores >= 2 {
+            let mut distinct = threads.clone();
+            distinct.sort_unstable_by_key(|id| format!("{id:?}"));
+            distinct.dedup();
+            assert!(
+                distinct.len() > 1,
+                "shards={shards}: {tunes} fine-tunes ran on one thread ({} helpers)",
+                fleet.helpers(),
+            );
+        }
+    }
+}

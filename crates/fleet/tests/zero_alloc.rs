@@ -8,6 +8,12 @@
 //! the reused output buffers, and `finish_step` — must not allocate at
 //! all on a drift-free stream.
 //!
+//! The guard counts the calling thread's allocations and, while armed,
+//! those of the fleet's pool helpers (threads named `sad-fleet-*`), which
+//! run the finish steps; the tests run one at a time so that no other
+//! fleet's helpers are alive, and each checks that its armed rounds ran
+//! jobs on a helper.
+//!
 //! Unlike the core guard (which pins the framework under a heap-free
 //! stand-in model), this one runs a real 2-layer AE: the batched
 //! inference path is exactly what makes the NN predict step heap-free —
@@ -16,10 +22,52 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Whether this thread is a fleet pool helper, decided by its name at
+    /// its first allocation while the helpers are armed.
+    static ROLE: Cell<Role> = const { Cell::new(Role::Unknown) };
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Unknown,
+    /// Reading the thread's name; an allocation that makes is not counted.
+    Deciding,
+    Helper,
+    Other,
+}
+
+/// Allocations on the fleet's pool helpers (threads named `sad-fleet-*`)
+/// count while this is set.
+static HELPERS_ARMED: AtomicBool = AtomicBool::new(false);
+static HELPER_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// The tests of this file run one at a time, so while one is armed the
+/// only pool helpers alive are its own fleet's.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn is_helper() -> bool {
+    ROLE.try_with(|role| match role.get() {
+        Role::Helper => true,
+        Role::Other | Role::Deciding => false,
+        Role::Unknown => {
+            role.set(Role::Deciding);
+            let thread = std::thread::current();
+            let helper = thread.name().is_some_and(|name| name.starts_with("sad-fleet-"));
+            role.set(if helper { Role::Helper } else { Role::Other });
+            helper
+        }
+    })
+    .unwrap_or(false)
 }
 
 struct CountingAllocator;
@@ -31,6 +79,9 @@ impl CountingAllocator {
                 let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
             }
         });
+        if HELPERS_ARMED.load(SeqCst) && is_helper() {
+            HELPER_ALLOCS.fetch_add(1, SeqCst);
+        }
     }
 }
 
@@ -58,12 +109,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn count_allocs(f: impl FnOnce()) -> usize {
+/// Allocations `f` makes on this thread and on the fleet's pool helpers.
+fn count_allocs(f: impl FnOnce()) -> (usize, usize) {
     ALLOCS.with(|c| c.set(0));
+    HELPER_ALLOCS.store(0, SeqCst);
+    HELPERS_ARMED.store(true, SeqCst);
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.with(|c| c.get())
+    HELPERS_ARMED.store(false, SeqCst);
+    (ALLOCS.with(|c| c.get()), HELPER_ALLOCS.load(SeqCst))
 }
 
 use sad_core::{Detector, DetectorConfig, ScoreKind, StepOutput};
@@ -71,7 +126,9 @@ use sad_fleet::{DetectorFleet, FleetConfig};
 use sad_models::{build_detector, BuildParams};
 
 const CHANNELS: usize = 2;
-const STREAMS: usize = 2;
+/// Enough finish steps per round that the pool's helpers win some of
+/// them: with two, the caller often runs both before a helper reacts.
+const STREAMS: usize = 8;
 
 /// Stationary stream, periodic with the detector's window length (8):
 /// every window holds the same multiset of values per channel, so the
@@ -100,25 +157,29 @@ fn ae_detector() -> Detector {
     build_detector(spec, &params)
 }
 
-/// Both streams identically seeded on an identical stationary stream:
-/// they form (and keep) one cohort, so the armed window measures the
-/// batched shard loop, not the scalar fallback.
-#[test]
-fn steady_state_fleet_round_is_allocation_free() {
-    let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();
-    let mut fleet = DetectorFleet::new(dets, FleetConfig::default());
-    let mut out: Vec<Option<StepOutput>> = Vec::new();
-    let mut t = 0usize;
+/// One round: every stream's next vector, then a drain.
+fn serve_round(fleet: &mut DetectorFleet, out: &mut Vec<Option<StepOutput>>, t: &mut usize) {
+    let s = stream_vector(*t);
+    for i in 0..STREAMS {
+        assert!(fleet.enqueue(i, &s));
+    }
+    assert_eq!(fleet.drain_round(out), STREAMS);
+    *t += 1;
+}
 
-    // Settle: warm-up (64) plus well past every ring's fill point and the
-    // first batched emit (which right-sizes the per-slot output buffers).
+/// Settle: warm-up (64) plus well past every ring's fill point and the
+/// first batched emit (which right-sizes the per-slot output buffers);
+/// then, with helpers, until one has run a job. A helper thread starts
+/// when the OS first schedules it, which can be after the rounds above,
+/// and its start allocates.
+fn settle(fleet: &mut DetectorFleet, out: &mut Vec<Option<StepOutput>>, t: &mut usize) {
     for _ in 0..192 {
-        let s = stream_vector(t);
-        for i in 0..STREAMS {
-            assert!(fleet.enqueue(i, &s));
-        }
-        fleet.drain_round(&mut out);
-        t += 1;
+        serve_round(fleet, out, t);
+    }
+    let started = std::time::Instant::now();
+    while fleet.helpers() > 0 && fleet.helper_jobs() == 0 {
+        assert!(started.elapsed().as_secs() < 30, "no helper ran a job in 30 s of rounds");
+        serve_round(fleet, out, t);
     }
     for i in 0..STREAMS {
         assert!(
@@ -126,31 +187,59 @@ fn steady_state_fleet_round_is_allocation_free() {
             "stream must be drift-free for this guard",
         );
     }
+}
+
+/// Most armed windows a guard runs to see a helper run a job: the host
+/// can keep a helper off the CPU for whole windows of tiny rounds.
+const MAX_WINDOWS: usize = 32;
+
+/// Runs armed windows, each one call of `serve`, until one of them ran a
+/// job on a pool helper (one window without helpers). Every window must
+/// be allocation-free on the caller and on the helpers. Returns the
+/// windows run.
+fn armed_windows(fleet: &mut DetectorFleet, mut serve: impl FnMut(&mut DetectorFleet)) -> usize {
+    for window in 1..=MAX_WINDOWS {
+        let helper_jobs = fleet.helper_jobs();
+        let (n, on_helpers) = count_allocs(|| serve(fleet));
+        assert_eq!(n, 0, "steady-state fleet round must not allocate, saw {n}");
+        assert_eq!(on_helpers, 0, "steady-state finish steps on the pool must not allocate");
+        if fleet.helpers() == 0 || fleet.helper_jobs() > helper_jobs {
+            return window;
+        }
+    }
+    panic!("no armed window of {MAX_WINDOWS} ran a job on the pool's {} helpers", fleet.helpers());
+}
+
+/// Every stream identically seeded on an identical stationary stream:
+/// they form (and keep) one cohort, so the armed window measures the
+/// batched shard loop, not the scalar fallback, and each round hands
+/// [`STREAMS`] finish steps to the pool.
+#[test]
+fn steady_state_fleet_round_is_allocation_free() {
+    let _serial = serial();
+    let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();
+    let mut fleet = DetectorFleet::new(dets, FleetConfig::default());
+    let mut out: Vec<Option<StepOutput>> = Vec::new();
+    let mut t = 0usize;
+    settle(&mut fleet, &mut out, &mut t);
     let settled = fleet.stats();
     assert!(settled.batched_rows > 0, "cohort must have formed during settle: {settled:?}");
 
-    let n = count_allocs(|| {
+    let windows = armed_windows(&mut fleet, |fleet| {
         for _ in 0..256 {
-            let s = stream_vector(t);
-            for i in 0..STREAMS {
-                assert!(fleet.enqueue(i, &s));
-            }
-            let consumed = fleet.drain_round(&mut out);
-            assert_eq!(consumed, STREAMS);
+            serve_round(fleet, &mut out, &mut t);
             for o in &out {
                 let o = o.expect("past warm-up");
                 assert!(!o.drift, "stream must stay drift-free");
             }
-            t += 1;
         }
     });
-    assert_eq!(n, 0, "steady-state fleet round must not allocate, saw {n}");
 
-    // And the window really went through the batched path.
+    // And the windows really went through the batched path.
     let stats = fleet.stats();
     assert_eq!(
         stats.batched_rows - settled.batched_rows,
-        256 * STREAMS,
+        windows * 256 * STREAMS,
         "armed window must be fully batched: {stats:?}",
     );
     assert_eq!(stats.cohort_rebuilds, settled.cohort_rebuilds, "no training events while armed");
@@ -163,46 +252,26 @@ fn steady_state_fleet_round_is_allocation_free() {
 /// either.
 #[test]
 fn steady_state_f32_fleet_round_is_allocation_free() {
+    let _serial = serial();
     let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();
     let config = FleetConfig { f32_infer: true, ..FleetConfig::default() };
     let mut fleet = DetectorFleet::new(dets, config);
     let mut out: Vec<Option<StepOutput>> = Vec::new();
     let mut t = 0usize;
-
-    for _ in 0..192 {
-        let s = stream_vector(t);
-        for i in 0..STREAMS {
-            assert!(fleet.enqueue(i, &s));
-        }
-        fleet.drain_round(&mut out);
-        t += 1;
-    }
-    for i in 0..STREAMS {
-        assert!(
-            fleet.detector(i).drift_times().is_empty(),
-            "stream must be drift-free for this guard",
-        );
-    }
+    settle(&mut fleet, &mut out, &mut t);
     let settled = fleet.stats();
     assert!(settled.f32_rows > 0, "f32 cohort must have formed during settle: {settled:?}");
 
-    let n = count_allocs(|| {
+    let windows = armed_windows(&mut fleet, |fleet| {
         for _ in 0..256 {
-            let s = stream_vector(t);
-            for i in 0..STREAMS {
-                assert!(fleet.enqueue(i, &s));
-            }
-            let consumed = fleet.drain_round(&mut out);
-            assert_eq!(consumed, STREAMS);
-            t += 1;
+            serve_round(fleet, &mut out, &mut t);
         }
     });
-    assert_eq!(n, 0, "steady-state f32 fleet round must not allocate, saw {n}");
 
     let stats = fleet.stats();
     assert_eq!(
         stats.f32_rows - settled.f32_rows,
-        256 * STREAMS,
+        windows * 256 * STREAMS,
         "armed window must be fully f32-batched: {stats:?}",
     );
     assert_eq!(stats.cohort_rebuilds, settled.cohort_rebuilds, "no training events while armed");

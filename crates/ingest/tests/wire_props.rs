@@ -15,11 +15,14 @@
 //!   and 1 or 2 shards. Under the block policy a frame never joins frames
 //!   of its stream that a round has passed over: after every `ingest`
 //!   call that ran no round, the frame's stream holds no more frames than
-//!   it queued since the latest round. After `finish`, each frame is
-//!   exactly one of: a detector step, a non-finite rejection, a cap
-//!   rejection, a width mismatch or a back-pressure drop; and admissions
-//!   minus retirements equal the live streams. The random churn also
-//!   drives fleet ids through retirement and reuse.
+//!   it queued since the latest round. The run keeps a step budget: the
+//!   sink's `round` hook sees every drain round raise the fleet's step
+//!   count, so after `finish` there are no more rounds than frames. After
+//!   `finish`, each frame is exactly one of: a detector step, a
+//!   non-finite rejection, a cap rejection, a width mismatch or a
+//!   back-pressure drop; and admissions minus retirements equal the live
+//!   streams. The random churn also drives fleet ids through retirement
+//!   and reuse.
 
 use std::io::{Cursor, ErrorKind};
 
@@ -27,8 +30,8 @@ use proptest::prelude::*;
 use sad_core::{paper_algorithms, DetectorConfig, ScoreKind, StepOutput};
 use sad_fleet::{BackpressurePolicy, FleetConfig};
 use sad_ingest::{
-    CsvTransport, DetectorTemplate, EngineConfig, Frame, FrameWriter, FramedTransport, Framing,
-    IngestEngine, Transport, MAX_FRAME_CHANNELS,
+    CsvTransport, DetectorTemplate, EngineConfig, EngineSink, Frame, FrameWriter, FramedTransport,
+    Framing, IngestEngine, IngestStats, Transport, MAX_FRAME_CHANNELS,
 };
 use sad_models::BuildParams;
 
@@ -121,6 +124,29 @@ fn same_frame(a: &Frame, b: &Frame) -> bool {
         && a.values.iter().zip(&b.values).all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
 }
 
+/// Counts verdicts and keeps the step budget: through the `round` hook it
+/// notes every drain round that left the fleet's step count where the
+/// round before left it.
+#[derive(Default)]
+struct Budget {
+    outputs: usize,
+    steps: usize,
+    stepless_rounds: Vec<u64>,
+}
+
+impl EngineSink for Budget {
+    fn output(&mut self, _: u64, _: &StepOutput) {
+        self.outputs += 1;
+    }
+
+    fn round(&mut self, rounds: u64, engine_stats: &IngestStats) {
+        if engine_stats.fleet.steps <= self.steps {
+            self.stepless_rounds.push(rounds);
+        }
+        self.steps = engine_stats.fleet.steps;
+    }
+}
+
 const POLICIES: [BackpressurePolicy; 3] =
     [BackpressurePolicy::Block, BackpressurePolicy::DropNewest, BackpressurePolicy::DropOldest];
 
@@ -189,8 +215,7 @@ proptest! {
 
         let mut widths: Vec<usize> = (0..ids).map(|_| 1 + rng.below(3)).collect();
         let n_frames = 50 + rng.below(350);
-        let mut outputs = 0usize;
-        let mut sink = |_: u64, _: &StepOutput| outputs += 1;
+        let mut sink = Budget::default();
         let mut frame = Frame::default();
         // Per wire id, the frames it queued since the latest round; one
         // too many, at most, when the call that queued it also ran one.
@@ -242,6 +267,12 @@ proptest! {
         prop_assert_eq!(s.frames, placed, "{:?} {:?}: {:?}", spec, policy, s);
         prop_assert_eq!(s.fleet.admitted - s.fleet.retired, engine.fleet().live());
         prop_assert_eq!(engine.fleet().pending(), 0, "finish drained every queue");
-        prop_assert!(outputs <= s.fleet.steps);
+        prop_assert!(sink.outputs <= s.fleet.steps);
+        prop_assert!(
+            sink.stepless_rounds.is_empty(),
+            "{:?} {:?}: rounds {:?} served no step",
+            spec, policy, sink.stepless_rounds
+        );
+        prop_assert!(s.rounds as usize <= s.frames, "{} rounds for {} frames", s.rounds, s.frames);
     }
 }
