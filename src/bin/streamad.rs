@@ -3,27 +3,20 @@
 //! Runs any of the paper's 26 algorithms over a CSV time series
 //! (`t,ch0,…,chN-1,label` — the format of `streamad::data::csv`; the label
 //! column may be all zeros if unlabelled) and reports detections. With
-//! ground-truth labels present, the full metric suite is printed.
+//! ground-truth labels present, the full metric suite is printed. A row
+//! holding a NaN or ±∞ is dropped with its label before the detector
+//! runs, as `serve` drops such a frame; stderr says how many rows went
+//! and where the first one was.
 //!
 //! ```sh
 //! streamad --list                         # show the 26 algorithms
 //! streamad data.csv                       # run the default algorithm
 //! streamad data.csv --algo 13 --window 50 --warmup 1000 --threshold 0.9
-//! streamad data.csv --fleet 64 --algo 6   # serve 64 jittered copies as a fleet
 //! ```
 //!
-//! `--fleet N` fans the CSV into `N` streams served through the sharded
-//! [`streamad::fleet::DetectorFleet`]: stream 0 carries the file verbatim,
-//! streams 1.. get a tiny (±1e-3) deterministic jitter after warm-up, so
-//! all N detectors fit identical weights and the cross-stream batched NN
-//! path engages. Reports serving throughput and round-latency percentiles
-//! instead of detections.
-//!
 //! `--metrics-json PATH` writes the run's telemetry registry (detector
-//! lifecycle counters; in `--fleet` mode also the per-shard serving
-//! counters and latency histograms) as a JSON snapshot on exit, and
-//! `--metrics-every N` prints a compact metrics line to stderr every `N`
-//! fleet rounds.
+//! lifecycle counters; under `serve` also the engine's and the fleet's
+//! serving counters and latency histograms) as a JSON snapshot on exit.
 //!
 //! ## Serving over the wire
 //!
@@ -38,12 +31,17 @@
 //! `--queue-cap`. Detections at or above `--threshold` print to stdout as
 //! they happen; `--metrics-json` snapshots are flushed on EOF, after
 //! every connection, *and* on dirty disconnects, so an interrupted server
-//! still leaves its final counters behind. If stdout closes (say, piped
-//! into `head`), printing stops and serving goes on.
+//! still leaves its final counters behind, and `--metrics-every N` prints
+//! a compact metrics line to stderr every `N` rounds. If stdout closes
+//! (say, piped into `head`), printing stops and serving goes on. A flag
+//! that only `serve` reads is rejected in a file run.
 //!
 //! ```sh
 //! streamad serve --stdin < frames.bin
 //! streamad serve --listen 127.0.0.1:7650 --shards 4 --idle-rounds 2000
+//! # a file as 64 identical streams, one batching cohort:
+//! cargo run --release --example serve_client -- data.csv --streams 64 \
+//!   | streamad serve --stdin --algo 6 --metrics-json fleet.json
 //! ```
 
 use std::io::Write;
@@ -51,15 +49,14 @@ use std::process::ExitCode;
 use std::time::Instant;
 use streamad::core::{paper_algorithms, AlgorithmSpec, DetectorConfig, ScoreKind, StepOutput};
 use streamad::data::csv::load_csv;
-use streamad::data::LabeledSeries;
-use streamad::fleet::{DetectorFleet, FleetConfig};
+use streamad::fleet::FleetConfig;
 use streamad::ingest::{
     BackpressurePolicy, CsvTransport, DetectorTemplate, EngineConfig, EngineSink, FramedTransport,
     IngestEngine, IngestStats,
 };
 use streamad::metrics::{best_f1, intervals_from_labels, nab_score, pr_auc, vus_pr};
 use streamad::models::{build_detector, min_window, BuildParams};
-use streamad::obs::{Histogram, Registry};
+use streamad::obs::Registry;
 
 /// Writes to stdout until a write fails, then drops all further output:
 /// a closed pipe (e.g. `streamad … | head`) must not panic the process,
@@ -88,7 +85,6 @@ struct Args {
     score: ScoreKind,
     seed: u64,
     list: bool,
-    fleet: Option<usize>,
     shards: usize,
     no_batch: bool,
     f32_infer: bool,
@@ -130,6 +126,22 @@ fn algorithm_table(specs: &[AlgorithmSpec], args: &Args) -> String {
     out
 }
 
+/// The serving flags. A file run rejects them rather than ignore them.
+const SERVE_ONLY: [&str; 12] = [
+    "--shards",
+    "--no-batch",
+    "--f32-infer",
+    "--metrics-every",
+    "--listen",
+    "--stdin",
+    "--csv",
+    "--policy",
+    "--idle-rounds",
+    "--max-streams",
+    "--queue-cap",
+    "--max-conns",
+];
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         path: None,
@@ -141,7 +153,6 @@ fn parse_args() -> Result<Args, String> {
         score: ScoreKind::AnomalyLikelihood,
         seed: 42,
         list: false,
-        fleet: None,
         shards: 1,
         no_batch: false,
         f32_infer: false,
@@ -157,8 +168,10 @@ fn parse_args() -> Result<Args, String> {
         queue_cap: 4,
         max_conns: 0,
     };
+    let mut serve_only = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
+        serve_only = serve_only.or(SERVE_ONLY.into_iter().find(|&flag| flag == arg));
         let mut value = |name: &str| {
             iter.next().ok_or_else(|| format!("{name} needs a value"))
         };
@@ -180,13 +193,6 @@ fn parse_args() -> Result<Args, String> {
                     value("--threshold")?.parse().map_err(|e| format!("--threshold: {e}"))?
             }
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--fleet" => {
-                let n: usize = value("--fleet")?.parse().map_err(|e| format!("--fleet: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet needs at least one stream".into());
-                }
-                args.fleet = Some(n);
-            }
             "--shards" => {
                 args.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
                 if args.shards == 0 {
@@ -258,8 +264,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: streamad <csv> [--algo N] [--window W] [--warmup N] \
                             [--capacity M] [--score raw|avg|al] [--threshold T] [--seed S] \
-                            [--fleet N [--shards S] [--no-batch] [--f32-infer] \
-                            [--metrics-every N]] [--metrics-json PATH] [--list]\n\
+                            [--metrics-json PATH] [--list]\n\
                             \x20      streamad serve (--listen ADDR [--max-conns N] | --stdin) \
                             [--csv] [--policy block|drop-newest|drop-oldest] [--idle-rounds N] \
                             [--max-streams N] [--queue-cap N] [--algo N] [--window W] \
@@ -274,13 +279,16 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    Ok(args)
+    match serve_only {
+        Some(flag) if !args.serve => Err(format!("{flag} applies only to `streamad serve`")),
+        _ => Ok(args),
+    }
 }
 
 /// Rejects detector settings that would panic once input arrives (a
 /// window the model cannot be built with, a warm-up shorter than one
-/// window) or silently flag nothing (a non-finite threshold). Both modes
-/// call it before reading any input.
+/// window, an empty training set) or silently flag nothing (a non-finite
+/// threshold). Both modes call it before reading any input.
 fn check_detector_args(args: &Args, spec: AlgorithmSpec) -> Result<(), String> {
     let min = min_window(spec.model);
     if args.window < min {
@@ -299,7 +307,25 @@ fn check_detector_args(args: &Args, spec: AlgorithmSpec) -> Result<(), String> {
     if !args.threshold.is_finite() {
         return Err(format!("--threshold must be a finite number, got {}", args.threshold));
     }
+    if args.capacity == 0 {
+        return Err("--capacity must be positive".into());
+    }
     Ok(())
+}
+
+/// The detector settings both modes build from, at `channels` wide.
+fn build_params(args: &Args, channels: usize) -> BuildParams {
+    let config = DetectorConfig {
+        window: args.window,
+        channels,
+        warmup: args.warmup,
+        initial_epochs: 10,
+        fine_tune_epochs: 1,
+    };
+    BuildParams::new(config)
+        .with_capacity(args.capacity)
+        .with_score(args.score)
+        .with_seed(args.seed)
 }
 
 fn main() -> ExitCode {
@@ -337,13 +363,27 @@ fn main() -> ExitCode {
         eprintln!("no input file (try --help)");
         return ExitCode::FAILURE;
     };
-    let series = match load_csv(path) {
+    let mut series = match load_csv(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failed to load {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
+    // The engine's rule for a non-finite frame: such a row reaches no
+    // window, training set or drift test, where one NaN would poison
+    // every later fine-tune.
+    let finite = |s: &[f64]| s.iter().all(|v| v.is_finite());
+    if let Some(first) = series.data.iter().position(|s| !finite(s)) {
+        let rows = series.len();
+        let labels = std::mem::take(&mut series.labels);
+        let pairs = std::mem::take(&mut series.data).into_iter().zip(labels);
+        (series.data, series.labels) = pairs.filter(|(s, _)| finite(s)).unzip();
+        eprintln!(
+            "dropped {} row(s) holding a NaN or infinite value, the first at row {first}",
+            rows - series.len()
+        );
+    }
     if series.len() <= args.warmup {
         eprintln!(
             "series has {} steps but warm-up needs more than {} (use --warmup)",
@@ -354,9 +394,6 @@ fn main() -> ExitCode {
     }
 
     let spec = specs[args.algo];
-    if let Some(n) = args.fleet {
-        return run_fleet(&args, spec, &series, n);
-    }
     eprintln!(
         "running {} on {} ({} steps x {} channels), w={}, warm-up {}",
         spec.label(),
@@ -366,18 +403,7 @@ fn main() -> ExitCode {
         args.window,
         args.warmup
     );
-    let config = DetectorConfig {
-        window: args.window,
-        channels: series.channels(),
-        warmup: args.warmup,
-        initial_epochs: 10,
-        fine_tune_epochs: 1,
-    };
-    let params = BuildParams::new(config)
-        .with_capacity(args.capacity)
-        .with_score(args.score)
-        .with_seed(args.seed);
-    let mut detector = build_detector(spec, &params);
+    let mut detector = build_detector(spec, &build_params(&args, series.channels()));
     let (scores, offset) = detector.score_series(&series.data);
 
     // Detections: maximal runs of scores above the threshold.
@@ -420,33 +446,6 @@ fn main() -> ExitCode {
         outln!("  PR-AUC {auc:.3}   VUS-PR {vus:.3}   NAB (at --threshold) {nab:.3}");
     }
     ExitCode::SUCCESS
-}
-
-/// Deterministic ±1e-3 jitter for stream `i` at step `t`, channel `c`;
-/// stream 0 carries the file verbatim. SplitMix64-style hash so reruns
-/// reproduce without a RNG dependency in the binary.
-fn jitter(i: usize, t: usize, c: usize) -> f64 {
-    if i == 0 {
-        return 0.0;
-    }
-    let mut h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (t as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
-        ^ (c as u64).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e-3
-}
-
-/// Round-latency histogram for the CLI report: log-scale from 1 µs to 16 s
-/// at quarter-octave resolution (bounds grow by 2^¼ ≈ 19%), fine enough
-/// that the interpolated p50/p99 track exact sorted-sample percentiles.
-fn latency_histogram() -> Histogram {
-    let mut bounds = vec![1e-6];
-    while *bounds.last().unwrap() < 16.0 {
-        bounds.push(bounds.last().unwrap() * std::f64::consts::SQRT_2.sqrt());
-    }
-    Histogram::new(bounds)
 }
 
 /// Writes a registry snapshot as JSON to `path`; reports failure on stderr
@@ -519,17 +518,7 @@ fn run_serve(args: &Args, spec: AlgorithmSpec) -> ExitCode {
     }
     // Channel count is a placeholder: the template stamps each stream's
     // real width from its first frame.
-    let config = DetectorConfig {
-        window: args.window,
-        channels: 1,
-        warmup: args.warmup,
-        initial_epochs: 10,
-        fine_tune_epochs: 1,
-    };
-    let params = BuildParams::new(config)
-        .with_capacity(args.capacity)
-        .with_score(args.score)
-        .with_seed(args.seed);
+    let template = DetectorTemplate::new(spec, build_params(args, 1));
     let fleet_config = FleetConfig {
         shards: args.shards,
         batching: !args.no_batch,
@@ -543,7 +532,7 @@ fn run_serve(args: &Args, spec: AlgorithmSpec) -> ExitCode {
         idle_rounds: args.idle_rounds,
         max_streams: args.max_streams,
     };
-    let mut engine = IngestEngine::new(DetectorTemplate::new(spec, params), fleet_config, engine_config);
+    let mut engine = IngestEngine::new(template, fleet_config, engine_config);
     let mut sink = ServeSink {
         threshold: args.threshold,
         every: args.metrics_every.map(|n| n as u64),
@@ -661,107 +650,4 @@ fn serve_listener(args: &Args, engine: &mut IngestEngine, sink: &mut ServeSink) 
             return clean;
         }
     }
-}
-
-/// `--fleet N`: fan the series into `N` streams (stream 0 verbatim, the
-/// rest jittered after warm-up so every detector fits identical weights
-/// and stays in one batching cohort) and report serving throughput.
-fn run_fleet(args: &Args, spec: AlgorithmSpec, series: &LabeledSeries, n: usize) -> ExitCode {
-    let batching = !args.no_batch;
-    eprintln!(
-        "fleet: {} x {} streams on {} ({} steps x {} channels), {} shard(s), batching {}{}",
-        spec.label(),
-        n,
-        series.name,
-        series.len(),
-        series.channels(),
-        args.shards,
-        if batching { "on" } else { "off" },
-        if batching && args.f32_infer { " (f32 inference)" } else { "" },
-    );
-    let config = DetectorConfig {
-        window: args.window,
-        channels: series.channels(),
-        warmup: args.warmup,
-        initial_epochs: 10,
-        fine_tune_epochs: 1,
-    };
-    let params = BuildParams::new(config)
-        .with_capacity(args.capacity)
-        .with_score(args.score)
-        .with_seed(args.seed);
-    let detectors = (0..n).map(|_| build_detector(spec, &params)).collect();
-    let fleet_config = FleetConfig {
-        shards: args.shards,
-        batching,
-        parallel: false,
-        queue_capacity: 4,
-        f32_infer: args.f32_infer,
-        telemetry: true,
-    };
-    let mut fleet = DetectorFleet::new(detectors, fleet_config);
-
-    let mut out = Vec::new();
-    let mut buf = vec![0.0; series.channels()];
-    // Round latency measured at the CLI boundary (enqueue excluded) through
-    // the shared histogram type — p50/p99 come from the same interpolation
-    // the fleet's own per-shard round histograms use.
-    let mut latency = latency_histogram();
-    let mut total_ns = 0u64;
-    for (t, s) in series.data.iter().enumerate() {
-        for i in 0..n {
-            for (c, &v) in s.iter().enumerate() {
-                buf[c] = v + if t >= args.warmup { jitter(i, t, c) } else { 0.0 };
-            }
-            assert!(fleet.enqueue(i, &buf), "one vector per round cannot fill a queue");
-        }
-        let start = Instant::now();
-        fleet.drain_round(&mut out);
-        let elapsed = start.elapsed();
-        latency.record(elapsed.as_secs_f64());
-        total_ns += elapsed.as_nanos() as u64;
-        if let Some(every) = args.metrics_every {
-            if (t + 1) % every == 0 {
-                let s = fleet.stats();
-                eprintln!(
-                    "[metrics] round {}: {} steps, {} batched rows, {} rebuilds, \
-                     p50 {:.1} us, p99 {:.1} us",
-                    t + 1,
-                    s.steps,
-                    s.batched_rows,
-                    s.cohort_rebuilds,
-                    latency.quantile(0.50) * 1e6,
-                    latency.quantile(0.99) * 1e6,
-                );
-            }
-        }
-    }
-
-    let stats = fleet.stats();
-    let steps_per_sec = stats.steps as f64 / (total_ns.max(1) as f64 / 1e9);
-    outln!(
-        "served {} detector steps: {} batched rows in {} shared passes ({} f32), {} scalar",
-        stats.steps, stats.batched_rows, stats.batches, stats.f32_rows, stats.scalar_steps,
-    );
-    outln!("cohort rebuilds: {}", stats.cohort_rebuilds);
-    outln!("throughput: {:.0} steps/s over {} rounds", steps_per_sec, latency.count());
-    outln!(
-        "round latency: p50 {:.1} us, p99 {:.1} us",
-        latency.quantile(0.50) * 1e6,
-        latency.quantile(0.99) * 1e6,
-    );
-    if let Some(path) = &args.metrics_json {
-        // Fleet serving + aggregated detector lifecycle, plus the
-        // CLI-boundary round latency under its own name.
-        let mut reg = fleet.export_metrics();
-        reg.register_histogram(
-            "sad_cli_round_seconds",
-            "drain_round latency measured at the CLI boundary.",
-            latency,
-        );
-        if !write_metrics_json(path, &reg) {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }

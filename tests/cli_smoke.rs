@@ -1,7 +1,7 @@
 //! End-to-end smoke tests for the `streamad` binary: the `--list` table
 //! (header carries the run settings), the out-of-range `--algo` UX (show
-//! the whole table, not just the bound), detector settings rejected at
-//! startup, a plain detection run, the `--fleet` serving mode and `serve`.
+//! the whole table, not just the bound), settings rejected at startup, a
+//! plain detection run, and `serve` over stdin and TCP.
 
 use std::fmt::Write as _;
 use std::io::Read;
@@ -128,6 +128,49 @@ fn non_finite_threshold_is_rejected_at_startup() {
     std::fs::remove_file(&wire).ok();
 }
 
+/// An empty training set fails at startup instead of panicking when the
+/// first detector is built: in a file run, and in `serve`, where the
+/// panic would come with the first admitted frame and end the server.
+#[test]
+fn zero_capacity_is_rejected_at_startup() {
+    let csv = write_csv("capacity", 320);
+    let path = csv.to_str().unwrap();
+    let run = [path, "--algo", "0", "--window", "6", "--warmup", "80", "--capacity", "0"];
+    assert_rejected_at_startup(&run, &csv, "--capacity");
+    let wire = write_wire_csv("capacity", 100);
+    let serve = ["serve", "--stdin", "--csv", "--algo", "0", "--capacity", "0"];
+    assert_rejected_at_startup(&serve, &wire, "--capacity");
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_file(&wire).ok();
+}
+
+/// A file run reads none of the serving flags, so it rejects each of them
+/// instead of running without it.
+#[test]
+fn a_serving_flag_in_a_file_run_is_rejected_at_startup() {
+    let csv = write_csv("serveflag", 320);
+    let path = csv.to_str().unwrap();
+    let flags: [&[&str]; 12] = [
+        &["--shards", "4"],
+        &["--no-batch"],
+        &["--f32-infer"],
+        &["--metrics-every", "5"],
+        &["--listen", "127.0.0.1:0"],
+        &["--stdin"],
+        &["--csv"],
+        &["--policy", "block"],
+        &["--idle-rounds", "2"],
+        &["--max-streams", "8"],
+        &["--queue-cap", "4"],
+        &["--max-conns", "1"],
+    ];
+    for flag in flags {
+        let run = [&[path, "--algo", "0", "--window", "6", "--warmup", "80"], flag].concat();
+        assert_rejected_at_startup(&run, &csv, flag[0]);
+    }
+    std::fs::remove_file(&csv).ok();
+}
+
 #[test]
 fn detection_run_reports_detections_and_metrics() {
     let csv = write_csv("run", 320);
@@ -141,89 +184,6 @@ fn detection_run_reports_detections_and_metrics() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("detections"), "detection report present: {stdout}");
     assert!(stdout.contains("metrics vs ground truth"), "labelled CSV yields metrics: {stdout}");
-}
-
-#[test]
-fn fleet_mode_reports_throughput_and_batched_rows() {
-    let csv = write_csv("fleet", 220);
-    let out = streamad()
-        .arg(&csv)
-        .args(["--algo", "6", "--window", "6", "--warmup", "80", "--capacity", "16"])
-        .args(["--fleet", "6", "--shards", "2"])
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&csv).ok();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("batched rows"), "serving breakdown present: {stdout}");
-    assert!(stdout.contains("throughput:"), "throughput line present: {stdout}");
-    assert!(stdout.contains("round latency: p50"), "latency percentiles present: {stdout}");
-    // 220 steps x 6 streams, every vector served exactly once.
-    assert!(stdout.contains("served 1320 detector steps"), "step accounting: {stdout}");
-}
-
-#[test]
-fn fleet_f32_infer_serves_batched_rows_through_snapshots() {
-    let csv = write_csv("f32infer", 220);
-    let out = streamad()
-        .arg(&csv)
-        .args(["--algo", "6", "--window", "6", "--warmup", "80", "--capacity", "16"])
-        .args(["--fleet", "6", "--f32-infer"])
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&csv).ok();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    let line = stdout
-        .lines()
-        .find(|l| l.contains("batched rows"))
-        .unwrap_or_else(|| panic!("serving breakdown present: {stdout}"));
-    // "… N batched rows in P shared passes (F f32), S scalar" — every
-    // batched row must have gone through an f32 snapshot.
-    let batched: usize = line
-        .split(" batched rows")
-        .next()
-        .and_then(|s| s.rsplit(' ').next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("batched row count parses: {line}"));
-    let f32_rows: usize = line
-        .split(" f32)")
-        .next()
-        .and_then(|s| s.rsplit('(').next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("f32 row count parses: {line}"));
-    assert!(batched > 0, "identical streams must batch: {line}");
-    assert_eq!(f32_rows, batched, "--f32-infer serves every batched row as f32: {line}");
-}
-
-#[test]
-fn fleet_metrics_json_counts_every_step_and_periodic_report_hits_stderr() {
-    let csv = write_csv("metrics", 220);
-    let json_path = std::env::temp_dir()
-        .join(format!("streamad-cli-smoke-metrics-{}.json", std::process::id()));
-    let out = streamad()
-        .arg(&csv)
-        .args(["--algo", "6", "--window", "6", "--warmup", "80", "--capacity", "16"])
-        .args(["--fleet", "6", "--shards", "2"])
-        .args(["--metrics-json", json_path.to_str().unwrap(), "--metrics-every", "100"])
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&csv).ok();
-    let json = std::fs::read_to_string(&json_path).expect("--metrics-json wrote the snapshot");
-    std::fs::remove_file(&json_path).ok();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    // 220 steps x 6 streams through the per-shard serving registries.
-    assert!(json.contains("\"sad_fleet_steps_total\": 1320"), "step counter: {json}");
-    // Aggregated detector lifecycle rides along in the same snapshot —
-    // lifecycle steps count scored steps only: 6 x (220 - 80 warm-up).
-    assert!(json.contains("\"sad_detector_steps_total\": 840"), "lifecycle counter: {json}");
-    assert!(json.contains("\"sad_detector_warmup_completions_total\": 6"), "warm-ups: {json}");
-    assert!(json.contains("\"sad_cli_round_seconds\""), "CLI latency histogram: {json}");
-    // 220 rounds with --metrics-every 100 → reports at rounds 100 and 200.
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("[metrics] round 100:"), "periodic report: {stderr}");
-    assert!(stderr.contains("[metrics] round 200:"), "periodic report: {stderr}");
-    assert!(!stderr.contains("[metrics] round 220:"), "only every Nth round reports: {stderr}");
 }
 
 #[test]
@@ -248,22 +208,52 @@ fn single_run_metrics_json_exports_lifecycle_and_stderr_shows_drift_state() {
     assert!(stderr.contains("removal miss(es)"), "drift-state debug line: {stderr}");
 }
 
+/// A NaN row in a file is dropped with its label before the detector
+/// runs, the way `serve` drops a NaN frame, so the report equals the one
+/// for the file without that row. Admitted, the NaN would enter the
+/// training set and the next fine-tune would turn the weights of a neural
+/// model (USAD, the default, and AE) into NaN for the rest of the run.
 #[test]
-fn fleet_no_batch_serves_scalar_only() {
-    let csv = write_csv("nobatch", 160);
-    let out = streamad()
-        .arg(&csv)
-        .args(["--algo", "6", "--window", "6", "--warmup", "80", "--capacity", "16"])
-        .args(["--fleet", "3", "--no-batch"])
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&csv).ok();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        stdout.contains("0 batched rows in 0 shared passes (0 f32), 480 scalar"),
-        "batching off serves everything scalar: {stdout}",
-    );
+fn file_run_drops_a_nan_row_and_reports_as_without_it() {
+    let clean = write_csv("nanrow", 1500);
+    let text = std::fs::read_to_string(&clean).expect("temp CSV reads");
+    std::fs::remove_file(&clean).ok();
+    // Line 0 is the header, so line 701 is row t = 700.
+    let lines: Vec<&str> = text.lines().collect();
+    let mut fields: Vec<&str> = lines[701].split(',').collect();
+    fields[1] = "NaN";
+    let nan_row = fields.join(",");
+    let with_nan = [&lines[..701], &[nan_row.as_str()], &lines[702..]].concat().join("\n");
+    let without = [&lines[..701], &lines[702..]].concat().join("\n");
+    let dir = std::env::temp_dir();
+    let nan_csv = dir.join(format!("streamad-cli-smoke-nanrow-{}.csv", std::process::id()));
+    let cut_csv = dir.join(format!("streamad-cli-smoke-nancut-{}.csv", std::process::id()));
+    std::fs::write(&nan_csv, with_nan + "\n").expect("temp CSV is writable");
+    std::fs::write(&cut_csv, without + "\n").expect("temp CSV is writable");
+    for algo in ["12", "6"] {
+        let run = |csv: &std::path::Path| {
+            streamad()
+                .arg(csv)
+                .args(["--algo", algo, "--window", "10", "--warmup", "300", "--threshold", "0.9"])
+                .output()
+                .expect("binary runs")
+        };
+        let (nan, cut) = (run(&nan_csv), run(&cut_csv));
+        let stderr = String::from_utf8_lossy(&nan.stderr);
+        assert!(nan.status.success() && cut.status.success(), "--algo {algo}: {stderr}");
+        let stdout = String::from_utf8(nan.stdout).unwrap();
+        assert_eq!(stdout, String::from_utf8(cut.stdout).unwrap(), "--algo {algo}");
+        let late = stdout
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("t = ")?.split_once("..")?.0.parse().ok())
+            .filter(|&start: &usize| start > 700)
+            .count();
+        assert!(late > 0, "--algo {algo}: detections after the NaN row: {stdout}");
+        let note = "dropped 1 row(s) holding a NaN or infinite value, the first at row 700";
+        assert!(stderr.contains(note), "--algo {algo}: {stderr}");
+    }
+    std::fs::remove_file(&nan_csv).ok();
+    std::fs::remove_file(&cut_csv).ok();
 }
 
 /// A binary frame file replaying `streams` interleaved sine streams of
@@ -313,6 +303,94 @@ fn serve_stdin_admits_streams_and_flushes_metrics() {
     assert!(json.contains("\"sad_ingest_frames_total\": 600"), "engine counter: {json}");
     assert!(json.contains("\"sad_fleet_steps_total\": 600"), "fleet counter: {json}");
     assert!(json.contains("\"sad_fleet_admitted_total\": 3"), "admission counter: {json}");
+}
+
+/// Serves `streams` identical replicas of a `len`-step labelled CSV
+/// through `serve --stdin` (AE, window 6, warm-up 80, capacity 16) with
+/// `flags`, and returns the output and the `--metrics-json` snapshot. The
+/// replicas are interleaved binary frames under ids `0..streams`, as
+/// `examples/serve_client.rs` replays a file: every detector fits the same
+/// weights, so the fleet serves them as one batching cohort.
+fn serve_replicas(name: &str, streams: usize, len: usize, flags: &[&str]) -> (Output, String) {
+    use streamad::ingest::{replay_interleaved, FrameWriter, Framing};
+    let csv = write_csv(name, len);
+    let series = streamad::data::csv::load_csv(&csv).expect("temp CSV loads");
+    std::fs::remove_file(&csv).ok();
+    let pairs: Vec<_> = (0..streams as u64).map(|id| (id, &series)).collect();
+    let mut writer = FrameWriter::new(Vec::new(), Framing::Binary);
+    replay_interleaved(&mut writer, &pairs).expect("in-memory encode");
+    let frames = csv.with_extension("bin");
+    std::fs::write(&frames, writer.into_inner()).expect("temp frame file is writable");
+    let json_path = csv.with_extension("json");
+    let mut cmd = streamad();
+    cmd.args(["serve", "--stdin", "--algo", "6", "--window", "6", "--warmup", "80"]);
+    cmd.args(["--capacity", "16", "--metrics-json", json_path.to_str().unwrap()]).args(flags);
+    let out = output_within(cmd, &frames, Duration::from_secs(120));
+    std::fs::remove_file(&frames).ok();
+    let json = std::fs::read_to_string(&json_path).expect("--metrics-json wrote the snapshot");
+    std::fs::remove_file(&json_path).ok();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    (out, json)
+}
+
+/// The value of counter `name` in a `--metrics-json` snapshot.
+fn counter(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    json.split(&key)
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} in the snapshot: {json}"))
+}
+
+#[test]
+fn serve_replicas_on_two_shards_step_every_frame_and_batch_rows() {
+    let (out, json) = serve_replicas("replicas", 6, 220, &["--shards", "2"]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    // 220 steps x 6 streams, every frame served exactly once.
+    assert!(stderr.contains("served 1320 frames as 1320 detector steps"), "summary: {stderr}");
+    assert!(stderr.contains(" frames/s)"), "throughput in the summary: {stderr}");
+    assert_eq!(counter(&json, "sad_fleet_shards"), 2, "{json}");
+    assert!(counter(&json, "sad_fleet_batched_rows_total") > 0, "replicas batch: {json}");
+    let rounds = json.split("\"sad_fleet_round_seconds\": ").nth(1).unwrap_or_default();
+    assert!(rounds.contains("\"p50\"") && rounds.contains("\"p99\""), "round latency: {json}");
+}
+
+#[test]
+fn serve_f32_infer_serves_every_batched_row_through_snapshots() {
+    let (_, json) = serve_replicas("f32infer", 6, 220, &["--f32-infer"]);
+    let batched = counter(&json, "sad_fleet_batched_rows_total");
+    assert!(batched > 0, "identical streams must batch: {json}");
+    assert_eq!(counter(&json, "sad_fleet_f32_rows_total"), batched, "every row as f32: {json}");
+}
+
+#[test]
+fn serve_no_batch_serves_scalar_only() {
+    let (_, json) = serve_replicas("nobatch", 3, 160, &["--no-batch"]);
+    assert_eq!(counter(&json, "sad_fleet_batched_rows_total"), 0, "{json}");
+    assert_eq!(counter(&json, "sad_fleet_batches_total"), 0, "{json}");
+    assert_eq!(counter(&json, "sad_fleet_f32_rows_total"), 0, "{json}");
+    assert_eq!(counter(&json, "sad_fleet_scalar_steps_total"), 480, "{json}");
+}
+
+#[test]
+fn serve_metrics_json_counts_every_step_and_periodic_report_hits_stderr() {
+    let flags = ["--shards", "2", "--metrics-every", "100"];
+    let (out, json) = serve_replicas("metrics", 6, 220, &flags);
+    // 220 steps x 6 streams through the per-shard serving counters.
+    assert_eq!(counter(&json, "sad_fleet_steps_total"), 1320, "{json}");
+    // Aggregated detector lifecycle rides along in the same snapshot —
+    // lifecycle steps count scored steps only: 6 x (220 - 80 warm-up).
+    assert_eq!(counter(&json, "sad_detector_steps_total"), 840, "{json}");
+    assert_eq!(counter(&json, "sad_detector_warmup_completions_total"), 6, "{json}");
+    assert!(json.contains("\"sad_fleet_round_seconds\""), "round latency histogram: {json}");
+    // One round per time step, plus the first frame's: 221 rounds with
+    // --metrics-every 100 report at rounds 100 and 200 only.
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("over 221 rounds"), "round count: {stderr}");
+    let reports: Vec<&str> = stderr.lines().filter(|l| l.starts_with("[metrics] round ")).collect();
+    assert_eq!(reports.len(), 2, "only every Nth round reports: {stderr}");
+    assert!(reports[0].starts_with("[metrics] round 100:"), "{stderr}");
+    assert!(reports[1].starts_with("[metrics] round 200:"), "{stderr}");
 }
 
 #[test]
@@ -494,4 +572,116 @@ fn serve_idle_rounds_one_keeps_two_interleaved_streams_live() {
     let verdicts = stdout.lines().filter(|l| l.starts_with("detect stream=")).count();
     // 2 streams x (900 frames - 300 warm-up).
     assert_eq!(verdicts, 1200, "one verdict per post-warm-up frame");
+}
+
+/// A child process killed on drop, so a failed assertion cannot leave a
+/// server listening.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+/// Moves lines from `lines` into `log` until one contains `want` (with
+/// `None`, until the sender hangs up), failing the test at `deadline`.
+fn read_until(
+    lines: &std::sync::mpsc::Receiver<String>,
+    log: &mut Vec<String>,
+    want: Option<&str>,
+    deadline: Instant,
+) {
+    use std::sync::mpsc::RecvTimeoutError;
+    loop {
+        match lines.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(line) => {
+                let hit = want.is_some_and(|w| line.contains(w));
+                log.push(line);
+                if hit {
+                    return;
+                }
+            }
+            Err(RecvTimeoutError::Disconnected) if want.is_none() => return,
+            Err(e) => panic!("waiting for {want:?}: {e}; stderr so far: {log:#?}"),
+        }
+    }
+}
+
+/// `serve --listen` binds an ephemeral port and names it on stderr, feeds
+/// sequential connections into one engine, flushes the snapshot after
+/// each, and exits after `--max-conns`. Stream 0's 100 frames arrive over
+/// two connections and its 60-frame warm-up spans both, so a detector
+/// rebuilt per connection would print no verdict at all.
+#[test]
+fn serve_listen_keeps_detectors_across_connections_and_exits_after_max_conns() {
+    use std::io::{BufRead, Write};
+    use streamad::ingest::{FrameWriter, Framing};
+    let json_path = std::env::temp_dir()
+        .join(format!("streamad-cli-smoke-listen-{}.json", std::process::id()));
+    let mut server = KillOnDrop(
+        streamad()
+            .args(["serve", "--listen", "127.0.0.1:0", "--max-conns", "2", "--threshold", "0"])
+            .args(["--window", "6", "--warmup", "60", "--capacity", "16"])
+            .args(["--metrics-json", json_path.to_str().unwrap()])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs"),
+    );
+    let mut stdout = server.0.stdout.take().expect("piped stdout");
+    let stdout = std::thread::spawn(move || {
+        let mut text = String::new();
+        stdout.read_to_string(&mut text).expect("stdout reads");
+        text
+    });
+    let stderr = std::io::BufReader::new(server.0.stderr.take().expect("piped stderr"));
+    let (tx, lines) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in stderr.lines() {
+            if tx.send(line.expect("stderr reads")).is_err() {
+                break;
+            }
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut log = Vec::new();
+    read_until(&lines, &mut log, Some("listening on "), deadline);
+    let addr: std::net::SocketAddr = log[log.len() - 1]
+        .split("listening on ")
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("bound address on stderr: {log:?}"));
+    for (conn, steps) in [(1, 0..40), (2, 40..100)] {
+        let mut writer = FrameWriter::new(Vec::new(), Framing::Binary);
+        for t in steps {
+            let x = t as f64 * 0.09;
+            writer.send(0, &[x.sin(), (x * 0.63).cos()]).expect("in-memory encode");
+        }
+        let mut socket = std::net::TcpStream::connect(addr).expect("server accepts");
+        socket.write_all(&writer.into_inner()).expect("frames sent");
+        drop(socket);
+        read_until(&lines, &mut log, Some(&format!("connection {conn} from")), deadline);
+        assert!(log[log.len() - 1].ends_with("drained cleanly"), "{log:?}");
+        read_until(&lines, &mut log, Some("metrics -> "), deadline);
+        if conn == 1 {
+            let json = std::fs::read_to_string(&json_path).expect("snapshot after connection 1");
+            assert_eq!(counter(&json, "sad_ingest_frames_total"), 40, "{json}");
+        }
+    }
+    read_until(&lines, &mut log, None, deadline);
+    let status = server.0.wait().expect("server exits");
+    let json = std::fs::read_to_string(&json_path).expect("final snapshot");
+    std::fs::remove_file(&json_path).ok();
+    assert!(status.success(), "exit after --max-conns 2: {log:#?}");
+    assert_eq!(log.iter().filter(|l| l.ends_with("drained cleanly")).count(), 2, "{log:#?}");
+    assert!(log.iter().any(|l| l.starts_with("streams: 1 admitted,")), "{log:#?}");
+    assert_eq!(counter(&json, "sad_ingest_frames_total"), 100, "{json}");
+    assert_eq!(counter(&json, "sad_fleet_admitted_total"), 1, "{json}");
+    let stdout = stdout.join().expect("stdout drained");
+    // --threshold 0 prints every post-warm-up verdict: 100 - 60.
+    let verdicts = stdout.lines().filter(|l| l.starts_with("detect stream=0 ")).count();
+    assert_eq!(verdicts, 40, "{stdout}");
 }
