@@ -21,7 +21,7 @@
 
 use crate::repr::FeatureVector;
 use crate::strategy::SetUpdate;
-use sad_stats::{ks_critical_value, ks_statistic_sorted, OpCount, VectorRunningStats};
+use sad_stats::{ks_critical_value, ks_statistic_runs, OpCount, RunMultiset, VectorRunningStats};
 
 /// A Task-2 strategy: decides at every step whether the model should be
 /// fine-tuned on the current training set.
@@ -208,19 +208,30 @@ impl DriftDetector for MuSigmaChange {
 ///
 /// Each channel's sample is the multiset of all `m·w` values that channel
 /// contributes to the training set. Both the snapshot and the live set are
-/// kept as sorted arrays; live updates insert/remove via binary search —
-/// the very operation the paper's Table II charges the
-/// `(1+4m)Nw·log₂(mw)` comparison term for.
+/// kept as [`RunMultiset`]s, distinct values with their multiplicities: a
+/// sliding training set holds only `m + w − 1` distinct time points per
+/// channel, so an update touches the runs of its values and the test walks
+/// that many runs instead of `m·w` sorted values. The tallies in
+/// [`DriftDetector::ops`] stay those of the paper's per-element algorithm
+/// (Table II's `(1+4m)Nw·log₂(mw)` comparison term).
+///
+/// The statistic depends on the two multisets alone, so while neither has
+/// changed since the last test (a reservoir that rejected every vector
+/// since), the detector returns that test's verdict again and charges the
+/// operations it cost.
 #[derive(Debug, Clone)]
 pub struct KswinDetector {
     alpha: f64,
     stride: usize,
     since_check: usize,
-    snapshot: Vec<Vec<f64>>,
-    current: Vec<Vec<f64>>,
+    snapshot: Vec<RunMultiset>,
+    current: Vec<RunMultiset>,
+    /// The last test's verdict and tally while both multisets still hold
+    /// what it tested.
+    last_test: Option<(bool, OpCount)>,
     ops: OpCount,
     /// Count of removal requests for values not actually present in the
-    /// sorted multiset (see [`Self::removal_misses`]).
+    /// channel multiset (see [`Self::removal_misses`]).
     removal_misses: u64,
 }
 
@@ -246,13 +257,14 @@ impl KswinDetector {
             since_check: 0,
             snapshot: Vec::new(),
             current: Vec::new(),
+            last_test: None,
             ops: OpCount::default(),
             removal_misses: 0,
         }
     }
 
     /// How many times a caller asked to remove a value that was not in the
-    /// sorted multiset. Always 0 when the detector is driven by a
+    /// channel multiset. Always 0 when the detector is driven by a
     /// well-behaved Task-1 strategy (every `Replaced.removed` vector was
     /// previously inserted verbatim); a non-zero count flags a strategy
     /// bug without corrupting the multiset (the bogus removal is skipped).
@@ -260,76 +272,45 @@ impl KswinDetector {
         self.removal_misses
     }
 
-    fn ensure_channels(&mut self, n: usize) {
-        if self.current.len() != n {
-            self.current = vec![Vec::new(); n];
+    /// Removes `removed`'s values from each channel multiset and inserts
+    /// `x`'s.
+    fn update(&mut self, removed: Option<&FeatureVector>, x: &FeatureVector) {
+        if self.current.len() != x.n() {
+            self.current = vec![RunMultiset::default(); x.n()];
         }
-    }
-
-    /// Whether `v` sorts before `value` in a channel multiset: ascending,
-    /// with NaN last (plain `<` on NaN-free values). A NaN inserted by `<`
-    /// alone would land at the front and make later binary searches place
-    /// numbers out of order.
-    fn sorts_before(v: f64, value: f64) -> bool {
-        v < value || (value.is_nan() && !v.is_nan())
-    }
-
-    fn insert_sorted(channel: &mut Vec<f64>, value: f64, ops: &mut OpCount) {
-        let idx = channel.partition_point(|&v| Self::sorts_before(v, value));
-        ops.comparisons += (channel.len().max(2) as f64).log2().ceil() as u64;
-        channel.insert(idx, value);
-    }
-
-    /// Removes one occurrence of `value` from the sorted channel; returns
-    /// `false` when the value is genuinely absent.
-    ///
-    /// The value was previously inserted verbatim, so exact float equality
-    /// holds on the fast path. A miss used to `debug_assert!(false)` —
-    /// which silently *skipped or corrupted nothing but hid the bug* in
-    /// release builds; it now degrades to a bit-pattern scan (covers
-    /// orderings `partition_point` cannot see, e.g. NaN payloads) and
-    /// reports the outcome so the caller can log and count the anomaly
-    /// instead of silently desynchronizing the multiset.
-    fn remove_sorted(channel: &mut Vec<f64>, value: f64, ops: &mut OpCount) -> bool {
-        let idx = channel.partition_point(|&v| Self::sorts_before(v, value));
-        ops.comparisons += (channel.len().max(2) as f64).log2().ceil() as u64;
-        if idx < channel.len() && channel[idx] == value {
-            channel.remove(idx);
-            return true;
-        }
-        if let Some(pos) = channel.iter().position(|v| v.to_bits() == value.to_bits()) {
-            channel.remove(pos);
-            return true;
-        }
-        false
-    }
-
-    fn add_feature_vector(&mut self, x: &FeatureVector) {
         let mut ops = OpCount::default();
-        for j in 0..x.n() {
-            for i in 0..x.w() {
-                Self::insert_sorted(&mut self.current[j], x.step(i)[j], &mut ops);
+        for (j, channel) in self.current.iter_mut().enumerate() {
+            let gone = removed.into_iter().flat_map(|r| r.channel_iter(j));
+            let misses = channel.update(gone, x.channel_iter(j), &mut ops);
+            if misses > 0 && self.removal_misses == 0 {
+                eprintln!(
+                    "sad-core: KSWIN was asked to remove a value not present in \
+                     channel {j}; skipping (multiset left intact, logged once)"
+                );
             }
+            self.removal_misses += misses;
         }
         self.ops += ops;
+        self.last_test = None;
     }
 
-    fn remove_feature_vector(&mut self, x: &FeatureVector) {
+    /// Tests every channel; returns the verdict and what the test cost.
+    fn test(&self) -> (bool, OpCount) {
         let mut ops = OpCount::default();
-        for j in 0..x.n() {
-            for i in 0..x.w() {
-                if !Self::remove_sorted(&mut self.current[j], x.step(i)[j], &mut ops) {
-                    if self.removal_misses == 0 {
-                        eprintln!(
-                            "sad-core: KSWIN was asked to remove a value not present in \
-                             channel {j}; skipping (multiset left intact, logged once)"
-                        );
-                    }
-                    self.removal_misses += 1;
-                }
+        for (snap, cur) in self.snapshot.iter().zip(&self.current) {
+            if snap.is_empty() || cur.is_empty() {
+                continue;
+            }
+            let dist = ks_statistic_runs(snap, cur, Some(&mut ops));
+            // Repeated-testing correction of Raab et al.: α* = α / r.
+            let alpha_star = (self.alpha / cur.len() as f64).max(f64::MIN_POSITIVE);
+            let critical = ks_critical_value(alpha_star, snap.len(), cur.len());
+            ops.comparisons += 1;
+            if dist > critical {
+                return (true, ops);
             }
         }
-        self.ops += ops;
+        (false, ops)
     }
 }
 
@@ -343,13 +324,9 @@ impl DriftDetector for KswinDetector {
     }
 
     fn observe(&mut self, x: &FeatureVector, update: &SetUpdate, _train: &[FeatureVector]) -> bool {
-        self.ensure_channels(x.n());
         match update {
-            SetUpdate::Appended => self.add_feature_vector(x),
-            SetUpdate::Replaced { removed } => {
-                self.remove_feature_vector(removed);
-                self.add_feature_vector(x);
-            }
+            SetUpdate::Appended => self.update(None, x),
+            SetUpdate::Replaced { removed } => self.update(Some(removed), x),
             SetUpdate::Unchanged => {}
         }
         if self.snapshot.is_empty() {
@@ -360,30 +337,16 @@ impl DriftDetector for KswinDetector {
             return false;
         }
         self.since_check = 0;
-
-        let mut ops = OpCount::default();
-        let mut drift = false;
-        for (snap, cur) in self.snapshot.iter().zip(&self.current) {
-            if snap.is_empty() || cur.is_empty() {
-                continue;
-            }
-            let dist = ks_statistic_sorted(snap, cur, Some(&mut ops));
-            // Repeated-testing correction of Raab et al.: α* = α / r.
-            let alpha_star = (self.alpha / cur.len() as f64).max(f64::MIN_POSITIVE);
-            let critical = ks_critical_value(alpha_star, snap.len(), cur.len());
-            ops.comparisons += 1;
-            if dist > critical {
-                drift = true;
-                break;
-            }
-        }
+        let (drift, ops) = self.last_test.unwrap_or_else(|| self.test());
+        self.last_test = Some((drift, ops));
         self.ops += ops;
         drift
     }
 
     fn on_fine_tune(&mut self, _train: &[FeatureVector]) {
-        self.snapshot = self.current.clone();
+        self.snapshot.clone_from(&self.current);
         self.since_check = 0;
+        self.last_test = None;
     }
 
     fn ops(&self) -> OpCount {
@@ -554,9 +517,22 @@ mod tests {
         let _ = KswinDetector::new(1.5);
     }
 
-    /// The incrementally maintained per-channel arrays must always equal
-    /// the actual training-set contents, sorted — through appends, sliding
-    /// replacements and reservoir-style rejections.
+    /// `a` and `b` hold the same elements in the same order: equal under
+    /// `==`, or both NaN.
+    fn same_elements(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
+    }
+
+    /// The channel's elements sorted ascending, NaNs last: the array the
+    /// runs stand for.
+    fn sorted(mut values: Vec<f64>) -> Vec<f64> {
+        values.sort_by(|a, b| a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(b)));
+        values
+    }
+
+    /// The incrementally maintained per-channel runs, expanded, must always
+    /// equal the actual training-set contents, sorted — through appends,
+    /// sliding replacements and reservoir-style rejections.
     #[test]
     fn kswin_sorted_arrays_track_training_set_exactly() {
         use crate::strategy::UniformReservoir;
@@ -572,21 +548,15 @@ mod tests {
             det.observe(&x, &update, strat.training_set());
 
             for j in 0..2 {
-                let mut expected: Vec<f64> = strat
-                    .training_set()
-                    .iter()
-                    .flat_map(|fv| fv.channel_iter(j))
-                    .collect();
-                expected.sort_by(f64::total_cmp);
-                assert_eq!(
-                    det.current[j], expected,
-                    "channel {j} diverged at t={t}"
-                );
+                let expected =
+                    sorted(strat.training_set().iter().flat_map(|fv| fv.channel_iter(j)).collect());
+                let got: Vec<f64> = det.current[j].iter().collect();
+                assert_eq!(got, expected, "channel {j} diverged at t={t}");
             }
         }
     }
 
-    /// After `on_fine_tune` the snapshot equals the live arrays, so the
+    /// After `on_fine_tune` the snapshot equals the live runs, so the
     /// immediate next test cannot reject.
     #[test]
     fn kswin_snapshot_resets_comparison() {
@@ -632,12 +602,9 @@ mod tests {
 
         // Every channel gained exactly the incoming values and lost none.
         for (j, channel) in det.current.iter().enumerate() {
-            let mut expected = before[j].clone();
-            for i in 0..incoming.w() {
-                expected.push(incoming.step(i)[j]);
-            }
-            expected.sort_by(f64::total_cmp);
-            assert_eq!(channel, &expected, "channel {j} must stay a coherent multiset");
+            let expected = sorted(before[j].iter().chain(incoming.channel_iter(j)).collect());
+            let got: Vec<f64> = channel.iter().collect();
+            assert_eq!(got, expected, "channel {j} must stay a coherent multiset");
         }
 
         // A well-formed removal afterwards still works.
@@ -646,27 +613,13 @@ mod tests {
         assert_eq!(det.removal_misses(), 8, "valid removal adds no misses");
     }
 
-    /// The degraded scan finds bit-identical values even when
-    /// `partition_point` cannot (NaN sorts nowhere in `<` order).
-    #[test]
-    fn kswin_remove_sorted_falls_back_to_bit_scan() {
-        let mut ops = OpCount::default();
-        let mut channel = vec![1.0, 2.0, f64::NAN, 3.0];
-        assert!(KswinDetector::remove_sorted(&mut channel, f64::NAN, &mut ops));
-        assert_eq!(channel.iter().filter(|v| v.is_nan()).count(), 0);
-        assert_eq!(channel.len(), 3);
-        assert!(!KswinDetector::remove_sorted(&mut channel, 9.0, &mut ops));
-        assert_eq!(channel.len(), 3);
-    }
-
-    /// NaN sorts last in the channel multisets, so the binary-search
-    /// inserts keep the numbers in order around it, and the multisets are
-    /// NaN-free and sorted again once the NaN slides out of the window.
+    /// A NaN joins the channel's NaN tail, the numbers keep strictly
+    /// ascending runs around it, and the multisets hold no NaN again once it
+    /// slides out of the window.
     #[test]
     fn kswin_channels_stay_sorted_through_a_nan() {
         let mut det = KswinDetector::new(0.01);
         let mut strat = SlidingWindowSet::new(5);
-        let nan_last = |c: &[f64]| c.windows(2).all(|p| p[0] <= p[1] || p[1].is_nan());
         for t in 0..30 {
             let x = fv(if t == 10 { f64::NAN } else { ((t * 7) % 11) as f64 });
             let update = strat.update(&x, 0.0);
@@ -675,15 +628,18 @@ mod tests {
                 det.on_fine_tune(strat.training_set());
             }
             for c in &det.current {
-                assert!(nan_last(c), "t = {t}: {c:?}");
+                assert!(c.runs().windows(2).all(|p| p[0].value < p[1].value), "t = {t}: {c:?}");
+                let expected =
+                    sorted(strat.training_set().iter().flat_map(|fv| fv.channel_iter(0)).collect());
+                assert!(same_elements(&c.iter().collect::<Vec<_>>(), &expected), "t = {t}: {c:?}");
             }
         }
-        assert!(det.current.iter().flatten().all(|v| !v.is_nan()));
+        assert!(det.current.iter().all(|c| c.nan_count() == 0));
         assert_eq!(det.removal_misses(), 0);
     }
 
     /// The Unchanged update (reservoir rejection) must not mutate the
-    /// arrays nor count operations for insertion.
+    /// runs nor count operations for insertion.
     #[test]
     fn kswin_unchanged_update_is_free() {
         let mut det = KswinDetector::new(0.01);
@@ -698,7 +654,7 @@ mod tests {
         let ops_before = det.ops();
         let x = fv(99.0);
         let _ = det.observe(&x, &SetUpdate::Unchanged, strat.training_set());
-        assert_eq!(det.current, before, "Unchanged must not touch the arrays");
+        assert_eq!(det.current, before, "Unchanged must not touch the runs");
         // Only the KS test itself may add operations, no insertions.
         assert!(det.ops().total() >= ops_before.total());
     }

@@ -20,10 +20,20 @@
 //! which Raab et al. use. We implement the standard form and expose the raw
 //! statistic separately so callers can apply any threshold.
 //!
-//! The implementation sorts both samples and merges them with binary
-//! searches, matching the `(1+4m)·N·w·log2(mw)` comparison count the paper
-//! reports for KSWIN in Table II (the dominant log factor comes from
-//! locating each element's insertion point in the concatenated order).
+//! Each sample is held as a [`RunMultiset`]: its distinct values in
+//! ascending order, each with its multiplicity, and its NaNs counted in a
+//! tail. [`ks_statistic_runs`] walks two run lists in merged order and
+//! visits each distinct value once, however often it occurs. A KSWIN
+//! channel under a sliding training set holds `m·w` values but only
+//! `m + w − 1` distinct ones, since consecutive windows share `w − 1`
+//! steps, so its walk is that much shorter than one over sorted arrays.
+//!
+//! The [`OpCount`] tallies are those of the per-element algorithm the
+//! paper's Table II costs, whatever the runs save: an insert or removal on
+//! `n` elements charges the `⌈log₂ n⌉` comparisons of a binary search over
+//! sorted arrays (the dominant `(1+4m)·N·w·log2(mw)` term), and each walk
+//! step charges what a merge walk over sorted arrays spends on that step,
+//! each consumed run counting its multiplicity.
 
 use crate::opcount::OpCount;
 
@@ -50,93 +60,275 @@ pub fn ks_critical_value(alpha: f64, r1: usize, r2: usize) -> f64 {
     c * (((r1 + r2) as f64) / ((r1 * r2) as f64)).sqrt()
 }
 
+/// One distinct value of a [`RunMultiset`] and how often it occurs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Run {
+    /// The value; `-0.0` and `0.0` share one run, under whichever came first.
+    pub value: f64,
+    /// Its multiplicity, at least 1.
+    pub count: usize,
+}
+
+/// A multiset of `f64` held as runs: the distinct non-NaN values in
+/// ascending order, each with its multiplicity, and the NaNs counted in a
+/// tail. Values are keyed by `==`, so `-0.0` and `0.0` share a run and
+/// every NaN joins the tail, whatever its sign or payload.
+#[derive(Debug, Default)]
+pub struct RunMultiset {
+    runs: Vec<Run>,
+    nan: usize,
+    len: usize,
+    /// Values new to `runs` during an [`Self::update`], merged in at its end.
+    fresh: Vec<Run>,
+}
+
+impl RunMultiset {
+    /// The multiset of `values`.
+    pub fn from_values(values: &[f64]) -> Self {
+        let mut set = Self::default();
+        set.update([], values.iter().copied(), &mut OpCount::default());
+        set
+    }
+
+    /// Number of elements, NaNs included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the multiset holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The runs of non-NaN values, strictly ascending.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// Number of NaN elements.
+    pub fn nan_count(&self) -> usize {
+        self.nan
+    }
+
+    /// Every element in ascending order, NaNs last: the sorted array the
+    /// runs stand for.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let runs = self.runs.iter().flat_map(|r| std::iter::repeat_n(r.value, r.count));
+        runs.chain(std::iter::repeat_n(f64::NAN, self.nan))
+    }
+
+    /// Removes each of `remove`, then inserts each of `insert`, charging
+    /// `ops` the binary search of every insert and removal on sorted
+    /// arrays (`⌈log₂ n⌉` comparisons on `n` elements). Returns how many
+    /// removals found no equal element; those leave the multiset as it was.
+    ///
+    /// A removal that empties a run and an insert of a value new to the
+    /// multiset only mark or queue it; one pass at the end drops the
+    /// emptied runs and merges the new ones in, so an update costs
+    /// `O(runs + k log k)` for `k` new values rather than a shift per value.
+    pub fn update(
+        &mut self,
+        remove: impl IntoIterator<Item = f64>,
+        insert: impl IntoIterator<Item = f64>,
+        ops: &mut OpCount,
+    ) -> u64 {
+        let mut misses = 0;
+        let mut emptied = false;
+        for v in remove {
+            ops.comparisons += search_cmps(self.len);
+            let count = match self.find(v) {
+                Some(i) => &mut self.runs[i].count,
+                None if v.is_nan() => &mut self.nan,
+                None => {
+                    misses += 1;
+                    continue;
+                }
+            };
+            if *count == 0 {
+                misses += 1;
+                continue;
+            }
+            *count -= 1;
+            self.len -= 1;
+            emptied |= *count == 0 && !v.is_nan();
+        }
+        for v in insert {
+            ops.comparisons += search_cmps(self.len);
+            self.len += 1;
+            match self.find(v) {
+                Some(i) => self.runs[i].count += 1,
+                None if v.is_nan() => self.nan += 1,
+                None => self.fresh.push(Run { value: v, count: 1 }),
+            }
+        }
+        if emptied {
+            self.runs.retain(|r| r.count > 0);
+        }
+        self.merge_fresh();
+        misses
+    }
+
+    /// The run equal to `v`, emptied or not; `None` for NaN.
+    fn find(&self, v: f64) -> Option<usize> {
+        let i = self.runs.partition_point(|r| r.value < v);
+        self.runs.get(i).is_some_and(|r| r.value == v).then_some(i)
+    }
+
+    /// Merges the queued new values into `runs`, from the back so the
+    /// runs grow in place.
+    fn merge_fresh(&mut self) {
+        if self.fresh.is_empty() {
+            return;
+        }
+        self.fresh.sort_unstable_by(|a, b| a.value.total_cmp(&b.value));
+        self.fresh.dedup_by(|next, kept| {
+            let same = next.value == kept.value;
+            if same {
+                kept.count += next.count;
+            }
+            same
+        });
+        let mut old = self.runs.len();
+        self.runs.resize(old + self.fresh.len(), Run { value: 0.0, count: 0 });
+        let mut out = self.runs.len();
+        while let Some(&new) = self.fresh.last() {
+            out -= 1;
+            if old > 0 && self.runs[old - 1].value > new.value {
+                old -= 1;
+                self.runs[out] = self.runs[old];
+            } else {
+                self.runs[out] = new;
+                self.fresh.pop();
+            }
+        }
+    }
+}
+
+impl Clone for RunMultiset {
+    fn clone(&self) -> Self {
+        Self { runs: self.runs.clone(), nan: self.nan, len: self.len, fresh: Vec::new() }
+    }
+
+    /// Reuses `self`'s run buffer, so refreshing a snapshot allocates only
+    /// when the source holds more runs than the buffer ever did.
+    fn clone_from(&mut self, source: &Self) {
+        self.runs.clone_from(&source.runs);
+        self.nan = source.nan;
+        self.len = source.len;
+    }
+}
+
+impl PartialEq for RunMultiset {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs == other.runs && self.nan == other.nan
+    }
+}
+
+/// Comparisons a binary search over `n` sorted elements charges:
+/// `⌈log₂ max(n, 2)⌉`.
+fn search_cmps(n: usize) -> u64 {
+    u64::from(usize::BITS - (n.max(2) - 1).leading_zeros())
+}
+
 /// Supremum distance between the empirical CDFs of two samples.
 ///
 /// Accepts unsorted input; `O((r1+r2) log)` after sorting. Returns `0.0` if
-/// either sample is empty (no evidence of difference). An optional
+/// either sample is empty (no evidence of difference). NaNs count in a
+/// tail above every number, as in a [`RunMultiset`]. An optional
 /// [`OpCount`] accumulates the comparison/addition tallies for Table II.
 pub fn ks_statistic(a: &[f64], b: &[f64], ops: Option<&mut OpCount>) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
     let mut count = OpCount::default();
     // Sorting both arrays: ~ r log2(r) comparisons each.
-    count.comparisons += approx_sort_cmps(sa.len()) + approx_sort_cmps(sb.len());
-    let d = ks_statistic_sorted(&sa, &sb, Some(&mut count));
+    count.comparisons += approx_sort_cmps(a.len()) + approx_sort_cmps(b.len());
+    let (sa, sb) = (RunMultiset::from_values(a), RunMultiset::from_values(b));
+    let d = ks_statistic_runs(&sa, &sb, Some(&mut count));
     if let Some(o) = ops {
         *o += count;
     }
     d
 }
 
-/// [`ks_statistic`] for inputs that are already sorted ascending.
+/// [`ks_statistic`] on two run multisets: the hot path of the KSWIN drift
+/// detector, which keeps its training-set snapshots as runs.
 ///
-/// This is the hot path of the KSWIN drift detector, which maintains its
-/// training-set snapshots as incrementally sorted per-channel arrays and
-/// therefore never pays the sort.
-///
-/// Total on every input: NaN is unordered, so "sorted" means no adjacent
-/// pair in descending order, and the merge walk steps past a NaN as soon
-/// as it reaches one (see [`walked_past`]). Each pass of the walk then
-/// consumes at least one value, so it ends after at most `r1 + r2` passes
-/// wherever NaN sits in either sample. On NaN-free input the walk, its
-/// result bits and its [`OpCount`] tallies are those of the plain `≤`
-/// merge.
-pub fn ks_statistic_sorted(sa: &[f64], sb: &[f64], ops: Option<&mut OpCount>) -> f64 {
-    if sa.is_empty() || sb.is_empty() {
+/// The walk is that of a merge over the two sorted arrays the runs stand
+/// for, NaNs last. Each step takes the smaller head `x` (`f64::min`
+/// returns the non-NaN operand) and consumes, on each side, the head run
+/// if it is `≤ x`, then the NaN tail once no run is left; a NaN `x`
+/// consumes everything left. Every step consumes at least one element, so
+/// the walk ends on any input. Its statistic bits and [`OpCount`] tallies
+/// equal the per-element walk's.
+pub fn ks_statistic_runs(a: &RunMultiset, b: &RunMultiset, ops: Option<&mut OpCount>) -> f64 {
+    if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    debug_assert!(sa.windows(2).all(|p| walked_past(p[0], p[1])), "first sample not sorted");
-    debug_assert!(sb.windows(2).all(|p| walked_past(p[0], p[1])), "second sample not sorted");
-    let mut count = OpCount::default();
-
-    // Walk the merged order of both samples, tracking each ECDF. The loop
-    // runs until BOTH samples are exhausted so the supremum over the tail of
-    // the longer sample is also considered.
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
+    let (na, nb) = (a.len as f64, b.len as f64);
+    let (mut sa, mut sb) = (Cursor::new(a), Cursor::new(b));
+    let mut steps = 0u64;
     let mut d_max = 0.0f64;
-    while i < sa.len() || j < sb.len() {
-        let x = match (sa.get(i), sb.get(j)) {
-            (Some(&a), Some(&b)) => a.min(b),
-            (Some(&a), None) => a,
-            (None, Some(&b)) => b,
-            (None, None) => unreachable!("loop condition guarantees one side remains"),
+    loop {
+        let x = match (sa.head(), sb.head()) {
+            (Some(p), Some(q)) => p.min(q),
+            (Some(p), None) | (None, Some(p)) => p,
+            (None, None) => break,
         };
-        count.comparisons += 1;
-        while i < sa.len() && walked_past(sa[i], x) {
-            i += 1;
-            count.comparisons += 1;
-        }
-        while j < sb.len() && walked_past(sb[j], x) {
-            j += 1;
-            count.comparisons += 1;
-        }
-        let d = (i as f64 / na - j as f64 / nb).abs();
-        count.additions += 1;
-        count.multiplications += 2; // the two ECDF divisions
-        count.comparisons += 1;
+        sa.consume(x);
+        sb.consume(x);
+        steps += 1;
+        let d = (sa.taken as f64 / na - sb.taken as f64 / nb).abs();
         if d > d_max {
             d_max = d;
         }
     }
     if let Some(o) = ops {
-        *o += count;
+        // Per step the element walk spends a comparison to pick `x`, one
+        // per consumed element, one on the running maximum, an addition
+        // and the two ECDF divisions. Every element is consumed once.
+        *o += OpCount {
+            additions: steps,
+            multiplications: 2 * steps,
+            comparisons: 2 * steps + (a.len + b.len) as u64,
+        };
     }
     d_max.clamp(0.0, 1.0)
 }
 
-/// Whether the merge walk at `x` has reached `v`: `v ≤ x`, or either one is
-/// NaN. `x` is the smaller head (`f64::min` returns the non-NaN operand),
-/// so a NaN head is passed as soon as the walk meets it, and a head always
-/// passes itself — `x ≤ x` for a number, the NaN rule for a NaN.
-#[inline]
-fn walked_past(v: f64, x: f64) -> bool {
-    v <= x || v.is_nan() || x.is_nan()
+/// One side of the [`ks_statistic_runs`] walk.
+struct Cursor<'a> {
+    runs: &'a [Run],
+    nan: usize,
+    taken: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(set: &'a RunMultiset) -> Self {
+        Self { runs: &set.runs, nan: set.nan, taken: 0 }
+    }
+
+    fn head(&self) -> Option<f64> {
+        match self.runs.first() {
+            Some(r) => Some(r.value),
+            None => (self.nan > 0).then_some(f64::NAN),
+        }
+    }
+
+    /// Consumes what the element walk consumes at `x`. A NaN `x` means both
+    /// heads are NaN or absent, so no run is left on either side.
+    fn consume(&mut self, x: f64) {
+        if let Some((head, rest)) = self.runs.split_first() {
+            if head.value <= x {
+                self.taken += head.count;
+                self.runs = rest;
+            }
+        }
+        if self.runs.is_empty() {
+            self.taken += self.nan;
+            self.nan = 0;
+        }
+    }
 }
 
 /// Runs the full two-sample KS test at significance `alpha`.
@@ -256,9 +448,8 @@ mod tests {
         ks_critical_value(0.0, 10, 10);
     }
 
-    /// The walk ends, in [0, 1], wherever NaN sits: first, last (where
-    /// KSWIN's sorted insert puts it), in between, in both samples, or
-    /// everywhere.
+    /// The walk ends, in [0, 1], wherever NaN sits in the input: first,
+    /// last, in between, in both samples, or everywhere.
     #[test]
     fn walk_terminates_on_nan_anywhere() {
         let nan = f64::NAN;
@@ -267,55 +458,86 @@ mod tests {
             (&[0.0, 1.0, nan], &[0.5, 2.0]),
             (&[0.5, 2.0], &[nan, 0.0, 1.0]),
             (&[nan, 0.0, 1.0], &[0.5, 2.0, nan]),
-            (&[0.0, nan, 1.0], &[nan, 0.5, 2.0]),
+            (&[0.0, nan, 1.0], &[-nan, 0.5, 2.0]),
             (&[nan, nan], &[nan]),
         ];
         for (a, b) in cases {
             let mut ops = OpCount::default();
-            let d = ks_statistic_sorted(a, b, Some(&mut ops));
+            let (sa, sb) = (RunMultiset::from_values(a), RunMultiset::from_values(b));
+            let d = ks_statistic_runs(&sa, &sb, Some(&mut ops));
             assert!((0.0..=1.0).contains(&d), "{a:?} vs {b:?}: {d}");
-            // One outer pass per distinct step at most, plus one inner
-            // comparison per consumed value.
+            // One step per distinct value at most, plus one comparison per
+            // consumed value.
             let n = (a.len() + b.len()) as u64;
             assert!(ops.comparisons <= 3 * n, "{a:?} vs {b:?}: {ops:?}");
         }
     }
 
-    /// The plain `≤` merge walk, frozen as the reference for the NaN-free
-    /// property below: there the total walk must match it bit for bit and
-    /// tally for tally.
-    fn frozen_walk(sa: &[f64], sb: &[f64], ops: &mut OpCount) -> f64 {
-        if sa.is_empty() || sb.is_empty() {
-            return 0.0;
+    /// Runs are keyed by `==`: ties share a run, `-0.0` and `0.0` share one,
+    /// every NaN joins the tail, and the runs expand to the sorted values.
+    #[test]
+    fn runs_key_values_by_equality() {
+        let set = RunMultiset::from_values(&[2.0, -0.0, f64::NAN, 1.0, 0.0, 2.0, -f64::NAN, 2.0]);
+        let runs: Vec<(f64, usize)> = set.runs().iter().map(|r| (r.value, r.count)).collect();
+        assert_eq!(runs, [(0.0, 2), (1.0, 1), (2.0, 3)]);
+        assert_eq!((set.nan_count(), set.len()), (2, 8));
+        let expanded: Vec<f64> = set.iter().collect();
+        assert_eq!(expanded[..6], [0.0, 0.0, 1.0, 2.0, 2.0, 2.0]);
+        assert!(expanded[6..].iter().all(|v| v.is_nan()));
+    }
+
+    /// A NaN removal takes one from the tail whatever its payload; a
+    /// removal that finds no equal element is a miss and changes nothing,
+    /// also when an earlier removal of the same update emptied the run.
+    #[test]
+    fn nan_removal_takes_from_the_tail_and_an_absent_value_is_a_miss() {
+        let mut ops = OpCount::default();
+        let mut set = RunMultiset::from_values(&[1.0, 2.0, f64::NAN, 3.0]);
+        let payload = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert_eq!(set.update([payload], [], &mut ops), 0);
+        assert_eq!((set.nan_count(), set.len()), (0, 3));
+        assert_eq!(set.update([9.0, f64::NAN], [], &mut ops), 2);
+        assert_eq!(set, RunMultiset::from_values(&[1.0, 2.0, 3.0]));
+        assert_eq!(set.update([2.0, 2.0], [], &mut ops), 1);
+        assert_eq!(set, RunMultiset::from_values(&[1.0, 3.0]));
+        // Each of the five requests charged one binary search over the
+        // elements present at the time: 4, 3, 3, 3 and 2.
+        assert_eq!(ops.comparisons, 2 + 2 + 2 + 2 + 1);
+    }
+
+    /// A removal and an insert of the same value in one update keep its
+    /// run, and new values merge in among the old ones in order.
+    #[test]
+    fn update_revives_an_emptied_run_and_merges_new_values() {
+        let mut set = RunMultiset::from_values(&[1.0, 3.0, 5.0]);
+        let misses = set.update([3.0, 5.0], [3.0, 4.0, 0.5, 4.0, 6.0], &mut OpCount::default());
+        assert_eq!(misses, 0);
+        assert_eq!(set, RunMultiset::from_values(&[0.5, 1.0, 3.0, 4.0, 4.0, 6.0]));
+        assert!(set.runs().windows(2).all(|p| p[0].value < p[1].value));
+    }
+
+    /// The bit trick charges what the float formula the paper's tallies
+    /// were first measured with does.
+    #[test]
+    fn search_cmps_matches_the_float_formula() {
+        let float = |n: usize| (n.max(2) as f64).log2().ceil() as u64;
+        let near_powers = (1..40).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        for n in (0..70_000).chain(near_powers) {
+            assert_eq!(search_cmps(n), float(n), "n = {n}");
         }
-        let (na, nb) = (sa.len() as f64, sb.len() as f64);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut d_max = 0.0f64;
-        while i < sa.len() || j < sb.len() {
-            let x = match (sa.get(i), sb.get(j)) {
-                (Some(&a), Some(&b)) => a.min(b),
-                (Some(&a), None) => a,
-                (None, Some(&b)) => b,
-                (None, None) => unreachable!(),
-            };
-            ops.comparisons += 1;
-            while i < sa.len() && sa[i] <= x {
-                i += 1;
-                ops.comparisons += 1;
-            }
-            while j < sb.len() && sb[j] <= x {
-                j += 1;
-                ops.comparisons += 1;
-            }
-            let d = (i as f64 / na - j as f64 / nb).abs();
-            ops.additions += 1;
-            ops.multiplications += 2;
-            ops.comparisons += 1;
-            if d > d_max {
-                d_max = d;
-            }
-        }
-        d_max.clamp(0.0, 1.0)
+    }
+
+    /// Refreshing a snapshot from a set no larger than it ever held keeps
+    /// its buffer.
+    #[test]
+    fn clone_from_reuses_the_run_buffer() {
+        let big = RunMultiset::from_values(&[1.0, 2.0, 3.0, 4.0]);
+        let small = RunMultiset::from_values(&[5.0, 5.0]);
+        let mut snap = big.clone();
+        let before = snap.runs().as_ptr();
+        snap.clone_from(&small);
+        assert_eq!(snap, small);
+        assert_eq!(snap.runs().as_ptr(), before);
     }
 
     mod props {
@@ -342,31 +564,6 @@ mod tests {
                 let d1 = ks_statistic(&a, &b, None);
                 let d2 = ks_statistic(&b, &a, None);
                 prop_assert!((d1 - d2).abs() < 1e-12);
-            }
-
-            /// On NaN-free sorted samples (ties and ±0 included) the walk
-            /// matches the frozen `≤` walk: same statistic bits, same
-            /// operation tallies.
-            #[test]
-            fn nan_free_walk_matches_frozen_walk(
-                a in proptest::collection::vec((-12i32..12).prop_map(|v| v as f64 * 0.25), 0..60),
-                b in proptest::collection::vec((-12i32..12).prop_map(|v| v as f64 * 0.25), 0..60),
-                neg_zero in 0usize..4,
-            ) {
-                let (mut a, mut b) = (a, b);
-                // Turn some zeros into -0.0: `f64::min` may return either.
-                for v in a.iter_mut().chain(b.iter_mut()).step_by(neg_zero + 1) {
-                    if *v == 0.0 {
-                        *v = -0.0;
-                    }
-                }
-                a.sort_by(f64::total_cmp);
-                b.sort_by(f64::total_cmp);
-                let (mut got_ops, mut want_ops) = (OpCount::default(), OpCount::default());
-                let got = ks_statistic_sorted(&a, &b, Some(&mut got_ops));
-                let want = frozen_walk(&a, &b, &mut want_ops);
-                prop_assert_eq!(got.to_bits(), want.to_bits());
-                prop_assert_eq!(got_ops, want_ops);
             }
 
             /// A sample compared against itself is never rejected.

@@ -25,7 +25,9 @@ pub mod quantile;
 pub mod running;
 
 pub use gaussian::{erfc, normal_cdf, normal_pdf, q_function};
-pub use ks::{ks_critical_value, ks_statistic, ks_statistic_sorted, ks_test, KsOutcome};
+pub use ks::{
+    ks_critical_value, ks_statistic, ks_statistic_runs, ks_test, KsOutcome, Run, RunMultiset,
+};
 pub use opcount::OpCount;
 pub use quantile::{median, quantile};
 pub use running::{RunningStats, VectorRunningStats};

@@ -99,6 +99,8 @@ struct Args {
     max_streams: usize,
     queue_cap: usize,
     max_conns: usize,
+    /// The first serving flag given, which a file run rejects.
+    serve_only: Option<&'static str>,
 }
 
 fn score_name(score: ScoreKind) -> &'static str {
@@ -142,7 +144,18 @@ const SERVE_ONLY: [&str; 12] = [
     "--max-conns",
 ];
 
-fn parse_args() -> Result<Args, String> {
+/// `--help`'s text, and what follows a parse error. The `serve` line names
+/// every flag `serve` reads.
+const USAGE: &str = "usage: streamad <csv> [--algo N] [--window W] [--warmup N] [--capacity M] \
+                     [--score raw|avg|al] [--threshold T] [--seed S] [--metrics-json PATH] [--list]\n\
+                     \x20      streamad serve (--listen ADDR [--max-conns N] | --stdin) [--csv] \
+                     [--policy block|drop-newest|drop-oldest] [--idle-rounds N] [--max-streams N] \
+                     [--queue-cap N] [--algo N] [--window W] [--warmup N] [--capacity M] \
+                     [--score raw|avg|al] [--threshold T] [--seed S] [--shards S] [--no-batch] \
+                     [--f32-infer] [--metrics-json PATH] [--metrics-every N]";
+
+/// The settings on the command line, or `None` for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         path: None,
         algo: 12, // USAD / SW / μσ
@@ -167,11 +180,11 @@ fn parse_args() -> Result<Args, String> {
         max_streams: 65_536,
         queue_cap: 4,
         max_conns: 0,
+        serve_only: None,
     };
-    let mut serve_only = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
-        serve_only = serve_only.or(SERVE_ONLY.into_iter().find(|&flag| flag == arg));
+        args.serve_only = args.serve_only.or(SERVE_ONLY.into_iter().find(|&flag| flag == arg));
         let mut value = |name: &str| {
             iter.next().ok_or_else(|| format!("{name} needs a value"))
         };
@@ -261,28 +274,15 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown score {other:?} (raw|avg|al)")),
                 }
             }
-            "--help" | "-h" => {
-                return Err("usage: streamad <csv> [--algo N] [--window W] [--warmup N] \
-                            [--capacity M] [--score raw|avg|al] [--threshold T] [--seed S] \
-                            [--metrics-json PATH] [--list]\n\
-                            \x20      streamad serve (--listen ADDR [--max-conns N] | --stdin) \
-                            [--csv] [--policy block|drop-newest|drop-oldest] [--idle-rounds N] \
-                            [--max-streams N] [--queue-cap N] [--algo N] [--window W] \
-                            [--warmup N] [--shards S] [--no-batch] [--f32-infer] \
-                            [--metrics-json PATH] [--metrics-every N]"
-                    .into())
-            }
+            "--help" | "-h" => return Ok(None),
             "serve" if !args.serve && args.path.is_none() => args.serve = true,
             other if !other.starts_with('-') && args.path.is_none() && !args.serve => {
                 args.path = Some(other.to_string())
             }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    match serve_only {
-        Some(flag) if !args.serve => Err(format!("{flag} applies only to `streamad serve`")),
-        _ => Ok(args),
-    }
+    Ok(Some(args))
 }
 
 /// Rejects detector settings that would panic once input arrives (a
@@ -330,12 +330,20 @@ fn build_params(args: &Args, channels: usize) -> BuildParams {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            outln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
+    if let (Some(flag), false) = (args.serve_only, args.serve) {
+        eprintln!("{flag} applies only to `streamad serve`");
+        return ExitCode::FAILURE;
+    }
     let specs = paper_algorithms();
     if args.list {
         out(format_args!("{}", algorithm_table(&specs, &args)));

@@ -54,6 +54,39 @@ fn out_of_range_algo_shows_the_full_table() {
     assert!(stderr.contains("25  PCB-iForest"), "table ends in the error: {stderr}");
 }
 
+/// `--help` prints the usage on stdout and succeeds, and its `serve` line
+/// names every flag `serve` reads; a parse error prints the usage on
+/// stderr after the error and fails.
+#[test]
+fn help_succeeds_on_stdout_and_a_parse_error_shows_the_usage_on_stderr() {
+    let out = streamad().arg("--help").output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "--help succeeds");
+    assert!(out.stderr.is_empty(), "--help writes nothing on stderr");
+    let usage = String::from_utf8(out.stdout).unwrap();
+    assert!(usage.starts_with("usage: streamad <csv>"), "{usage}");
+    let serve = usage.lines().find(|l| l.contains("streamad serve")).expect("a serve line");
+    let serve_flags = [
+        "--listen", "--max-conns", "--stdin", "--csv", "--policy", "--idle-rounds",
+        "--max-streams", "--queue-cap", "--algo", "--window", "--warmup", "--capacity",
+        "--score", "--threshold", "--seed", "--shards", "--no-batch", "--f32-infer",
+        "--metrics-json", "--metrics-every",
+    ];
+    let named: Vec<&str> = serve
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    for flag in serve_flags {
+        assert!(named.contains(&flag), "{flag} missing: {serve}");
+    }
+
+    let bad = streamad().args(["serve", "--stdin", "--bogus"]).output().expect("binary runs");
+    assert_eq!(bad.status.code(), Some(1), "a parse error fails");
+    assert!(bad.stdout.is_empty());
+    let stderr = String::from_utf8(bad.stderr).unwrap();
+    assert!(stderr.starts_with("unknown argument \"--bogus\"\n"), "{stderr}");
+    assert!(stderr.ends_with(&usage), "the usage follows the error: {stderr}");
+}
+
 /// `len` wire frames for stream 0 in `serve --csv` form (`id,v0,v1`),
 /// written to a unique temp path per test.
 fn write_wire_csv(name: &str, len: usize) -> std::path::PathBuf {
