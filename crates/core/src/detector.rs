@@ -13,6 +13,13 @@
 //!    score `f_t` → Task-1 training-set update (using `f_t`, which is what
 //!    ARES needs) → Task-2 drift check → optional fine-tune (one epoch, per
 //!    the Table I caption).
+//!
+//! A stream vector holding a NaN or ±∞ is not a step, in either phase: the
+//! detector counts it ([`Detector::non_finite`]) and drops it before it
+//! advances the clock or reaches the window, Task 1, the drift detector or
+//! a fit. The trace over a series is therefore the trace over the same
+//! series without its non-finite vectors, `t` included — the rule the
+//! serving engine applies to wire frames.
 
 use crate::drift::DriftDetector;
 use crate::model::{ModelOutput, StreamModel};
@@ -89,6 +96,8 @@ struct Trunk {
     scratch: FeatureVector,
     t: usize,
     warmed_up: bool,
+    /// Stream vectors dropped for holding a NaN or ±∞.
+    non_finite: u64,
     /// Cumulative wall time spent inside the model's training entry points
     /// (`fit_initial` at warm-up plus every drift-triggered `fine_tune`).
     train_time: std::time::Duration,
@@ -117,12 +126,17 @@ impl Trunk {
             scratch,
             t: 0,
             warmed_up: false,
+            non_finite: 0,
             train_time: std::time::Duration::ZERO,
         }
     }
 
     /// Ingests `s_t` into the representation. After warm-up this returns
     /// `true` with `x_t` in `scratch`.
+    ///
+    /// A vector holding a NaN or ±∞ is counted and dropped first: it
+    /// returns `false` and leaves the clock, the window, Task 1, the drift
+    /// detectors and the model as they were.
     ///
     /// During warm-up it returns `false` and runs the warm-up protocol:
     /// everything is assumed normal (`f_t = 0`), and every drift detector
@@ -131,6 +145,11 @@ impl Trunk {
     /// verdicts are ignored. At `t ≥ warmup` the model is fitted once and
     /// every drift detector snapshots its reference statistics.
     fn push(&mut self, s: &[f64], drifts: &mut [Box<dyn DriftDetector>]) -> bool {
+        assert_eq!(s.len(), self.config.channels, "stream vector channel count mismatch");
+        if !s.iter().all(|v| v.is_finite()) {
+            self.non_finite += 1;
+            return false;
+        }
         self.t += 1;
         let has_x = self.repr.push_into(s, &mut self.scratch);
         if self.warmed_up {
@@ -210,7 +229,9 @@ impl Detector {
         }
     }
 
-    /// Feeds one stream vector `s_t`; returns `None` during warm-up.
+    /// Feeds one stream vector `s_t`; returns `None` during warm-up and
+    /// for a vector holding a NaN or ±∞, which it drops and counts
+    /// ([`Self::non_finite`]).
     ///
     /// # Panics
     /// Panics if `s.len() != config.channels`.
@@ -230,8 +251,10 @@ impl Detector {
     /// is ready in [`Self::feature`] — the caller must then compute the
     /// model output (e.g. via a shared batched forward pass) and complete
     /// the step with [`Self::finish_step`]. Returns `false` during warm-up,
-    /// including the step on which the initial fit runs; no
-    /// [`Self::finish_step`] call must follow a `false` return.
+    /// including the step on which the initial fit runs, and for a vector
+    /// holding a NaN or ±∞ at any time (dropped and counted, see
+    /// [`Self::step`]); no [`Self::finish_step`] call must follow a `false`
+    /// return.
     ///
     /// `begin_step` followed by `model().predict(feature())` and
     /// `finish_step` is exactly [`Self::step`].
@@ -400,6 +423,12 @@ impl Detector {
     /// Current stream time.
     pub fn time(&self) -> usize {
         self.trunk.t
+    }
+
+    /// Stream vectors dropped for holding a NaN or ±∞ (they are not steps
+    /// and do not advance [`Self::time`]).
+    pub fn non_finite(&self) -> u64 {
+        self.trunk.non_finite
     }
 
     /// The embedded model (e.g. to inspect it in experiments).
@@ -575,7 +604,8 @@ impl SharedWarmup {
     /// Feeds one warm-up stream vector through the warm-up step of
     /// [`Detector::step`], with every drift variant observing the (single)
     /// training-set update. At the end of warm-up the model is fitted
-    /// **once** and every variant snapshots its reference statistics.
+    /// **once** and every variant snapshots its reference statistics. A
+    /// vector holding a NaN or ±∞ is dropped and counted, as there.
     ///
     /// # Panics
     /// Panics if called after warm-up completed (the variants' trajectories
@@ -817,6 +847,25 @@ mod tests {
         let reg = det.export_metrics();
         assert_eq!(reg.counter_by_name("sad_detector_steps_total"), Some(11));
         assert_eq!(reg.histogram_by_name("sad_detector_nonconformity").unwrap().count(), 11);
+    }
+
+    #[test]
+    fn non_finite_vector_is_dropped_and_counted_in_both_phases() {
+        let series = smooth_series(40);
+        let mut clean = make_detector(20);
+        let want = clean.run(&series);
+        let mut det = make_detector(20);
+        let mut got = Vec::new();
+        for (i, s) in series.iter().enumerate() {
+            // One bad vector inside warm-up, one after it.
+            if i == 7 || i == 30 {
+                assert!(!det.begin_step(&[f64::NAN, 0.5]));
+                assert_eq!(det.step(&[0.5, f64::NEG_INFINITY]), None);
+            }
+            got.extend(det.step(s));
+        }
+        assert_eq!(got, want);
+        assert_eq!((det.non_finite(), det.time()), (4, 40));
     }
 
     #[test]

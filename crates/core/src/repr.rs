@@ -63,16 +63,9 @@ impl FeatureVector {
         self.step(self.w - 1)
     }
 
-    /// All `w` values of channel `j`, oldest first.
-    ///
-    /// Allocates; per-step hot paths should walk [`Self::channel_iter`]
-    /// (or extend a reusable scratch buffer from it) instead.
-    pub fn channel(&self, j: usize) -> Vec<f64> {
-        self.channel_iter(j).collect()
-    }
-
-    /// Strided iterator over the `w` values of channel `j`, oldest first —
-    /// the allocation-free counterpart of [`Self::channel`].
+    /// Strided iterator over the `w` values of channel `j`, oldest first.
+    /// Allocation-free: collect it, or extend a reusable scratch buffer
+    /// from it, where a slice is needed.
     #[inline]
     pub fn channel_iter(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(j < self.n, "channel index out of range");
@@ -205,8 +198,8 @@ mod tests {
         assert_eq!(fv.dim(), 6);
         assert_eq!(fv.step(0), &[1.0, 10.0]);
         assert_eq!(fv.last_step(), &[3.0, 30.0]);
-        assert_eq!(fv.channel(0), vec![1.0, 2.0, 3.0]);
-        assert_eq!(fv.channel(1), vec![10.0, 20.0, 30.0]);
+        assert_eq!(fv.channel_iter(0).collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(fv.channel_iter(1).collect::<Vec<_>>(), vec![10.0, 20.0, 30.0]);
     }
 
     #[test]

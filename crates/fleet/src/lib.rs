@@ -16,10 +16,12 @@
 //! row-major matrix and pushed through a single `Mlp::forward_batch` per
 //! sub-network via the group's one inference workspace
 //! (`sad_models::InferBatch`), amortizing inference the way the training
-//! workspace amortizes fine-tuning. `forward_batch` computes every output
-//! row independently and identically to `Mlp::infer`, so the batched path
-//! is bitwise identical to N scalar `Detector::step` calls — the
-//! `fleet_parity` suite proves it in the same style as `eval_parity.rs`.
+//! workspace amortizes fine-tuning. A model's own `predict`, which a
+//! scalar `Detector::step` calls, is that same loop run at one row, and
+//! `forward_batch` computes every output row independently of the others
+//! (`sad-nn`'s batch parity tests), so a cohort's batched step is bitwise
+//! identical to N scalar `Detector::step` calls — the `fleet_parity`
+//! suite proves it in the same style as `eval_parity.rs`.
 //!
 //! Cohorts are maintained exactly: parameters are only compared on
 //! *training events* (a member joins at its warm-up fit; a member is
@@ -615,15 +617,16 @@ impl Shard {
                 stats.f32_resyncs += Self::rebuild_cohorts(group, slots);
                 stats.cohort_rebuilds += 1;
             }
-            // begin_step every member with input; all are post-warm-up, so
-            // every begin yields a feature vector.
+            // begin_step every member with input. All are past warm-up, so
+            // a begin yields a feature vector unless the vector held a NaN
+            // or ±∞, which the detector drops and counts: that stream
+            // stays idle this round.
             group.active.clear();
             for (pos, &si) in group.members.iter().enumerate() {
                 let slot = slots[si].as_mut().expect("group members are live");
                 let Some(s) = slot.queue.front() else { continue };
                 let ready = slot.det.begin_step(s);
                 slot.queue.pop_front();
-                debug_assert!(ready, "grouped streams are past warm-up");
                 if ready {
                     group.active.push(pos);
                     slot.work = Work::Finish;
@@ -942,7 +945,10 @@ impl DetectorFleet {
     /// one step. `out` is resized to span the slot table, `shards ×` the
     /// longest shard (up to `shards − 1` of its ids address no slot);
     /// `out[i]` is `Some` iff stream `i` consumed a vector *and* is past
-    /// warm-up — exactly `Detector::step`'s contract. Returns the vectors
+    /// warm-up *and* the vector was finite — exactly `Detector::step`'s
+    /// contract, under which a vector holding a NaN or ±∞ is dropped and
+    /// counted by its detector, not stepped. The serving engine rejects
+    /// such frames before they reach the fleet. Returns the vectors
     /// consumed.
     ///
     /// The round runs on the caller and the fleet's helper threads (crate

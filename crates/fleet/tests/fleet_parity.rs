@@ -175,6 +175,33 @@ fn cohort_twins_amortize_forward_passes() {
     );
 }
 
+/// A vector holding a NaN or ±∞ reaches a grouped stream's `begin_step`
+/// only when the fleet is fed directly (the serving engine rejects such
+/// frames first). Its detector drops and counts it, the rest of the round
+/// is served, and every trace is the clean series' trace.
+#[test]
+fn a_non_finite_vector_on_a_grouped_stream_is_dropped_as_if_absent() {
+    let streams = mixed_streams();
+    let clean: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
+    // Past warm-up (50 steps), once every batchable stream is grouped.
+    let mut dirty = clean.clone();
+    for (i, series) in dirty.iter_mut().enumerate() {
+        let mut bad = series[80].clone();
+        bad[i % 2] = if i % 2 == 0 { f64::NAN } else { f64::INFINITY };
+        series.insert(80, bad);
+    }
+    let fresh = || -> Vec<Detector> {
+        streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect()
+    };
+    let mut fleet = DetectorFleet::new(fresh(), FleetConfig::default());
+    let traces = fleet.run(&dirty);
+    for (i, (mut det, series)) in fresh().into_iter().zip(&clean).enumerate() {
+        assert_traces_identical(&traces[i], &det.run(series), &format!("stream {i}"));
+        assert_eq!(fleet.detector(i).non_finite(), 1, "stream {i}");
+    }
+    assert!(fleet.stats().batched_rows > 0, "grouped streams served batched rows");
+}
+
 mod props {
     use super::*;
     use proptest::prelude::*;

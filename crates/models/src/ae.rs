@@ -2,10 +2,11 @@
 //!
 //! `x̂_t = r⁻¹(σ(r(x_t)·W₁ + b₁)·W₂ + b₂)` — one sigmoid hidden layer, one
 //! linear output layer, trained on MSE. It serves as the paper's baseline
-//! for reconstruction-based approaches.
+//! for reconstruction-based approaches. `predict` is the batched inference
+//! loop (`crate::batch_infer`) at one row.
 
-use crate::batch_infer::{InferView, Nets};
-use crate::scaler::Affine;
+use crate::batch_infer::{predict_row, InferBatch, InferView, Nets};
+use crate::scaler::{scale_into, Affine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
@@ -24,6 +25,8 @@ pub struct TwoLayerAe {
     opt: Adam,
     /// Reusable training workspace (created with the net).
     ws: Option<MlpWorkspace>,
+    /// `predict`'s one-row inference loop, built on its first call.
+    infer: Option<InferBatch>,
     hidden: usize,
     seed: u64,
 }
@@ -32,7 +35,7 @@ impl TwoLayerAe {
     /// Creates an AE with `hidden` units and Adam learning rate `lr`.
     pub fn new(hidden: usize, lr: f64, seed: u64) -> Self {
         assert!(hidden > 0, "hidden width must be positive");
-        Self { net: None, scaler: None, opt: Adam::new(lr), ws: None, hidden, seed }
+        Self { net: None, scaler: None, opt: Adam::new(lr), ws: None, infer: None, hidden, seed }
     }
 
     /// A reasonable default: hidden = dim/4 clamped to [4, 64], lr 1e-3.
@@ -54,13 +57,6 @@ impl TwoLayerAe {
         self.net = Some(net);
     }
 
-    fn scaled(&self, x: &FeatureVector) -> Vec<f64> {
-        match &self.scaler {
-            Some(s) => s.transform(x.as_slice()),
-            None => x.as_slice().to_vec(),
-        }
-    }
-
     /// Inference state for the fleet's cross-stream batched stepping:
     /// the network and the fitted scaler. `None` until the network exists
     /// (i.e. before the first predict/fit call).
@@ -79,10 +75,7 @@ impl TwoLayerAe {
         let net = self.net.as_mut().expect("just initialized");
         let ws = self.ws.as_mut().expect("just initialized");
         for x in train {
-            match &self.scaler {
-                Some(s) => s.transform_into(x.as_slice(), ws.input_row_mut(0)),
-                None => ws.input_row_mut(0).copy_from_slice(x.as_slice()),
-            }
+            scale_into(self.scaler.as_ref(), x.as_slice(), ws.input_row_mut(0));
             net.train_batch_mse_identity(ws, &mut self.opt);
         }
     }
@@ -95,14 +88,8 @@ impl StreamModel for TwoLayerAe {
 
     fn predict(&mut self, x: &FeatureVector) -> ModelOutput {
         self.ensure_net(x.dim());
-        let z = self.scaled(x);
-        let net = self.net.as_ref().expect("just initialized");
-        let recon_z = net.infer(&z);
-        let recon = match &self.scaler {
-            Some(s) => s.inverse(&recon_z),
-            None => recon_z,
-        };
-        ModelOutput::Reconstruction(recon)
+        let nets = Nets::Ae(self.net.as_ref().expect("just initialized"));
+        predict_row(&mut self.infer, InferView { nets, scaler: self.scaler.as_ref() }, x)
     }
 
     fn fit_initial(&mut self, train: &[FeatureVector], epochs: usize) {

@@ -35,8 +35,8 @@ pub struct OnlineArima {
     /// Binomial coefficients `(−1)ⁱ C(d,i)` for the differencing operator.
     diff_coeffs: Vec<f64>,
     /// Scratch: one channel's window, filled from the strided
-    /// `FeatureVector::channel_iter` (replaces a per-channel `channel()`
-    /// allocation on every predict / fine-tune step).
+    /// `FeatureVector::channel_iter`, so predict and fine-tune steps
+    /// allocate no per-channel vector.
     chan: Vec<f64>,
     /// Scratch: lag regressor vector `z`.
     z: Vec<f64>,
@@ -106,15 +106,6 @@ impl OnlineArima {
         // Integration term Σ_{i=0..d−1} ∇ⁱ s_{t−1}.
         let integration: f64 = (0..self.d).map(|i| diff_at(series, t - 1, i)).sum();
         ar_term + integration
-    }
-
-    /// Allocating convenience wrapper around [`Self::predict_into`] — kept
-    /// for unit tests and external inspection of `z`.
-    #[allow(dead_code)]
-    fn predict_channel(&self, series: &[f64]) -> (f64, Vec<f64>) {
-        let mut z = Vec::new();
-        let pred = self.predict_into(series, &mut z);
-        (pred, z)
     }
 
     /// One OGD step on one channel window: squared loss on the final
@@ -221,6 +212,14 @@ mod tests {
         FeatureVector::new(series.to_vec(), series.len(), 1)
     }
 
+    /// The forecast of a one-channel window.
+    fn forecast(m: &mut OnlineArima, x: &FeatureVector) -> f64 {
+        match m.predict(x) {
+            ModelOutput::Forecast(f) => f[0],
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn binomial_reference_values() {
         assert_eq!(binomial(0, 0), 1.0);
@@ -263,7 +262,7 @@ mod tests {
             .collect();
         m.fit_initial(&windows, 200);
         let x = window_from(&[20.0, 22.0, 24.0, 26.0, 28.0, 30.0]);
-        let (pred, _) = m.predict_channel(&x.channel(0));
+        let pred = forecast(&mut m, &x);
         // Persistence would predict 28; the trained model must be closer to 30.
         assert!((pred - 30.0).abs() < 1.0, "prediction {pred}");
     }
@@ -281,7 +280,7 @@ mod tests {
         m.fit_initial(&windows, 30);
         // Steady state is 1.0; prediction from a steady window should be ≈ 1.
         let x = window_from(&[1.0; 8]);
-        let (pred, _) = m.predict_channel(&x.channel(0));
+        let pred = forecast(&mut m, &x);
         assert!((pred - 1.0).abs() < 0.15, "prediction {pred}");
     }
 

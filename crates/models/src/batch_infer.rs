@@ -1,10 +1,14 @@
-//! Cross-stream batched inference for the NN-backed models (fleet serving).
+//! Batched inference for the NN-backed models: the one inference path of
+//! the AE, USAD and N-BEATS.
 //!
 //! The fleet's headline optimisation packs the per-step feature windows of
 //! many streams into one row-major matrix and pushes them through a single
 //! `Mlp::forward_batch` per sub-network, amortizing inference the way
-//! `MlpWorkspace` already amortizes training. This module provides the
-//! model-side machinery, written once for both serving precisions:
+//! `MlpWorkspace` already amortizes training. Each model's own `predict`
+//! is the same loop at one row, on a batch the model builds on its first
+//! call, so a detector's scalar step and the fleet's cohort batches run
+//! the same code. This module provides that machinery, written once for
+//! both serving precisions:
 //!
 //! * [`infer_view`] — the one place a `dyn StreamModel` is recognized as
 //!   an AE, USAD or N-BEATS: it borrows the networks `predict` reads and
@@ -19,21 +23,23 @@
 //!   another precision (the f32 serving snapshot), re-synced in place on
 //!   training events;
 //! * [`InferBatch`] — reusable batched workspaces in precision `T` plus
-//!   the `begin`/`pack`/`forward`/`emit_into` loop that reproduces each
-//!   model's `predict` row by row, run against any view of precision `T`.
+//!   the `begin`/`pack`/`forward`/`emit_into` loop, run against any view
+//!   of precision `T`; `predict` is that loop at one row.
 //!
-//! At `T = f64` the loop reads the live parameters and is bitwise-equal to
-//! `predict`. That rests on three already-proven facts: `forward_batch`
-//! computes each output row independently and identically to `Mlp::infer`
-//! (`sad-nn` batch parity tests), the scaler's `*_into` variants match
-//! their allocating twins bitwise (scaler tests), and matrix-row copies
-//! are exact. The tests below close the loop per model against `predict`.
-//! At `T = f32` the same loop runs on a snapshot and agrees with `predict`
-//! to f32 relative accuracy.
+//! At `T = f64` the loop reads the live parameters, and every row of a
+//! batch of any size is bitwise the row the model computes alone. That
+//! rests on `forward_batch` computing each output row independently and
+//! identically to the scalar `Mlp::infer` (`sad-nn` batch parity tests),
+//! on the scaler's per-element arithmetic, and on exact matrix-row
+//! copies. Since `predict` can no longer be the oracle, the tests below
+//! keep an independent one: `Mlp::infer` chains, the scaler arithmetic
+//! written out, and the N-BEATS residual loop, which every batch row, at
+//! B = k and at B = 1, must match bitwise. At `T = f32` the same loop runs
+//! on a snapshot and agrees with that oracle to f32 relative accuracy.
 
 use crate::ae::TwoLayerAe;
-use crate::nbeats::{Block, NBeats};
-use crate::scaler::Affine;
+use crate::nbeats::{forward_stack, Block, BlockWs, NBeats};
+use crate::scaler::{scale_into, Affine};
 use crate::usad::Usad;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
 use sad_nn::{Mlp, MlpWorkspace};
@@ -246,13 +252,7 @@ impl<T: Scalar> InferSnapshot<T> {
     }
 }
 
-/// Per-block inference workspaces for the N-BEATS residual stack.
-struct NBeatsBlockWs<T: Scalar> {
-    ws_t: MlpWorkspace<T>,
-    ws_b: MlpWorkspace<T>,
-    ws_f: MlpWorkspace<T>,
-}
-
+#[derive(Clone)]
 enum Workspaces<T: Scalar> {
     Ae {
         ws: MlpWorkspace<T>,
@@ -262,7 +262,7 @@ enum Workspaces<T: Scalar> {
         ws_d1: MlpWorkspace<T>,
     },
     NBeats {
-        blocks: Vec<NBeatsBlockWs<T>>,
+        blocks: Vec<BlockWs<T>>,
         /// `B×n` running forecast sum `Σ_l ŷ_l`.
         forecast: Matrix<T>,
         /// `w·N` scratch for the scaled full window before the
@@ -281,6 +281,7 @@ enum Workspaces<T: Scalar> {
 /// serves every cohort of its architecture in turn. All buffers are sized
 /// once for `capacity` rows; steady-state rounds perform zero heap
 /// allocations.
+#[derive(Clone)]
 pub struct InferBatch<T: Scalar = f64> {
     inner: Workspaces<T>,
     capacity: usize,
@@ -293,8 +294,13 @@ impl<T: Scalar> InferBatch<T> {
     /// are read, so an f32 batch is shaped from the f64 model whose
     /// snapshot it will serve.
     pub fn new(leader: &dyn StreamModel, capacity: usize) -> Option<Self> {
+        Some(Self::shaped(infer_view(leader)?.nets, capacity))
+    }
+
+    /// Batch buffers shaped for `nets`, of any precision.
+    fn shaped<U: Scalar>(nets: Nets<'_, U>, capacity: usize) -> Self {
         assert!(capacity > 0, "batch capacity must be positive");
-        let inner = match infer_view(leader)?.nets {
+        let inner = match nets {
             Nets::Ae(net) => Workspaces::Ae { ws: MlpWorkspace::inference(net, capacity) },
             Nets::Usad(encoder, dec1) => Workspaces::Usad {
                 ws_e: MlpWorkspace::inference(encoder, capacity),
@@ -304,20 +310,13 @@ impl<T: Scalar> InferBatch<T> {
                 let input = blocks[0].trunk.in_dim();
                 let output = blocks[0].forecast_head.out_dim();
                 Workspaces::NBeats {
-                    blocks: blocks
-                        .iter()
-                        .map(|b| NBeatsBlockWs {
-                            ws_t: MlpWorkspace::inference(&b.trunk, capacity),
-                            ws_b: MlpWorkspace::inference(&b.backcast_head, capacity),
-                            ws_f: MlpWorkspace::inference(&b.forecast_head, capacity),
-                        })
-                        .collect(),
+                    blocks: blocks.iter().map(|b| BlockWs::inference(b, capacity)).collect(),
                     forecast: Matrix::zeros(capacity, output),
                     scratch: vec![T::ZERO; input + output],
                 }
             }
         };
-        Some(Self { inner, capacity, rows: 0 })
+        Self { inner, capacity, rows: 0 }
     }
 
     /// Maximum rows per forward pass.
@@ -336,10 +335,8 @@ impl<T: Scalar> InferBatch<T> {
                 ws_d1.set_batch(rows);
             }
             Workspaces::NBeats { blocks, forecast, .. } => {
-                for b in blocks.iter_mut() {
-                    b.ws_t.set_batch(rows);
-                    b.ws_b.set_batch(rows);
-                    b.ws_f.set_batch(rows);
+                for block in blocks.iter_mut() {
+                    block.set_batch(rows);
                 }
                 forecast.resize_rows(rows);
             }
@@ -358,17 +355,10 @@ impl<T: Scalar> InferBatch<T> {
                 scratch
             }
         };
-        match view.scaler {
-            Some(s) => s.transform_into(x.as_slice(), dst),
-            None => {
-                for (o, &v) in dst.iter_mut().zip(x.as_slice()) {
-                    *o = T::from_f64(v);
-                }
-            }
-        }
+        scale_into(view.scaler, x.as_slice(), dst);
         if let Workspaces::NBeats { blocks, scratch, .. } = &mut self.inner {
             let split = scratch.len() - x.n();
-            blocks[0].ws_t.input_row_mut(row).copy_from_slice(&scratch[..split]);
+            blocks[0].input_row_mut(row).copy_from_slice(&scratch[..split]);
         }
     }
 
@@ -382,51 +372,7 @@ impl<T: Scalar> InferBatch<T> {
                 dec1.forward_batch(ws_d1);
             }
             (Workspaces::NBeats { blocks, forecast, .. }, Nets::NBeats(nets)) => {
-                let rows = self.rows;
-                let n_blocks = nets.len();
-                for l in 0..n_blocks {
-                    {
-                        let bb = &mut blocks[l];
-                        nets[l].trunk.forward_batch(&mut bb.ws_t);
-                        bb.ws_b.input_mut().copy_from(bb.ws_t.output());
-                        nets[l].backcast_head.forward_batch(&mut bb.ws_b);
-                        bb.ws_f.input_mut().copy_from(bb.ws_t.output());
-                        nets[l].forecast_head.forward_batch(&mut bb.ws_f);
-                        // ŷ = Σ_l ŷ_l: copy the first block's forecast, add
-                        // the rest (copy-then-accumulate matches the scalar
-                        // path's `None => Some(f)` initialization bitwise —
-                        // `0.0 + f` is not the identity for `f = −0.0`).
-                        if l == 0 {
-                            forecast.copy_from(bb.ws_f.output());
-                        } else {
-                            for b in 0..rows {
-                                for (acc, &fv) in
-                                    forecast.row_mut(b).iter_mut().zip(bb.ws_f.output().row(b))
-                                {
-                                    *acc += fv;
-                                }
-                            }
-                        }
-                    }
-                    // x_{l+1} = x_l − x̂_l, written straight into the next
-                    // block's trunk input.
-                    if l + 1 < n_blocks {
-                        let (cur, rest) = blocks.split_at_mut(l + 1);
-                        let bb = &cur[l];
-                        let next = &mut rest[0];
-                        for b in 0..rows {
-                            for ((o, &r), &bv) in next
-                                .ws_t
-                                .input_row_mut(b)
-                                .iter_mut()
-                                .zip(bb.ws_t.input().row(b))
-                                .zip(bb.ws_b.output().row(b))
-                            {
-                                *o = r - bv;
-                            }
-                        }
-                    }
-                }
+                forward_stack(nets, blocks, forecast);
             }
             _ => panic!("inference view does not match the batch's architecture"),
         }
@@ -438,20 +384,12 @@ impl<T: Scalar> InferBatch<T> {
     /// steady-state rounds do not allocate).
     pub fn emit_into(&self, view: InferView<'_, T>, row: usize, out: &mut ModelOutput) {
         assert!(row < self.rows, "row {row} out of batch of {}", self.rows);
-        let (z, buf) = match &self.inner {
-            Workspaces::Ae { ws } => {
-                let z = ws.output_row(row);
-                (z, reconstruction_buf(out, z.len()))
-            }
-            Workspaces::Usad { ws_d1, .. } => {
-                let z = ws_d1.output_row(row);
-                (z, reconstruction_buf(out, z.len()))
-            }
-            Workspaces::NBeats { forecast, .. } => {
-                let z = forecast.row(row);
-                (z, forecast_buf(out, z.len()))
-            }
+        let (z, is_forecast) = match &self.inner {
+            Workspaces::Ae { ws } => (ws.output_row(row), false),
+            Workspaces::Usad { ws_d1, .. } => (ws_d1.output_row(row), false),
+            Workspaces::NBeats { forecast, .. } => (forecast.row(row), true),
         };
+        let buf = output_buf(out, is_forecast, z.len());
         match view.scaler {
             // A reconstruction spans the whole scaled window; a forecast
             // is its last `n` entries.
@@ -465,29 +403,45 @@ impl<T: Scalar> InferBatch<T> {
     }
 }
 
-fn reconstruction_buf(out: &mut ModelOutput, len: usize) -> &mut [f64] {
-    if !matches!(out, ModelOutput::Reconstruction(v) if v.len() == len) {
-        *out = ModelOutput::Reconstruction(vec![0.0; len]);
-    }
-    match out {
-        ModelOutput::Reconstruction(v) => v,
-        _ => unreachable!(),
-    }
+/// What each NN model's `predict` is: the batched loop at one row, on the
+/// model's own `batch`, built on the first call. Later calls allocate only
+/// the returned output.
+pub(crate) fn predict_row(
+    batch: &mut Option<InferBatch>,
+    view: InferView<'_>,
+    x: &FeatureVector,
+) -> ModelOutput {
+    let batch = batch.get_or_insert_with(|| InferBatch::shaped(view.nets, 1));
+    batch.begin(1);
+    batch.pack(view, 0, x);
+    batch.forward(view);
+    let mut out = ModelOutput::Score(0.0);
+    batch.emit_into(view, 0, &mut out);
+    out
 }
 
-fn forecast_buf(out: &mut ModelOutput, len: usize) -> &mut [f64] {
-    if !matches!(out, ModelOutput::Forecast(v) if v.len() == len) {
-        *out = ModelOutput::Forecast(vec![0.0; len]);
+/// `out`'s values as a forecast or a reconstruction of `len` values,
+/// replacing `out` only when it is not one already.
+fn output_buf(out: &mut ModelOutput, is_forecast: bool, len: usize) -> &mut [f64] {
+    let fits = match out {
+        ModelOutput::Forecast(v) => is_forecast && v.len() == len,
+        ModelOutput::Reconstruction(v) => !is_forecast && v.len() == len,
+        ModelOutput::Score(_) => false,
+    };
+    if !fits {
+        let v = vec![0.0; len];
+        *out = if is_forecast { ModelOutput::Forecast(v) } else { ModelOutput::Reconstruction(v) };
     }
     match out {
-        ModelOutput::Forecast(v) => v,
-        _ => unreachable!(),
+        ModelOutput::Forecast(v) | ModelOutput::Reconstruction(v) => v,
+        ModelOutput::Score(_) => unreachable!("just replaced"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaler::tests::{inverse_tail_ref, transform_ref};
 
     fn sine_windows(count: usize, w: usize, phase: f64) -> Vec<FeatureVector> {
         (0..count)
@@ -535,11 +489,63 @@ mod tests {
         }
     }
 
+    /// The oracle's input scaling: the scaler arithmetic written out, or
+    /// the raw window before any fit.
+    fn scaled(view: InferView<'_>, x: &FeatureVector) -> Vec<f64> {
+        match view.scaler {
+            Some(s) => transform_ref(s, x.as_slice()),
+            None => x.as_slice().to_vec(),
+        }
+    }
+
+    fn unscaled(view: InferView<'_>, z: Vec<f64>) -> Vec<f64> {
+        match view.scaler {
+            Some(s) => inverse_tail_ref(s, &z),
+            None => z,
+        }
+    }
+
+    /// The scalar composition every batch row must match bitwise:
+    /// `Mlp::infer` chains between the scaler arithmetic, and for N-BEATS
+    /// the residual loop, its forecast sum started from block 0's.
+    fn oracle(view: InferView<'_>, x: &FeatureVector) -> ModelOutput {
+        let z = scaled(view, x);
+        match view.nets {
+            Nets::Ae(net) => ModelOutput::Reconstruction(unscaled(view, net.infer(&z))),
+            Nets::Usad(encoder, dec1) => {
+                ModelOutput::Reconstruction(unscaled(view, dec1.infer(&encoder.infer(&z))))
+            }
+            Nets::NBeats(blocks) => {
+                let mut residual = z[..z.len() - x.n()].to_vec();
+                let mut forecast: Option<Vec<f64>> = None;
+                for block in blocks {
+                    let h = block.trunk.infer(&residual);
+                    for (r, b) in residual.iter_mut().zip(block.backcast_head.infer(&h)) {
+                        *r -= b;
+                    }
+                    let f = block.forecast_head.infer(&h);
+                    match &mut forecast {
+                        Some(acc) => acc.iter_mut().zip(&f).for_each(|(a, v)| *a += v),
+                        None => forecast = Some(f),
+                    }
+                }
+                ModelOutput::Forecast(unscaled(view, forecast.expect("at least one block")))
+            }
+        }
+    }
+
+    fn assert_bits_eq(got: &ModelOutput, want: &ModelOutput, ctx: &str) {
+        for (i, (p, q)) in output_pairs(got, want, ctx).into_iter().enumerate() {
+            assert_eq!(p.to_bits(), q.to_bits(), "{ctx}: element {i}");
+        }
+    }
+
     /// Drives `probes` through the live f64 view and through an f32
     /// snapshot, as a full batch and as a batch of one, and checks every
-    /// row against the model's own `predict`: bitwise for f64, within f32
-    /// tolerance for the snapshot.
-    fn check_batch_matches_predict(model: &mut dyn StreamModel, probes: &[FeatureVector]) {
+    /// row against the oracle: bitwise for f64, within f32 tolerance for
+    /// the snapshot. `predict`, the loop at one row on the model's own
+    /// batch, must match it bitwise too.
+    fn check_batch_matches_oracle(model: &mut dyn StreamModel, probes: &[FeatureVector]) {
         let mut batch = InferBatch::<f64>::new(model, probes.len()).expect("batchable model");
         let mut batch32 = InferBatch::<f32>::new(model, probes.len()).expect("batchable model");
         assert_eq!(batch32.capacity(), probes.len());
@@ -549,55 +555,57 @@ mod tests {
             let snapshot = InferSnapshot::<f32>::new(view);
             let got32 = run_batch(&mut batch32, snapshot.view(), &probes[..take]);
             for (row, x) in probes[..take].iter().enumerate() {
-                let want = model.predict(x);
+                let want = oracle(view, x);
                 let ctx = format!("take {take}, row {row}");
-                for (i, (p, q)) in output_pairs(&got[row], &want, &ctx).into_iter().enumerate() {
-                    assert_eq!(p.to_bits(), q.to_bits(), "{ctx}: f64 element {i}");
-                }
+                assert_bits_eq(&got[row], &want, &ctx);
                 for (i, (p, q)) in output_pairs(&got32[row], &want, &ctx).into_iter().enumerate() {
                     let err = (p - q).abs();
                     assert!(err <= 1e-4 * q.abs().max(1.0), "{ctx}[{i}]: f32 {p} vs f64 {q}");
                 }
             }
         }
+        for (row, x) in probes.iter().enumerate() {
+            let want = oracle(infer_view(model).expect("batchable model"), x);
+            assert_bits_eq(&model.predict(x), &want, &format!("predict, row {row}"));
+        }
     }
 
     #[test]
-    fn ae_batch_matches_predict_bitwise() {
+    fn ae_batch_matches_oracle_bitwise() {
         let train = sine_windows(40, 8, 0.0);
         let mut ae = TwoLayerAe::new(8, 5e-3, 7);
         ae.fit_initial(&train, 20);
-        check_batch_matches_predict(&mut ae, &train[10..16]);
+        check_batch_matches_oracle(&mut ae, &train[10..16]);
     }
 
     #[test]
-    fn usad_batch_matches_predict_bitwise() {
+    fn usad_batch_matches_oracle_bitwise() {
         let train = sine_windows(30, 6, 0.0);
         let mut usad = Usad::new(3, 2e-3, 5);
         usad.fit_initial(&train, 15);
-        check_batch_matches_predict(&mut usad, &train[5..10]);
+        check_batch_matches_oracle(&mut usad, &train[5..10]);
     }
 
     #[test]
-    fn nbeats_batch_matches_predict_bitwise() {
+    fn nbeats_batch_matches_oracle_bitwise() {
         let train = sine_windows(40, 8, 0.0);
         let mut nb = NBeats::new(2, 16, 6, 2e-3, 11);
         nb.fit_initial(&train, 15);
-        check_batch_matches_predict(&mut nb, &train[20..25]);
+        check_batch_matches_oracle(&mut nb, &train[20..25]);
         // The interpretable (fixed-basis) configuration too.
         let mut nbi = NBeats::interpretable(12, 3, 2, 2e-3, 7);
         nbi.fit_initial(&train, 10);
-        check_batch_matches_predict(&mut nbi, &train[12..17]);
+        check_batch_matches_oracle(&mut nbi, &train[12..17]);
     }
 
     /// Unscaled models (predict before any fit creates the nets lazily,
     /// no scaler) must also match.
     #[test]
-    fn unscaled_ae_batch_matches_predict_bitwise() {
+    fn unscaled_ae_batch_matches_oracle_bitwise() {
         let mut ae = TwoLayerAe::new(4, 1e-3, 1);
         let x = FeatureVector::new(vec![1.0, 2.0, 3.0, 4.0], 2, 2);
         let _ = ae.predict(&x); // materializes the net, no scaler
-        check_batch_matches_predict(&mut ae, std::slice::from_ref(&x));
+        check_batch_matches_oracle(&mut ae, std::slice::from_ref(&x));
     }
 
     /// A snapshot re-synced after fine-tuning serves exactly what a fresh

@@ -12,9 +12,9 @@
 //! Both fits the models use are one affine map `z = (x − sub) / div`: the
 //! standardizer (AE, N-BEATS) sets `(sub, div) = (μ, σ)`, USAD's min-max
 //! scaler sets `(min, range)`. [`Affine`] implements that map once,
-//! generic over precision: the fitted f64 map is authoritative, and an
-//! `Affine<f32>` is the inference snapshot the fleet's f32 serving path
-//! converts from it ([`Affine::convert_from`]).
+//! generic over precision and allocation-free: the fitted f64 map is
+//! authoritative, and an `Affine<f32>` is the inference snapshot the
+//! fleet's f32 serving path converts from it ([`Affine::convert_from`]).
 
 use sad_core::FeatureVector;
 use sad_tensor::Scalar;
@@ -31,12 +31,6 @@ impl Affine {
     /// σ / range floor: constant dimensions pass through unscaled instead
     /// of dividing by zero.
     const DIV_FLOOR: f64 = 1e-8;
-
-    /// An identity scaler of dimension `dim` (useful before any data has
-    /// been seen).
-    pub fn identity(dim: usize) -> Self {
-        Self { sub: vec![0.0; dim], div: vec![1.0; dim] }
-    }
 
     /// Fits the standardizer `z = (x − μ)/σ`: per-dimension mean and
     /// standard deviation over the flattened feature vectors of `train`.
@@ -94,40 +88,6 @@ impl Affine {
         Self { sub: min, div: range }
     }
 
-    /// Scales a raw vector.
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.sub.len(), "scaler dimension mismatch");
-        x.iter().zip(&self.sub).zip(&self.div).map(|((&v, &m), &d)| (v - m) / d).collect()
-    }
-
-    /// Maps a scaled vector back to raw units.
-    pub fn inverse(&self, z: &[f64]) -> Vec<f64> {
-        assert_eq!(z.len(), self.sub.len(), "scaler dimension mismatch");
-        z.iter().zip(&self.sub).zip(&self.div).map(|((&v, &m), &d)| v * d + m).collect()
-    }
-
-    /// Scales only a suffix slice (used by forecasting models whose
-    /// target is the last stream vector: the scaler is fit on `w·N` dims
-    /// and the last `N` entries correspond to `s_t`).
-    pub fn transform_tail(&self, tail: &[f64]) -> Vec<f64> {
-        let offset = self.sub.len() - tail.len();
-        tail.iter()
-            .zip(&self.sub[offset..])
-            .zip(&self.div[offset..])
-            .map(|((&v, &m), &d)| (v - m) / d)
-            .collect()
-    }
-
-    /// Inverse of [`Self::transform_tail`].
-    pub fn inverse_tail(&self, tail: &[f64]) -> Vec<f64> {
-        let offset = self.sub.len() - tail.len();
-        tail.iter()
-            .zip(&self.sub[offset..])
-            .zip(&self.div[offset..])
-            .map(|((&v, &m), &d)| v * d + m)
-            .collect()
-    }
-
     /// Bitwise equality of the fitted statistics — the scaler half of the
     /// fleet's "identical inference state" cohort test.
     pub fn state_equal(&self, other: &Affine) -> bool {
@@ -143,10 +103,9 @@ impl<T: Scalar> Affine<T> {
         self.sub.len()
     }
 
-    /// Allocation-free [`Affine::transform`] into a precision-`T` row (the
-    /// batched training and serving paths fill workspace rows with this).
-    /// The raw value is narrowed to `T` first, so every operation runs in
-    /// `T`; at `T = f64` this is bitwise [`Affine::transform`].
+    /// Scales a raw vector into a precision-`T` row (the training and
+    /// inference paths fill workspace rows with this). The raw value is
+    /// narrowed to `T` first, so every operation runs in `T`.
     pub fn transform_into(&self, x: &[f64], out: &mut [T]) {
         assert_eq!(x.len(), self.sub.len(), "scaler dimension mismatch");
         assert_eq!(out.len(), x.len(), "scaler output length mismatch");
@@ -155,10 +114,10 @@ impl<T: Scalar> Affine<T> {
         }
     }
 
-    /// Allocation-free [`Affine::inverse_tail`] from a precision-`T` row
-    /// back to raw f64 units — a full-width `tail` is the whole
-    /// [`Affine::inverse`]. The fleet's batched inference path scatters
-    /// workspace rows with this.
+    /// Maps a scaled precision-`T` suffix back to raw f64 units, using the
+    /// statistics of the last `tail.len()` dimensions: a full-width `tail`
+    /// is a whole reconstruction, the last `N` entries a forecast of `s_t`.
+    /// The inference loop scatters workspace rows with this.
     pub fn inverse_tail_into(&self, tail: &[T], out: &mut [f64]) {
         assert_eq!(out.len(), tail.len(), "scaler output length mismatch");
         let offset = self.sub.len() - tail.len();
@@ -187,21 +146,62 @@ impl<T: Scalar> Affine<T> {
     }
 }
 
+/// `x` scaled into `out` by `scaler`, or narrowed to `T` unscaled before
+/// any fit — how every training step and inference row loads a window.
+pub(crate) fn scale_into<T: Scalar>(scaler: Option<&Affine<T>>, x: &[f64], out: &mut [T]) {
+    match scaler {
+        Some(s) => s.transform_into(x, out),
+        None => {
+            assert_eq!(out.len(), x.len(), "scaler output length mismatch");
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = T::from_f64(v);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn fv(values: &[f64]) -> FeatureVector {
         FeatureVector::new(values.to_vec(), values.len(), 1)
     }
 
+    /// The scaler arithmetic written out, `(x − sub) / div`: the reference
+    /// [`Affine::transform_into`] and the batched inference loop are
+    /// checked against.
+    pub(crate) fn transform_ref(s: &Affine, x: &[f64]) -> Vec<f64> {
+        x.iter().zip(&s.sub).zip(&s.div).map(|((&v, &m), &d)| (v - m) / d).collect()
+    }
+
+    /// The inverse written out, `z · div + sub` over the last `z.len()`
+    /// dimensions.
+    pub(crate) fn inverse_tail_ref(s: &Affine, z: &[f64]) -> Vec<f64> {
+        let offset = s.sub.len() - z.len();
+        let stats = s.sub[offset..].iter().zip(&s.div[offset..]);
+        z.iter().zip(stats).map(|(&v, (&m, &d))| v * d + m).collect()
+    }
+
+    fn transform(s: &Affine, x: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; x.len()];
+        s.transform_into(x, &mut z);
+        z
+    }
+
+    fn inverse(s: &Affine, z: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; z.len()];
+        s.inverse_tail_into(z, &mut x);
+        x
+    }
+
     #[test]
     fn minmax_maps_training_range_to_unit() {
         let train = vec![fv(&[0.0, -10.0]), fv(&[4.0, 30.0])];
         let s = Affine::min_max(&train);
-        assert_eq!(s.transform(&[0.0, -10.0]), vec![0.0, 0.0]);
-        assert_eq!(s.transform(&[4.0, 30.0]), vec![1.0, 1.0]);
-        assert_eq!(s.transform(&[2.0, 10.0]), vec![0.5, 0.5]);
+        assert_eq!(transform(&s, &[0.0, -10.0]), vec![0.0, 0.0]);
+        assert_eq!(transform(&s, &[4.0, 30.0]), vec![1.0, 1.0]);
+        assert_eq!(transform(&s, &[2.0, 10.0]), vec![0.5, 0.5]);
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
         let train = vec![fv(&[1.0, 2.0]), fv(&[3.0, 8.0]), fv(&[2.0, 5.0])];
         let s = Affine::min_max(&train);
         let x = [2.7, 6.1];
-        let back = s.inverse(&s.transform(&x));
+        let back = inverse(&s, &transform(&s, &x));
         for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -219,24 +219,24 @@ mod tests {
     fn minmax_out_of_range_values_exceed_unit() {
         let train = vec![fv(&[0.0]), fv(&[1.0])];
         let s = Affine::min_max(&train);
-        assert!(s.transform(&[5.0])[0] > 1.0);
-        assert!(s.transform(&[-5.0])[0] < 0.0);
+        assert!(transform(&s, &[5.0])[0] > 1.0);
+        assert!(transform(&s, &[-5.0])[0] < 0.0);
     }
 
     #[test]
     fn minmax_constant_dim_is_floored() {
         let train = vec![fv(&[7.0]), fv(&[7.0])];
         let s = Affine::min_max(&train);
-        assert!(s.transform(&[7.0])[0].is_finite());
+        assert!(transform(&s, &[7.0])[0].is_finite());
     }
 
     #[test]
     fn fit_computes_mean_and_std() {
         let train = vec![fv(&[0.0, 10.0]), fv(&[2.0, 30.0])];
         let s = Affine::standardize(&train);
-        let z = s.transform(&[1.0, 20.0]);
+        let z = transform(&s, &[1.0, 20.0]);
         assert!(z[0].abs() < 1e-12 && z[1].abs() < 1e-12, "center maps to zero: {z:?}");
-        let z2 = s.transform(&[2.0, 30.0]);
+        let z2 = transform(&s, &[2.0, 30.0]);
         assert!((z2[0] - 1.0).abs() < 1e-12);
         assert!((z2[1] - 1.0).abs() < 1e-12);
     }
@@ -246,7 +246,7 @@ mod tests {
         let train = vec![fv(&[1.0, 2.0, 3.0]), fv(&[4.0, 0.0, -3.0]), fv(&[2.0, 2.0, 9.0])];
         let s = Affine::standardize(&train);
         let x = [3.3, -1.2, 7.0];
-        let back = s.inverse(&s.transform(&x));
+        let back = inverse(&s, &transform(&s, &x));
         for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -256,27 +256,17 @@ mod tests {
     fn constant_dimension_is_floored_not_nan() {
         let train = vec![fv(&[5.0, 1.0]), fv(&[5.0, 2.0])];
         let s = Affine::standardize(&train);
-        let z = s.transform(&[5.0, 1.5]);
+        let z = transform(&s, &[5.0, 1.5]);
         assert!(z.iter().all(|v| v.is_finite()));
         assert_eq!(z[0], 0.0);
     }
 
     #[test]
-    fn tail_transforms_use_suffix_stats() {
+    fn tail_inverse_uses_suffix_stats() {
         let train = vec![fv(&[0.0, 100.0]), fv(&[2.0, 300.0])];
         let s = Affine::standardize(&train);
-        let z = s.transform_tail(&[200.0]);
-        assert!(z[0].abs() < 1e-12);
-        let raw = s.inverse_tail(&[1.0]);
-        assert!((raw[0] - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn identity_scaler_is_noop() {
-        let s = Affine::identity(3);
-        let x = [1.0, -2.0, 3.0];
-        assert_eq!(s.transform(&x), x.to_vec());
-        assert_eq!(s.inverse(&x), x.to_vec());
+        assert!((inverse(&s, &[0.0])[0] - 200.0).abs() < 1e-9);
+        assert!((inverse(&s, &[1.0])[0] - 300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -285,42 +275,28 @@ mod tests {
         let _ = Affine::standardize(&[]);
     }
 
-    #[test]
-    fn transform_into_matches_transform_bitwise() {
-        let train = vec![fv(&[1.0, -4.0, 0.5]), fv(&[3.0, 2.0, 9.5]), fv(&[0.0, 1.0, 4.0])];
-        let x = [2.2, -0.7, 6.1];
-        let mut out = [0.0; 3];
-        let s = Affine::standardize(&train);
-        s.transform_into(&x, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            s.transform(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-        let mm = Affine::min_max(&train);
-        mm.transform_into(&x, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            mm.transform(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn full_width_inverse_tail_into_matches_inverse_bitwise() {
+    fn transform_into_is_the_affine_map_bitwise() {
         let train = vec![fv(&[1.0, -4.0, 0.5]), fv(&[3.0, 2.0, 9.5]), fv(&[0.0, 1.0, 4.0])];
-        let z = [0.33, -1.8, 2.4];
-        let mut out = [0.0; 3];
+        let x = [2.2, -0.7, 6.1];
         for s in [Affine::standardize(&train), Affine::min_max(&train)] {
-            s.inverse_tail_into(&z, &mut out);
-            assert_eq!(out.map(f64::to_bits).to_vec(),
-                s.inverse(&z).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            assert_eq!(bits(&transform(&s, &x)), bits(&transform_ref(&s, &x)));
         }
     }
 
     #[test]
-    fn inverse_tail_into_matches_inverse_tail_bitwise() {
-        let train = vec![fv(&[0.0, 100.0, 7.0]), fv(&[2.0, 300.0, -1.0])];
-        let s = Affine::standardize(&train);
-        let tail = [0.7, -0.4];
-        let mut out = [0.0; 2];
-        s.inverse_tail_into(&tail, &mut out);
-        assert_eq!(out.map(f64::to_bits).to_vec(),
-            s.inverse_tail(&tail).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    fn inverse_tail_into_is_the_inverse_map_bitwise() {
+        let train = vec![fv(&[1.0, -4.0, 0.5]), fv(&[3.0, 2.0, 9.5]), fv(&[0.0, 1.0, 4.0])];
+        let z = [0.33, -1.8, 2.4];
+        for s in [Affine::standardize(&train), Affine::min_max(&train)] {
+            for tail in [&z[..], &z[1..]] {
+                assert_eq!(bits(&inverse(&s, tail)), bits(&inverse_tail_ref(&s, tail)));
+            }
+        }
     }
 
     #[test]
@@ -333,7 +309,7 @@ mod tests {
             let snap = Affine::<f32>::from_precision(&fitted);
             assert_eq!(snap.dim(), 3);
             snap.transform_into(&x, &mut z32);
-            for (got, want) in z32.iter().zip(fitted.transform(&x)) {
+            for (got, want) in z32.iter().zip(transform(&fitted, &x)) {
                 assert!((f64::from(*got) - want).abs() <= 1e-5 * want.abs().max(1.0));
             }
             snap.inverse_tail_into(&z32, &mut back);

@@ -21,10 +21,14 @@
 //! exactly what `sad_nn::Mlp::backward`'s input-gradient chaining provides.
 //!
 //! In the framework the model reports `AE₁(x)` as its reconstruction; the
-//! cosine nonconformity then compares it against `x_t` (§IV-D).
+//! cosine nonconformity then compares it against `x_t` (§IV-D). `predict`
+//! is the batched inference loop (`crate::batch_infer`) at one row. The
+//! adversarial forward `E → D₁ → E → D₂` is written once
+//! (`UsadBuffers::forward`): both training phases and [`Usad::usad_score`]
+//! run it.
 
-use crate::batch_infer::{InferView, Nets};
-use crate::scaler::Affine;
+use crate::batch_infer::{predict_row, InferBatch, InferView, Nets};
+use crate::scaler::{scale_into, Affine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sad_core::{FeatureVector, ModelOutput, StreamModel};
@@ -52,6 +56,20 @@ struct UsadBuffers {
     ws_d2r: MlpWorkspace,
 }
 
+impl UsadBuffers {
+    /// The adversarial forward over the window loaded into `ws_e`:
+    /// `z = E(x)`, `r₁ = D₁(z)`, `z₂ = E(r₁)`, `R_both = D₂(z₂)`.
+    fn forward(&mut self, encoder: &Mlp, dec1: &Mlp, dec2: &Mlp) {
+        encoder.forward_batch(&mut self.ws_e);
+        self.ws_d1.input_mut().copy_from(self.ws_e.output());
+        dec1.forward_batch(&mut self.ws_d1);
+        self.ws_e2.input_mut().copy_from(self.ws_d1.output());
+        encoder.forward_batch(&mut self.ws_e2);
+        self.ws_d2b.input_mut().copy_from(self.ws_e2.output());
+        dec2.forward_batch(&mut self.ws_d2b);
+    }
+}
+
 /// The USAD adversarial autoencoder.
 #[derive(Clone)]
 pub struct Usad {
@@ -60,6 +78,8 @@ pub struct Usad {
     dec2: Option<Mlp>,
     scaler: Option<Affine>,
     bufs: Option<UsadBuffers>,
+    /// `predict`'s one-row inference loop, built on its first call.
+    infer: Option<InferBatch>,
     opt_e1: Adam,
     opt_d1: Adam,
     opt_e2: Adam,
@@ -80,6 +100,7 @@ impl Usad {
             dec2: None,
             scaler: None,
             bufs: None,
+            infer: None,
             opt_e1: Adam::new(lr),
             opt_d1: Adam::new(lr),
             opt_e2: Adam::new(lr),
@@ -134,13 +155,6 @@ impl Usad {
         self.dec2 = Some(dec2);
     }
 
-    fn scaled(&self, x: &FeatureVector) -> Vec<f64> {
-        match &self.scaler {
-            Some(s) => s.transform(x.as_slice()),
-            None => x.as_slice().to_vec(),
-        }
-    }
-
     /// One adversarial training step on window `x`, through the workspace
     /// path with zero heap allocations: the original per-sample adversarial
     /// step, bit for bit.
@@ -151,22 +165,13 @@ impl Usad {
         let encoder = self.encoder.as_mut().expect("nets initialized");
         let dec1 = self.dec1.as_mut().expect("nets initialized");
         let dec2 = self.dec2.as_mut().expect("nets initialized");
-        let UsadBuffers { ws_e, ws_d1, ws_e2, ws_d2b, ws_d2r } =
-            self.bufs.as_mut().expect("buffers initialized");
-        match &self.scaler {
-            Some(s) => s.transform_into(x.as_slice(), ws_e.input_row_mut(0)),
-            None => ws_e.input_row_mut(0).copy_from_slice(x.as_slice()),
-        }
+        let bufs = self.bufs.as_mut().expect("buffers initialized");
+        scale_into(self.scaler.as_ref(), x.as_slice(), bufs.ws_e.input_row_mut(0));
 
         // ---- Phase 1: update {E, D1} on L_AE1 = w_rec·R1 + w_adv·R_both.
         {
-            encoder.forward_batch(ws_e); // z
-            ws_d1.input_mut().copy_from(ws_e.output());
-            dec1.forward_batch(ws_d1); // r1
-            ws_e2.input_mut().copy_from(ws_d1.output());
-            encoder.forward_batch(ws_e2); // z2
-            ws_d2b.input_mut().copy_from(ws_e2.output());
-            dec2.forward_batch(ws_d2b); // rboth
+            bufs.forward(encoder, dec1, dec2);
+            let UsadBuffers { ws_e, ws_d1, ws_e2, ws_d2b, .. } = &mut *bufs;
 
             // ∂L/∂rboth, back through D2 (frozen this phase: input
             // gradient only) and the re-encoding into ∂L/∂r1.
@@ -204,13 +209,8 @@ impl Usad {
 
         // ---- Phase 2: update {E, D2} on L_AE2 = w_rec·R2 − w_adv·R_both.
         {
-            encoder.forward_batch(ws_e); // z (inputs still loaded)
-            ws_d1.input_mut().copy_from(ws_e.output());
-            dec1.forward_batch(ws_d1); // r1
-            ws_e2.input_mut().copy_from(ws_d1.output());
-            encoder.forward_batch(ws_e2); // z2
-            ws_d2b.input_mut().copy_from(ws_e2.output());
-            dec2.forward_batch(ws_d2b); // rboth
+            bufs.forward(encoder, dec1, dec2); // inputs still loaded
+            let UsadBuffers { ws_e, ws_d1, ws_e2, ws_d2b, ws_d2r } = &mut *bufs;
             ws_d2r.input_mut().copy_from(ws_e.output());
             dec2.forward_batch(ws_d2r); // r2
 
@@ -254,27 +254,21 @@ impl Usad {
         Some(InferView { nets: Nets::Usad(encoder, dec1), scaler: self.scaler.as_ref() })
     }
 
-    /// Reconstruction `AE₁(x)` in standardized space.
-    fn reconstruct_scaled(&self, z_in: &[f64]) -> Vec<f64> {
-        let encoder = self.encoder.as_ref().expect("nets initialized");
-        let dec1 = self.dec1.as_ref().expect("nets initialized");
-        dec1.infer(&encoder.infer(z_in))
-    }
-
     /// The USAD inference score `α·R₁ + β·R_both` (Audibert et al. Eq. 9),
     /// exposed for analyses beyond the framework's cosine nonconformity.
+    /// One adversarial forward on the training buffers.
     pub fn usad_score(&mut self, x: &FeatureVector, alpha: f64, beta: f64) -> f64 {
         self.ensure_nets(x.dim());
-        let z_in = self.scaled(x);
         let encoder = self.encoder.as_ref().expect("nets initialized");
         let dec1 = self.dec1.as_ref().expect("nets initialized");
         let dec2 = self.dec2.as_ref().expect("nets initialized");
-        let r1 = dec1.infer(&encoder.infer(&z_in));
-        let rboth = dec2.infer(&encoder.infer(&r1));
+        let bufs = self.bufs.as_mut().expect("buffers initialized");
+        scale_into(self.scaler.as_ref(), x.as_slice(), bufs.ws_e.input_row_mut(0));
+        bufs.forward(encoder, dec1, dec2);
+        let z_in = bufs.ws_e.input().row(0);
         let d = z_in.len() as f64;
-        let r1_err: f64 = z_in.iter().zip(&r1).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / d;
-        let rb_err: f64 = z_in.iter().zip(&rboth).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / d;
-        alpha * r1_err + beta * rb_err
+        let err = |r: &[f64]| z_in.iter().zip(r).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / d;
+        alpha * err(bufs.ws_d1.output_row(0)) + beta * err(bufs.ws_d2b.output_row(0))
     }
 }
 
@@ -301,13 +295,9 @@ impl StreamModel for Usad {
 
     fn predict(&mut self, x: &FeatureVector) -> ModelOutput {
         self.ensure_nets(x.dim());
-        let z_in = self.scaled(x);
-        let recon_z = self.reconstruct_scaled(&z_in);
-        let recon = match &self.scaler {
-            Some(s) => s.inverse(&recon_z),
-            None => recon_z,
-        };
-        ModelOutput::Reconstruction(recon)
+        let (encoder, dec1) = (self.encoder.as_ref(), self.dec1.as_ref());
+        let nets = Nets::Usad(encoder.expect("nets initialized"), dec1.expect("nets initialized"));
+        predict_row(&mut self.infer, InferView { nets, scaler: self.scaler.as_ref() }, x)
     }
 
     fn fit_initial(&mut self, train: &[FeatureVector], epochs: usize) {
@@ -344,6 +334,7 @@ impl StreamModel for Usad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaler::tests::transform_ref;
     use sad_core::nonconformity;
 
     fn sine_windows(count: usize, w: usize) -> Vec<FeatureVector> {
@@ -412,6 +403,40 @@ mod tests {
         let weird = FeatureVector::new(vec![6.0; 12], 6, 2);
         let s_weird = usad.usad_score(&weird, 0.5, 0.5);
         assert!(s_weird > s_norm * 2.0, "USAD score: anomaly {s_weird} vs normal {s_norm}");
+    }
+
+    /// `usad_score` runs the adversarial forward on the training buffers;
+    /// its value is the scalar composition's, bit for bit: `Mlp::infer`
+    /// chains between the scaler arithmetic written out.
+    #[test]
+    fn usad_score_matches_its_scalar_composition_bitwise() {
+        let train = sine_windows(30, 6);
+        let mut usad = Usad::new(3, 2e-3, 9);
+        usad.fit_initial(&train, 20);
+        for x in [&train[12], &FeatureVector::new(vec![6.0; 12], 6, 2)] {
+            let z = transform_ref(usad.scaler.as_ref().expect("fitted"), x.as_slice());
+            let encoder = usad.encoder.as_ref().expect("fitted");
+            let r1 = usad.dec1.as_ref().expect("fitted").infer(&encoder.infer(&z));
+            let rboth = usad.dec2.as_ref().expect("fitted").infer(&encoder.infer(&r1));
+            let err = |r: &[f64]| -> f64 {
+                z.iter().zip(r).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / z.len() as f64
+            };
+            let want = 0.5 * err(&r1) + 0.25 * err(&rboth);
+            assert_eq!(usad.usad_score(x, 0.5, 0.25).to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn usad_score_leaves_the_training_trajectory_alone() {
+        // `usad_score` runs on the training buffers; a step reloads them.
+        let train = sine_windows(20, 6);
+        let mut a = Usad::new(2, 2e-3, 4);
+        a.fit_initial(&train, 3);
+        let mut b = a.clone();
+        let _ = b.usad_score(&train[7], 0.5, 0.5);
+        a.fine_tune(&train);
+        b.fine_tune(&train);
+        assert_eq!(a.predict(&train[3]), b.predict(&train[3]));
     }
 
     #[test]

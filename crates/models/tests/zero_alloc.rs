@@ -8,7 +8,8 @@
 //! optimizers step parameters in place. The same holds for the f32
 //! serving snapshot's re-sync after a fine-tune (the fleet's
 //! training-event hook): it converts every weight and scaler statistic in
-//! place.
+//! place. And `predict`, the batched inference loop at one row, allocates
+//! once after its first call: the returned `ModelOutput`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -124,4 +125,24 @@ fn f32_snapshot_resync_after_fine_tune_is_allocation_free() {
     assert_snapshot_resync_is_allocation_free(Box::new(TwoLayerAe::for_dim(16, 7)), "AE");
     assert_snapshot_resync_is_allocation_free(Box::new(Usad::for_dim(16, 7)), "USAD");
     assert_snapshot_resync_is_allocation_free(Box::new(NBeats::for_dims(8, 2, 7)), "N-BEATS");
+}
+
+fn assert_predict_allocates_only_its_output(mut model: Box<dyn StreamModel>, label: &str) {
+    let train = sine_windows(24, 8);
+    model.fit_initial(&train, 2);
+    // The first call builds the model's one-row inference batch.
+    let _ = model.predict(&train[0]);
+    for x in &train[1..6] {
+        let mut out = None;
+        let n = count_allocs(|| out = Some(model.predict(x)));
+        assert_eq!(n, 1, "{label}: predict must allocate only its output, saw {n} allocations");
+        assert!(out.is_some());
+    }
+}
+
+#[test]
+fn predict_allocates_only_its_output() {
+    assert_predict_allocates_only_its_output(Box::new(TwoLayerAe::for_dim(16, 7)), "AE");
+    assert_predict_allocates_only_its_output(Box::new(Usad::for_dim(16, 7)), "USAD");
+    assert_predict_allocates_only_its_output(Box::new(NBeats::for_dims(8, 2, 7)), "N-BEATS");
 }

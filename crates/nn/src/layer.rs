@@ -78,7 +78,8 @@ impl Dense {
         Self { weights, bias: vec![0.0; out_dim], activation }
     }
 
-    /// Forward pass without caching (inference only).
+    /// Forward pass without caching: a step of the scalar oracle
+    /// [`crate::Mlp::infer`].
     pub fn infer(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.in_dim(), "Dense infer: input dim mismatch");
         let mut out = self.weights.matvec(x);

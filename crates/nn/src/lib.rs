@@ -27,6 +27,12 @@
 //!   parameters exists. It reproduces the per-sample path
 //!   ([`Mlp::backward`] into [`MlpGrads`], then [`Mlp::apply_grads`]) bit
 //!   for bit (see `batch`'s module docs for the pinned summation order).
+//! * Inference runs through the same [`Mlp::forward_batch`]: the models'
+//!   `predict` is their batched inference loop at one row. The scalar,
+//!   allocating [`Mlp::infer`] (a chain of [`Dense::infer`]) runs in no
+//!   model; it stays as the oracle the batched forward is checked against
+//!   bitwise, here (`tests/batch_parity.rs`) and in `sad-models`'
+//!   `batch_infer` tests.
 //! * [`Dense`], [`Mlp`] and [`MlpWorkspace`] are generic over the tensor
 //!   precision (`f64` by default). Training is f64-only; an `Mlp<f32>` is
 //!   an inference snapshot of a trained network ([`Mlp::from_precision`],

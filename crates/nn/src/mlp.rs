@@ -105,7 +105,8 @@ impl Mlp {
         Self { layers }
     }
 
-    /// Inference-only forward pass.
+    /// Scalar inference-only forward pass. No model runs it; it is the
+    /// oracle [`Self::forward_batch`] is checked against row by row.
     pub fn infer(&self, x: &[f64]) -> Vec<f64> {
         let mut cur = x.to_vec();
         for layer in &self.layers {

@@ -16,9 +16,13 @@
 //!   buys is ILP (8 independent add chains hide the 4-cycle vector-add
 //!   latency that bounds a single-accumulator dot) and load reuse (each
 //!   `a` vector feeds 4 outputs, each `b` vector feeds 2).
-//! * **axpy / rank-4 row update**: element-wise sweeps where vectorization
-//!   cannot change the per-element operation order; AVX2 only widens the
-//!   lanes past the SSE2 baseline the default target emits.
+//! * **axpy / rank-4 row update** (f64 only): element-wise sweeps where
+//!   vectorization cannot change the per-element operation order; AVX2
+//!   only widens the lanes past the SSE2 baseline the default target
+//!   emits. They serve `matmul_into`, `matmul_transpose_a_acc` and
+//!   `matvec_t`, which only f64 training, VAR and tests reach; f32 is
+//!   inference-only, served through the GEMM panel kernel, so its sweeps
+//!   run the trait's portable tiles.
 //! * **Adam step** (`adam_step_f64_avx2_fma`): the element-wise update of
 //!   [`Adam`](crate::Adam), with its two bias-correction divisions replaced
 //!   by a correctly rounded constant-divisor quotient.
@@ -309,30 +313,6 @@ pub unsafe fn axpy_f64_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// AVX2 `y += alpha · x` (f32).
-///
-/// # Safety
-/// Caller must verify AVX2 at runtime; `x.len() == y.len()`.
-#[target_feature(enable = "avx2")]
-pub unsafe fn axpy_f32_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let va = _mm256_set1_ps(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        let y0 = _mm256_loadu_ps(yp.add(i));
-        let x0 = _mm256_loadu_ps(xp.add(i));
-        _mm256_storeu_ps(yp.add(i), _mm256_add_ps(y0, _mm256_mul_ps(va, x0)));
-        i += 8;
-    }
-    while i < n {
-        *yp.add(i) += alpha * *xp.add(i);
-        i += 1;
-    }
-}
-
 /// AVX2 fused rank-4 row update `y += a0·r0 + a1·r1 + a2·r2 + a3·r3` (f64).
 ///
 /// Per element the four `+=` happen in ascending-`k` order — the identical
@@ -358,40 +338,6 @@ pub unsafe fn rank4_f64_avx2(a: [f64; 4], r0: &[f64], r1: &[f64], r2: &[f64], r3
         t = _mm256_add_pd(t, _mm256_mul_pd(va3, _mm256_loadu_pd(r3.as_ptr().add(i))));
         _mm256_storeu_pd(yp.add(i), t);
         i += 4;
-    }
-    while i < n {
-        let mut t = *yp.add(i);
-        t += a[0] * *r0.get_unchecked(i);
-        t += a[1] * *r1.get_unchecked(i);
-        t += a[2] * *r2.get_unchecked(i);
-        t += a[3] * *r3.get_unchecked(i);
-        *yp.add(i) = t;
-        i += 1;
-    }
-}
-
-/// AVX2 fused rank-4 row update (f32).
-///
-/// # Safety
-/// Caller must verify AVX2 at runtime; all slices share `y.len()`.
-#[target_feature(enable = "avx2")]
-pub unsafe fn rank4_f32_avx2(a: [f32; 4], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32], y: &mut [f32]) {
-    let n = y.len();
-    debug_assert!(r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n);
-    let va0 = _mm256_set1_ps(a[0]);
-    let va1 = _mm256_set1_ps(a[1]);
-    let va2 = _mm256_set1_ps(a[2]);
-    let va3 = _mm256_set1_ps(a[3]);
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        let mut t = _mm256_loadu_ps(yp.add(i));
-        t = _mm256_add_ps(t, _mm256_mul_ps(va0, _mm256_loadu_ps(r0.as_ptr().add(i))));
-        t = _mm256_add_ps(t, _mm256_mul_ps(va1, _mm256_loadu_ps(r1.as_ptr().add(i))));
-        t = _mm256_add_ps(t, _mm256_mul_ps(va2, _mm256_loadu_ps(r2.as_ptr().add(i))));
-        t = _mm256_add_ps(t, _mm256_mul_ps(va3, _mm256_loadu_ps(r3.as_ptr().add(i))));
-        _mm256_storeu_ps(yp.add(i), t);
-        i += 8;
     }
     while i < n {
         let mut t = *yp.add(i);

@@ -23,8 +23,9 @@
 //! support) swaps in `core::arch` AVX2 variants of the dot kernels plus
 //! the register-blocked micro-kernel layer in [`crate::microkernel`]: a
 //! 2×4-output GEMM panel kernel for `A · Bᵀ` where every output keeps its
-//! own pinned lane accumulator, and AVX2 element-wise axpy and rank-4
-//! sweeps. All of them use separate multiply and add
+//! own pinned lane accumulator, and f64 AVX2 element-wise axpy and rank-4
+//! sweeps (f32, inference-only, never reaches those sweeps outside tests
+//! and keeps the portable tiles). All of them use separate multiply and add
 //! instructions — FMA **never contracts a product into a sum**, which
 //! would skip the product's rounding and change bits — and reduce
 //! horizontally in the same pinned order, so enabling the feature is
@@ -116,8 +117,8 @@ pub trait Scalar:
     /// and [`matvec_t`](crate::Matrix::matvec_t).
     ///
     /// Element-wise, so vectorization cannot change the per-element
-    /// operation order: the AVX2 override (under `simd`) is bitwise-equal
-    /// to the portable [`axpy_tiled`].
+    /// operation order: f64's AVX2 override (under `simd`) is bitwise-equal
+    /// to the portable [`axpy_tiled`], which f32 keeps.
     #[inline]
     fn axpy(alpha: Self, x: &[Self], y: &mut [Self]) {
         axpy_tiled(alpha, x, y);
@@ -304,28 +305,6 @@ impl Scalar for f32 {
             return unsafe { x86::dot_f32_avx2(a, b) };
         }
         dot_pinned_f32(a, b)
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn axpy(alpha: Self, x: &[Self], y: &mut [Self]) {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { crate::microkernel::axpy_f32_avx2(alpha, x, y) }
-        } else {
-            axpy_tiled(alpha, x, y);
-        }
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn rank4_update(a: [Self; 4], r0: &[Self], r1: &[Self], r2: &[Self], r3: &[Self], y: &mut [Self]) {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { crate::microkernel::rank4_f32_avx2(a, r0, r1, r2, r3, y) }
-        } else {
-            rank4_update_tiled(a, r0, r1, r2, r3, y);
-        }
     }
 
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]

@@ -4,7 +4,7 @@
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-use streamad::core::{paper_algorithms, DetectorConfig, ModelKind, ScoreKind};
+use streamad::core::{paper_algorithms, DetectorConfig, ModelKind, ScoreKind, StepOutput};
 use streamad::data::{daphnet_like, CorpusParams};
 use streamad::models::{build_detector, BuildParams};
 
@@ -122,45 +122,64 @@ fn detectors_survive_extreme_stream_values() {
     }
 }
 
-/// One NaN value after warm-up must not stall or panic any Table I
-/// algorithm, nor leave a non-finite score behind. It reaches the KSWIN
-/// training-set samples, where a KS merge walk that cannot pass a NaN
-/// spins forever (or trips its sortedness assertion in a debug build), so
-/// every run goes through a worker thread and must report back before a
-/// deadline. A window holding the NaN, or a prediction made from it,
-/// scores nonconformity 1.0, so every nonconformity and anomaly score
-/// stays finite.
+/// A stream vector holding a NaN or ±∞ is not a step. For every Table I
+/// algorithm the outputs over a series holding such rows equal, bitwise
+/// and `t` included, the outputs over the same series without them, and
+/// the detector counts the rows. One bad row sits inside warm-up, the rest
+/// after it. A NaN that reached the KSWIN training-set samples once made a
+/// KS merge walk spin forever, so every run goes through a worker thread
+/// and must report back before a deadline.
 #[test]
-fn every_algorithm_finishes_a_stream_holding_one_nan() {
+fn every_algorithm_drops_nan_and_infinite_rows_as_if_absent() {
     const DEADLINE: Duration = Duration::from_secs(60);
-    let mut data = tiny_corpus().series[0].data[..200].to_vec();
-    data[170][3] = f64::NAN;
-    let expected = data.len() - tiny_params().config.warmup;
+    let clean = tiny_corpus().series[0].data[..200].to_vec();
+    let expected = clean.len() - tiny_params().config.warmup;
+    // Rows inserted before `clean[at]`, each a copy of it with `channel`
+    // set to `value` (`None`: every channel).
+    let bad = [
+        (60, Some(0), f64::NAN),
+        (170, Some(3), f64::NAN),
+        (170, Some(8), f64::INFINITY),
+        (185, None, f64::NEG_INFINITY),
+        (199, None, f64::NAN),
+    ];
+    let mut dirty = Vec::with_capacity(clean.len() + bad.len());
+    for (t, row) in clean.iter().enumerate() {
+        for &(_, channel, value) in bad.iter().filter(|&&(at, ..)| at == t) {
+            let mut bad_row = row.clone();
+            match channel {
+                Some(c) => bad_row[c] = value,
+                None => bad_row.fill(value),
+            }
+            dirty.push(bad_row);
+        }
+        dirty.push(row.clone());
+    }
+    let bits = |outputs: &[StepOutput]| -> Vec<(usize, u64, u64, bool, bool)> {
+        let bits = |o: &StepOutput| {
+            (o.t, o.nonconformity.to_bits(), o.anomaly_score.to_bits(), o.drift, o.fine_tuned)
+        };
+        outputs.iter().map(bits).collect()
+    };
     let (tx, rx) = mpsc::channel();
     // Joined only on success: a run that misses the deadline is left
     // spinning until the test process exits.
     let worker = std::thread::spawn(move || {
         for spec in paper_algorithms() {
-            let outputs = build_detector(spec, &tiny_params()).run(&data);
-            if tx.send(outputs).is_err() {
+            let want = build_detector(spec, &tiny_params()).run(&clean);
+            let mut det = build_detector(spec, &tiny_params());
+            let got = det.run(&dirty);
+            if tx.send((want, got, det.non_finite(), det.time())).is_err() {
                 return;
             }
         }
     });
     for spec in paper_algorithms() {
         match rx.recv_timeout(DEADLINE) {
-            Ok(outputs) => {
-                assert_eq!(outputs.len(), expected, "{}", spec.label());
-                for out in &outputs {
-                    assert!(
-                        out.nonconformity.is_finite() && out.anomaly_score.is_finite(),
-                        "{} at t = {}: nonconformity {}, anomaly score {}",
-                        spec.label(),
-                        out.t,
-                        out.nonconformity,
-                        out.anomaly_score
-                    );
-                }
+            Ok((want, got, non_finite, time)) => {
+                assert_eq!(want.len(), expected, "{}", spec.label());
+                assert_eq!(bits(&got), bits(&want), "{}", spec.label());
+                assert_eq!((non_finite, time), (bad.len() as u64, 200), "{}", spec.label());
             }
             Err(RecvTimeoutError::Timeout) => {
                 panic!("{} did not finish within {DEADLINE:?}", spec.label())
