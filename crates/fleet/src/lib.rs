@@ -672,12 +672,19 @@ impl Shard {
         }
     }
 
-    /// Runs the caller's own per-stream work: every ungrouped step.
+    /// Runs the caller's own per-stream work: every ungrouped step. A
+    /// vector holding a NaN or ±∞ is dropped by the detector without a
+    /// step (its time does not advance), so its stream goes back to
+    /// [`Work::Idle`] and the round does not count it.
     fn step_ungrouped(&mut self) {
         for slot in self.slots.iter_mut().flatten().filter(|slot| slot.work == Work::Step) {
             let s = slot.queue.front().expect("a stepping stream has input");
+            let t = slot.det.time();
             slot.out = slot.det.step(s);
             slot.queue.pop_front();
+            if slot.det.time() == t {
+                slot.work = Work::Idle;
+            }
         }
     }
 

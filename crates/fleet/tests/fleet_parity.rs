@@ -200,6 +200,11 @@ fn a_non_finite_vector_on_a_grouped_stream_is_dropped_as_if_absent() {
         assert_eq!(fleet.detector(i).non_finite(), 1, "stream {i}");
     }
     assert!(fleet.stats().batched_rows > 0, "grouped streams served batched rows");
+    // A dropped vector is not a step, grouped or not: the fleet counts
+    // the clean series' steps.
+    let clean_steps: usize = clean.iter().map(Vec::len).sum();
+    assert_eq!(clean_steps, 1_260);
+    assert_eq!(fleet.stats().steps, clean_steps);
 }
 
 mod props {

@@ -12,10 +12,10 @@
 //!   vector-autoregressive model,
 //! * free-standing vector kernels (dot products, norms, cosine similarity)
 //!   used by every nonconformity measure ([`vector`]),
-//! * first-order optimizers (SGD with momentum, Adam) operating on flat
-//!   parameter slices ([`optim`]), shared by all gradient-trained models;
-//!   under `simd` the Adam step runs an AVX2+FMA kernel that is
-//!   bit-identical to its portable loop.
+//! * first-order optimizers operating on flat parameter slices
+//!   ([`optim`]): Adam, which every gradient-trained model uses (under
+//!   `simd` its step runs an AVX2+FMA kernel that is bit-identical to its
+//!   portable loop), and SGD with momentum, which only tests use.
 //!
 //! ## Precision
 //!
@@ -28,7 +28,8 @@
 //! *inference-only* consumers — the fleet serving path converts trained
 //! weights down once per training event and streams twice the elements per
 //! cache line through the same tiled kernels ([`scalar`] documents the
-//! per-precision lane layout and the optional `simd` AVX2 variants).
+//! per-precision lane layout, [`Scalar::LANES`], and the optional `simd`
+//! AVX2 kernels, each written once for both precisions).
 //!
 //! Streaming anomaly detection workloads are tiny by BLAS standards
 //! (windows of a few hundred elements); `sad-bench`'s `tensor_kernels`
@@ -36,7 +37,7 @@
 
 pub mod matrix;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub mod microkernel;
+mod microkernel;
 pub mod optim;
 pub mod scalar;
 pub mod solve;
@@ -44,8 +45,6 @@ pub mod vector;
 
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
-pub use scalar::{
-    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, simd_enabled, Scalar,
-};
+pub use scalar::{axpy_tiled, dot_pinned, rank4_update_tiled, simd_enabled, Scalar};
 pub use solve::{invert, least_squares, solve, SolveError};
 pub use vector::{axpy, cosine_similarity, dot, l2_norm, linf_norm, mean, scale, sub};

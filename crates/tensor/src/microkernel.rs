@@ -2,20 +2,25 @@
 //!
 //! Every kernel here is an *instruction-level* rewrite of a pinned portable
 //! kernel in [`crate::scalar`] — same IEEE-754 operations, same order, so
-//! the f64 results are bitwise identical and the f32 results match the
-//! pinned 8-lane layout exactly. The wins come from instruction selection
-//! only:
+//! its results are bitwise those of the portable kernel. The wins come
+//! from instruction selection only.
 //!
-//! * **GEMM panel kernel** ([`gemm_tb_f64_avx2`] / [`gemm_tb_f32_avx2`]):
-//!   the `A · Bᵀ` serving GEMM computed as 2-row × 4-column output panels.
-//!   Each of the 8 panel outputs keeps its *own* lane-accumulator register
-//!   (4 lanes f64 / 8 lanes f32) — the k-loop of one output is never split
-//!   across registers, so each output's reduction order is exactly
-//!   [`dot_pinned_f64`](crate::scalar::dot_pinned_f64) /
-//!   [`dot_pinned_f32`](crate::scalar::dot_pinned_f32). What the blocking
-//!   buys is ILP (8 independent add chains hide the 4-cycle vector-add
-//!   latency that bounds a single-accumulator dot) and load reuse (each
-//!   `a` vector feeds 4 outputs, each `b` vector feeds 2).
+//! The dot and the GEMM panel are written once for both precisions, over
+//! [`Lane`]: one AVX2 register of [`Scalar::LANES`] lanes (`__m256d`, 4 ×
+//! f64; `__m256`, 8 × f32), its zero and unaligned load, multiply-then-add
+//! and the pinned horizontal reduce.
+//!
+//! * **Dot** ([`dot_avx2`]): one accumulator register, the pinned reduce,
+//!   then the scalar tail in order — bitwise
+//!   [`dot_pinned`](crate::scalar::dot_pinned). It serves [`Scalar::dot`]
+//!   and the panel remainders.
+//! * **GEMM panel** ([`gemm_tb_avx2`]): the `A · Bᵀ` serving GEMM computed
+//!   as 2-row × 4-column output panels. Each of the 8 panel outputs keeps
+//!   its *own* accumulator register — the k-loop of one output is never
+//!   split across registers, so each output is exactly one pinned dot.
+//!   What the blocking buys is ILP (8 independent add chains hide the
+//!   4-cycle vector-add latency that bounds a single-accumulator dot) and
+//!   load reuse (each `a` vector feeds 4 outputs, each `b` vector feeds 2).
 //! * **axpy / rank-4 row update** (f64 only): element-wise sweeps where
 //!   vectorization cannot change the per-element operation order; AVX2
 //!   only widens the lanes past the SSE2 baseline the default target
@@ -27,6 +32,9 @@
 //!   [`Adam`](crate::Adam), with its two bias-correction divisions replaced
 //!   by a correctly rounded constant-divisor quotient.
 //!
+//! The module is crate-private. Its kernels trust AVX2 and their operand
+//! lengths; the safe [`Scalar`] methods, their only callers, check both.
+//!
 //! FMA never contracts a product into a sum: fusing would skip the
 //! product's rounding and change bits (see the crate-level discussion in
 //! [`crate::scalar`]). Its one use is the exact remainder `a − b·q` inside
@@ -35,100 +43,164 @@
 
 use std::arch::x86_64::*;
 
-/// Reduce a 4-lane f64 accumulator in the pinned `(l0+l2)+(l1+l3)` order.
+use crate::scalar::Scalar;
+
+/// One AVX2 register of a precision's [`Scalar::LANES`] lanes. `pub` only
+/// so the sealed supertrait of [`Scalar`] may name it.
 ///
 /// # Safety
-/// Requires AVX2 (callers are `#[target_feature(enable = "avx2")]`).
-#[target_feature(enable = "avx2")]
-unsafe fn hreduce_pd(acc: __m256d) -> f64 {
-    let lo = _mm256_castpd256_pd128(acc); // [l0, l1]
-    let hi = _mm256_extractf128_pd::<1>(acc); // [l2, l3]
-    let s = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
-    let upper = _mm_unpackhi_pd(s, s);
-    _mm_cvtsd_f64(_mm_add_sd(s, upper))
+/// Every method requires AVX2, and `load` one register of elements
+/// readable at `p`.
+pub trait Lane: Sized {
+    /// The register.
+    type Reg: Copy;
+    /// All lanes `+0.0`.
+    unsafe fn zero() -> Self::Reg;
+    /// One register of elements from `p`, unaligned.
+    unsafe fn load(p: *const Self) -> Self::Reg;
+    /// `acc + a·b` per lane: a multiply, then an add (never one FMA).
+    unsafe fn mul_then_add(acc: Self::Reg, a: Self::Reg, b: Self::Reg) -> Self::Reg;
+    /// The lanes summed by halving, lane `j` taking lane `j + L/2`: the
+    /// order of [`dot_pinned`](crate::scalar::dot_pinned).
+    unsafe fn reduce(acc: Self::Reg) -> Self;
 }
 
-/// Reduce an 8-lane f32 accumulator in the pinned
-/// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` order.
+impl Lane for f64 {
+    type Reg = __m256d;
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn zero() -> __m256d {
+        _mm256_setzero_pd()
+    }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load(p: *const f64) -> __m256d {
+        _mm256_loadu_pd(p)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mul_then_add(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
+        _mm256_add_pd(acc, _mm256_mul_pd(a, b))
+    }
+    /// `(l0+l2)+(l1+l3)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce(acc: __m256d) -> f64 {
+        let lo = _mm256_castpd256_pd128(acc); // [l0, l1]
+        let hi = _mm256_extractf128_pd::<1>(acc); // [l2, l3]
+        let s = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
+        let upper = _mm_unpackhi_pd(s, s);
+        _mm_cvtsd_f64(_mm_add_sd(s, upper))
+    }
+}
+
+impl Lane for f32 {
+    type Reg = __m256;
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn zero() -> __m256 {
+        _mm256_setzero_ps()
+    }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load(p: *const f32) -> __m256 {
+        _mm256_loadu_ps(p)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mul_then_add(acc: __m256, a: __m256, b: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+    }
+    /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce(acc: __m256) -> f32 {
+        let lo = _mm256_castps256_ps128(acc); // [l0, l1, l2, l3]
+        let hi = _mm256_extractf128_ps::<1>(acc); // [l4, l5, l6, l7]
+        let s = _mm_add_ps(lo, hi); // [l0+l4, l1+l5, l2+l6, l3+l7]
+        let upper = _mm_movehl_ps(s, s);
+        let t = _mm_add_ps(s, upper); // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7), ..]
+        let t1 = _mm_shuffle_ps::<0b01>(t, t);
+        _mm_cvtss_f32(_mm_add_ss(t, t1))
+    }
+}
+
+/// `T::LANES`, checked at compile time against the register width: a
+/// kernel's k-loop steps by it, and each step loads one register.
+#[inline(always)]
+fn lanes<T: Scalar>() -> usize {
+    const { assert!(size_of::<T::Reg>() == T::LANES * size_of::<T>()) };
+    T::LANES
+}
+
+/// Pinned dot of the `k` elements behind `a` and `b`, bitwise
+/// [`dot_pinned`](crate::scalar::dot_pinned).
 ///
 /// # Safety
-/// Requires AVX2.
+/// Requires AVX2 and `k` readable elements behind both pointers.
 #[target_feature(enable = "avx2")]
-unsafe fn hreduce_ps(acc: __m256) -> f32 {
-    let lo = _mm256_castps256_ps128(acc); // [l0, l1, l2, l3]
-    let hi = _mm256_extractf128_ps::<1>(acc); // [l4, l5, l6, l7]
-    let s = _mm_add_ps(lo, hi); // [l0+l4, l1+l5, l2+l6, l3+l7]
-    let upper = _mm_movehl_ps(s, s);
-    let t = _mm_add_ps(s, upper); // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7), ..]
-    let t1 = _mm_shuffle_ps::<0b01>(t, t);
-    _mm_cvtss_f32(_mm_add_ss(t, t1))
+pub unsafe fn dot_avx2<T: Scalar>(a: *const T, b: *const T, k: usize) -> T {
+    let l = lanes::<T>();
+    let kc = k / l * l;
+    let mut acc = T::zero();
+    let mut kk = 0;
+    while kk < kc {
+        acc = T::mul_then_add(acc, T::load(a.add(kk)), T::load(b.add(kk)));
+        kk += l;
+    }
+    let mut sum = T::reduce(acc);
+    for t in kc..k {
+        sum += *a.add(t) * *b.add(t);
+    }
+    sum
 }
 
-/// Register-blocked `out = A · Bᵀ` (f64): `A` is `m×k`, `B` is `n×k`, both
+/// Register-blocked `out = A · Bᵀ`: `A` is `m×k`, `B` is `n×k`, both
 /// row-major, `out` is `m×n`.
 ///
-/// 2×4 output panels, one 4-lane accumulator per output, pinned horizontal
-/// reduce + ascending scalar tail per output — bitwise-equal to one
-/// `dot_pinned_f64(a.row(i), b.row(j))` per element. Panel remainders
-/// (odd trailing row, `n % 4` trailing columns) fall back to the plain
-/// AVX2 dot, which shares the same pinned order.
+/// 2×4 output panels, one accumulator register per output, the pinned
+/// reduce and the ascending scalar tail per output — bitwise-equal to one
+/// [`dot_pinned`](crate::scalar::dot_pinned) of `a.row(i)` and `b.row(j)`
+/// per element. Panel remainders (an odd trailing row, `n % 4` trailing
+/// columns) take [`dot_avx2`].
 ///
 /// # Safety
-/// Caller must verify AVX2 at runtime and pass consistent dimensions
-/// (`a.len() == m*k`, `b.len() == n*k`, `out.len() == m*n`).
+/// Requires AVX2, `a.len() == m·k`, `b.len() == n·k` and `out.len() == m·n`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn gemm_tb_f64_avx2(a: &[f64], b: &[f64], out: &mut [f64], m: usize, n: usize, k: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    let kc = k / 4 * 4;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
+pub unsafe fn gemm_tb_avx2<T: Scalar>(a: &[T], b: &[T], out: &mut [T], m: usize, n: usize, k: usize) {
+    debug_assert!(a.len() == m * k && b.len() == n * k && out.len() == m * n);
+    let l = lanes::<T>();
+    let kc = k / l * l;
+    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
     let mut i = 0;
     while i + 2 <= m {
-        let ar0 = ap.add(i * k);
-        let ar1 = ap.add((i + 1) * k);
+        let ar = [ap.add(i * k), ap.add((i + 1) * k)];
         let mut j = 0;
         while j + 4 <= n {
-            let br0 = bp.add(j * k);
-            let br1 = bp.add((j + 1) * k);
-            let br2 = bp.add((j + 2) * k);
-            let br3 = bp.add((j + 3) * k);
-            let mut c00 = _mm256_setzero_pd();
-            let mut c01 = _mm256_setzero_pd();
-            let mut c02 = _mm256_setzero_pd();
-            let mut c03 = _mm256_setzero_pd();
-            let mut c10 = _mm256_setzero_pd();
-            let mut c11 = _mm256_setzero_pd();
-            let mut c12 = _mm256_setzero_pd();
-            let mut c13 = _mm256_setzero_pd();
+            let br = [bp.add(j * k), bp.add((j + 1) * k), bp.add((j + 2) * k), bp.add((j + 3) * k)];
+            let mut acc = [[T::zero(); 4]; 2];
             let mut kk = 0;
             while kk < kc {
-                let va0 = _mm256_loadu_pd(ar0.add(kk));
-                let va1 = _mm256_loadu_pd(ar1.add(kk));
-                let vb0 = _mm256_loadu_pd(br0.add(kk));
-                let vb1 = _mm256_loadu_pd(br1.add(kk));
-                let vb2 = _mm256_loadu_pd(br2.add(kk));
-                let vb3 = _mm256_loadu_pd(br3.add(kk));
-                c00 = _mm256_add_pd(c00, _mm256_mul_pd(va0, vb0));
-                c01 = _mm256_add_pd(c01, _mm256_mul_pd(va0, vb1));
-                c02 = _mm256_add_pd(c02, _mm256_mul_pd(va0, vb2));
-                c03 = _mm256_add_pd(c03, _mm256_mul_pd(va0, vb3));
-                c10 = _mm256_add_pd(c10, _mm256_mul_pd(va1, vb0));
-                c11 = _mm256_add_pd(c11, _mm256_mul_pd(va1, vb1));
-                c12 = _mm256_add_pd(c12, _mm256_mul_pd(va1, vb2));
-                c13 = _mm256_add_pd(c13, _mm256_mul_pd(va1, vb3));
-                kk += 4;
+                let va = [T::load(ar[0].add(kk)), T::load(ar[1].add(kk))];
+                let vb = [
+                    T::load(br[0].add(kk)),
+                    T::load(br[1].add(kk)),
+                    T::load(br[2].add(kk)),
+                    T::load(br[3].add(kk)),
+                ];
+                for (row, &x) in acc.iter_mut().zip(&va) {
+                    for (o, &y) in row.iter_mut().zip(&vb) {
+                        *o = T::mul_then_add(*o, x, y);
+                    }
+                }
+                kk += l;
             }
-            let panel = [[c00, c01, c02, c03], [c10, c11, c12, c13]];
-            let arows = [ar0, ar1];
-            let brows = [br0, br1, br2, br3];
-            for (r, accs) in panel.iter().enumerate() {
-                let orow = out.as_mut_ptr().add((i + r) * n + j);
-                for (c, &acc) in accs.iter().enumerate() {
-                    let mut s = hreduce_pd(acc);
+            for (r, row) in acc.iter().enumerate() {
+                let orow = op.add((i + r) * n + j);
+                for (c, &v) in row.iter().enumerate() {
+                    let mut s = T::reduce(v);
                     for t in kc..k {
-                        s += *arows[r].add(t) * *brows[c].add(t);
+                        s += *ar[r].add(t) * *br[c].add(t);
                     }
                     *orow.add(c) = s;
                 }
@@ -137,145 +209,19 @@ pub unsafe fn gemm_tb_f64_avx2(a: &[f64], b: &[f64], out: &mut [f64], m: usize, 
         }
         while j < n {
             let br = bp.add(j * k);
-            for (r, &ar) in [ar0, ar1].iter().enumerate() {
-                *out.as_mut_ptr().add((i + r) * n + j) = dot_raw_f64(ar, br, k);
+            for (r, &a_row) in ar.iter().enumerate() {
+                *op.add((i + r) * n + j) = dot_avx2(a_row, br, k);
             }
             j += 1;
         }
         i += 2;
     }
     if i < m {
-        let ar = ap.add(i * k);
+        let a_row = ap.add(i * k);
         for j in 0..n {
-            *out.as_mut_ptr().add(i * n + j) = dot_raw_f64(ar, bp.add(j * k), k);
+            *op.add(i * n + j) = dot_avx2(a_row, bp.add(j * k), k);
         }
     }
-}
-
-/// Raw-pointer form of the pinned AVX2 f64 dot (panel-remainder fallback).
-///
-/// # Safety
-/// Requires AVX2 and `k` readable elements behind both pointers.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_raw_f64(a: *const f64, b: *const f64, k: usize) -> f64 {
-    let kc = k / 4 * 4;
-    let mut acc = _mm256_setzero_pd();
-    let mut kk = 0;
-    while kk < kc {
-        let va = _mm256_loadu_pd(a.add(kk));
-        let vb = _mm256_loadu_pd(b.add(kk));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-        kk += 4;
-    }
-    let mut sum = hreduce_pd(acc);
-    for t in kc..k {
-        sum += *a.add(t) * *b.add(t);
-    }
-    sum
-}
-
-/// Register-blocked `out = A · Bᵀ` (f32) — the 8-lane counterpart of
-/// [`gemm_tb_f64_avx2`]: 2×4 output panels, one 8-lane accumulator per
-/// output, pinned `dot_pinned_f32` reduce + ascending tail.
-///
-/// # Safety
-/// Caller must verify AVX2 at runtime and pass consistent dimensions.
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_tb_f32_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    let kc = k / 8 * 8;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut i = 0;
-    while i + 2 <= m {
-        let ar0 = ap.add(i * k);
-        let ar1 = ap.add((i + 1) * k);
-        let mut j = 0;
-        while j + 4 <= n {
-            let br0 = bp.add(j * k);
-            let br1 = bp.add((j + 1) * k);
-            let br2 = bp.add((j + 2) * k);
-            let br3 = bp.add((j + 3) * k);
-            let mut c00 = _mm256_setzero_ps();
-            let mut c01 = _mm256_setzero_ps();
-            let mut c02 = _mm256_setzero_ps();
-            let mut c03 = _mm256_setzero_ps();
-            let mut c10 = _mm256_setzero_ps();
-            let mut c11 = _mm256_setzero_ps();
-            let mut c12 = _mm256_setzero_ps();
-            let mut c13 = _mm256_setzero_ps();
-            let mut kk = 0;
-            while kk < kc {
-                let va0 = _mm256_loadu_ps(ar0.add(kk));
-                let va1 = _mm256_loadu_ps(ar1.add(kk));
-                let vb0 = _mm256_loadu_ps(br0.add(kk));
-                let vb1 = _mm256_loadu_ps(br1.add(kk));
-                let vb2 = _mm256_loadu_ps(br2.add(kk));
-                let vb3 = _mm256_loadu_ps(br3.add(kk));
-                c00 = _mm256_add_ps(c00, _mm256_mul_ps(va0, vb0));
-                c01 = _mm256_add_ps(c01, _mm256_mul_ps(va0, vb1));
-                c02 = _mm256_add_ps(c02, _mm256_mul_ps(va0, vb2));
-                c03 = _mm256_add_ps(c03, _mm256_mul_ps(va0, vb3));
-                c10 = _mm256_add_ps(c10, _mm256_mul_ps(va1, vb0));
-                c11 = _mm256_add_ps(c11, _mm256_mul_ps(va1, vb1));
-                c12 = _mm256_add_ps(c12, _mm256_mul_ps(va1, vb2));
-                c13 = _mm256_add_ps(c13, _mm256_mul_ps(va1, vb3));
-                kk += 8;
-            }
-            let panel = [[c00, c01, c02, c03], [c10, c11, c12, c13]];
-            let arows = [ar0, ar1];
-            let brows = [br0, br1, br2, br3];
-            for (r, accs) in panel.iter().enumerate() {
-                let orow = out.as_mut_ptr().add((i + r) * n + j);
-                for (c, &acc) in accs.iter().enumerate() {
-                    let mut s = hreduce_ps(acc);
-                    for t in kc..k {
-                        s += *arows[r].add(t) * *brows[c].add(t);
-                    }
-                    *orow.add(c) = s;
-                }
-            }
-            j += 4;
-        }
-        while j < n {
-            let br = bp.add(j * k);
-            for (r, &ar) in [ar0, ar1].iter().enumerate() {
-                *out.as_mut_ptr().add((i + r) * n + j) = dot_raw_f32(ar, br, k);
-            }
-            j += 1;
-        }
-        i += 2;
-    }
-    if i < m {
-        let ar = ap.add(i * k);
-        for j in 0..n {
-            *out.as_mut_ptr().add(i * n + j) = dot_raw_f32(ar, bp.add(j * k), k);
-        }
-    }
-}
-
-/// Raw-pointer form of the pinned AVX2 f32 dot (panel-remainder fallback).
-///
-/// # Safety
-/// Requires AVX2 and `k` readable elements behind both pointers.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_raw_f32(a: *const f32, b: *const f32, k: usize) -> f32 {
-    let kc = k / 8 * 8;
-    let mut acc = _mm256_setzero_ps();
-    let mut kk = 0;
-    while kk < kc {
-        let va = _mm256_loadu_ps(a.add(kk));
-        let vb = _mm256_loadu_ps(b.add(kk));
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-        kk += 8;
-    }
-    let mut sum = hreduce_ps(acc);
-    for t in kc..k {
-        sum += *a.add(t) * *b.add(t);
-    }
-    sum
 }
 
 /// AVX2 `y += alpha · x` (f64). Element-wise: each output element receives

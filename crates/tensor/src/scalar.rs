@@ -10,30 +10,35 @@
 //!
 //! Every parity proof in this workspace (`batch_parity`, `eval_parity`,
 //! `fleet_parity`, grid stdout byte-identity) rests on the
-//! f64 kernels performing IEEE-754 operations in a fixed order. The dot
-//! kernel therefore uses a *per-precision* fixed lane count:
+//! f64 kernels performing IEEE-754 operations in a fixed order. The one
+//! dot kernel, [`dot_pinned`], takes its lane count from
+//! [`Scalar::LANES`], the one place the width lives: lane `j` sums
+//! `a[L·c+j]·b[L·c+j]` for ascending `c`, the lanes reduce by halving
+//! (lane `j` takes lane `j + L/2` until one is left), and the tail is
+//! summed in order.
 //!
-//! * `f64`: 4 independent accumulator lanes (lane `j` sums `a[4k+j]·b[4k+j]`)
-//!   reduced as `(l0+l2)+(l1+l3)`, scalar tail — exactly the `dot4` kernel
-//!   every release since PR 1 has shipped.
-//! * `f32`: 8 lanes (one AVX register width) reduced as
-//!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, scalar tail.
+//! * `f64`: 4 lanes, reduced as `(l0+l2)+(l1+l3)` — exactly the `dot4`
+//!   kernel every release has shipped.
+//! * `f32`: 8 lanes (one AVX register width), reduced as
+//!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`.
 //!
 //! The `simd` cargo feature (default-on, runtime-dispatched on AVX2
-//! support) swaps in `core::arch` AVX2 variants of the dot kernels plus
-//! the register-blocked micro-kernel layer in [`crate::microkernel`]: a
-//! 2×4-output GEMM panel kernel for `A · Bᵀ` where every output keeps its
-//! own pinned lane accumulator, and f64 AVX2 element-wise axpy and rank-4
-//! sweeps (f32, inference-only, never reaches those sweeps outside tests
-//! and keeps the portable tiles). All of them use separate multiply and add
-//! instructions — FMA **never contracts a product into a sum**, which
-//! would skip the product's rounding and change bits — and reduce
-//! horizontally in the same pinned order, so enabling the feature is
-//! observationally invisible: the f64 parity suites pass with it on or off
-//! (asserted by `tests/precision_parity.rs`). FMA's one use is the exact
-//! remainder `a − b·q` in the Adam step's constant-divisor quotient
+//! support) swaps in the crate-private `microkernel` module: one AVX2 dot
+//! and one register-blocked 2×4-output `A · Bᵀ` panel, each written once
+//! for both precisions over a lane trait (`__m256d` / `__m256`), plus f64
+//! AVX2 axpy and rank-4 sweeps (f32, inference-only, keeps the portable
+//! tiles). All of them use separate multiply and add instructions — FMA
+//! **never contracts a product into a sum**, which would skip the
+//! product's rounding and change bits — and reduce in the same pinned
+//! order, so enabling the feature is observationally invisible
+//! (`tests/precision_parity.rs`). FMA's one use is the exact remainder
+//! `a − b·q` in the Adam step's constant-divisor quotient
 //! ([`crate::Adam`]), whose result is the correctly rounded quotient — the
 //! bits a division gives.
+//!
+//! The [`Scalar`] kernel methods are the safe entry points to that
+//! `unsafe` code: each checks the operand lengths it trusts, once per
+//! call, before dispatching.
 //!
 //! [`Matrix`]: crate::Matrix
 
@@ -41,6 +46,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 mod sealed {
+    /// Under `simd`, a [`Scalar`](super::Scalar) is also a register lane of
+    /// the AVX2 kernels, so their one generic body serves both precisions.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    pub trait Sealed: crate::microkernel::Lane {}
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     pub trait Sealed {}
     impl Sealed for f32 {}
     impl Sealed for f64 {}
@@ -48,10 +58,11 @@ mod sealed {
 
 /// Element precision of a [`Matrix`](crate::Matrix) / vector kernel.
 ///
-/// Sealed: implemented for `f32` and `f64` only. The associated [`dot`]
-/// kernel is the one place lane width differs per precision — everything
-/// else in the substrate is width-generic element-wise code whose operation
-/// order does not depend on `T`.
+/// Sealed: implemented for `f32` and `f64` only. [`Scalar::LANES`] is the
+/// one place lane width differs per precision — the [`dot`] kernel and the
+/// `A · Bᵀ` panel read it; everything else in the substrate is
+/// width-generic element-wise code whose operation order does not depend
+/// on `T`.
 ///
 /// [`dot`]: Scalar::dot
 pub trait Scalar:
@@ -81,7 +92,8 @@ pub trait Scalar:
     const ONE: Self;
     /// Machine epsilon of this precision.
     const EPSILON: Self;
-    /// Accumulator lanes in the pinned [`dot`](Scalar::dot) kernel.
+    /// Accumulator lanes of the pinned [`dot`](Scalar::dot) kernel and of
+    /// the `A · Bᵀ` panel: 4 for `f64`, 8 for `f32`.
     const LANES: usize;
 
     /// Lossy conversion from `f64` (rounds to nearest for `f32`).
@@ -105,11 +117,24 @@ pub trait Scalar:
     /// Hyperbolic tangent (the std float `tanh` of this precision).
     fn tanh(self) -> Self;
 
-    /// Dot product with this precision's pinned lane order.
+    /// Dot product with this precision's pinned lane order ([`dot_pinned`]).
     ///
-    /// Dispatches to the AVX2 variant when the `simd` feature is enabled
+    /// Dispatches to the AVX2 kernel when the `simd` feature is enabled
     /// and the CPU supports it; both paths are bitwise-identical.
-    fn dot(a: &[Self], b: &[Self]) -> Self;
+    ///
+    /// # Panics
+    /// Panics if `a.len() != b.len()`.
+    #[inline]
+    fn dot(a: &[Self], b: &[Self]) -> Self {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if a.len() >= Self::LANES && std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(a.len(), b.len(), "dot length mismatch");
+            // SAFETY: AVX2 support was just verified at runtime, and the
+            // lengths match.
+            return unsafe { crate::microkernel::dot_avx2(a.as_ptr(), b.as_ptr(), a.len()) };
+        }
+        dot_pinned(a, b)
+    }
 
     /// In-place `y += alpha · x` — the row-sweep kernel of
     /// [`matmul_into`](crate::Matrix::matmul_into),
@@ -119,6 +144,9 @@ pub trait Scalar:
     /// Element-wise, so vectorization cannot change the per-element
     /// operation order: f64's AVX2 override (under `simd`) is bitwise-equal
     /// to the portable [`axpy_tiled`], which f32 keeps.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != y.len()`.
     #[inline]
     fn axpy(alpha: Self, x: &[Self], y: &mut [Self]) {
         axpy_tiled(alpha, x, y);
@@ -129,6 +157,9 @@ pub trait Scalar:
     ///
     /// Per element the four `+=` happen in ascending-`k` order (same chain
     /// on every dispatch leg — see [`rank4_update_tiled`]).
+    ///
+    /// # Panics
+    /// Panics unless every row has `y.len()` elements.
     #[inline]
     fn rank4_update(a: [Self; 4], r0: &[Self], r1: &[Self], r2: &[Self], r3: &[Self], y: &mut [Self]) {
         rank4_update_tiled(a, r0, r1, r2, r3, y);
@@ -137,22 +168,27 @@ pub trait Scalar:
     /// Register-blocked `out = A · Bᵀ` micro-kernel (`A` is `m×k`, `B` is
     /// `n×k`, both row-major).
     ///
-    /// Returns `true` if a micro-kernel handled the product; `false` asks
-    /// the caller to fall back to the portable per-element
+    /// Returns `true` if the AVX2 panel kernel handled the product; `false`
+    /// asks the caller to fall back to the portable per-element
     /// [`dot`](Scalar::dot) loop, so the runtime CPU check is hoisted to
     /// once per GEMM instead of once per output element. Every output
-    /// element of the blocked path keeps its own pinned lane accumulator
-    /// ([`crate::microkernel`]), so taking either path yields bitwise
-    /// identical results.
+    /// element of the blocked path keeps its own pinned lane accumulator,
+    /// so taking either path yields bitwise identical results.
+    ///
+    /// # Panics
+    /// Panics unless `a.len() == m·k`, `b.len() == n·k` and
+    /// `out.len() == m·n`.
     #[inline]
-    fn gemm_tb_blocked(
-        _a: &[Self],
-        _b: &[Self],
-        _out: &mut [Self],
-        _m: usize,
-        _n: usize,
-        _k: usize,
-    ) -> bool {
+    fn gemm_tb_blocked(a: &[Self], b: &[Self], out: &mut [Self], m: usize, n: usize, k: usize) -> bool {
+        let fits = a.len() == m * k && b.len() == n * k && out.len() == m * n;
+        assert!(fits, "gemm_tb_blocked shape mismatch: {m}x{k} * ({n}x{k})^T");
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime, and the
+            // shapes above.
+            unsafe { crate::microkernel::gemm_tb_avx2(a, b, out, m, n, k) };
+            return true;
+        }
         false
     }
 }
@@ -204,21 +240,13 @@ impl Scalar for f64 {
         f64::tanh(self)
     }
 
-    #[inline]
-    fn dot(a: &[Self], b: &[Self]) -> Self {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if a.len() >= 4 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { x86::dot_f64_avx2(a, b) };
-        }
-        dot_pinned_f64(a, b)
-    }
-
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[inline]
     fn axpy(alpha: Self, x: &[Self], y: &mut [Self]) {
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
+            assert_eq!(x.len(), y.len(), "axpy length mismatch");
+            // SAFETY: AVX2 support was just verified at runtime, and the
+            // lengths match.
             unsafe { crate::microkernel::axpy_f64_avx2(alpha, x, y) }
         } else {
             axpy_tiled(alpha, x, y);
@@ -229,23 +257,16 @@ impl Scalar for f64 {
     #[inline]
     fn rank4_update(a: [Self; 4], r0: &[Self], r1: &[Self], r2: &[Self], r3: &[Self], y: &mut [Self]) {
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
+            let n = y.len();
+            assert!(
+                r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n,
+                "rank4_update row length mismatch"
+            );
+            // SAFETY: AVX2 support was just verified at runtime, and every
+            // row has `y.len()` elements.
             unsafe { crate::microkernel::rank4_f64_avx2(a, r0, r1, r2, r3, y) }
         } else {
             rank4_update_tiled(a, r0, r1, r2, r3, y);
-        }
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn gemm_tb_blocked(a: &[Self], b: &[Self], out: &mut [Self], m: usize, n: usize, k: usize) -> bool {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime; the shape
-            // invariants are the caller's (matmul_transpose_b_into) asserts.
-            unsafe { crate::microkernel::gemm_tb_f64_avx2(a, b, out, m, n, k) }
-            true
-        } else {
-            false
         }
     }
 }
@@ -296,29 +317,6 @@ impl Scalar for f32 {
     fn tanh(self) -> Self {
         f32::tanh(self)
     }
-
-    #[inline]
-    fn dot(a: &[Self], b: &[Self]) -> Self {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if a.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { x86::dot_f32_avx2(a, b) };
-        }
-        dot_pinned_f32(a, b)
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn gemm_tb_blocked(a: &[Self], b: &[Self], out: &mut [Self], m: usize, n: usize, k: usize) -> bool {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime; the shape
-            // invariants are the caller's (matmul_transpose_b_into) asserts.
-            unsafe { crate::microkernel::gemm_tb_f32_avx2(a, b, out, m, n, k) }
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// `true` when this build carries the `simd` AVX2 kernel variants (they
@@ -329,125 +327,47 @@ pub const fn simd_enabled() -> bool {
     cfg!(all(feature = "simd", target_arch = "x86_64"))
 }
 
-/// Four-lane f64 dot product — the pinned kernel behind every f64 parity
-/// proof (identical to the `dot4` of PR 1).
+/// Accumulator lanes of the widest precision (`f32`).
+const MAX_LANES: usize = 8;
+
+/// The pinned dot product — the kernel behind every parity proof.
 ///
-/// Lane `j` accumulates `a[4k+j]·b[4k+j]`; the lanes reduce as
-/// `(l0+l2)+(l1+l3)` and the tail is summed scalar, in order. Exposed
-/// (rather than private) so the `simd` build can assert the intrinsic
-/// path is bitwise-equal to this reference.
+/// With `L = T::LANES`, lane `j` accumulates `a[L·c+j]·b[L·c+j]` for
+/// ascending `c`; the lanes reduce by halving (lane `j` takes lane
+/// `j + L/2` until one is left), which is `(l0+l2)+(l1+l3)` for `f64` (the
+/// original `dot4`) and `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` for `f32`
+/// (the order a 256→128→64→32 bit horizontal add produces); the tail is
+/// summed in order. Exposed (rather than private) so the `simd` build can
+/// assert the intrinsic path is bitwise-equal to it.
+///
+/// # Panics
+/// Panics if `a.len() != b.len()`.
 #[inline]
-pub fn dot_pinned_f64(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let chunks = a.len() / 4;
-    let (a_head, a_tail) = a.split_at(chunks * 4);
-    let (b_head, b_tail) = b.split_at(chunks * 4);
-    for (ca, cb) in a_head.chunks_exact(4).zip(b_head.chunks_exact(4)) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
+pub fn dot_pinned<T: Scalar>(a: &[T], b: &[T]) -> T {
+    assert_eq!(a.len(), b.len(), "dot length mismatch");
+    let lanes = const {
+        assert!(T::LANES.is_power_of_two() && T::LANES <= MAX_LANES);
+        T::LANES
+    };
+    let head = a.len() / lanes * lanes;
+    let mut acc = [T::ZERO; MAX_LANES];
+    for (ca, cb) in a[..head].chunks_exact(lanes).zip(b[..head].chunks_exact(lanes)) {
+        for j in 0..lanes {
+            acc[j] += ca[j] * cb[j];
+        }
     }
-    let mut sum = (acc[0] + acc[2]) + (acc[1] + acc[3]);
-    for (x, y) in a_tail.iter().zip(b_tail) {
+    let mut width = lanes;
+    while width > 1 {
+        width /= 2;
+        for j in 0..width {
+            acc[j] += acc[j + width];
+        }
+    }
+    let mut sum = acc[0];
+    for (&x, &y) in a[head..].iter().zip(&b[head..]) {
         sum += x * y;
     }
     sum
-}
-
-/// Eight-lane f32 dot product — one AVX register of accumulators.
-///
-/// Lane `j` accumulates `a[8k+j]·b[8k+j]`; the lanes reduce as
-/// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — the order a 256→128→64→32 bit
-/// horizontal add produces — and the tail is summed scalar, in order.
-#[inline]
-pub fn dot_pinned_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    let (a_head, a_tail) = a.split_at(chunks * 8);
-    let (b_head, b_tail) = b.split_at(chunks * 8);
-    for (ca, cb) in a_head.chunks_exact(8).zip(b_head.chunks_exact(8)) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-        acc[4] += ca[4] * cb[4];
-        acc[5] += ca[5] * cb[5];
-        acc[6] += ca[6] * cb[6];
-        acc[7] += ca[7] * cb[7];
-    }
-    let mut sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        sum += x * y;
-    }
-    sum
-}
-
-/// AVX2 `core::arch` variants of the pinned dot kernels.
-///
-/// Both use separate `mul`/`add` instructions (FMA never contracts a
-/// product into a sum: it skips the product's rounding and would change
-/// bits) and horizontal-reduce in the exact order of the scalar reference,
-/// so they are bitwise-identical to [`dot_pinned_f64`] / [`dot_pinned_f32`]
-/// on every input.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and `a.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_f64_avx2(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let chunks = n / 4;
-        let mut acc = _mm256_setzero_pd();
-        for c in 0..chunks {
-            let va = _mm256_loadu_pd(a.as_ptr().add(c * 4));
-            let vb = _mm256_loadu_pd(b.as_ptr().add(c * 4));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-        }
-        // Reduce [l0,l1,l2,l3] as (l0+l2)+(l1+l3) — the dot_pinned_f64 order.
-        let lo = _mm256_castpd256_pd128(acc); // [l0, l1]
-        let hi = _mm256_extractf128_pd::<1>(acc); // [l2, l3]
-        let s = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
-        let upper = _mm_unpackhi_pd(s, s);
-        let mut sum = _mm_cvtsd_f64(_mm_add_sd(s, upper));
-        for i in chunks * 4..n {
-            sum += a[i] * b[i];
-        }
-        sum
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and `a.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_f32_avx2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let chunks = n / 8;
-        let mut acc = _mm256_setzero_ps();
-        for c in 0..chunks {
-            let va = _mm256_loadu_ps(a.as_ptr().add(c * 8));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(c * 8));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-        }
-        // Reduce [l0..l7] as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) — the
-        // dot_pinned_f32 order.
-        let lo = _mm256_castps256_ps128(acc); // [l0, l1, l2, l3]
-        let hi = _mm256_extractf128_ps::<1>(acc); // [l4, l5, l6, l7]
-        let s = _mm_add_ps(lo, hi); // [l0+l4, l1+l5, l2+l6, l3+l7]
-        let upper = _mm_movehl_ps(s, s); // [l2+l6, l3+l7, ...]
-        let t = _mm_add_ps(s, upper); // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7), ..]
-        let t1 = _mm_shuffle_ps::<0b01>(t, t); // lane 0 = t[1]
-        let mut sum = _mm_cvtss_f32(_mm_add_ss(t, t1));
-        for i in chunks * 8..n {
-            sum += a[i] * b[i];
-        }
-        sum
-    }
 }
 
 /// Tiled in-place `y += alpha · x`, the row-sweep kernel behind
@@ -465,7 +385,7 @@ mod x86 {
 /// ([`Scalar::axpy`]) is asserted bitwise-equal against.
 #[inline]
 pub fn axpy_tiled<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "axpy length mismatch");
     let chunks = x.len() / 8;
     let (xh, xt) = x.split_at(chunks * 8);
     let (yh, yt) = y.split_at_mut(chunks * 8);
@@ -503,7 +423,10 @@ pub fn rank4_update_tiled<T: Scalar>(
     y: &mut [T],
 ) {
     let n = y.len();
-    assert!(r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n);
+    assert!(
+        r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n,
+        "rank4_update row length mismatch"
+    );
     for j in 0..n {
         let mut t = y[j];
         t += a[0] * r0[j];
@@ -539,7 +462,25 @@ mod tests {
         expect += 5.0 * 3.0;
         expect += 6.0 * 2.0;
         expect += 7.0 * 1.0;
-        assert_eq!(dot_pinned_f64(&a, &b).to_bits(), expect.to_bits());
+        assert_eq!(dot_pinned(&a, &b).to_bits(), expect.to_bits());
+    }
+
+    #[test]
+    fn dot_pinned_f32_matches_documented_reduction_order() {
+        // Length 11: one 8-lane head plus a 3-element tail. Lanes 0 and 4
+        // cancel, so the pinned order keeps every small lane that a
+        // sequential sum absorbs into 1e8 (f32 spacing 8 there).
+        let a: [f32; 11] = [1e8, 1.0, 2.0, 3.0, -1e8, 5.0, 6.0, 7.0, 0.5, 0.25, 3.0];
+        let b = [1.0f32; 11];
+        let mut expect = ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]));
+        expect += 0.5;
+        expect += 0.25;
+        expect += 3.0;
+        assert_eq!(expect, 27.75);
+        let sequential = a.iter().fold(0.0f32, |s, &x| s + x);
+        assert_ne!(sequential.to_bits(), expect.to_bits(), "the case must pin the order");
+        assert_eq!(dot_pinned(&a, &b).to_bits(), expect.to_bits());
+        assert_eq!(<f32 as Scalar>::dot(&a, &b).to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -549,14 +490,14 @@ mod tests {
             let b = series_f64(n, 2);
             assert_eq!(
                 <f64 as Scalar>::dot(&a, &b).to_bits(),
-                dot_pinned_f64(&a, &b).to_bits(),
+                dot_pinned(&a, &b).to_bits(),
                 "f64 dot dispatch must stay bitwise-pinned at n={n}",
             );
             let af: Vec<f32> = a.iter().map(|&v| v as f32).collect();
             let bf: Vec<f32> = b.iter().map(|&v| v as f32).collect();
             assert_eq!(
                 <f32 as Scalar>::dot(&af, &bf).to_bits(),
-                dot_pinned_f32(&af, &bf).to_bits(),
+                dot_pinned(&af, &bf).to_bits(),
                 "f32 dot dispatch must stay bitwise-pinned at n={n}",
             );
         }
@@ -598,5 +539,33 @@ mod tests {
                 y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             );
         }
+    }
+
+    // The safe kernel entry points check the lengths their AVX2 bodies
+    // trust before dispatching, on every build.
+
+    #[test]
+    #[should_panic(expected = "dot length mismatch")]
+    fn dot_rejects_b_shorter_than_a() {
+        <f64 as Scalar>::dot(&[1.0; 64], &[1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_tb_blocked shape mismatch")]
+    fn gemm_tb_blocked_rejects_operands_shorter_than_their_shape() {
+        f64::gemm_tb_blocked(&[1.0; 8], &[1.0; 8], &mut [0.0; 4], 2, 2, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank4_update row length mismatch")]
+    fn rank4_update_rejects_a_row_shorter_than_y() {
+        let row = [1.0; 64];
+        f64::rank4_update([1.0; 4], &row, &row, &row[..4], &row, &mut [0.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy length mismatch")]
+    fn axpy_rejects_x_shorter_than_y() {
+        f64::axpy(1.0, &[1.0; 4], &mut [0.0; 64]);
     }
 }

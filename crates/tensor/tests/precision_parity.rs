@@ -9,7 +9,10 @@
 //!    reduction, ascending-`k` `+=` accumulation, and the `a == 0.0`
 //!    skip (which processes NaN but skips `-0.0`, exactly as before).
 //!    Inputs deliberately include exact zeros, negative zeros and
-//!    denormal-ish magnitudes.
+//!    denormal-ish magnitudes. The f32 dot and `A · Bᵀ` are held bitwise
+//!    to the 8-lane layout the same way. The dot references are explicit
+//!    4-lane and 8-lane loops kept here, independent of the one generic
+//!    `dot_pinned` the crate now ships.
 //! 2. **f32 tracks f64 within stated tolerance.** The same kernels
 //!    instantiated at `f32` agree with the f64 result to f32 relative
 //!    accuracy — the contract the inference-plan serving path relies on.
@@ -23,13 +26,59 @@
 //! loop bit for bit, through t = 355 where `1 − 0.9^t` reaches 1.0.
 
 use proptest::prelude::*;
-use sad_tensor::{
-    axpy_tiled, dot_pinned_f32, dot_pinned_f64, rank4_update_tiled, Adam, Matrix, Optimizer, Scalar,
-};
+use sad_tensor::{axpy_tiled, dot_pinned, rank4_update_tiled, Adam, Matrix, Optimizer, Scalar};
 
 // ---------------------------------------------------------------------------
-// Frozen legacy references (pre-tiling semantics, f64 only).
+// Frozen legacy references (pre-tiling semantics).
 // ---------------------------------------------------------------------------
+
+/// Frozen four-lane f64 dot: lane `j` accumulates `a[4k+j]·b[4k+j]`, the
+/// lanes reduce as `(l0+l2)+(l1+l3)`, the tail is summed in order — the
+/// explicit loop every f64 parity proof was first written against.
+fn ref_dot4(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = [0.0f64; 4];
+    let chunks = a.len() / 4;
+    let (a_head, a_tail) = a.split_at(chunks * 4);
+    let (b_head, b_tail) = b.split_at(chunks * 4);
+    for (ca, cb) in a_head.chunks_exact(4).zip(b_head.chunks_exact(4)) {
+        acc[0] += ca[0] * cb[0];
+        acc[1] += ca[1] * cb[1];
+        acc[2] += ca[2] * cb[2];
+        acc[3] += ca[3] * cb[3];
+    }
+    let mut sum = (acc[0] + acc[2]) + (acc[1] + acc[3]);
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        sum += x * y;
+    }
+    sum
+}
+
+/// Frozen eight-lane f32 dot: lane `j` accumulates `a[8k+j]·b[8k+j]`, the
+/// lanes reduce as `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the tail is
+/// summed in order.
+fn ref_dot8(a: &[f32], b: &[f32]) -> f32 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = [0.0f32; 8];
+    let chunks = a.len() / 8;
+    let (a_head, a_tail) = a.split_at(chunks * 8);
+    let (b_head, b_tail) = b.split_at(chunks * 8);
+    for (ca, cb) in a_head.chunks_exact(8).zip(b_head.chunks_exact(8)) {
+        acc[0] += ca[0] * cb[0];
+        acc[1] += ca[1] * cb[1];
+        acc[2] += ca[2] * cb[2];
+        acc[3] += ca[3] * cb[3];
+        acc[4] += ca[4] * cb[4];
+        acc[5] += ca[5] * cb[5];
+        acc[6] += ca[6] * cb[6];
+        acc[7] += ca[7] * cb[7];
+    }
+    let mut sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        sum += x * y;
+    }
+    sum
+}
 
 /// Legacy `matmul`: ikj loops, ascending-`k` `+=` per element, skipping
 /// `a[i][k] == 0.0` rows of the inner update.
@@ -69,22 +118,22 @@ fn ref_matmul_transpose_a_acc(a: &Matrix<f64>, rhs: &Matrix<f64>, out: &mut Matr
     }
 }
 
-/// Legacy `matmul_transpose_b`: one pinned 4-lane dot per output element.
+/// Legacy `matmul_transpose_b`: one frozen 4-lane dot per output element.
 fn ref_matmul_transpose_b(a: &Matrix<f64>, rhs: &Matrix<f64>) -> Matrix<f64> {
     let m = a.rows();
     let n = rhs.rows();
     let mut out = Matrix::<f64>::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
-            out.row_mut(i)[j] = dot_pinned_f64(a.row(i), rhs.row(j));
+            out.row_mut(i)[j] = ref_dot4(a.row(i), rhs.row(j));
         }
     }
     out
 }
 
-/// Legacy `matvec`: pinned dot per row.
+/// Legacy `matvec`: frozen 4-lane dot per row.
 fn ref_matvec(a: &Matrix<f64>, v: &[f64]) -> Vec<f64> {
-    (0..a.rows()).map(|i| dot_pinned_f64(a.row(i), v)).collect()
+    (0..a.rows()).map(|i| ref_dot4(a.row(i), v)).collect()
 }
 
 /// Legacy `matvec_t`: `out[j] += v[i] · a[i][j]`, ascending `i`, skipping
@@ -257,7 +306,7 @@ fn matvec_kernels_match_legacy_bitwise_at_tile_boundaries() {
 
 // ---------------------------------------------------------------------------
 // 1b. The f32 GEMM is pinned too: whatever dispatch leg runs, every output
-//     element must be exactly one 8-lane `dot_pinned_f32` — the contract
+//     element must be exactly one frozen 8-lane dot — the contract
 //     that makes `Mlp<f32>` serving snapshots reproducible across builds.
 //     (The f64 suite above proves the same for the 4-lane layout.)
 // ---------------------------------------------------------------------------
@@ -273,12 +322,12 @@ fn assert_bits_eq_f32(got: &Matrix<f32>, want: &Matrix<f32>, ctx: &str) {
     }
 }
 
-/// Frozen f32 `matmul_transpose_b`: one pinned 8-lane dot per element.
+/// Frozen f32 `matmul_transpose_b`: one frozen 8-lane dot per element.
 fn ref_matmul_transpose_b_f32(a: &Matrix<f32>, rhs: &Matrix<f32>) -> Matrix<f32> {
     let mut out = Matrix::<f32>::zeros(a.rows(), rhs.rows());
     for i in 0..a.rows() {
         for j in 0..rhs.rows() {
-            out.row_mut(i)[j] = dot_pinned_f32(a.row(i), rhs.row(j));
+            out.row_mut(i)[j] = ref_dot8(a.row(i), rhs.row(j));
         }
     }
     out
@@ -301,7 +350,30 @@ fn f32_matmul_transpose_b_is_pinned_8_lane_at_tile_boundaries() {
 }
 
 // ---------------------------------------------------------------------------
-// 1c. Dispatching element-wise kernels (`Scalar::axpy` / `rank4_update`)
+// 1c. The one generic pinned dot and the dispatched `Scalar::dot` (the AVX2
+//     kernel under `simd` from one lane's length on) are the frozen 4-lane
+//     and 8-lane loops at every length through 130: empty, head only,
+//     tail only, and every head/tail split of the 4- and 8-wide lanes.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn dots_match_frozen_lane_loops_bitwise_at_every_length() {
+    for len in 0..=130 {
+        let a = vector(len, len as u64);
+        let b = vector(len, len as u64 ^ 0x5eed);
+        let want = ref_dot4(&a, &b);
+        assert_eq!(dot_pinned(&a, &b).to_bits(), want.to_bits(), "f64 dot_pinned len={len}");
+        assert_eq!(f64::dot(&a, &b).to_bits(), want.to_bits(), "f64 Scalar::dot len={len}");
+        let af: Vec<f32> = a.iter().map(|&v| v as f32).collect();
+        let bf: Vec<f32> = b.iter().map(|&v| v as f32).collect();
+        let want = ref_dot8(&af, &bf);
+        assert_eq!(dot_pinned(&af, &bf).to_bits(), want.to_bits(), "f32 dot_pinned len={len}");
+        assert_eq!(f32::dot(&af, &bf).to_bits(), want.to_bits(), "f32 Scalar::dot len={len}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 1d. Dispatching element-wise kernels (`Scalar::axpy` / `rank4_update`)
 //     are bitwise-equal to the frozen portable tiles on whatever leg this
 //     build runs.
 // ---------------------------------------------------------------------------
