@@ -142,13 +142,14 @@ fn main() {
         );
     }
 
-    // Emit the traces as CSV for plotting.
+    // Emit the traces as CSV for plotting, announced on stderr: stdout is
+    // the committed output and must not depend on the temp directory.
     let out = std::env::temp_dir().join("fig1_traces.csv");
     let mut text = String::from("t,adapted,frozen\n");
     for ((t, a), (_, f)) in adapted_trace.iter().zip(&frozen_trace) {
         text.push_str(&format!("{t},{a},{f}\n"));
     }
     if std::fs::write(&out, text).is_ok() {
-        println!("traces written to {}", out.display());
+        eprintln!("traces written to {}", out.display());
     }
 }

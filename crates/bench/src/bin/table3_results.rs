@@ -24,17 +24,15 @@
 //! the warm-up and fork per scorer instead). Results are **deterministic
 //! and byte-identical at any job count, and equal to one standalone
 //! detector per cell** — every root seeds its own RNG chain and its rows
-//! land in fixed cell slots. Per-root wall times are written to
-//! `bench_output/table3_timing.json` as a perf-regression artifact.
+//! land in fixed cell slots. The run writes no file: one stderr line gives
+//! its wall and CPU time, worker count, roots and initial fits. For grid
+//! timings to compare, use perfbench's `grid_quick` workload.
 //!
 //! The quick profile shortens the series and strides the KSWIN test; the
 //! full profile uses w = 100 and a 5000-step warm-up as in the paper
 //! (minutes on a multi-core machine instead of the previous ~hour serial).
 
-use sad_bench::{
-    cell_index, run_grid, EvalRow, GridDims, HarnessArgs, HarnessScale, RootTiming, Table,
-    TimingArtifact,
-};
+use sad_bench::{cell_index, run_grid, EvalRow, GridDims, HarnessArgs, HarnessScale, Table};
 use sad_core::{paper_algorithms, ScoreKind};
 use sad_data::{daphnet_like, exathlon_like, smd_like, Corpus, CorpusParams};
 
@@ -127,49 +125,12 @@ fn main() {
     println!("online ARIMA below the non-linear models; AL > Avg > Raw on NAB;");
     println!("long-anomaly corpora (exathlon-like) produce deeply negative NAB rows.");
 
-    let artifact = TimingArtifact {
-        harness: "table3_results".into(),
-        profile: if args.full { "full" } else { "quick" }.into(),
-        jobs: grid.jobs_used,
-        wall_time: grid.wall_time,
-        cpu_time: grid.cpu_time(),
-        roots: grid
-            .root_labels
-            .iter()
-            .zip(grid.root_times.iter().zip(&grid.root_train_seconds))
-            .zip(grid.root_initial_fits.iter().zip(grid.root_shared.iter().zip(&grid.root_variants)))
-            .map(|((label, (&wall, &train_seconds)), (&initial_fits, (&shared_pass, &variants)))| {
-                RootTiming {
-                    label: label.clone(),
-                    wall,
-                    train_seconds,
-                    initial_fits,
-                    shared_pass,
-                    variants,
-                    scorers: scorers.len(),
-                }
-            })
-            .collect(),
-    };
-    match artifact.write("bench_output/table3_timing.json") {
-        Ok(()) => eprintln!(
-            "wall {:.2}s, cpu {:.2}s, {} jobs, {} roots, {} initial fits -> bench_output/table3_timing.json",
-            grid.wall_time.as_secs_f64(),
-            grid.cpu_time().as_secs_f64(),
-            grid.jobs_used,
-            grid.root_times.len(),
-            grid.initial_fits(),
-        ),
-        Err(e) => eprintln!("warning: could not write timing artifact: {e}"),
-    }
-    // Same run, projected through the workspace telemetry substrate —
-    // scrape-ready text exposition next to the JSON artifact. Announced on
-    // stderr like the timing artifact: the table on stdout stays
-    // byte-identical with telemetry compiled in.
-    let mut prom = String::new();
-    artifact.to_registry().render_prometheus(&mut prom);
-    match std::fs::write("bench_output/table3_metrics.prom", &prom) {
-        Ok(()) => eprintln!("grid metrics -> bench_output/table3_metrics.prom"),
-        Err(e) => eprintln!("warning: could not write metrics artifact: {e}"),
-    }
+    eprintln!(
+        "wall {:.2}s, cpu {:.2}s, {} jobs, {} roots, {} initial fits",
+        grid.wall_time.as_secs_f64(),
+        grid.cpu_time().as_secs_f64(),
+        grid.jobs_used,
+        grid.root_times.len(),
+        grid.initial_fits(),
+    );
 }

@@ -27,25 +27,18 @@ use std::time::Duration;
 pub struct GridRun {
     /// One metric row per cell, in [`cell_index`] order.
     pub rows: Vec<EvalRow>,
-    /// Human-readable label per root (`model / task1 @ corpus`), in root
+    /// Measured wall time per root — the actual scheduling unit — in root
     /// order (root-major, then corpus).
-    pub root_labels: Vec<String>,
-    /// Measured wall time per root — the actual scheduling unit.
     pub root_times: Vec<Duration>,
     /// True training seconds per root (the shared initial fit counted
     /// once across all drift variants and scorers).
     pub root_train_seconds: Vec<f64>,
-    /// Number of `fit_initial` invocations per root (one per series that
-    /// reached warm-up, shared across the root's drift variants).
-    pub root_initial_fits: Vec<usize>,
-    /// Whether each root's scorer fan-out shared a single detector pass.
-    pub root_shared: Vec<bool>,
-    /// Number of drift variants forked from each root.
-    pub root_variants: Vec<usize>,
     /// End-to-end wall time of the grid run.
     pub wall_time: Duration,
     /// Worker threads used.
     pub jobs_used: usize,
+    /// Total `fit_initial` invocations (see [`GridRun::initial_fits`]).
+    initial_fits: usize,
 }
 
 impl GridRun {
@@ -59,7 +52,7 @@ impl GridRun {
     /// saving of the shared-prefix tree (42 on the paper grid's quick
     /// profile, one per root and series).
     pub fn initial_fits(&self) -> usize {
-        self.root_initial_fits.iter().sum()
+        self.initial_fits
     }
 }
 
@@ -164,17 +157,11 @@ pub fn run_grid(
     }
     GridRun {
         rows,
-        root_labels: roots
-            .iter()
-            .flat_map(|root| corpora.iter().map(move |c| format!("{} @ {}", root.label(), c.name)))
-            .collect(),
         root_times: job_times,
         root_train_seconds: results.iter().map(|tree| tree.train_seconds).collect(),
-        root_initial_fits: results.iter().map(|tree| tree.initial_fits).collect(),
-        root_shared: results.iter().map(|tree| tree.shared_pass).collect(),
-        root_variants: results.iter().map(|tree| tree.rows.len()).collect(),
         wall_time,
         jobs_used,
+        initial_fits: results.iter().map(|tree| tree.initial_fits).sum(),
     }
 }
 

@@ -19,10 +19,8 @@ pub mod eval;
 pub mod fmt;
 pub mod grid;
 pub mod parallel;
-pub mod timing;
 
 pub use eval::{evaluate_tree, harness_params, EvalRow, HarnessScale, TreeEval};
 pub use fmt::Table;
 pub use grid::{cell_index, plan_roots, run_grid, GridDims, GridRun, RootSpec};
 pub use parallel::{available_workers, HarnessArgs, JobPool, JobReport};
-pub use timing::{RootTiming, TimingArtifact};

@@ -16,9 +16,9 @@
 //! `eval_parity` suite checks `run_grid` at `--jobs` 1/2/4/8 against one
 //! standalone detector per cell.
 //!
-//! Per-job wall times are captured and surfaced through [`JobReport`] so
-//! harness binaries can emit a machine-readable timing artifact
-//! (`bench_output/table3_timing.json`) for future perf regressions.
+//! Per-job wall times are captured and surfaced through [`JobReport`];
+//! `run_grid` keeps them per root in `GridRun::root_times`, which
+//! perfbench's `grid_quick` workload reads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};

@@ -3,9 +3,10 @@
 //! Everything between a socket and [`sad_fleet::DetectorFleet::enqueue`]
 //! lives here:
 //!
-//! * [`frame`] — the length-prefixed binary wire format and its CSV line
-//!   fallback. Binary frames round-trip `f64`s bitwise; CSV lines are
-//!   value-exact via shortest-round-trip formatting.
+//! * `frame` ([`Frame`], [`encode_frame_into`], [`encode_csv_line_into`])
+//!   — the length-prefixed binary wire format and its CSV line fallback.
+//!   Binary frames round-trip `f64`s bitwise; CSV lines are value-exact
+//!   via shortest-round-trip formatting.
 //! * [`Transport`] — pluggable frame sources ([`FramedTransport`],
 //!   [`CsvTransport`]) decoding into caller-owned reusable buffers, plus
 //!   the mirroring [`FrameWriter`] and the [`replay_series`] /

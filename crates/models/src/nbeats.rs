@@ -23,8 +23,8 @@
 //! residual chain: the gradient reaching residual `x_{l+1}` flows both into
 //! block `l`'s backcast head (negated) and onward to `x_l`.
 //!
-//! The forward pass is written once, [`forward_stack`] over one
-//! [`BlockWs`] per block: training, [`NBeats::decompose`] and the batched
+//! The forward pass is written once, `forward_stack` over one `BlockWs`
+//! per block: training, [`NBeats::decompose`] and the batched
 //! inference loop (`crate::batch_infer`, which `predict` runs at one row)
 //! all call it.
 

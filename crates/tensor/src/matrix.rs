@@ -206,9 +206,10 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// The i-k-j sweep is register-blocked 4 deep in `k`: when four
     /// consecutive `a` coefficients are all nonzero the four row sweeps fuse
-    /// into one [`rank4_update_tiled`] pass (the output row is loaded/stored
-    /// once per tile instead of once per `k`); otherwise each `k` falls back
-    /// to an individual [`axpy_tiled`] sweep with the historical
+    /// into one [`rank4_update_tiled`](crate::rank4_update_tiled) pass (the
+    /// output row is loaded/stored once per tile instead of once per `k`);
+    /// otherwise each `k` falls back to an individual
+    /// [`axpy_tiled`](crate::axpy_tiled) sweep with the historical
     /// skip-zero-coefficient shortcut. Per output element the `+=` sequence
     /// stays in ascending-`k` order either way, so the f64 instantiation is
     /// bitwise-identical to the pre-tiled kernel.
@@ -278,7 +279,8 @@ impl<T: Scalar> Matrix<T> {
     /// backward loop exactly, which is what makes the batched training path
     /// bitwise-reproducible against the per-sample path (see the parity
     /// tests in `sad-nn`). Each sweep runs through the 8-wide
-    /// [`axpy_tiled`] tile, which preserves that order element-for-element.
+    /// [`axpy_tiled`](crate::axpy_tiled) tile, which preserves that order
+    /// element-for-element.
     ///
     /// # Panics
     /// Panics if `self.rows != rhs.rows` or `out` is not `self.cols x rhs.cols`.

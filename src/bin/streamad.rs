@@ -44,8 +44,10 @@
 //!   | streamad serve --stdin --algo 6 --metrics-json fleet.json
 //! ```
 
+use std::fmt::Display;
 use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 use streamad::core::{paper_algorithms, AlgorithmSpec, DetectorConfig, ScoreKind, StepOutput};
 use streamad::data::csv::load_csv;
@@ -86,7 +88,6 @@ struct Args {
     seed: u64,
     list: bool,
     shards: usize,
-    no_batch: bool,
     f32_infer: bool,
     metrics_json: Option<String>,
     metrics_every: Option<usize>,
@@ -129,9 +130,8 @@ fn algorithm_table(specs: &[AlgorithmSpec], args: &Args) -> String {
 }
 
 /// The serving flags. A file run rejects them rather than ignore them.
-const SERVE_ONLY: [&str; 12] = [
+const SERVE_ONLY: [&str; 11] = [
     "--shards",
-    "--no-batch",
     "--f32-infer",
     "--metrics-every",
     "--listen",
@@ -151,8 +151,28 @@ const USAGE: &str = "usage: streamad <csv> [--algo N] [--window W] [--warmup N] 
                      \x20      streamad serve (--listen ADDR [--max-conns N] | --stdin) [--csv] \
                      [--policy block|drop-newest|drop-oldest] [--idle-rounds N] [--max-streams N] \
                      [--queue-cap N] [--algo N] [--window W] [--warmup N] [--capacity M] \
-                     [--score raw|avg|al] [--threshold T] [--seed S] [--shards S] [--no-batch] \
-                     [--f32-infer] [--metrics-json PATH] [--metrics-every N]";
+                     [--score raw|avg|al] [--threshold T] [--seed S] [--shards S] [--f32-infer] \
+                     [--metrics-json PATH] [--metrics-every N]";
+
+/// `flag`'s value parsed as a `T`, or an error naming the flag.
+fn number<T: FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// [`number`] for a count that must not be zero.
+fn positive<T: FromStr + PartialEq + From<u8>>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n = number(flag, value)?;
+    if n == T::from(0) {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(n)
+}
 
 /// The settings on the command line, or `None` for `--help`.
 fn parse_args() -> Result<Option<Args>, String> {
@@ -167,7 +187,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         seed: 42,
         list: false,
         shards: 1,
-        no_batch: false,
         f32_infer: false,
         metrics_json: None,
         metrics_every: None,
@@ -185,40 +204,23 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         args.serve_only = args.serve_only.or(SERVE_ONLY.into_iter().find(|&flag| flag == arg));
-        let mut value = |name: &str| {
-            iter.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
+        let flag = arg.as_str();
+        let mut value = || iter.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
             "--list" => args.list = true,
-            "--algo" => args.algo = value("--algo")?.parse().map_err(|e| format!("--algo: {e}"))?,
-            "--window" => {
-                args.window = value("--window")?.parse().map_err(|e| format!("--window: {e}"))?
-            }
-            "--warmup" => {
-                args.warmup = value("--warmup")?.parse().map_err(|e| format!("--warmup: {e}"))?
-            }
-            "--capacity" => {
-                args.capacity =
-                    value("--capacity")?.parse().map_err(|e| format!("--capacity: {e}"))?
-            }
-            "--threshold" => {
-                args.threshold =
-                    value("--threshold")?.parse().map_err(|e| format!("--threshold: {e}"))?
-            }
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--shards" => {
-                args.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if args.shards == 0 {
-                    return Err("--shards must be positive".into());
-                }
-            }
-            "--no-batch" => args.no_batch = true,
+            "--algo" => args.algo = number(flag, value()?)?,
+            "--window" => args.window = number(flag, value()?)?,
+            "--warmup" => args.warmup = number(flag, value()?)?,
+            "--capacity" => args.capacity = number(flag, value()?)?,
+            "--threshold" => args.threshold = number(flag, value()?)?,
+            "--seed" => args.seed = number(flag, value()?)?,
+            "--shards" => args.shards = positive(flag, value()?)?,
             "--f32-infer" => args.f32_infer = true,
-            "--listen" => args.listen = Some(value("--listen")?),
+            "--listen" => args.listen = Some(value()?),
             "--stdin" => args.stdin = true,
             "--csv" => args.csv = true,
             "--policy" => {
-                args.policy = match value("--policy")?.as_str() {
+                args.policy = match value()?.as_str() {
                     "block" => BackpressurePolicy::Block,
                     "drop-newest" => BackpressurePolicy::DropNewest,
                     "drop-oldest" => BackpressurePolicy::DropOldest,
@@ -229,45 +231,14 @@ fn parse_args() -> Result<Option<Args>, String> {
                     }
                 }
             }
-            "--idle-rounds" => {
-                let n: u64 = value("--idle-rounds")?
-                    .parse()
-                    .map_err(|e| format!("--idle-rounds: {e}"))?;
-                if n == 0 {
-                    return Err("--idle-rounds must be positive".into());
-                }
-                args.idle_rounds = Some(n);
-            }
-            "--max-streams" => {
-                args.max_streams =
-                    value("--max-streams")?.parse().map_err(|e| format!("--max-streams: {e}"))?;
-                if args.max_streams == 0 {
-                    return Err("--max-streams must be positive".into());
-                }
-            }
-            "--queue-cap" => {
-                args.queue_cap =
-                    value("--queue-cap")?.parse().map_err(|e| format!("--queue-cap: {e}"))?;
-                if args.queue_cap == 0 {
-                    return Err("--queue-cap must be positive".into());
-                }
-            }
-            "--max-conns" => {
-                args.max_conns =
-                    value("--max-conns")?.parse().map_err(|e| format!("--max-conns: {e}"))?
-            }
-            "--metrics-json" => args.metrics_json = Some(value("--metrics-json")?),
-            "--metrics-every" => {
-                let n: usize = value("--metrics-every")?
-                    .parse()
-                    .map_err(|e| format!("--metrics-every: {e}"))?;
-                if n == 0 {
-                    return Err("--metrics-every must be positive".into());
-                }
-                args.metrics_every = Some(n);
-            }
+            "--idle-rounds" => args.idle_rounds = Some(positive(flag, value()?)?),
+            "--max-streams" => args.max_streams = positive(flag, value()?)?,
+            "--queue-cap" => args.queue_cap = positive(flag, value()?)?,
+            "--max-conns" => args.max_conns = number(flag, value()?)?,
+            "--metrics-json" => args.metrics_json = Some(value()?),
+            "--metrics-every" => args.metrics_every = Some(positive(flag, value()?)?),
             "--score" => {
-                args.score = match value("--score")?.as_str() {
+                args.score = match value()?.as_str() {
                     "raw" => ScoreKind::Raw,
                     "avg" => ScoreKind::Average,
                     "al" => ScoreKind::AnomalyLikelihood,
@@ -529,7 +500,7 @@ fn run_serve(args: &Args, spec: AlgorithmSpec) -> ExitCode {
     let template = DetectorTemplate::new(spec, build_params(args, 1));
     let fleet_config = FleetConfig {
         shards: args.shards,
-        batching: !args.no_batch,
+        batching: true,
         parallel: false,
         queue_capacity: args.queue_cap,
         f32_infer: args.f32_infer,
@@ -548,13 +519,12 @@ fn run_serve(args: &Args, spec: AlgorithmSpec) -> ExitCode {
         detections: 0,
     };
     eprintln!(
-        "serving {} ({} framing, {:?} back-pressure, {} shard(s), batching {}{})",
+        "serving {} ({} framing, {:?} back-pressure, {} shard(s){})",
         spec.label(),
         if args.csv { "csv" } else { "binary" },
         args.policy,
         args.shards,
-        if args.no_batch { "off" } else { "on" },
-        if !args.no_batch && args.f32_infer { ", f32 inference" } else { "" },
+        if args.f32_infer { ", f32 inference" } else { "" },
     );
 
     let started = Instant::now();

@@ -68,8 +68,8 @@ fn help_succeeds_on_stdout_and_a_parse_error_shows_the_usage_on_stderr() {
     let serve_flags = [
         "--listen", "--max-conns", "--stdin", "--csv", "--policy", "--idle-rounds",
         "--max-streams", "--queue-cap", "--algo", "--window", "--warmup", "--capacity",
-        "--score", "--threshold", "--seed", "--shards", "--no-batch", "--f32-infer",
-        "--metrics-json", "--metrics-every",
+        "--score", "--threshold", "--seed", "--shards", "--f32-infer", "--metrics-json",
+        "--metrics-every",
     ];
     let named: Vec<&str> = serve
         .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
@@ -177,15 +177,28 @@ fn zero_capacity_is_rejected_at_startup() {
     std::fs::remove_file(&wire).ok();
 }
 
+/// A serving count of zero is a parse error: its line comes first on
+/// stderr, before the usage, and nothing is served.
+#[test]
+fn a_zero_serving_count_is_rejected_at_startup() {
+    for flag in ["--shards", "--idle-rounds", "--max-streams", "--queue-cap", "--metrics-every"] {
+        let out = streamad().args(["serve", "--stdin", flag, "0"]).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} 0 must exit 1: {stderr}");
+        let first = stderr.lines().next();
+        assert_eq!(first, Some(format!("{flag} must be positive").as_str()), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} 0: nothing served");
+    }
+}
+
 /// A file run reads none of the serving flags, so it rejects each of them
 /// instead of running without it.
 #[test]
 fn a_serving_flag_in_a_file_run_is_rejected_at_startup() {
     let csv = write_csv("serveflag", 320);
     let path = csv.to_str().unwrap();
-    let flags: [&[&str]; 12] = [
+    let flags: [&[&str]; 11] = [
         &["--shards", "4"],
-        &["--no-batch"],
         &["--f32-infer"],
         &["--metrics-every", "5"],
         &["--listen", "127.0.0.1:0"],
@@ -394,15 +407,6 @@ fn serve_f32_infer_serves_every_batched_row_through_snapshots() {
     let batched = counter(&json, "sad_fleet_batched_rows_total");
     assert!(batched > 0, "identical streams must batch: {json}");
     assert_eq!(counter(&json, "sad_fleet_f32_rows_total"), batched, "every row as f32: {json}");
-}
-
-#[test]
-fn serve_no_batch_serves_scalar_only() {
-    let (_, json) = serve_replicas("nobatch", 3, 160, &["--no-batch"]);
-    assert_eq!(counter(&json, "sad_fleet_batched_rows_total"), 0, "{json}");
-    assert_eq!(counter(&json, "sad_fleet_batches_total"), 0, "{json}");
-    assert_eq!(counter(&json, "sad_fleet_f32_rows_total"), 0, "{json}");
-    assert_eq!(counter(&json, "sad_fleet_scalar_steps_total"), 480, "{json}");
 }
 
 #[test]
