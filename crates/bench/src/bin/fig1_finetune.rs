@@ -12,6 +12,10 @@
 //! ```sh
 //! cargo run --release -p sad-bench --bin fig1_finetune
 //! ```
+//!
+//! The experiment has one profile and runs on one thread, so it takes no
+//! arguments: like the grid binaries with an unknown one, it rejects any
+//! with a usage line and exit status 2 before it does any work.
 
 use sad_core::{Detector, DetectorConfig, MovingAverage, MuSigmaChange, SlidingWindowSet};
 use sad_data::{daphnet_like, inject_anomaly, inject_drift, AnomalyKind, CorpusParams, DriftKind};
@@ -20,6 +24,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument `{arg}`");
+        eprintln!("usage: fig1_finetune (takes no arguments)");
+        std::process::exit(2);
+    }
+
     // A Daphnet-like series (the paper uses S03R01E0) with its usual
     // mid-series drift but no pre-planted anomalies: we plant ours at a
     // controlled offset after the drift reaction.

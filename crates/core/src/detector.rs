@@ -185,8 +185,10 @@ pub struct Detector {
     drift: Box<dyn DriftDetector>,
     scorer: Box<dyn AnomalyScorer>,
     /// Split-step guard: set by a `true` [`Detector::begin_step`], cleared
-    /// by [`Detector::finish_step`].
+    /// by [`Detector::score_step`].
     mid_step: bool,
+    /// Set by a step whose drift test fired, cleared by [`Detector::adapt`].
+    adaptation_owed: bool,
     drift_times: Vec<usize>,
     fine_tunes: usize,
     /// Completed post-warm-up steps. Kept apart from the histogram's
@@ -222,6 +224,7 @@ impl Detector {
             drift,
             scorer,
             mid_step: false,
+            adaptation_owed: false,
             drift_times: Vec::new(),
             fine_tunes: 0,
             steps: 0,
@@ -260,10 +263,13 @@ impl Detector {
     /// `finish_step` is exactly [`Self::step`].
     ///
     /// # Panics
-    /// Panics if `s.len() != config.channels`, or when called again before
-    /// a `true` return was consumed by [`Self::finish_step`].
+    /// Panics if `s.len() != config.channels`, when called again before
+    /// a `true` return was consumed by [`Self::finish_step`] or
+    /// [`Self::score_step`], or while the last step's adaptation is owed
+    /// ([`Self::adapt`]).
     pub fn begin_step(&mut self, s: &[f64]) -> bool {
         assert!(!self.mid_step, "begin_step called twice without finish_step");
+        assert!(!self.adaptation_owed, "begin_step called while an adaptation is owed");
         if !self.trunk.push(s, std::slice::from_mut(&mut self.drift)) {
             return false;
         }
@@ -279,7 +285,8 @@ impl Detector {
 
     /// Second half of the split-step API: completes the step begun by a
     /// `true` [`Self::begin_step`] using an externally-computed model
-    /// output for [`Self::feature`].
+    /// output for [`Self::feature`]. It is [`Self::score_step`] followed,
+    /// when the step's drift test fired, by [`Self::adapt`].
     ///
     /// Feeding back `model().predict(feature())` reproduces [`Self::step`]
     /// bitwise; the fleet instead feeds the per-row result of one shared
@@ -290,6 +297,25 @@ impl Detector {
     /// Panics if no step is in progress.
     pub fn finish_step(&mut self, output: &ModelOutput) -> StepOutput {
         assert!(self.mid_step, "finish_step without a pending begin_step");
+        let out = self.score_step(output);
+        if self.adaptation_owed {
+            self.adapt();
+        }
+        out
+    }
+
+    /// The scoring half of [`Self::finish_step`]: nonconformity, anomaly
+    /// score, Task-1 update and the Task-2 drift test. Returns the step's
+    /// [`StepOutput`], whose verdict never depends on the adaptation its
+    /// own drift triggers. When `drift` is set, the drift time and
+    /// `fine_tuned` (and the fine-tune count) are already recorded, and
+    /// the adaptation is owed ([`Self::owes_adaptation`]): call
+    /// [`Self::adapt`] before the next [`Self::begin_step`].
+    ///
+    /// # Panics
+    /// Panics if no step is in progress.
+    pub fn score_step(&mut self, output: &ModelOutput) -> StepOutput {
+        assert!(self.mid_step, "score_step without a pending begin_step");
         self.mid_step = false;
         let trunk = &mut self.trunk;
         let t = trunk.t - 1;
@@ -302,24 +328,40 @@ impl Detector {
         if let SetUpdate::Replaced { removed } = update {
             trunk.strategy.recycle(removed);
         }
-        let mut fine_tuned = false;
+        let fine_tuned = drift && trunk.config.fine_tune_epochs > 0;
         if drift {
             self.drift_times.push(t);
-            let started = std::time::Instant::now();
-            for _ in 0..trunk.config.fine_tune_epochs {
-                trunk.model.fine_tune(trunk.strategy.training_set());
-            }
-            trunk.train_time += started.elapsed();
-            // Re-anchor the drift reference even when the model is frozen
-            // (fine_tune_epochs = 0), so a frozen fork doesn't fire every
-            // step after the first drift.
-            self.drift.on_fine_tune(trunk.strategy.training_set());
-            fine_tuned = trunk.config.fine_tune_epochs > 0;
-            if fine_tuned {
-                self.fine_tunes += 1;
-            }
+            self.fine_tunes += usize::from(fine_tuned);
+            self.adaptation_owed = true;
         }
         StepOutput { t, nonconformity: a_t, anomaly_score: f_t, drift, fine_tuned }
+    }
+
+    /// Whether the last step's drift owes an adaptation ([`Self::adapt`]).
+    pub fn owes_adaptation(&self) -> bool {
+        self.adaptation_owed
+    }
+
+    /// The adaptation half of [`Self::finish_step`]: the fine-tune epochs
+    /// on the current training set (timed into [`Self::train_time`]), then
+    /// the drift detector's re-anchor. It shapes the steps after the one
+    /// whose drift owes it, never that step's verdict.
+    ///
+    /// # Panics
+    /// Panics if no adaptation is owed.
+    pub fn adapt(&mut self) {
+        assert!(self.adaptation_owed, "adapt without an owed adaptation");
+        let trunk = &mut self.trunk;
+        let started = std::time::Instant::now();
+        for _ in 0..trunk.config.fine_tune_epochs {
+            trunk.model.fine_tune(trunk.strategy.training_set());
+        }
+        trunk.train_time += started.elapsed();
+        // Re-anchor the drift reference even when the model is frozen
+        // (fine_tune_epochs = 0), so a frozen fork doesn't fire every
+        // step after the first drift.
+        self.drift.on_fine_tune(trunk.strategy.training_set());
+        self.adaptation_owed = false;
     }
 
     /// Expected number of outputs from streaming `len` more vectors (the
@@ -400,7 +442,8 @@ impl Detector {
         &self.drift_times
     }
 
-    /// Number of fine-tune sessions so far. Unlike [`Self::drift_times`],
+    /// Number of fine-tune sessions so far, each counted by the step whose
+    /// drift owes it ([`Self::score_step`]). Unlike [`Self::drift_times`],
     /// this does not advance on drift events observed while the model is
     /// frozen.
     pub fn fine_tune_count(&self) -> usize {
@@ -1170,6 +1213,57 @@ mod tests {
         }
         assert_eq!(whole.drift_times(), split.drift_times());
         assert_eq!(whole.fine_tune_count(), split.fine_tune_count());
+    }
+
+    /// The split behind the fleet's background adaptations: scoring a
+    /// step and running its adaptation only before the next `begin_step`
+    /// reproduces `step` bitwise, and the scoring half already reports the
+    /// drift time, `fine_tuned` and the fine-tune count.
+    #[test]
+    fn score_then_deferred_adapt_matches_step_bitwise() {
+        let series = smooth_series(80);
+        let build = || interval_detector(Box::new(RegularInterval::new(7)));
+        let mut whole = build();
+        let mut split = build();
+        let mut adaptations = 0;
+        for (i, s) in series.iter().enumerate() {
+            let a = whole.step(s);
+            if split.owes_adaptation() {
+                split.adapt();
+                adaptations += 1;
+            }
+            let b = split.begin_step(s).then(|| {
+                let output = split.trunk.model.predict(&split.trunk.scratch);
+                let out = split.score_step(&output);
+                assert_eq!(split.owes_adaptation(), out.drift, "step {i}");
+                assert_eq!(split.drift_times().last() == Some(&out.t), out.drift, "step {i}");
+                out
+            });
+            assert_eq!(a, b, "step {i}");
+            assert_eq!(whole.fine_tune_count(), split.fine_tune_count(), "step {i}");
+        }
+        assert!(adaptations > 0, "the interval drift owed adaptations");
+        assert_eq!(whole.drift_times(), split.drift_times());
+    }
+
+    #[test]
+    #[should_panic(expected = "begin_step called while an adaptation is owed")]
+    fn begin_step_with_an_adaptation_owed_panics() {
+        let mut det = interval_detector(Box::new(RegularInterval::new(5)));
+        let series = smooth_series(30);
+        for s in &series {
+            if !det.begin_step(s) {
+                continue;
+            }
+            let output = det.trunk.model.predict(&det.trunk.scratch);
+            let _ = det.score_step(&output);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "adapt without an owed adaptation")]
+    fn adapt_without_an_owed_adaptation_panics() {
+        make_detector(20).adapt();
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! Cohorts are maintained exactly: parameters are only compared on
 //! *training events* (a member joins at its warm-up fit; a member is
-//! re-cohorted after any fine-tune in its group), never per step. Streams
+//! re-cohorted after any fine-tune in its group lands), never per step. Streams
 //! whose models never materialize a batchable network (PCB-iForest,
 //! ARIMA) — and every stream when `FleetConfig::batching` is off
 //! — run the plain scalar `Detector::step` path.
@@ -58,28 +58,53 @@
 //!
 //! Every fleet owns one pool of `available_parallelism() − 1` helper
 //! threads, spawned by [`DetectorFleet::open`] and joined when the fleet
-//! drops. A drain round runs in three phases:
+//! drops. The pool has two lanes: the *round* lane, whose jobs a round
+//! waits for, and the *background* lane, whose jobs it does not. A drain
+//! round runs in three phases:
 //!
 //! 1. *Cohorts*, on the calling thread: cohort rebuilds, `begin_step` of
-//!    every grouped stream with input, and one shared forward pass per
-//!    cohort. With two or more shards each shard's cohort phase is one
-//!    pool job, so the shards' forward passes overlap.
+//!    every grouped stream with input that is home, and one shared
+//!    forward pass per cohort. With two or more shards each shard's
+//!    cohort phase is one pool job, so the shards' forward passes overlap.
 //! 2. *Streams*: the caller and the helpers claim grouped streams one at
-//!    a time and run each one's `finish_step`, where the fine-tunes run.
-//!    Every ungrouped stream's `Detector::step` stays on the caller, which
-//!    runs them before it claims: warm-up steps fill the training set and
-//!    end in the allocating initial fit, and a non-batchable model's
-//!    scalar predict builds its output per call.
+//!    a time and run each one's `Detector::score_step`. A drift makes the
+//!    scoring job hand the stream's detector on to its adaptation
+//!    (`Detector::adapt`: the fine-tune epochs, then the drift re-anchor)
+//!    on the background lane, and the stream is *away*. Every ungrouped
+//!    stream's `Detector::step` stays on the caller: warm-up steps fill
+//!    the training set and end in the allocating initial fit, and a
+//!    non-batchable model's scalar predict builds its output per call.
+//!    Away streams with input *resume*: their adaptations are finished
+//!    first (queued ones are recalled to the front of the round lane, and
+//!    the caller runs them unless a helper takes them; one a helper holds
+//!    is waited for), then the caller serves the round's resumed streams
+//!    of each arch group together, in cohorts rebuilt for them, and their
+//!    scoring jobs go out like the others. The caller does this before
+//!    its ungrouped steps when it takes no more than waiting for the
+//!    helpers' adaptations, and after them otherwise, so a long ungrouped
+//!    step (an initial fit) overlaps the helpers' adaptations.
 //! 3. *Bookkeeping*, on the caller, in slot order: serving counters,
-//!    batching eligibility and group joins, cohort-dirty flags.
+//!    batching eligibility and group joins.
+//!
+//! So a round returns once its verdicts are out, and each fine-tune runs
+//! beside the rest of its round, the next ingest window and the next
+//! cohort phase. Whether a helper has already finished an adaptation is
+//! never looked at before the stream's next round with input, or
+//! [`DetectorFleet::settle`], lands it (a landing marks the stream's group
+//! for a cohort rebuild, as a fine-tune does): which streams are away, the
+//! cohorts and every counter depend on the input alone.
 //!
 //! Each job touches only its own stream's detector (or its own shard), so
 //! every trace is bitwise the same at any shard or helper count
 //! (`tests/fleet_parity.rs`); the pool only overlaps the work. Jobs are
 //! moved by value through preallocated queues: dispatch allocates
 //! nothing and the crate has no `unsafe`. A panicking job is caught where
-//! it ran and re-raised by `drain_round` on the caller once every job of
-//! the round is back. If no helper can be spawned, rounds run inline.
+//! it ran. `drain_round` re-raises a round job's panic on the caller once
+//! every job of the round is back, and an adaptation's when its stream
+//! resumes; [`DetectorFleet::settle`] re-raises the adaptations' panics
+//! it meets. Before a panic leaves the fleet, every adaptation in flight
+//! has landed, so every stream is home. If no helper can be spawned, the
+//! same protocol runs inline.
 //!
 //! ## Telemetry
 //!
@@ -104,6 +129,8 @@ use sad_models::{
     Scalar,
 };
 use sad_obs::{Histogram, Registry};
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::pool::{Panic, Pool};
 
@@ -275,14 +302,34 @@ enum Work {
     /// An ungrouped stream's `Detector::step` (warm-up, a non-batchable
     /// model, or batching off). Runs on the caller.
     Step,
-    /// A grouped stream's `finish_step` on the output of its cohort's
-    /// shared forward pass. Pooled.
+    /// A grouped stream's `Detector::score_step` on the output of its
+    /// cohort's shared forward pass. Pooled.
     Finish,
+    /// A stream away on its adaptation, with input: the adaptation is
+    /// finished first, then the stream lands and begins its step
+    /// ([`Work::Resumed`]).
+    Resume,
+    /// A resumed stream that has begun its step: at the end of the
+    /// stream phase the caller serves the round's resumed streams of each
+    /// arch group in cohorts rebuilt for them, and scores them.
+    Resumed,
 }
 
-/// One stream's state on its shard.
+/// One stream's state on its shard. The slot stays in the shard while the
+/// stream's detector is out on a job: its queue takes input and its group
+/// keeps its place.
 struct StreamSlot {
-    det: Detector,
+    /// The stream's detector; `None` while it is out on a round's scoring
+    /// job or on its adaptation.
+    det: Option<Box<Detector>>,
+    /// Whether the stream is away on its adaptation: from the round whose
+    /// scoring owed it until the next round with input for the stream, or
+    /// [`DetectorFleet::settle`], lands it. Whether a helper has already
+    /// finished it (the detector is parked back in `det`) is never looked
+    /// at before then, so what a round does depends on the input alone.
+    away: bool,
+    /// The panic a parked adaptation raised, re-raised when it lands.
+    adapt_panic: Option<Panic>,
     queue: RingQueue,
     /// Index into the shard's arch groups once the stream joined one.
     group: Option<usize>,
@@ -296,31 +343,61 @@ struct StreamSlot {
     out: Option<StepOutput>,
 }
 
+impl StreamSlot {
+    /// The detector of a stream that is home.
+    fn det(&self) -> &Detector {
+        self.det.as_deref().expect("the stream's detector is home")
+    }
 
-/// A unit of a round's pooled work, moved by value to whichever thread
-/// claims it and back.
+    /// The detector of stream `id` between rounds: panics if the stream
+    /// is away on its adaptation.
+    fn home_det(&self, id: usize) -> &Detector {
+        assert!(!self.away, "stream {id} is away on its adaptation; settle the fleet first");
+        self.det()
+    }
+
+    /// Whether the stream resumes this round with its adaptation back.
+    fn parked_resume(&self) -> bool {
+        self.work == Work::Resume && self.det.is_some()
+    }
+}
+
+/// A unit of pooled work, moved by value to whichever thread claims it
+/// and back.
 enum Job {
     /// One shard's cohort phase (fleets of two or more shards).
     Cohorts(Box<Shard>),
-    /// One grouped stream's [`Work::Finish`].
-    Stream {
+    /// One grouped stream's [`Work::Finish`]: its scoring half. A drift
+    /// sends the detector on to its adaptation ([`Job::Adapt`], the job's
+    /// follow-up), so `det` comes back `None`.
+    Score {
         shard: usize,
         slot: usize,
-        stream: Box<StreamSlot>,
+        det: Option<Box<Detector>>,
         /// The stream's batched output, moved out of the shard's
         /// `out_bufs` and back.
         output: ModelOutput,
+        out: Option<StepOutput>,
     },
+    /// One drifted stream's adaptation, on the pool's background lane.
+    Adapt { shard: usize, slot: usize, det: Box<Detector> },
 }
 
 impl pool::Job for Job {
-    fn run(&mut self) {
+    fn run(&mut self) -> Option<Job> {
         match self {
             Job::Cohorts(shard) => shard.cohort_phase(),
-            Job::Stream { stream, output, .. } => {
-                stream.out = Some(stream.det.finish_step(output));
+            Job::Score { shard, slot, det, output, out } => {
+                let scored = det.as_deref_mut().expect("a scoring job holds its detector");
+                *out = Some(scored.score_step(output));
+                if scored.owes_adaptation() {
+                    let (shard, slot) = (*shard, *slot);
+                    return det.take().map(|det| Job::Adapt { shard, slot, det });
+                }
             }
+            Job::Adapt { det, .. } => det.adapt(),
         }
+        None
     }
 }
 
@@ -333,7 +410,9 @@ struct ArchGroup {
     members: Vec<usize>,
     /// Cohort id per member (parallel to `members`).
     cohort_of: Vec<usize>,
-    n_cohorts: usize,
+    /// Per cohort, the position (into `members`) of its first member,
+    /// the leader the rebuild compares other members with.
+    leaders: Vec<usize>,
     /// Set on any member's training event; cohorts are rebuilt at the
     /// start of the next round.
     dirty: bool,
@@ -353,8 +432,13 @@ enum Serving {
     /// weights and scaler (`FleetConfig::f32_infer`), maintained by
     /// `rebuild_cohorts`: existing snapshots are re-synced in place
     /// (allocation-free), new cohorts get fresh ones, surplus ones are
-    /// dropped.
-    F32 { batch: InferBatch<f32>, snapshots: Vec<InferSnapshot<f32>> },
+    /// dropped. `spare` is re-synced from the leader of a cohort of
+    /// resumed streams to serve it ([`Shard::serve_resumed`]).
+    F32 {
+        batch: InferBatch<f32>,
+        snapshots: Vec<InferSnapshot<f32>>,
+        spare: Option<InferSnapshot<f32>>,
+    },
 }
 
 impl Serving {
@@ -362,7 +446,11 @@ impl Serving {
     /// rows, or `None` when the model is not batchable.
     fn new(leader: &dyn StreamModel, capacity: usize, f32_infer: bool) -> Option<Self> {
         Some(if f32_infer {
-            Serving::F32 { batch: InferBatch::new(leader, capacity)?, snapshots: Vec::new() }
+            Serving::F32 {
+                batch: InferBatch::new(leader, capacity)?,
+                snapshots: Vec::new(),
+                spare: None,
+            }
         } else {
             Serving::F64(InferBatch::new(leader, capacity)?)
         })
@@ -384,17 +472,34 @@ fn serve_cohort<T: Scalar>(
     view: InferView<'_, T>,
     positions: &[usize],
     members: &[usize],
-    slots: &[Option<Box<StreamSlot>>],
+    slots: &[Option<StreamSlot>],
     out_bufs: &mut [ModelOutput],
 ) {
     batch.begin(positions.len());
     for (row, &pos) in positions.iter().enumerate() {
         let slot = slots[members[pos]].as_ref().expect("group members are live");
-        batch.pack(view, row, slot.det.feature());
+        batch.pack(view, row, slot.det().feature());
     }
     batch.forward(view);
     for (row, &pos) in positions.iter().enumerate() {
         batch.emit_into(view, row, &mut out_bufs[members[pos]]);
+    }
+}
+
+/// The group's spare f32 snapshot, re-synced from `leader`'s parameters
+/// (allocated on its first use, a drift event, and re-synced in place
+/// after that).
+fn spare_snapshot<'a>(
+    spare: &'a mut Option<InferSnapshot<f32>>,
+    leader: &dyn StreamModel,
+) -> &'a InferSnapshot<f32> {
+    let view = infer_view(leader).expect("grouped models are batchable");
+    match spare {
+        Some(snapshot) => {
+            snapshot.resync(view);
+            snapshot
+        }
+        None => spare.insert(InferSnapshot::new(view)),
     }
 }
 
@@ -403,13 +508,12 @@ fn serve_cohort<T: Scalar>(
 /// zero heap allocations (`fleet/tests/zero_alloc.rs`).
 ///
 /// A slot is `None` when its stream has been retired
-/// ([`DetectorFleet::retire`]), or, inside a round, while its stream is
-/// out on a pool job; vacant slots are reused by later admissions so slot
-/// indices stay stable for the group membership lists.
+/// ([`DetectorFleet::retire`]); vacant slots are reused by later
+/// admissions so slot indices stay stable for the group membership lists.
 struct Shard {
     /// Position in the fleet's shard list.
     index: usize,
-    slots: Vec<Option<Box<StreamSlot>>>,
+    slots: Vec<Option<StreamSlot>>,
     /// Occupied slots.
     live: usize,
     /// Per-slot model-output buffer (sibling of `slots` so the batched
@@ -433,6 +537,10 @@ struct Shard {
     round_seconds: Histogram,
 }
 
+/// Marks a group member that is away on its adaptation in `cohort_of`: it
+/// belongs to no cohort until it lands.
+const NO_COHORT: usize = usize::MAX;
+
 impl Shard {
     fn new(index: usize, batching: bool, f32_infer: bool, telemetry: bool) -> Self {
         Self {
@@ -452,18 +560,28 @@ impl Shard {
         }
     }
 
+    fn slot(&self, slot: usize) -> &StreamSlot {
+        self.slots[slot].as_ref().expect("addressed slot is live")
+    }
+
+    fn slot_mut(&mut self, slot: usize) -> &mut StreamSlot {
+        self.slots[slot].as_mut().expect("addressed slot is live")
+    }
+
     /// Installs a stream into the first vacant slot, appending one when
     /// none is vacant. Returns the slot index.
     fn install(&mut self, det: Detector, queue_capacity: usize) -> usize {
         let channels = det.config().channels;
-        let slot = Box::new(StreamSlot {
-            det,
+        let slot = StreamSlot {
+            det: Some(Box::new(det)),
+            away: false,
+            adapt_panic: None,
             queue: RingQueue::new(channels, queue_capacity),
             group: None,
             eligibility_checked: false,
             work: Work::Idle,
             out: None,
-        });
+        };
         self.live += 1;
         if let Some(vacant) = self.slots.iter().position(Option::is_none) {
             // The vacated output buffer is kept — the first batched emit
@@ -480,9 +598,10 @@ impl Shard {
 
     /// Removes `slot` from the shard: drops the detector and any queued
     /// backlog, and detaches it from its arch group (the group rebuilds
-    /// its cohorts at the next round).
+    /// its cohorts at the next round). The stream must be home.
     fn vacate(&mut self, slot: usize) {
         let stream = self.slots[slot].take().expect("retire of a live stream");
+        debug_assert!(!stream.away, "a retiring stream is settled first");
         self.live -= 1;
         if let Some(gi) = stream.group {
             let group = &mut self.groups[gi];
@@ -502,7 +621,7 @@ impl Shard {
     /// group on first sight of the architecture. Group batch capacity is
     /// the shard's stream count — the widest batch a round can need.
     fn join_group(&mut self, slot: usize) {
-        let det = &self.slots[slot].as_ref().expect("joining slot is live").det;
+        let det = self.slots[slot].as_ref().expect("joining slot is live").det();
         let Some(arch) = batch_arch_key(det.model()) else { return };
         let gi = match self.groups.iter().position(|g| g.arch == arch) {
             Some(gi) => gi,
@@ -516,7 +635,7 @@ impl Shard {
                     serving,
                     members: Vec::new(),
                     cohort_of: Vec::new(),
-                    n_cohorts: 0,
+                    leaders: Vec::new(),
                     dirty: false,
                     active: Vec::new(),
                     cohort_rows: Vec::new(),
@@ -537,33 +656,30 @@ impl Shard {
         group.members.push(slot);
         group.cohort_of.push(0);
         group.dirty = true;
-        self.slots[slot].as_mut().expect("joining slot is live").group = Some(gi);
+        self.slot_mut(slot).group = Some(gi);
     }
 
     /// Re-partitions a group into weight-identical cohorts by exact
     /// parameter comparison against each cohort's first member. O(k·c)
     /// comparisons for k members and c cohorts — and it only runs on
-    /// training events, never in the per-step hot path.
-    fn rebuild_cohorts(group: &mut ArchGroup, slots: &[Option<Box<StreamSlot>>]) -> usize {
+    /// training events, never in the per-step hot path. A member away on
+    /// its adaptation joins no cohort ([`NO_COHORT`]); its landing marks
+    /// the group dirty again.
+    fn rebuild_cohorts(group: &mut ArchGroup, slots: &[Option<StreamSlot>]) -> usize {
         let live = |slot: usize| slots[slot].as_ref().expect("group members are live");
-        group.n_cohorts = 0;
-        for i in 0..group.members.len() {
-            let model = live(group.members[i]).det.model();
-            let mut assigned = None;
-            'cohorts: for c in 0..group.n_cohorts {
-                // The cohort's representative: its first member.
-                for j in 0..i {
-                    if group.cohort_of[j] == c {
-                        if infer_state_equal(model, live(group.members[j]).det.model()) {
-                            assigned = Some(c);
-                        }
-                        continue 'cohorts;
-                    }
-                }
+        let ArchGroup { members, cohort_of, leaders, .. } = group;
+        leaders.clear();
+        for i in 0..members.len() {
+            let member = live(members[i]);
+            if member.away {
+                cohort_of[i] = NO_COHORT;
+                continue;
             }
-            group.cohort_of[i] = assigned.unwrap_or_else(|| {
-                group.n_cohorts += 1;
-                group.n_cohorts - 1
+            let model = member.det().model();
+            let leader = |&j: &usize| infer_state_equal(model, live(members[j]).det().model());
+            cohort_of[i] = leaders.iter().position(leader).unwrap_or_else(|| {
+                leaders.push(i);
+                leaders.len() - 1
             });
         }
         // f32 serving: re-sync one snapshot per cohort. This is the
@@ -574,11 +690,8 @@ impl Shard {
         // `c`'s leader (same architecture by the group invariant).
         let mut resyncs = 0;
         if let Serving::F32 { snapshots, .. } = &mut group.serving {
-            for c in 0..group.n_cohorts {
-                let leader_pos = (0..group.members.len())
-                    .find(|&i| group.cohort_of[i] == c)
-                    .expect("every cohort has a member");
-                let leader = live(group.members[leader_pos]).det.model();
+            for (c, &pos) in group.leaders.iter().enumerate() {
+                let leader = live(group.members[pos]).det().model();
                 let view = infer_view(leader).expect("grouped models are batchable");
                 match snapshots.get_mut(c) {
                     Some(snapshot) => snapshot.resync(view),
@@ -586,16 +699,17 @@ impl Shard {
                 }
                 resyncs += 1;
             }
-            snapshots.truncate(group.n_cohorts);
+            snapshots.truncate(group.leaders.len());
         }
         group.dirty = false;
         resyncs
     }
 
     /// Round phase 1: decides each stream's [`Work`], rebuilds dirty
-    /// cohorts, begins the step of every grouped stream with input and
-    /// runs one shared forward pass per cohort, leaving each row's output
-    /// in its slot's `out_bufs` entry for the pooled `finish_step`.
+    /// cohorts, begins the step of every grouped stream with input that
+    /// is home and runs one shared forward pass per cohort, leaving each
+    /// row's output in its slot's `out_bufs` entry for the pooled
+    /// `score_step`.
     fn cohort_phase(&mut self) {
         self.round_steps = 0;
         for slot in self.slots.iter_mut().flatten() {
@@ -603,11 +717,13 @@ impl Shard {
                 self.queue_high_water = self.queue_high_water.max(slot.queue.len() as f64);
             }
             slot.out = None;
-            // A grouped stream with input becomes `Finish` below.
-            slot.work = if slot.queue.len() > 0 && slot.group.is_none() {
-                Work::Step
-            } else {
-                Work::Idle
+            // A grouped stream with input that is home becomes `Finish`
+            // below.
+            slot.work = match (slot.queue.len() > 0, slot.away, slot.group) {
+                (false, _, _) => Work::Idle,
+                (true, true, _) => Work::Resume,
+                (true, false, None) => Work::Step,
+                (true, false, Some(_)) => Work::Idle,
             };
         }
 
@@ -617,15 +733,20 @@ impl Shard {
                 stats.f32_resyncs += Self::rebuild_cohorts(group, slots);
                 stats.cohort_rebuilds += 1;
             }
-            // begin_step every member with input. All are past warm-up, so
-            // a begin yields a feature vector unless the vector held a NaN
-            // or ±∞, which the detector drops and counts: that stream
-            // stays idle this round.
+            // begin_step every member with input that is home. All are
+            // past warm-up, so a begin yields a feature vector unless the
+            // vector held a NaN or ±∞, which the detector drops and
+            // counts: that stream stays idle this round.
             group.active.clear();
             for (pos, &si) in group.members.iter().enumerate() {
                 let slot = slots[si].as_mut().expect("group members are live");
-                let Some(s) = slot.queue.front() else { continue };
-                let ready = slot.det.begin_step(s);
+                if slot.away {
+                    continue;
+                }
+                let (Some(det), Some(s)) = (slot.det.as_deref_mut(), slot.queue.front()) else {
+                    continue;
+                };
+                let ready = det.begin_step(s);
                 slot.queue.pop_front();
                 if ready {
                     group.active.push(pos);
@@ -634,9 +755,8 @@ impl Shard {
             }
             // One shared forward pass per cohort with active members; the
             // cohort invariant makes any member's model a valid leader.
-            // Every row's output is scattered before any finish_step runs,
-            // so a fine-tune cannot perturb a sibling's emit.
-            for c in 0..group.n_cohorts {
+            // Every row's output is scattered before any score_step runs.
+            for c in 0..group.leaders.len() {
                 group.cohort_rows.clear();
                 group
                     .cohort_rows
@@ -651,12 +771,12 @@ impl Shard {
                         let leader = slots[members[positions[0]]]
                             .as_ref()
                             .expect("group members are live")
-                            .det
+                            .det()
                             .model();
                         let view = infer_view(leader).expect("grouped models are batchable");
                         serve_cohort(batch, view, positions, members, slots, out_bufs);
                     }
-                    Serving::F32 { batch, snapshots } => {
+                    Serving::F32 { batch, snapshots, .. } => {
                         let view = snapshots[c].view();
                         serve_cohort(batch, view, positions, members, slots, out_bufs);
                         stats.f32_rows += rows;
@@ -672,72 +792,196 @@ impl Shard {
         }
     }
 
-    /// Runs the caller's own per-stream work: every ungrouped step. A
-    /// vector holding a NaN or ±∞ is dropped by the detector without a
-    /// step (its time does not advance), so its stream goes back to
-    /// [`Work::Idle`] and the round does not count it.
+    /// Runs the caller's ungrouped steps. A vector holding a NaN or ±∞ is
+    /// dropped by the detector without a step (its time does not advance),
+    /// so its stream goes back to [`Work::Idle`] and the round does not
+    /// count it.
     fn step_ungrouped(&mut self) {
         for slot in self.slots.iter_mut().flatten().filter(|slot| slot.work == Work::Step) {
+            let det = slot.det.as_deref_mut().expect("a stepping stream is home");
             let s = slot.queue.front().expect("a stepping stream has input");
-            let t = slot.det.time();
-            slot.out = slot.det.step(s);
+            let t = det.time();
+            slot.out = det.step(s);
             slot.queue.pop_front();
-            if slot.det.time() == t {
+            if det.time() == t {
                 slot.work = Work::Idle;
             }
         }
     }
 
-    /// Whether this round has ungrouped steps for the caller.
+    /// Whether this round has work for the caller before it claims: a
+    /// resumed stream, or an ungrouped step.
+    fn has_caller_work(&self) -> bool {
+        self.slots.iter().flatten().any(|slot| matches!(slot.work, Work::Step | Work::Resume))
+    }
+
+    /// Whether this round has an ungrouped step.
     fn has_ungrouped_steps(&self) -> bool {
         self.slots.iter().flatten().any(|slot| slot.work == Work::Step)
     }
 
-    /// Moves this shard's finishing streams, with their batched outputs,
-    /// out into jobs, in slot order.
-    fn finish_jobs(&mut self) -> impl Iterator<Item = Job> + '_ {
+    /// Moves the detectors of this shard's streams whose round `work` is
+    /// at the scoring step, with their batched outputs, out into scoring
+    /// jobs, in slot order; their work becomes [`Work::Finish`].
+    fn score_jobs(&mut self, work: Work) -> impl Iterator<Item = Job> + '_ {
         let shard = self.index;
         let Shard { slots, out_bufs, .. } = self;
         let streams = slots.iter_mut().zip(out_bufs.iter_mut()).enumerate();
         streams.filter_map(move |(slot, (entry, buf))| {
-            if entry.as_ref()?.work != Work::Finish {
-                return None;
-            }
-            let stream = entry.take().expect("checked live above");
+            let stream = entry.as_mut().filter(|stream| stream.work == work)?;
+            stream.work = Work::Finish;
+            let det = stream.det.take();
+            debug_assert!(det.is_some(), "a stream at its scoring step is home");
             let output = std::mem::replace(buf, ModelOutput::Score(0.0));
-            Some(Job::Stream { shard, slot, stream, output })
+            Some(Job::Score { shard, slot, det, output, out: None })
         })
     }
 
-    /// Puts a stream and its batched output back from their job.
-    fn land(&mut self, slot: usize, stream: Box<StreamSlot>, output: ModelOutput) {
-        self.slots[slot] = Some(stream);
+    /// Puts a stream's batched output, step output and detector back from
+    /// its scoring job. A job that comes back without its detector sent it
+    /// on to its adaptation: the stream is away from now on.
+    fn land_score(
+        &mut self,
+        slot: usize,
+        det: Option<Box<Detector>>,
+        output: ModelOutput,
+        out: Option<StepOutput>,
+    ) {
         self.out_bufs[slot] = output;
+        let stream = self.slot_mut(slot);
+        stream.out = out;
+        match det {
+            Some(det) => stream.det = Some(det),
+            // The adaptation may even be back already, parked in `det`.
+            None => stream.away = true,
+        }
     }
 
-    /// Round phase 3, in slot order: counts scalar steps, decides
+    /// Parks a detector back from its adaptation in its slot, with the
+    /// panic the adaptation raised. The stream stays away until it lands.
+    /// (An adaptation that follows a scoring job of the current round may
+    /// park before that job lands.)
+    fn park(&mut self, slot: usize, det: Box<Detector>, panic: Option<Panic>) {
+        let stream = self.slot_mut(slot);
+        debug_assert!(stream.det.is_none(), "only a detector that is out parks");
+        stream.det = Some(det);
+        stream.adapt_panic = panic;
+    }
+
+    /// Lands a parked stream: runs its adaptation on the caller if it came
+    /// back unrun (a round stopped by a panic lands its jobs unrun), and
+    /// marks its group dirty, as a fine-tune does. Returns the panic its
+    /// adaptation raised.
+    fn land(&mut self, slot: usize) -> Option<Panic> {
+        let stream = self.slot_mut(slot);
+        let det = stream.det.as_deref_mut().expect("a landing stream is parked");
+        let panic = stream.adapt_panic.take().or_else(|| {
+            let unrun = det.owes_adaptation();
+            unrun.then(|| catch_unwind(AssertUnwindSafe(|| det.adapt())).err()).flatten()
+        });
+        stream.away = false;
+        let group = stream.group;
+        if let Some(gi) = group {
+            self.groups[gi].dirty = true;
+        }
+        panic
+    }
+
+    /// Resumes a parked stream with input this round: lands it and begins
+    /// its step ([`Work::Resumed`]), which [`Self::serve_resumed`] and a
+    /// scoring job complete. Returns a panic of the adaptation or the
+    /// begin.
+    fn land_resume(&mut self, slot: usize) -> Option<Panic> {
+        if let Some(panic) = self.land(slot) {
+            return Some(panic);
+        }
+        let stream = self.slot_mut(slot);
+        let (Some(det), Some(s)) = (stream.det.as_deref_mut(), stream.queue.front()) else {
+            unreachable!("a resumed stream is home, with input");
+        };
+        let ready = catch_unwind(AssertUnwindSafe(|| det.begin_step(s)));
+        stream.queue.pop_front();
+        stream.work = if matches!(ready, Ok(true)) { Work::Resumed } else { Work::Idle };
+        ready.err()
+    }
+
+    /// Serves this round's resumed streams: per arch group, in cohorts of
+    /// weight-identical detectors rebuilt for them (exact comparison, as
+    /// `rebuild_cohorts` does), one forward pass each at the group's
+    /// precision — f64 borrows the cohort leader's parameters, f32 the
+    /// group's spare snapshot of them — leaving each row's output for the
+    /// pooled `score_step` ([`Self::score_jobs`]). Every row of a pass is
+    /// computed independently of the others, so each output is the one the
+    /// stream's home cohort would give it, and the step counts as a
+    /// batched row.
+    fn serve_resumed(&mut self) {
+        let Shard { slots, out_bufs, groups, stats, round_steps, batch_rows, telemetry, .. } = self;
+        for group in groups.iter_mut() {
+            let resumed = |pos: &usize| {
+                let slot = slots[group.members[*pos]].as_ref();
+                slot.is_some_and(|slot| slot.work == Work::Resumed)
+            };
+            group.active.clear();
+            group.active.extend((0..group.members.len()).filter(resumed));
+            while let Some(&first) = group.active.first() {
+                let live = |pos: usize| {
+                    slots[group.members[pos]].as_ref().expect("group members are live")
+                };
+                let leader = live(first).det().model();
+                group.cohort_rows.clear();
+                group.cohort_rows.extend(group.active.iter().copied().filter(|&pos| {
+                    pos == first || infer_state_equal(leader, live(pos).det().model())
+                }));
+                let cohort = &group.cohort_rows;
+                group.active.retain(|pos| !cohort.contains(pos));
+                let (positions, members) = (&group.cohort_rows[..], &group.members[..]);
+                match &mut group.serving {
+                    Serving::F64(batch) => {
+                        let view = infer_view(leader).expect("grouped models are batchable");
+                        serve_cohort(batch, view, positions, members, slots, out_bufs);
+                    }
+                    Serving::F32 { batch, spare, .. } => {
+                        let view = spare_snapshot(spare, leader).view();
+                        serve_cohort(batch, view, positions, members, slots, out_bufs);
+                        stats.f32_rows += positions.len();
+                    }
+                }
+                stats.batched_rows += positions.len();
+                stats.batches += 1;
+                *round_steps += positions.len();
+                if *telemetry {
+                    batch_rows.record(positions.len() as f64);
+                }
+            }
+        }
+    }
+
+    /// Resumed streams whose adaptation is still out: queued, or run by a
+    /// helper.
+    fn awaiting(&self) -> usize {
+        let out = |slot: &&StreamSlot| slot.work == Work::Resume && slot.det.is_none();
+        self.slots.iter().flatten().filter(out).count()
+    }
+
+    /// Whether any adaptation of this shard's streams is still out.
+    fn adapting(&self) -> bool {
+        self.slots.iter().flatten().any(|slot| slot.away && slot.det.is_none())
+    }
+
+    /// Round phase 3, in slot order: counts scalar steps and decides
     /// batching eligibility at the warm-up transition (models materialize
-    /// their networks at the warm-up fit) and marks the groups of
-    /// fine-tuned streams for a cohort rebuild at the next round.
+    /// their networks at the warm-up fit).
     fn bookkeeping(&mut self) {
         for i in 0..self.slots.len() {
             let Some(slot) = self.slots[i].as_mut() else { continue };
-            match slot.work {
-                Work::Idle => {}
-                Work::Step => {
-                    self.stats.scalar_steps += 1;
-                    self.round_steps += 1;
-                    if self.batching && !slot.eligibility_checked && slot.det.is_warmed_up() {
-                        slot.eligibility_checked = true;
-                        self.join_group(i);
-                    }
-                }
-                Work::Finish => {
-                    if slot.out.is_some_and(|o| o.fine_tuned) {
-                        let gi = slot.group.expect("a finishing stream is grouped");
-                        self.groups[gi].dirty = true;
-                    }
-                }
+            if slot.work != Work::Step {
+                continue;
+            }
+            self.stats.scalar_steps += 1;
+            self.round_steps += 1;
+            if self.batching && !slot.eligibility_checked && slot.det().is_warmed_up() {
+                slot.eligibility_checked = true;
+                self.join_group(i);
             }
         }
     }
@@ -748,11 +992,65 @@ impl Shard {
     }
 }
 
-/// Re-raises a panic a round caught, once the fleet's state is whole
-/// again.
-fn resume(panic: Option<Panic>) {
-    if let Some(panic) = panic {
-        std::panic::resume_unwind(panic);
+/// Hands a job back to its shard, keeping the round's first panic in
+/// `panic`: a scoring job lands (and its stream is away if it drifted);
+/// an adaptation parks, and its stream lands and begins at once if the
+/// round has input for it and no panic so far.
+fn land_job(
+    shards: &mut [Box<Shard>],
+    panic: &mut Option<Panic>,
+    job: Job,
+    raised: Option<Panic>,
+) {
+    match job {
+        Job::Score { shard, slot, det, output, out } => {
+            shards[shard].land_score(slot, det, output, out);
+            *panic = panic.take().or(raised);
+        }
+        Job::Adapt { shard, slot, det } => {
+            let shard = &mut shards[shard];
+            shard.park(slot, det, raised);
+            if panic.is_none() && shard.slot(slot).work == Work::Resume {
+                *panic = shard.land_resume(slot);
+            }
+        }
+        Job::Cohorts(_) => unreachable!("the stream phase queues streams only"),
+    }
+}
+
+/// Finishes the round's resumed streams: the caller runs the recalled
+/// adaptations at the front of the round's queue (a helper may take some),
+/// waits for those the helpers hold, landing and beginning each stream as
+/// its adaptation comes back, then serves them all ([`Shard::serve_resumed`])
+/// and queues their scoring jobs. Does nothing after a panic.
+fn serve_resumed_and_queue(
+    shards: &mut [Box<Shard>],
+    pool: &Pool<Job>,
+    panic: &mut Option<Panic>,
+) {
+    if panic.is_some() {
+        return;
+    }
+    let recalled = |job: &Job| matches!(job, Job::Adapt { .. });
+    pool.run_front(recalled, |job, raised| land_job(shards, panic, job, raised));
+    while panic.is_none() && shards.iter().any(|shard| shard.awaiting() > 0) {
+        pool.wait_back(|job, raised| land_job(shards, panic, job, raised));
+    }
+    if panic.is_some() {
+        return;
+    }
+    for shard in shards.iter_mut() {
+        shard.serve_resumed();
+    }
+    let busy = shards.iter().any(|shard| shard.has_ungrouped_steps());
+    pool.dispatch(shards.iter_mut().flat_map(|shard| shard.score_jobs(Work::Resumed)), busy);
+}
+
+/// Parks an adaptation back in its shard (see [`Shard::park`]).
+fn park_job(shards: &mut [Box<Shard>], job: Job, raised: Option<Panic>) {
+    match job {
+        Job::Adapt { shard, slot, det } => shards[shard].park(slot, det, raised),
+        Job::Cohorts(_) | Job::Score { .. } => unreachable!("only adaptations run between rounds"),
     }
 }
 
@@ -854,12 +1152,16 @@ impl DetectorFleet {
     }
 
     /// Retires `stream`: its detector (and any queued backlog) is dropped
-    /// and its slot, with its id, is free for a later [`Self::admit`].
+    /// and its slot, with its id, is free for a later [`Self::admit`]. A
+    /// stream away on its adaptation is settled first ([`Self::settle`]).
     ///
     /// # Panics
     /// Panics if `stream` is not live.
     pub fn retire(&mut self, stream: usize) {
         let (shard, slot) = self.live_addr(stream);
+        if self.shards[shard].slot(slot).away {
+            self.settle();
+        }
         self.shards[shard].vacate(slot);
     }
 
@@ -890,7 +1192,7 @@ impl DetectorFleet {
     /// Panics if `stream` is not live.
     pub fn queued(&self, stream: usize) -> usize {
         let (shard, slot) = self.live_addr(stream);
-        self.shards[shard].slots[slot].as_ref().expect("addressed slot is live").queue.len()
+        self.shards[shard].slot(slot).queue.len()
     }
 
     fn live_addr(&self, stream: usize) -> (usize, usize) {
@@ -905,7 +1207,7 @@ impl DetectorFleet {
     /// Panics if `stream` is not live or `s` has the wrong channel count.
     pub fn enqueue(&mut self, stream: usize, s: &[f64]) -> bool {
         let (shard, slot) = self.live_addr(stream);
-        self.shards[shard].slots[slot].as_mut().expect("addressed slot is live").queue.push(s)
+        self.shards[shard].slot_mut(slot).queue.push(s)
     }
 
     /// Enqueues one stream vector under a back-pressure `policy`: like
@@ -959,13 +1261,20 @@ impl DetectorFleet {
     /// consumed.
     ///
     /// The round runs on the caller and the fleet's helper threads (crate
-    /// docs, "Sharding and the worker pool").
+    /// docs, "Sharding and the worker pool"), and returns once every
+    /// verdict is out: the adaptation (fine-tune and drift re-anchor) that
+    /// a grouped stream's drift owes is left running in the background,
+    /// and the next round with input for that stream finishes it before
+    /// the stream steps again. Until then the stream is away: its queue
+    /// takes input, but [`Self::detector`] and [`Self::export_metrics`]
+    /// need [`Self::settle`] first.
     ///
     /// # Panics
-    /// Re-raises, on the caller, the first panic of any step of the round,
-    /// whichever thread ran it, once every job of the round is back: every
-    /// stream is in the fleet again, though the one whose step panicked
-    /// may be left mid-step.
+    /// Re-raises, on the caller, the first panic of any step or adaptation
+    /// of the round, whichever thread ran it, once every job of the round
+    /// is back and every adaptation in flight has landed
+    /// ([`Self::settle`]): every stream is home again, though the one that
+    /// panicked may be left mid-step.
     pub fn drain_round(&mut self, out: &mut Vec<Option<StepOutput>>) -> usize {
         let consumed = self.pending();
         let started = self.config.telemetry.then(std::time::Instant::now);
@@ -978,30 +1287,67 @@ impl DetectorFleet {
         } else {
             let mut shards = std::mem::take(&mut self.shards);
             self.pool.dispatch(shards.drain(..).map(Job::Cohorts), false);
-            let panic = self.pool.complete(None, |job| match job {
-                Job::Cohorts(shard) => shards.push(shard),
-                Job::Stream { .. } => unreachable!("the cohort phase queues shards only"),
+            let mut panic = None;
+            self.pool.complete(false, |job, raised| {
+                panic = panic.take().or(raised);
+                match job {
+                    Job::Cohorts(shard) => shards.push(shard),
+                    _ => unreachable!("the cohort phase queues shards only"),
+                }
             });
             shards.sort_unstable_by_key(|shard| shard.index);
             self.shards = shards;
-            resume(panic);
+            self.raise(panic);
         }
 
-        // Phase 2: streams. The finish steps are queued first; the caller
-        // runs the ungrouped steps, then claims finish steps like a helper.
-        let caller_busy = self.shards.iter().any(|shard| shard.has_ungrouped_steps());
-        let shards = &mut self.shards;
-        self.pool.dispatch(shards.iter_mut().flat_map(|shard| shard.finish_jobs()), caller_busy);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for shard in shards.iter_mut() {
-                shard.step_ungrouped();
-            }
-        }));
-        let panic = self.pool.complete(caught.err(), |job| match job {
-            Job::Stream { shard, slot, stream, output } => shards[shard].land(slot, stream, output),
-            Job::Cohorts(_) => unreachable!("the stream phase queues streams only"),
+        // Phase 2: streams. The scoring jobs of the streams served in
+        // phase 1 go out first, behind the adaptations of resumed streams
+        // that no helper has claimed (recalled from the background lane);
+        // those the helpers finished since the last round park in their
+        // slots, and their streams land and begin at once. The resumed
+        // streams are served together, once every one of them has landed
+        // (see `serve_resumed_and_queue`): before the ungrouped steps if
+        // that takes no more than waiting for the adaptations the helpers
+        // hold, or running the recalled ones when no helper holds any;
+        // after them otherwise, so that a long ungrouped step (an initial
+        // fit) overlaps the helpers' adaptations.
+        let (shards, pool) = (&mut self.shards, &self.pool);
+        pool.take_returned(|job, raised| park_job(shards, job, raised));
+        let recalled = pool.recall(|job| match job {
+            Job::Adapt { shard, slot, .. } => shards[*shard].slot(*slot).work == Work::Resume,
+            _ => false,
         });
-        resume(panic);
+        let caller_busy = shards.iter().any(|shard| shard.has_caller_work());
+        let scoring = shards.iter_mut().flat_map(|shard| shard.score_jobs(Work::Finish));
+        pool.dispatch(scoring, caller_busy);
+        let mut panic = None;
+        for shard in shards.iter_mut() {
+            for slot in 0..shard.slots.len() {
+                let parked = shard.slots[slot].as_ref().is_some_and(StreamSlot::parked_resume);
+                if panic.is_none() && parked {
+                    panic = shard.land_resume(slot);
+                }
+            }
+        }
+        let held = shards.iter().map(|shard| shard.awaiting()).sum::<usize>() - recalled;
+        let early = recalled == 0 || held == 0;
+        if early {
+            serve_resumed_and_queue(shards, pool, &mut panic);
+        }
+        if panic.is_none() {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                for shard in shards.iter_mut() {
+                    shard.step_ungrouped();
+                }
+            }));
+            panic = caught.err();
+        }
+        if !early {
+            serve_resumed_and_queue(shards, pool, &mut panic);
+        }
+        let stop = panic.is_some();
+        pool.complete(stop, |job, raised| land_job(shards, &mut panic, job, raised));
+        self.raise(panic);
 
         // Phase 3: bookkeeping.
         for shard in &mut self.shards {
@@ -1029,6 +1375,58 @@ impl DetectorFleet {
         consumed
     }
 
+    /// Waits for every adaptation in flight and lands it: the helpers
+    /// finish the ones they hold, and the caller runs the ones no helper
+    /// has claimed (with the helpers, if they are free). Afterwards every
+    /// stream is home, so [`Self::detector`] and [`Self::export_metrics`]
+    /// see every detector. [`Self::run`], [`Self::retire`] of an away
+    /// stream and the serving engine's `finish` call it. A landing marks
+    /// its stream's group for a cohort rebuild, as a fine-tune does.
+    ///
+    /// # Panics
+    /// Re-raises, once every stream is home, the first panic an adaptation
+    /// raised.
+    pub fn settle(&mut self) {
+        let panic = self.settle_caught();
+        if let Some(panic) = panic {
+            resume_unwind(panic);
+        }
+    }
+
+    /// [`Self::settle`], returning the first panic instead of raising it.
+    fn settle_caught(&mut self) -> Option<Panic> {
+        let (shards, pool) = (&mut self.shards, &self.pool);
+        loop {
+            pool.take_returned(|job, raised| park_job(shards, job, raised));
+            pool.recall(|_| true);
+            pool.dispatch(std::iter::empty(), false);
+            pool.complete(false, |job, raised| park_job(shards, job, raised));
+            if !shards.iter().any(|shard| shard.adapting()) {
+                break;
+            }
+            pool.wait_back(|job, raised| park_job(shards, job, raised));
+        }
+        let mut panic = None;
+        for shard in shards.iter_mut() {
+            for slot in 0..shard.slots.len() {
+                if shard.slots[slot].as_ref().is_some_and(|stream| stream.away) {
+                    let raised = shard.land(slot);
+                    panic = panic.or(raised);
+                }
+            }
+        }
+        panic
+    }
+
+    /// Re-raises a panic a round caught, once every adaptation in flight
+    /// has landed.
+    fn raise(&mut self, panic: Option<Panic>) {
+        if let Some(panic) = panic {
+            let _ = self.settle_caught();
+            resume_unwind(panic);
+        }
+    }
+
     /// Helper threads in the fleet's worker pool; 0 when rounds run
     /// inline on the caller.
     pub fn helpers(&self) -> usize {
@@ -1044,7 +1442,8 @@ impl DetectorFleet {
 
     /// Convenience driver: streams `series[i]` into stream `i` and
     /// returns each stream's post-warm-up outputs — per stream, the exact
-    /// trace of a standalone `Detector::run` over the same series.
+    /// trace of a standalone `Detector::run` over the same series. It
+    /// settles the fleet at the end ([`Self::settle`]).
     pub fn run(&mut self, series: &[Vec<Vec<f64>>]) -> Vec<Vec<StepOutput>> {
         assert_eq!(series.len(), self.len(), "one series per stream");
         let n_streams = self.len();
@@ -1067,16 +1466,18 @@ impl DetectorFleet {
                 }
             }
         }
+        self.settle();
         traces
     }
 
     /// The detector serving `stream`.
     ///
     /// # Panics
-    /// Panics if `stream` is not live.
+    /// Panics if `stream` is not live, or is away on its adaptation (see
+    /// [`Self::drain_round`]; [`Self::settle`] brings it home).
     pub fn detector(&self, stream: usize) -> &Detector {
         let (shard, slot) = self.live_addr(stream);
-        &self.shards[shard].slots[slot].as_ref().expect("addressed slot is live").det
+        self.shards[shard].slot(slot).home_det(stream)
     }
 
     /// Cumulative serving counters, summed over shards.
@@ -1108,6 +1509,10 @@ impl DetectorFleet {
     /// (`sad_core::register_lifecycle`; retired detectors are gone, their
     /// serving history stays in the counters). Allocates — export path
     /// only, never called from `drain_round`.
+    ///
+    /// # Panics
+    /// Panics if a stream is away on its adaptation: call
+    /// [`Self::settle`] first.
     pub fn export_metrics(&self) -> Registry {
         let stats = self.stats();
         let mut reg = Registry::new();
@@ -1188,7 +1593,11 @@ impl DetectorFleet {
             "Shard round latency (rounds that served at least one step).",
             merged(|s| &s.round_seconds),
         );
-        let live = self.shards.iter().flat_map(|s| s.slots.iter().flatten()).map(|slot| &slot.det);
+        let n = self.shards.len();
+        let live = self.shards.iter().flat_map(|shard| {
+            let slots = shard.slots.iter().enumerate();
+            slots.filter_map(move |(k, slot)| Some(slot.as_ref()?.home_det(k * n + shard.index)))
+        });
         sad_core::register_lifecycle(&mut reg, live);
         reg
     }
@@ -1476,7 +1885,8 @@ mod tests {
     }
 
     /// A fleet whose helpers cannot be spawned runs every round inline on
-    /// the caller, with the traces of a fleet whose helpers run.
+    /// the caller, adaptations included, with the traces and serving
+    /// counters of a fleet whose helpers run.
     #[test]
     fn a_failed_helper_spawn_runs_rounds_inline() {
         let fleet_series: Vec<_> = (0..4).map(|i| series(160, i as f64 * 0.4)).collect();
@@ -1502,6 +1912,8 @@ mod tests {
             assert_eq!(a, b, "shards={shards}: inline rounds serve the same traces");
             assert_eq!(pooled.stats(), inline.stats(), "shards={shards}");
             assert_eq!(inline.helper_jobs(), 0);
+            let tunes: usize = (0..4).map(|i| inline.detector(i).fine_tune_count()).sum();
+            assert!(tunes > 4, "shards={shards}: the streams drifted and adapted: {tunes}");
         }
     }
 

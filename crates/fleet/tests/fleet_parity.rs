@@ -424,3 +424,188 @@ fn pooled_fine_tunes_match_standalone_detectors() {
         }
     }
 }
+
+/// Rounds the test has seen `drain_round` return, the adaptations a
+/// helper has started, and those it held until the round that scored
+/// their drift had returned.
+#[derive(Default)]
+struct Rounds {
+    returned: std::sync::atomic::AtomicUsize,
+    entered: std::sync::atomic::AtomicUsize,
+    held: std::sync::atomic::AtomicUsize,
+}
+
+/// A μσ drift detector whose drift-triggered adaptation, when a pool
+/// helper runs it, waits (at most five seconds) until the round that
+/// scored the drift has returned to the test. `on_fine_tune` also runs
+/// once at the warm-up fit; that first call never waits.
+#[derive(Clone)]
+struct HeldAdaptation {
+    inner: Box<dyn sad_core::DriftDetector>,
+    warmed: bool,
+    /// Rounds returned when the last observation was scored.
+    scored_in: usize,
+    rounds: std::sync::Arc<Rounds>,
+}
+
+impl sad_core::DriftDetector for HeldAdaptation {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn observe(
+        &mut self,
+        x: &sad_core::FeatureVector,
+        update: &sad_core::SetUpdate,
+        train: &[sad_core::FeatureVector],
+    ) -> bool {
+        use std::sync::atomic::Ordering::SeqCst;
+        self.scored_in = self.rounds.returned.load(SeqCst);
+        self.inner.observe(x, update, train)
+    }
+
+    fn on_fine_tune(&mut self, train: &[sad_core::FeatureVector]) {
+        use std::sync::atomic::Ordering::SeqCst;
+        let thread = std::thread::current();
+        let on_helper = thread.name().is_some_and(|name| name.starts_with("sad-fleet-"));
+        let returned = || self.rounds.returned.load(SeqCst) > self.scored_in;
+        if self.warmed && on_helper {
+            self.rounds.entered.fetch_add(1, SeqCst);
+        }
+        if self.warmed && on_helper && !returned() {
+            let since = std::time::Instant::now();
+            while !returned() && since.elapsed() < std::time::Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            if returned() {
+                self.rounds.held.fetch_add(1, SeqCst);
+            }
+        }
+        self.warmed = true;
+        self.inner.on_fine_tune(train);
+    }
+
+    fn ops(&self) -> sad_core::OpCount {
+        self.inner.ops()
+    }
+
+    fn removal_misses(&self) -> u64 {
+        self.inner.removal_misses()
+    }
+
+    fn clone_box(&self) -> Box<dyn sad_core::DriftDetector> {
+        Box::new(self.clone())
+    }
+}
+
+/// `detector(idx, …)` with its μσ drift detector wrapped in a
+/// [`HeldAdaptation`].
+fn held_detector(
+    idx: usize,
+    expect: &str,
+    seed: u64,
+    rounds: &std::sync::Arc<Rounds>,
+) -> Detector {
+    let spec = spec(idx, expect);
+    assert_eq!(spec.task2, sad_core::Task2::MuSigma, "{expect}: a μσ combination");
+    let params = BuildParams::new(tiny_config())
+        .with_capacity(16)
+        .with_score(ScoreKind::Raw)
+        .with_seed(seed);
+    let drift = HeldAdaptation {
+        inner: sad_models::build_task2(spec.task2, &params),
+        warmed: false,
+        scored_in: 0,
+        rounds: rounds.clone(),
+    };
+    Detector::new(
+        params.config.clone(),
+        sad_models::build_model(spec.model, &params),
+        sad_models::build_task1(spec.task1, &params),
+        Box::new(drift),
+        sad_models::build_scorer(params.score, &params),
+    )
+}
+
+/// Verdict before adaptation: a drifted grouped stream's adaptation runs
+/// after the round that scored it has returned, and the stream's next
+/// round finishes it before the stream steps again. Six AE streams and a
+/// USAD stream drift on their own schedules while every helper-run
+/// adaptation is held until the test has seen its scoring round return.
+/// After a round with a drift, the test first waits (at most five
+/// seconds) for a helper to start an adaptation, so with a helper some
+/// adaptation is held across the end of its round. At 1 and 2 shards the
+/// traces, drift times and fine-tune counts are bitwise those of
+/// standalone detectors, and the serving counters equal those of a fleet
+/// whose adaptations run unheld.
+#[test]
+fn adaptations_outlive_their_rounds_and_traces_stay_bitwise() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let streams: Vec<(usize, &str, u64, Vec<Vec<f64>>)> = (0..7u64)
+        .map(|i| {
+            let (idx, expect) = if i == 6 { (12, "USAD") } else { (6, "AE") };
+            let shift = Some(80 + 25 * (i as usize % 4));
+            (idx, expect, 30 + i % 2, series(220, i as f64 * 0.45, shift))
+        })
+        .collect();
+    let mut references = Vec::new();
+    for &(idx, expect, seed, ref data) in &streams {
+        let mut det = detector(idx, expect, seed);
+        let trace = det.run(data);
+        references.push((trace, det));
+    }
+    let tunes: usize = references.iter().map(|(_, det)| det.fine_tune_count()).sum();
+    assert!(tunes >= 2 * streams.len(), "the series must fine-tune every stream: {tunes}");
+
+    for shards in [1usize, 2] {
+        let config = FleetConfig { shards, queue_capacity: 4, ..FleetConfig::default() };
+        let rounds = std::sync::Arc::new(Rounds::default());
+        let dets = streams
+            .iter()
+            .map(|&(idx, expect, seed, _)| held_detector(idx, expect, seed, &rounds))
+            .collect();
+        let mut fleet = DetectorFleet::new(dets, config.clone());
+        let mut traces: Vec<Vec<StepOutput>> = vec![Vec::new(); streams.len()];
+        let mut out = Vec::new();
+        for t in 0..220 {
+            for (i, stream) in streams.iter().enumerate() {
+                assert!(fleet.enqueue(i, &stream.3[t]));
+            }
+            let entered = rounds.entered.load(SeqCst);
+            fleet.drain_round(&mut out);
+            if fleet.helpers() > 0 && out.iter().flatten().any(|o| o.drift) {
+                let since = std::time::Instant::now();
+                while rounds.entered.load(SeqCst) == entered
+                    && since.elapsed() < std::time::Duration::from_secs(5)
+                {
+                    std::thread::yield_now();
+                }
+            }
+            rounds.returned.fetch_add(1, SeqCst);
+            for (trace, o) in traces.iter_mut().zip(&out) {
+                trace.extend(*o);
+            }
+        }
+        fleet.settle();
+        for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
+            let stream = format!("held shards={shards} stream {i}");
+            assert_traces_identical(&traces[i], ref_trace, &stream);
+            let det = fleet.detector(i);
+            assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
+            assert_eq!(det.fine_tune_count(), ref_det.fine_tune_count(), "{stream}: fine-tunes");
+        }
+
+        let dets =
+            streams.iter().map(|&(idx, expect, seed, _)| detector(idx, expect, seed)).collect();
+        let mut unheld = DetectorFleet::new(dets, config);
+        let data: Vec<Vec<Vec<f64>>> = streams.iter().map(|s| s.3.clone()).collect();
+        assert_eq!(unheld.run(&data), traces, "shards={shards}: unheld traces");
+        let stats = fleet.stats();
+        assert_eq!(stats, unheld.stats(), "shards={shards}: counters do not depend on timing");
+        assert!(stats.batched_rows > 0, "shards={shards}: the streams were grouped");
+        if fleet.helpers() > 0 {
+            let held = rounds.held.load(SeqCst);
+            assert!(held > 0, "shards={shards}: no adaptation outlived its round");
+        }
+    }
+}

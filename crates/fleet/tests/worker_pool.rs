@@ -1,15 +1,18 @@
 //! The fleet's worker pool under failure.
 //!
-//! A drain round runs grouped streams' `finish_step` on the caller and the
-//! pool's helper threads, and every ungrouped step on the caller. These
-//! tests script a μσ drift detector to panic or stall at a chosen
-//! observation (`observe` runs inside the step of either kind) and check
-//! that
+//! A drain round runs grouped streams' `score_step` on the caller and the
+//! pool's helper threads, and every ungrouped step on the caller; a
+//! drifted grouped stream's adaptation runs on the pool's background lane
+//! after its round returns. These tests script a μσ drift detector to
+//! panic or stall at a chosen observation (`observe` runs inside the step
+//! of either kind), or to panic in an adaptation, and check that
 //! * a panic in a pooled job reaches the caller through `drain_round`,
 //!   whichever thread ran the job, and a panic in the caller's own work
 //!   does too;
 //! * when the caller's own work panics, `drain_round` unwinds only after
-//!   the job a helper claimed has finished.
+//!   the job a helper claimed has finished;
+//! * a panic in an adaptation a helper ran reaches the caller when its
+//!   stream resumes, and every stream is home afterwards.
 //!
 //! Each scenario runs on a worker thread and reports through a channel
 //! with a deadline, so a round that hangs fails the test instead of
@@ -260,5 +263,126 @@ fn a_caller_panic_waits_for_the_helpers_before_it_unwinds() {
         });
         assert!(started, "shards={shards}: a helper claimed the stalling job");
         assert!(finished, "shards={shards}: unwound while a helper was mid-job");
+    }
+}
+
+/// A μσ drift detector that forces a drift at observation [`CUE`] and
+/// panics, naming its thread, in the adaptation that drift owes, after
+/// setting `adapted`.
+#[derive(Clone)]
+struct PanickingAdaptation {
+    inner: Box<dyn DriftDetector>,
+    seen: usize,
+    armed: bool,
+    adapted: Arc<AtomicBool>,
+}
+
+impl DriftDetector for PanickingAdaptation {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn observe(&mut self, x: &FeatureVector, update: &SetUpdate, train: &[FeatureVector]) -> bool {
+        let forced = self.seen == CUE;
+        self.seen += 1;
+        self.armed |= forced;
+        self.inner.observe(x, update, train) || forced
+    }
+
+    fn on_fine_tune(&mut self, train: &[FeatureVector]) {
+        if self.armed {
+            self.adapted.store(true, SeqCst);
+            panic_here();
+        }
+        self.inner.on_fine_tune(train);
+    }
+
+    fn ops(&self) -> OpCount {
+        self.inner.ops()
+    }
+
+    fn clone_box(&self) -> Box<dyn DriftDetector> {
+        Box::new(self.clone())
+    }
+}
+
+/// An adaptation runs after the round that scored its drift has returned,
+/// and a panic in it reaches the caller when its stream resumes: with a
+/// helper, the test waits for the helper to run (and panic in) the
+/// adaptation between the two rounds, and the message names the helper.
+/// Afterwards every stream is home: `detector` serves each of them.
+#[test]
+fn an_adaptation_panic_reaches_the_caller_and_every_stream_comes_home() {
+    for shards in [1, 2] {
+        let (round, message, home) = within_deadline(move || {
+            let adapted = flag();
+            let spec: AlgorithmSpec = paper_algorithms()[6];
+            assert!(spec.label().contains("AE"), "registry moved: {:?}", spec.label());
+            let config = DetectorConfig {
+                window: WINDOW,
+                channels: 2,
+                warmup: WARMUP,
+                initial_epochs: 1,
+                fine_tune_epochs: 1,
+            };
+            let params =
+                BuildParams::new(config).with_capacity(12).with_score(ScoreKind::Raw).with_seed(4);
+            let drift = PanickingAdaptation {
+                inner: build_task2(spec.task2, &params),
+                seen: 0,
+                armed: false,
+                adapted: adapted.clone(),
+            };
+            let panicking = Detector::new(
+                params.config.clone(),
+                build_model(spec.model, &params),
+                build_task1(spec.task1, &params),
+                Box::new(drift),
+                build_scorer(params.score, &params),
+            );
+            let nap = Duration::ZERO;
+            let quiet_caller = on_caller(Act::Stall { started: flag(), finished: flag(), nap });
+            let dets = vec![quiet(), panicking, quiet_caller, quiet()];
+            let streams = dets.len();
+            let config = FleetConfig { shards, ..FleetConfig::default() };
+            let mut fleet = DetectorFleet::new(dets, config);
+            let mut out: Vec<Option<StepOutput>> = Vec::new();
+            let mut raised = None;
+            for round in 0..2 * CUE {
+                let x = round as f64 * 0.2;
+                for id in 0..streams {
+                    assert!(fleet.enqueue(id, &[(x + id as f64).sin(), (0.7 * x).cos()]));
+                }
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fleet.drain_round(&mut out);
+                }));
+                if let Err(payload) = caught {
+                    let message = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_else(|| "<non-string panic>".to_owned());
+                    raised = Some((round, message));
+                    break;
+                }
+                if round == CUE + WINDOW - 1 && helpers() > 0 {
+                    let since = Instant::now();
+                    while !adapted.load(SeqCst) && since.elapsed() < Duration::from_secs(10) {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            let (round, message) = raised.expect("the adaptation's panic propagated");
+            let home = (0..streams).all(|id| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fleet.detector(id).time()))
+                    .is_ok()
+            });
+            (round, message, home)
+        });
+        assert_eq!(round, CUE + WINDOW, "shards={shards}: raised as its stream resumed: {message}");
+        assert!(message.starts_with("scripted step panic"), "shards={shards}: {message}");
+        if helpers() > 0 {
+            assert!(message.contains("sad-fleet-"), "shards={shards}: a helper ran it: {message}");
+        }
+        assert!(home, "shards={shards}: every stream is home after the panic");
     }
 }

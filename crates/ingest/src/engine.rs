@@ -32,6 +32,14 @@
 //! to shed a stream that outpaces the rounds, and an early round would
 //! serve that stream instead.
 //!
+//! A round's verdicts do not wait for the fine-tunes the round triggers:
+//! a drifted stream's adaptation runs in the fleet's background from the
+//! end of its scoring step until the next round in which the stream has
+//! a frame, which finishes it first if it is still running
+//! ([`DetectorFleet::drain_round`]). So a verdict waits for another
+//! stream's fine-tune only when that stream resumes in the verdict's own
+//! round before its fine-tune is done.
+//!
 //! Per-stream traces are invariant to the drain schedule — each detector
 //! consumes its own queue in arrival order, and the batched path is
 //! bitwise-identical to scalar stepping — so serve-mode outputs match
@@ -177,6 +185,8 @@ pub struct IngestStats {
 struct StreamRecord {
     /// The wire id the stream serves.
     wire: u64,
+    /// The channel width of its detector, taken from its first frame.
+    channels: usize,
     /// Drain-round count when its last frame was queued (or when its
     /// `ingest` call last drained a round for it).
     last_input: u64,
@@ -244,14 +254,16 @@ impl IngestEngine {
                     self.stats.rejected += 1;
                     return;
                 }
-                let id = self.fleet.admit(self.template.build(frame.values.len()));
+                let channels = frame.values.len();
+                let id = self.fleet.admit(self.template.build(channels));
                 self.route.insert(frame.stream, id);
                 self.streams.resize(self.streams.len().max(id + 1), StreamRecord::default());
-                self.streams[id] = StreamRecord { wire: frame.stream, last_input: self.stats.rounds };
+                let last_input = self.stats.rounds;
+                self.streams[id] = StreamRecord { wire: frame.stream, channels, last_input };
                 id
             }
         };
-        if self.fleet.detector(id).config().channels != frame.values.len() {
+        if self.streams[id].channels != frame.values.len() {
             self.stats.channel_mismatches += 1;
             return;
         }
@@ -310,11 +322,15 @@ impl IngestEngine {
     }
 
     /// Drains until every queue is empty (end-of-stream flush), closing
-    /// the round of any frame ingested since the last drain.
+    /// the round of any frame ingested since the last drain, then settles
+    /// the fleet ([`DetectorFleet::settle`]): every adaptation in flight
+    /// lands, so the fleet's detectors and [`Self::export_metrics`] see
+    /// them all.
     pub fn finish(&mut self, sink: &mut impl EngineSink) {
         while self.frames_since_drain > 0 || self.fleet.pending() > 0 {
             self.drain(sink);
         }
+        self.fleet.settle();
     }
 
     /// Pumps `transport` to end-of-stream: decode → [`Self::ingest`] →
@@ -360,6 +376,10 @@ impl IngestEngine {
     /// everything [`DetectorFleet::export_metrics`] aggregates (shard
     /// serving counters, back-pressure/admission counters, detector
     /// lifecycle). Allocates — export path only.
+    ///
+    /// # Panics
+    /// Panics while a stream is away on its adaptation, that is, between
+    /// rounds before [`Self::finish`] (see [`DetectorFleet::drain_round`]).
     pub fn export_metrics(&self) -> Registry {
         let mut reg = self.fleet.export_metrics();
         let s = &self.stats;

@@ -246,3 +246,47 @@ fn drop_policies_shed_the_burst_and_count_it() {
         }
     }
 }
+
+/// Back-to-back frames of drifting streams: every tick each stream sends
+/// two to four frames in a row (the count cycles per stream and tick), so
+/// rounds close on the count cadence and under the block policy's early
+/// drains while adaptations are still in flight. Every trace is bitwise
+/// the offline run's, and every frame is a step.
+#[test]
+fn back_to_back_frames_of_drifting_streams_match_offline_run_bitwise() {
+    let sources: Vec<LabeledSeries> = (0..STREAMS).map(series).collect();
+    let reference = reference_traces(&sources);
+    let fine_tunes = reference.iter().flatten().filter(|o| o.fine_tuned).count();
+    assert!(fine_tunes > STREAMS, "the streams drift and adapt: {fine_tunes}");
+
+    let mut writer = FrameWriter::new(Vec::new(), Framing::Binary);
+    let mut sent = [0usize; STREAMS];
+    for tick in 0.. {
+        if sent.iter().all(|&n| n == LEN) {
+            break;
+        }
+        for (i, source) in sources.iter().enumerate() {
+            let k = 2 + (i + tick) % 3;
+            for _ in 0..k {
+                if sent[i] < LEN {
+                    writer.send(i as u64, &source.data[sent[i]]).expect("in-memory encode");
+                    sent[i] += 1;
+                }
+            }
+        }
+    }
+    let wire = writer.into_inner();
+
+    let mut engine = engine(BackpressurePolicy::Block);
+    let mut traces = Traces::default();
+    engine.run(&mut FramedTransport::new(Cursor::new(wire)), &mut traces).expect("clean EOF");
+
+    let stats = engine.stats();
+    let dropped = stats.fleet.bp_dropped_newest + stats.fleet.bp_dropped_oldest;
+    assert_eq!(stats.frames, STREAMS * LEN);
+    assert_eq!(stats.fleet.steps + dropped, stats.frames, "every frame served or dropped");
+    assert_eq!(dropped, 0, "block policy loses nothing");
+    for (i, reference) in reference.iter().enumerate() {
+        assert_bitwise(&traces.by[i], reference, i);
+    }
+}

@@ -119,7 +119,8 @@ fn assert_exports(name: &str, reg: &Registry, golden_prom: &str, golden_json: &s
 }
 
 /// Streams `steps` vectors into every live stream of `ids`, one drain
-/// round per step.
+/// round per step, then settles the fleet, so every adaptation a drift
+/// owes has landed and the export sees every detector.
 fn serve(fleet: &mut DetectorFleet, ids: &[usize], from: usize, steps: usize) {
     let mut out = Vec::new();
     for t in from..from + steps {
@@ -128,6 +129,7 @@ fn serve(fleet: &mut DetectorFleet, ids: &[usize], from: usize, steps: usize) {
         }
         fleet.drain_round(&mut out);
     }
+    fleet.settle();
 }
 
 /// Three AE streams on two shards (μ/σ, KS, μ/σ); the third is retired
