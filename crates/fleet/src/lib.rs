@@ -23,12 +23,23 @@
 //! identical to N scalar `Detector::step` calls — the `fleet_parity`
 //! suite proves it in the same style as `eval_parity.rs`.
 //!
-//! Cohorts are maintained exactly: parameters are only compared on
-//! *training events* (a member joins at its warm-up fit; a member is
-//! re-cohorted after any fine-tune in its group lands), never per step. Streams
+//! Cohorts are kept, not rebuilt. A model's weights change only when its
+//! learning strategy fine-tunes it, so a stream's cohort changes only on
+//! two events, and parameters are compared only on the first:
+//!
+//! * a *join*, when the stream's warm-up fit or a landed adaptation
+//!   leaves it home with new weights: it is compared with each cohort's
+//!   first member and joins the equal cohort, or founds a new one;
+//! * a *leave*, when a drift sends the stream away on its adaptation, or
+//!   when it retires; a cohort left empty goes. The group keeps its
+//!   record (member list and, in f32, snapshot) for its next founding,
+//!   so a join allocates on the caller only when its group has more
+//!   cohorts than ever before or a cohort outgrows its member list.
+//!
+//! A grouped stream stays grouped, if need be as a cohort of one. Streams
 //! whose models never materialize a batchable network (PCB-iForest,
-//! ARIMA) — and every stream when `FleetConfig::batching` is off
-//! — run the plain scalar `Detector::step` path.
+//! ARIMA) — and every stream when `FleetConfig::batching` is off — run
+//! the plain scalar `Detector::step` path.
 //!
 //! ## One serving loop, two precisions
 //!
@@ -37,15 +48,17 @@
 //! the same pack → forward → emit loop against an `InferView` of that
 //! cohort's networks and scaler:
 //!
-//! * **f64** (default): the view borrows the cohort leader's live
-//!   parameters. Nothing is copied: under entity churn nearly every round
-//!   rebuilds cohorts, and per-cohort f64 copies would add their weights
-//!   to memory and a full copy to each of those rounds.
+//! * **f64** (default): the view borrows the live parameters of the
+//!   cohort's first member. Nothing is copied: under entity churn nearly
+//!   every round founds a cohort, and per-cohort f64 copies would add
+//!   their weights to memory and a full copy to each of those rounds.
 //! * **f32** (`FleetConfig::f32_infer`): the view borrows the cohort's
 //!   `InferSnapshot<f32>`, which holds only converted weights and scaler.
-//!   Snapshots are re-synced in place (allocation-free) on the same
-//!   dirty-on-training-event hook that rebuilds cohorts. Outputs agree
-//!   with the f64 path to f32 accuracy; training stays f64.
+//!   A cohort's snapshot is converted from its founder's parameters when
+//!   the cohort is founded (re-synced in place, when the cohort reuses an
+//!   emptied one's record), and holds as long as the cohort does, since
+//!   no member's weights change while it is in it. Outputs agree with the
+//!   f64 path to f32 accuracy; training stays f64.
 //!
 //! ## Sharding and the worker pool
 //!
@@ -60,39 +73,40 @@
 //! threads, spawned by [`DetectorFleet::open`] and joined when the fleet
 //! drops. The pool has two lanes: the *round* lane, whose jobs a round
 //! waits for, and the *background* lane, whose jobs it does not. A drain
-//! round runs in three phases:
+//! round runs in four phases:
 //!
-//! 1. *Cohorts*, on the calling thread: cohort rebuilds, `begin_step` of
-//!    every grouped stream with input that is home, and one shared
-//!    forward pass per cohort. With two or more shards each shard's
-//!    cohort phase is one pool job, so the shards' forward passes overlap.
+//! 1. *Cohorts*, on the calling thread: for each cohort, `begin_step` of
+//!    every member with input, then one shared forward pass over those
+//!    that began. With two or more shards each shard's cohort phase is one
+//!    pool job, so the shards' forward passes overlap.
 //! 2. *Streams*: the caller and the helpers claim grouped streams one at
 //!    a time and run each one's `Detector::score_step`. A drift makes the
 //!    scoring job hand the stream's detector on to its adaptation
 //!    (`Detector::adapt`: the fine-tune epochs, then the drift re-anchor)
-//!    on the background lane, and the stream is *away*. Every ungrouped
-//!    stream's `Detector::step` stays on the caller: warm-up steps fill
-//!    the training set and end in the allocating initial fit, and a
-//!    non-batchable model's scalar predict builds its output per call.
-//!    Away streams with input *resume*: their adaptations are finished
-//!    first (queued ones are recalled to the front of the round lane, and
-//!    the caller runs them unless a helper takes them; one a helper holds
-//!    is waited for), then the caller serves the round's resumed streams
-//!    of each arch group together, in cohorts rebuilt for them, and their
-//!    scoring jobs go out like the others. The caller does this before
-//!    its ungrouped steps when it takes no more than waiting for the
-//!    helpers' adaptations, and after them otherwise, so a long ungrouped
-//!    step (an initial fit) overlaps the helpers' adaptations.
-//! 3. *Bookkeeping*, on the caller, in slot order: serving counters,
-//!    batching eligibility and group joins.
+//!    on the background lane; the stream is *away* and leaves its cohort.
+//!    Every ungrouped stream's `Detector::step` stays on the caller:
+//!    warm-up steps fill the training set and end in the allocating
+//!    initial fit, and a non-batchable model's scalar predict builds its
+//!    output per call. Away streams with input *resume*: after its
+//!    ungrouped steps the caller lands each one's adaptation and begins
+//!    its step while the scoring jobs run (queued adaptations are
+//!    recalled to the front of the round lane, where the caller or a
+//!    helper runs them; one a helper holds is waited for).
+//! 3. *Resume pass*, once every scoring job is back, so that every
+//!    grouped stream that is not away is home: the streams the round
+//!    landed join their cohorts, in slot order, the resumed ones are
+//!    served through the cohort loop of phase 1, and their scoring jobs go
+//!    out in a second round of the pool.
+//! 4. *Bookkeeping*, on the caller, in slot order: serving counters,
+//!    batching eligibility and warm-up joins.
 //!
 //! So a round returns once its verdicts are out, and each fine-tune runs
 //! beside the rest of its round, the next ingest window and the next
 //! cohort phase. Whether a helper has already finished an adaptation is
 //! never looked at before the stream's next round with input, or
-//! [`DetectorFleet::settle`], lands it (a landing marks the stream's group
-//! for a cohort rebuild, as a fine-tune does): which streams are away, the
-//! cohorts and every counter depend on the input alone.
+//! [`DetectorFleet::settle`], lands it, and joins run in slot order (a
+//! leave commutes with other leaves): which streams are away, the cohorts
+//! and every counter depend on the input alone.
 //!
 //! Each job touches only its own stream's detector (or its own shard), so
 //! every trace is bitwise the same at any shard or helper count
@@ -183,14 +197,14 @@ pub struct FleetConfig {
     pub queue_capacity: usize,
     /// Serves each arch group through an f32 `InferBatch`, with every
     /// cohort's view borrowing its own f32 snapshot of weights and scaler
-    /// (`sad_models::InferSnapshot`) instead of the leader's live f64
-    /// parameters. Halves the bytes streamed per weight in the
+    /// (`sad_models::InferSnapshot`) instead of its first member's live
+    /// f64 parameters. Halves the bytes streamed per weight in the
     /// memory-bound serving GEMMs; outputs agree with the f64 path to f32
     /// relative accuracy rather than bitwise. Training, fine-tuning and
-    /// the detector's score/threshold state stay f64 — snapshots are
-    /// re-synced on the same dirty-on-training-event hook that rebuilds
-    /// cohorts. Requires `batching`; off by default (the parity-proof
-    /// default).
+    /// the detector's score/threshold state stay f64 — a cohort's
+    /// snapshot is converted when the cohort is founded, and no member's
+    /// weights change while it is in the cohort. Requires `batching`; off
+    /// by default (the parity-proof default).
     pub f32_infer: bool,
     /// Enables the timed/shape telemetry: per-round latency histograms,
     /// queue-depth high-water marks, and batch-width histograms. The
@@ -232,11 +246,14 @@ pub struct FleetStats {
     /// `InferSnapshot<f32>` (`FleetConfig::f32_infer`; with it on, every
     /// batched row is an f32 row).
     pub f32_rows: usize,
-    /// Cohort rebuilds triggered by training events.
+    /// Cohort phases that found an arch group's cohorts changed since the
+    /// group's last one: one per group at the first cohort phase after a
+    /// join (a warm-up fit or a landed adaptation) or a retirement in it.
+    /// Cohorts are no longer rebuilt; the name is kept from when they were.
     pub cohort_rebuilds: usize,
-    /// f32 snapshot re-syncs (one per cohort per rebuild, fresh snapshots
-    /// included) performed by those rebuilds (0 unless
-    /// `FleetConfig::f32_infer`).
+    /// f32 snapshots converted, one per cohort founded in an f32 group:
+    /// fresh, or re-synced in place into an emptied cohort's snapshot
+    /// (0 unless `FleetConfig::f32_infer`).
     pub f32_resyncs: usize,
     /// `offer` calls refused on a full queue under
     /// [`BackpressurePolicy::Block`].
@@ -307,11 +324,12 @@ enum Work {
     Finish,
     /// A stream away on its adaptation, with input: the adaptation is
     /// finished first, then the stream lands and begins its step
-    /// ([`Work::Resumed`]).
+    /// ([`Work::Resumed`]). A landed stream whose begin dropped a
+    /// non-finite vector stays `Resume`: it joins its cohort in the
+    /// resume pass, but is not served.
     Resume,
-    /// A resumed stream that has begun its step: at the end of the
-    /// stream phase the caller serves the round's resumed streams of each
-    /// arch group in cohorts rebuilt for them, and scores them.
+    /// A landed stream that has begun its step: the resume pass joins it
+    /// to its cohort, serves it there and scores it.
     Resumed,
 }
 
@@ -327,6 +345,8 @@ struct StreamSlot {
     /// [`DetectorFleet::settle`], lands it. Whether a helper has already
     /// finished it (the detector is parked back in `det`) is never looked
     /// at before then, so what a round does depends on the input alone.
+    /// An away stream belongs to no cohort; a landed one joins its cohort
+    /// in the round's resume pass, or at once when `settle` lands it.
     away: bool,
     /// The panic a parked adaptation raised, re-raised when it lands.
     adapt_panic: Option<Panic>,
@@ -356,9 +376,10 @@ impl StreamSlot {
         self.det()
     }
 
-    /// Whether the stream resumes this round with its adaptation back.
+    /// Whether the stream resumes this round with its adaptation back and
+    /// not yet landed.
     fn parked_resume(&self) -> bool {
-        self.work == Work::Resume && self.det.is_some()
+        self.work == Work::Resume && self.away && self.det.is_some()
     }
 }
 
@@ -406,100 +427,143 @@ impl pool::Job for Job {
 struct ArchGroup {
     arch: ArchKey,
     serving: Serving,
-    /// Member slot indices (shard-local).
+    /// The group's members that are home, as cohorts. A member away on
+    /// its adaptation belongs to none.
+    cohorts: Vec<Cohort>,
+    /// Emptied cohorts, kept so that founding one reuses a record rather
+    /// than allocating: its members' buffer and, in f32, its snapshot.
+    emptied: Vec<Cohort>,
+    /// Whether a member joined or retired since the last cohort phase,
+    /// which counts one [`FleetStats::cohort_rebuilds`].
+    changed: bool,
+    /// Round scratch: the slots of the cohort being served.
+    rows: Vec<usize>,
+}
+
+/// Group members whose models are bitwise-identical in every parameter
+/// `predict` reads (`sad_models::infer_state_equal`).
+struct Cohort {
+    /// Member slot indices, in join order; a joining stream is compared
+    /// with the first.
     members: Vec<usize>,
-    /// Cohort id per member (parallel to `members`).
-    cohort_of: Vec<usize>,
-    /// Per cohort, the position (into `members`) of its first member,
-    /// the leader the rebuild compares other members with.
-    leaders: Vec<usize>,
-    /// Set on any member's training event; cohorts are rebuilt at the
-    /// start of the next round.
-    dirty: bool,
-    /// Round scratch: positions (into `members`) with input this round.
-    active: Vec<usize>,
-    /// Round scratch: the subset of `active` in the cohort being served.
-    cohort_rows: Vec<usize>,
+    /// In an f32 group, the f32 copy of the members' weights and scaler,
+    /// converted from the founder's when the cohort was founded.
+    snapshot: Option<InferSnapshot<f32>>,
+}
+
+impl ArchGroup {
+    /// Joins home stream `slot` to the cohort whose first member's model
+    /// equals its own, or founds a cohort for it, converting the cohort's
+    /// snapshot in an f32 group. Returns the snapshots converted.
+    ///
+    /// A founding reuses an emptied cohort's record when there is one,
+    /// re-syncing its snapshot in place, so a join allocates only when
+    /// its group has more cohorts than ever before or a cohort outgrows
+    /// its members' buffer.
+    fn join(&mut self, slot: usize, slots: &[Option<StreamSlot>]) -> usize {
+        let live = |slot: usize| slots[slot].as_ref().expect("group members are live");
+        let model = |slot: usize| live(slot).det().model();
+        let joining = model(slot);
+        let f32_infer = matches!(self.serving, Serving::F32(_));
+        self.changed = true;
+        let equal = |cohort: &&mut Cohort| infer_state_equal(joining, model(cohort.members[0]));
+        let (rows, converted) = match self.cohorts.iter_mut().find(equal) {
+            Some(cohort) => {
+                cohort.members.push(slot);
+                (cohort.members.len(), 0)
+            }
+            None => {
+                let view = infer_view(joining).expect("grouped models are batchable");
+                let cohort = match self.emptied.pop() {
+                    Some(mut cohort) => {
+                        cohort.members.push(slot);
+                        if let Some(snapshot) = &mut cohort.snapshot {
+                            snapshot.resync(view);
+                        }
+                        cohort
+                    }
+                    None => Cohort {
+                        members: vec![slot],
+                        snapshot: f32_infer.then(|| InferSnapshot::new(view)),
+                    },
+                };
+                self.cohorts.push(cohort);
+                (1, usize::from(f32_infer))
+            }
+        };
+        // Dynamic admission can grow a shard past the rows the workspace
+        // was sized for; grow it here (a join, never per step).
+        if rows > self.serving.capacity() {
+            self.serving = Serving::new(joining, rows.max(slots.len()), f32_infer)
+                .expect("grouped arch stays batchable");
+        }
+        converted
+    }
+
+    /// Removes `slot` from its cohort; a cohort left empty goes to
+    /// [`Self::emptied`]. Leaves commute, so the cohorts do not depend on
+    /// their order.
+    fn leave(&mut self, slot: usize) {
+        let c = self
+            .cohorts
+            .iter()
+            .position(|cohort| cohort.members.contains(&slot))
+            .expect("a home group member is in a cohort");
+        let members = &mut self.cohorts[c].members;
+        members.retain(|&member| member != slot);
+        if members.is_empty() {
+            self.emptied.push(self.cohorts.remove(c));
+        }
+    }
 }
 
 /// An arch group's one batch workspace, in the precision the group
 /// serves. The workspace holds no parameters, so it serves every cohort
-/// of the group in turn against that cohort's inference view.
+/// of the group in turn against that cohort's inference view: in f64 the
+/// live parameters of its first member, in f32 its snapshot.
 enum Serving {
-    /// Views borrow each cohort leader's live f64 parameters.
     F64(InferBatch),
-    /// Views borrow `snapshots[c]`, cohort `c`'s f32 copy of its leader's
-    /// weights and scaler (`FleetConfig::f32_infer`), maintained by
-    /// `rebuild_cohorts`: existing snapshots are re-synced in place
-    /// (allocation-free), new cohorts get fresh ones, surplus ones are
-    /// dropped. `spare` is re-synced from the leader of a cohort of
-    /// resumed streams to serve it ([`Shard::serve_resumed`]).
-    F32 {
-        batch: InferBatch<f32>,
-        snapshots: Vec<InferSnapshot<f32>>,
-        spare: Option<InferSnapshot<f32>>,
-    },
+    F32(InferBatch<f32>),
 }
 
 impl Serving {
-    /// A workspace for `leader`'s architecture with room for `capacity`
+    /// A workspace for `model`'s architecture with room for `capacity`
     /// rows, or `None` when the model is not batchable.
-    fn new(leader: &dyn StreamModel, capacity: usize, f32_infer: bool) -> Option<Self> {
+    fn new(model: &dyn StreamModel, capacity: usize, f32_infer: bool) -> Option<Self> {
         Some(if f32_infer {
-            Serving::F32 {
-                batch: InferBatch::new(leader, capacity)?,
-                snapshots: Vec::new(),
-                spare: None,
-            }
+            Serving::F32(InferBatch::new(model, capacity)?)
         } else {
-            Serving::F64(InferBatch::new(leader, capacity)?)
+            Serving::F64(InferBatch::new(model, capacity)?)
         })
     }
 
     fn capacity(&self) -> usize {
         match self {
             Serving::F64(batch) => batch.capacity(),
-            Serving::F32 { batch, .. } => batch.capacity(),
+            Serving::F32(batch) => batch.capacity(),
         }
     }
 }
 
 /// Serves one cohort through `batch` against `view`: packs the feature
-/// window of every member at `positions`, runs the shared forward pass,
-/// and scatters each row's model output into its slot's buffer.
+/// window of every stream in `rows` (slot indices), runs the shared
+/// forward pass, and scatters each row's model output into its slot's
+/// buffer.
 fn serve_cohort<T: Scalar>(
     batch: &mut InferBatch<T>,
     view: InferView<'_, T>,
-    positions: &[usize],
-    members: &[usize],
+    rows: &[usize],
     slots: &[Option<StreamSlot>],
     out_bufs: &mut [ModelOutput],
 ) {
-    batch.begin(positions.len());
-    for (row, &pos) in positions.iter().enumerate() {
-        let slot = slots[members[pos]].as_ref().expect("group members are live");
-        batch.pack(view, row, slot.det().feature());
+    batch.begin(rows.len());
+    for (row, &slot) in rows.iter().enumerate() {
+        let stream = slots[slot].as_ref().expect("cohort members are live");
+        batch.pack(view, row, stream.det().feature());
     }
     batch.forward(view);
-    for (row, &pos) in positions.iter().enumerate() {
-        batch.emit_into(view, row, &mut out_bufs[members[pos]]);
-    }
-}
-
-/// The group's spare f32 snapshot, re-synced from `leader`'s parameters
-/// (allocated on its first use, a drift event, and re-synced in place
-/// after that).
-fn spare_snapshot<'a>(
-    spare: &'a mut Option<InferSnapshot<f32>>,
-    leader: &dyn StreamModel,
-) -> &'a InferSnapshot<f32> {
-    let view = infer_view(leader).expect("grouped models are batchable");
-    match spare {
-        Some(snapshot) => {
-            snapshot.resync(view);
-            snapshot
-        }
-        None => spare.insert(InferSnapshot::new(view)),
+    for (row, &slot) in rows.iter().enumerate() {
+        batch.emit_into(view, row, &mut out_bufs[slot]);
     }
 }
 
@@ -536,10 +600,6 @@ struct Shard {
     /// Latency of rounds that served at least one step.
     round_seconds: Histogram,
 }
-
-/// Marks a group member that is away on its adaptation in `cohort_of`: it
-/// belongs to no cohort until it lands.
-const NO_COHORT: usize = usize::MAX;
 
 impl Shard {
     fn new(index: usize, batching: bool, f32_infer: bool, telemetry: bool) -> Self {
@@ -597,31 +657,25 @@ impl Shard {
     }
 
     /// Removes `slot` from the shard: drops the detector and any queued
-    /// backlog, and detaches it from its arch group (the group rebuilds
-    /// its cohorts at the next round). The stream must be home.
+    /// backlog, and leaves its cohort. The stream must be home.
     fn vacate(&mut self, slot: usize) {
         let stream = self.slots[slot].take().expect("retire of a live stream");
         debug_assert!(!stream.away, "a retiring stream is settled first");
         self.live -= 1;
         if let Some(gi) = stream.group {
             let group = &mut self.groups[gi];
-            let pos = group
-                .members
-                .iter()
-                .position(|&m| m == slot)
-                .expect("grouped slot is a member of its group");
-            group.members.remove(pos);
-            group.cohort_of.remove(pos);
-            group.dirty = true;
+            group.leave(slot);
+            group.changed = true;
         }
         self.stats.retired += 1;
     }
 
     /// Joins `slot` to the arch group matching its model, creating the
-    /// group on first sight of the architecture. Group batch capacity is
-    /// the shard's stream count — the widest batch a round can need.
+    /// group on first sight of the architecture, and to its cohort there.
+    /// A new group's batch capacity is the shard's stream count — the
+    /// widest batch a round can need.
     fn join_group(&mut self, slot: usize) {
-        let det = self.slots[slot].as_ref().expect("joining slot is live").det();
+        let det = self.slot(slot).det();
         let Some(arch) = batch_arch_key(det.model()) else { return };
         let gi = match self.groups.iter().position(|g| g.arch == arch) {
             Some(gi) => gi,
@@ -633,83 +687,29 @@ impl Shard {
                 self.groups.push(ArchGroup {
                     arch,
                     serving,
-                    members: Vec::new(),
-                    cohort_of: Vec::new(),
-                    leaders: Vec::new(),
-                    dirty: false,
-                    active: Vec::new(),
-                    cohort_rows: Vec::new(),
+                    cohorts: Vec::new(),
+                    emptied: Vec::new(),
+                    changed: false,
+                    rows: Vec::new(),
                 });
                 self.groups.len() - 1
             }
         };
-        let group = &mut self.groups[gi];
-        // Dynamic admission can grow a shard past the capacity the group's
-        // workspace was sized for at creation; grow it here (a
-        // training-event path, never per step). f32 snapshots go with it
-        // and the dirty rebuild below recreates them.
-        if group.members.len() + 1 > group.serving.capacity() {
-            let capacity = self.slots.len().max(group.members.len() + 1);
-            group.serving = Serving::new(det.model(), capacity, self.f32_infer)
-                .expect("grouped arch stays batchable");
-        }
-        group.members.push(slot);
-        group.cohort_of.push(0);
-        group.dirty = true;
         self.slot_mut(slot).group = Some(gi);
+        self.join(slot);
     }
 
-    /// Re-partitions a group into weight-identical cohorts by exact
-    /// parameter comparison against each cohort's first member. O(k·c)
-    /// comparisons for k members and c cohorts — and it only runs on
-    /// training events, never in the per-step hot path. A member away on
-    /// its adaptation joins no cohort ([`NO_COHORT`]); its landing marks
-    /// the group dirty again.
-    fn rebuild_cohorts(group: &mut ArchGroup, slots: &[Option<StreamSlot>]) -> usize {
-        let live = |slot: usize| slots[slot].as_ref().expect("group members are live");
-        let ArchGroup { members, cohort_of, leaders, .. } = group;
-        leaders.clear();
-        for i in 0..members.len() {
-            let member = live(members[i]);
-            if member.away {
-                cohort_of[i] = NO_COHORT;
-                continue;
-            }
-            let model = member.det().model();
-            let leader = |&j: &usize| infer_state_equal(model, live(members[j]).det().model());
-            cohort_of[i] = leaders.iter().position(leader).unwrap_or_else(|| {
-                leaders.push(i);
-                leaders.len() - 1
-            });
-        }
-        // f32 serving: re-sync one snapshot per cohort. This is the
-        // training-event hook — it never runs in the per-step hot path, and
-        // re-syncing an existing snapshot is allocation-free, so
-        // steady-state rounds stay zero-alloc. Cohort ids shuffle across
-        // rebuilds; snapshot `c` is simply re-synced from the *new* cohort
-        // `c`'s leader (same architecture by the group invariant).
-        let mut resyncs = 0;
-        if let Serving::F32 { snapshots, .. } = &mut group.serving {
-            for (c, &pos) in group.leaders.iter().enumerate() {
-                let leader = live(group.members[pos]).det().model();
-                let view = infer_view(leader).expect("grouped models are batchable");
-                match snapshots.get_mut(c) {
-                    Some(snapshot) => snapshot.resync(view),
-                    None => snapshots.push(InferSnapshot::new(view)),
-                }
-                resyncs += 1;
-            }
-            snapshots.truncate(group.leaders.len());
-        }
-        group.dirty = false;
-        resyncs
+    /// Joins grouped home stream `slot` to its cohort ([`ArchGroup::join`]).
+    fn join(&mut self, slot: usize) {
+        let gi = self.slot(slot).group.expect("a joining stream is grouped");
+        self.stats.f32_resyncs += self.groups[gi].join(slot, &self.slots);
     }
 
-    /// Round phase 1: decides each stream's [`Work`], rebuilds dirty
-    /// cohorts, begins the step of every grouped stream with input that
-    /// is home and runs one shared forward pass per cohort, leaving each
-    /// row's output in its slot's `out_bufs` entry for the pooled
-    /// `score_step`.
+    /// Round phase 1: decides each stream's [`Work`], counts the groups
+    /// whose cohorts changed since the last cohort phase, and serves every
+    /// cohort's members with input ([`Self::serve_cohorts`]): each begins
+    /// its step, and its cohort's shared forward pass leaves its output for
+    /// the pooled `score_step`.
     fn cohort_phase(&mut self) {
         self.round_steps = 0;
         for slot in self.slots.iter_mut().flatten() {
@@ -726,67 +726,60 @@ impl Shard {
                 (true, false, Some(_)) => Work::Idle,
             };
         }
+        for group in self.groups.iter_mut().filter(|group| group.changed) {
+            group.changed = false;
+            self.stats.cohort_rebuilds += 1;
+        }
+        // Every cohort member is home and past warm-up, so a begin yields
+        // a feature vector unless the vector held a NaN or ±∞, which the
+        // detector drops and counts: that stream stays idle this round.
+        self.serve_cohorts(|stream| {
+            let Some(s) = stream.queue.front() else { return false };
+            let ready = stream.det.as_deref_mut().expect("cohort members are home").begin_step(s);
+            stream.queue.pop_front();
+            if ready {
+                stream.work = Work::Finish;
+            }
+            ready
+        });
+    }
 
+    /// Serves, cohort by cohort, the members `ready` picks: one shared
+    /// forward pass per cohort at the group's precision, leaving each
+    /// row's output in its slot's `out_bufs` entry for the pooled
+    /// `score_step`. The cohort phase and the resume pass both serve
+    /// through it.
+    fn serve_cohorts(&mut self, mut ready: impl FnMut(&mut StreamSlot) -> bool) {
         let Shard { slots, out_bufs, groups, telemetry, stats, round_steps, batch_rows, .. } = self;
-        for group in groups.iter_mut() {
-            if group.dirty {
-                stats.f32_resyncs += Self::rebuild_cohorts(group, slots);
-                stats.cohort_rebuilds += 1;
-            }
-            // begin_step every member with input that is home. All are
-            // past warm-up, so a begin yields a feature vector unless the
-            // vector held a NaN or ±∞, which the detector drops and
-            // counts: that stream stays idle this round.
-            group.active.clear();
-            for (pos, &si) in group.members.iter().enumerate() {
-                let slot = slots[si].as_mut().expect("group members are live");
-                if slot.away {
+        for ArchGroup { serving, cohorts, rows, .. } in groups.iter_mut() {
+            for Cohort { members, snapshot } in cohorts.iter() {
+                rows.clear();
+                for &slot in members {
+                    if ready(slots[slot].as_mut().expect("cohort members are live")) {
+                        rows.push(slot);
+                    }
+                }
+                if rows.is_empty() {
                     continue;
                 }
-                let (Some(det), Some(s)) = (slot.det.as_deref_mut(), slot.queue.front()) else {
-                    continue;
-                };
-                let ready = det.begin_step(s);
-                slot.queue.pop_front();
-                if ready {
-                    group.active.push(pos);
-                    slot.work = Work::Finish;
-                }
-            }
-            // One shared forward pass per cohort with active members; the
-            // cohort invariant makes any member's model a valid leader.
-            // Every row's output is scattered before any score_step runs.
-            for c in 0..group.leaders.len() {
-                group.cohort_rows.clear();
-                group
-                    .cohort_rows
-                    .extend(group.active.iter().copied().filter(|&pos| group.cohort_of[pos] == c));
-                if group.cohort_rows.is_empty() {
-                    continue;
-                }
-                let rows = group.cohort_rows.len();
-                let (positions, members) = (&group.cohort_rows[..], &group.members[..]);
-                match &mut group.serving {
+                match serving {
                     Serving::F64(batch) => {
-                        let leader = slots[members[positions[0]]]
-                            .as_ref()
-                            .expect("group members are live")
-                            .det()
-                            .model();
-                        let view = infer_view(leader).expect("grouped models are batchable");
-                        serve_cohort(batch, view, positions, members, slots, out_bufs);
+                        let first = slots[members[0]].as_ref().expect("cohort members are live");
+                        let view =
+                            infer_view(first.det().model()).expect("grouped models are batchable");
+                        serve_cohort(batch, view, rows, slots, out_bufs);
                     }
-                    Serving::F32 { batch, snapshots, .. } => {
-                        let view = snapshots[c].view();
-                        serve_cohort(batch, view, positions, members, slots, out_bufs);
-                        stats.f32_rows += rows;
+                    Serving::F32(batch) => {
+                        let snapshot = snapshot.as_ref().expect("an f32 cohort holds its snapshot");
+                        serve_cohort(batch, snapshot.view(), rows, slots, out_bufs);
+                        stats.f32_rows += rows.len();
                     }
                 }
-                stats.batched_rows += rows;
+                stats.batched_rows += rows.len();
                 stats.batches += 1;
-                *round_steps += rows;
+                *round_steps += rows.len();
                 if *telemetry {
-                    batch_rows.record(rows as f64);
+                    batch_rows.record(rows.len() as f64);
                 }
             }
         }
@@ -815,11 +808,6 @@ impl Shard {
         self.slots.iter().flatten().any(|slot| matches!(slot.work, Work::Step | Work::Resume))
     }
 
-    /// Whether this round has an ungrouped step.
-    fn has_ungrouped_steps(&self) -> bool {
-        self.slots.iter().flatten().any(|slot| slot.work == Work::Step)
-    }
-
     /// Moves the detectors of this shard's streams whose round `work` is
     /// at the scoring step, with their batched outputs, out into scoring
     /// jobs, in slot order; their work becomes [`Work::Finish`].
@@ -839,7 +827,8 @@ impl Shard {
 
     /// Puts a stream's batched output, step output and detector back from
     /// its scoring job. A job that comes back without its detector sent it
-    /// on to its adaptation: the stream is away from now on.
+    /// on to its adaptation: the stream is away from now on, and leaves
+    /// its cohort.
     fn land_score(
         &mut self,
         slot: usize,
@@ -853,7 +842,11 @@ impl Shard {
         match det {
             Some(det) => stream.det = Some(det),
             // The adaptation may even be back already, parked in `det`.
-            None => stream.away = true,
+            None => {
+                stream.away = true;
+                let gi = stream.group.expect("a scored stream is grouped");
+                self.groups[gi].leave(slot);
+            }
         }
     }
 
@@ -869,8 +862,8 @@ impl Shard {
     }
 
     /// Lands a parked stream: runs its adaptation on the caller if it came
-    /// back unrun (a round stopped by a panic lands its jobs unrun), and
-    /// marks its group dirty, as a fine-tune does. Returns the panic its
+    /// back unrun (a round stopped by a panic lands its jobs unrun). The
+    /// stream is home, in no cohort until it joins. Returns the panic its
     /// adaptation raised.
     fn land(&mut self, slot: usize) -> Option<Panic> {
         let stream = self.slot_mut(slot);
@@ -880,17 +873,12 @@ impl Shard {
             unrun.then(|| catch_unwind(AssertUnwindSafe(|| det.adapt())).err()).flatten()
         });
         stream.away = false;
-        let group = stream.group;
-        if let Some(gi) = group {
-            self.groups[gi].dirty = true;
-        }
         panic
     }
 
     /// Resumes a parked stream with input this round: lands it and begins
-    /// its step ([`Work::Resumed`]), which [`Self::serve_resumed`] and a
-    /// scoring job complete. Returns a panic of the adaptation or the
-    /// begin.
+    /// its step ([`Work::Resumed`]), which the resume pass completes.
+    /// Returns a panic of the adaptation or the begin.
     fn land_resume(&mut self, slot: usize) -> Option<Panic> {
         if let Some(panic) = self.land(slot) {
             return Some(panic);
@@ -901,66 +889,29 @@ impl Shard {
         };
         let ready = catch_unwind(AssertUnwindSafe(|| det.begin_step(s)));
         stream.queue.pop_front();
-        stream.work = if matches!(ready, Ok(true)) { Work::Resumed } else { Work::Idle };
+        if matches!(ready, Ok(true)) {
+            stream.work = Work::Resumed;
+        }
         ready.err()
     }
 
-    /// Serves this round's resumed streams: per arch group, in cohorts of
-    /// weight-identical detectors rebuilt for them (exact comparison, as
-    /// `rebuild_cohorts` does), one forward pass each at the group's
-    /// precision — f64 borrows the cohort leader's parameters, f32 the
-    /// group's spare snapshot of them — leaving each row's output for the
-    /// pooled `score_step` ([`Self::score_jobs`]). Every row of a pass is
-    /// computed independently of the others, so each output is the one the
-    /// stream's home cohort would give it, and the step counts as a
-    /// batched row.
-    fn serve_resumed(&mut self) {
-        let Shard { slots, out_bufs, groups, stats, round_steps, batch_rows, telemetry, .. } = self;
-        for group in groups.iter_mut() {
-            let resumed = |pos: &usize| {
-                let slot = slots[group.members[*pos]].as_ref();
-                slot.is_some_and(|slot| slot.work == Work::Resumed)
-            };
-            group.active.clear();
-            group.active.extend((0..group.members.len()).filter(resumed));
-            while let Some(&first) = group.active.first() {
-                let live = |pos: usize| {
-                    slots[group.members[pos]].as_ref().expect("group members are live")
-                };
-                let leader = live(first).det().model();
-                group.cohort_rows.clear();
-                group.cohort_rows.extend(group.active.iter().copied().filter(|&pos| {
-                    pos == first || infer_state_equal(leader, live(pos).det().model())
-                }));
-                let cohort = &group.cohort_rows;
-                group.active.retain(|pos| !cohort.contains(pos));
-                let (positions, members) = (&group.cohort_rows[..], &group.members[..]);
-                match &mut group.serving {
-                    Serving::F64(batch) => {
-                        let view = infer_view(leader).expect("grouped models are batchable");
-                        serve_cohort(batch, view, positions, members, slots, out_bufs);
-                    }
-                    Serving::F32 { batch, spare, .. } => {
-                        let view = spare_snapshot(spare, leader).view();
-                        serve_cohort(batch, view, positions, members, slots, out_bufs);
-                        stats.f32_rows += positions.len();
-                    }
-                }
-                stats.batched_rows += positions.len();
-                stats.batches += 1;
-                *round_steps += positions.len();
-                if *telemetry {
-                    batch_rows.record(positions.len() as f64);
-                }
+    /// The resume pass's joins: every stream this round landed joins its
+    /// cohort, in slot order.
+    fn join_landed(&mut self) {
+        for slot in 0..self.slots.len() {
+            let landed = self.slots[slot].as_ref().is_some_and(|stream| {
+                !stream.away && matches!(stream.work, Work::Resume | Work::Resumed)
+            });
+            if landed {
+                self.join(slot);
             }
         }
     }
 
-    /// Resumed streams whose adaptation is still out: queued, or run by a
-    /// helper.
-    fn awaiting(&self) -> usize {
-        let out = |slot: &&StreamSlot| slot.work == Work::Resume && slot.det.is_none();
-        self.slots.iter().flatten().filter(out).count()
+    /// Whether a resumed stream's adaptation is still out: queued, or run
+    /// by a helper.
+    fn awaiting(&self) -> bool {
+        self.slots.iter().flatten().any(|slot| slot.work == Work::Resume && slot.det.is_none())
     }
 
     /// Whether any adaptation of this shard's streams is still out.
@@ -968,7 +919,7 @@ impl Shard {
         self.slots.iter().flatten().any(|slot| slot.away && slot.det.is_none())
     }
 
-    /// Round phase 3, in slot order: counts scalar steps and decides
+    /// Round phase 4, in slot order: counts scalar steps and decides
     /// batching eligibility at the warm-up transition (models materialize
     /// their networks at the warm-up fit).
     fn bookkeeping(&mut self) {
@@ -1016,34 +967,6 @@ fn land_job(
         }
         Job::Cohorts(_) => unreachable!("the stream phase queues streams only"),
     }
-}
-
-/// Finishes the round's resumed streams: the caller runs the recalled
-/// adaptations at the front of the round's queue (a helper may take some),
-/// waits for those the helpers hold, landing and beginning each stream as
-/// its adaptation comes back, then serves them all ([`Shard::serve_resumed`])
-/// and queues their scoring jobs. Does nothing after a panic.
-fn serve_resumed_and_queue(
-    shards: &mut [Box<Shard>],
-    pool: &Pool<Job>,
-    panic: &mut Option<Panic>,
-) {
-    if panic.is_some() {
-        return;
-    }
-    let recalled = |job: &Job| matches!(job, Job::Adapt { .. });
-    pool.run_front(recalled, |job, raised| land_job(shards, panic, job, raised));
-    while panic.is_none() && shards.iter().any(|shard| shard.awaiting() > 0) {
-        pool.wait_back(|job, raised| land_job(shards, panic, job, raised));
-    }
-    if panic.is_some() {
-        return;
-    }
-    for shard in shards.iter_mut() {
-        shard.serve_resumed();
-    }
-    let busy = shards.iter().any(|shard| shard.has_ungrouped_steps());
-    pool.dispatch(shards.iter_mut().flat_map(|shard| shard.score_jobs(Work::Resumed)), busy);
 }
 
 /// Parks an adaptation back in its shard (see [`Shard::park`]).
@@ -1300,27 +1223,30 @@ impl DetectorFleet {
             self.raise(panic);
         }
 
-        // Phase 2: streams. The scoring jobs of the streams served in
-        // phase 1 go out first, behind the adaptations of resumed streams
-        // that no helper has claimed (recalled from the background lane);
-        // those the helpers finished since the last round park in their
-        // slots, and their streams land and begin at once. The resumed
-        // streams are served together, once every one of them has landed
-        // (see `serve_resumed_and_queue`): before the ungrouped steps if
-        // that takes no more than waiting for the adaptations the helpers
-        // hold, or running the recalled ones when no helper holds any;
-        // after them otherwise, so that a long ungrouped step (an initial
-        // fit) overlaps the helpers' adaptations.
+        // Phase 2: streams. The adaptations of resumed streams that no
+        // helper has claimed are recalled from the background lane to the
+        // front of the round lane, and the scoring jobs of the streams
+        // served in phase 1 go out behind them; adaptations the helpers
+        // finished since the last round park in their slots. The caller
+        // runs its ungrouped steps, lands and begins the parked resumed
+        // streams, then claims round jobs beside the helpers, landing and
+        // beginning each resumed stream as its adaptation comes back, and
+        // last waits for the adaptations the helpers hold.
         let (shards, pool) = (&mut self.shards, &self.pool);
         pool.take_returned(|job, raised| park_job(shards, job, raised));
-        let recalled = pool.recall(|job| match job {
+        pool.recall(|job| match job {
             Job::Adapt { shard, slot, .. } => shards[*shard].slot(*slot).work == Work::Resume,
             _ => false,
         });
         let caller_busy = shards.iter().any(|shard| shard.has_caller_work());
         let scoring = shards.iter_mut().flat_map(|shard| shard.score_jobs(Work::Finish));
         pool.dispatch(scoring, caller_busy);
-        let mut panic = None;
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for shard in shards.iter_mut() {
+                shard.step_ungrouped();
+            }
+        }));
+        let mut panic = caught.err();
         for shard in shards.iter_mut() {
             for slot in 0..shard.slots.len() {
                 let parked = shard.slots[slot].as_ref().is_some_and(StreamSlot::parked_resume);
@@ -1329,27 +1255,32 @@ impl DetectorFleet {
                 }
             }
         }
-        let held = shards.iter().map(|shard| shard.awaiting()).sum::<usize>() - recalled;
-        let early = recalled == 0 || held == 0;
-        if early {
-            serve_resumed_and_queue(shards, pool, &mut panic);
-        }
-        if panic.is_none() {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                for shard in shards.iter_mut() {
-                    shard.step_ungrouped();
-                }
-            }));
-            panic = caught.err();
-        }
-        if !early {
-            serve_resumed_and_queue(shards, pool, &mut panic);
-        }
         let stop = panic.is_some();
         pool.complete(stop, |job, raised| land_job(shards, &mut panic, job, raised));
+        while panic.is_none() && shards.iter().any(|shard| shard.awaiting()) {
+            pool.wait_back(|job, raised| land_job(shards, &mut panic, job, raised));
+        }
+
+        // Phase 3: the resume pass. Every scoring job is back, so every
+        // grouped stream that is not away is home. The streams the round
+        // landed join their cohorts in slot order (after a panic too, so
+        // that every home stream is in its cohort when it is raised); the
+        // resumed ones are served through the cohort loop of phase 1 and
+        // scored in a second round of the pool.
+        for shard in shards.iter_mut() {
+            shard.join_landed();
+        }
+        if panic.is_none() {
+            for shard in shards.iter_mut() {
+                shard.serve_cohorts(|stream| stream.work == Work::Resumed);
+            }
+            let scoring = shards.iter_mut().flat_map(|shard| shard.score_jobs(Work::Resumed));
+            pool.dispatch(scoring, false);
+            pool.complete(false, |job, raised| land_job(shards, &mut panic, job, raised));
+        }
         self.raise(panic);
 
-        // Phase 3: bookkeeping.
+        // Phase 4: bookkeeping.
         for shard in &mut self.shards {
             shard.bookkeeping();
         }
@@ -1380,8 +1311,8 @@ impl DetectorFleet {
     /// has claimed (with the helpers, if they are free). Afterwards every
     /// stream is home, so [`Self::detector`] and [`Self::export_metrics`]
     /// see every detector. [`Self::run`], [`Self::retire`] of an away
-    /// stream and the serving engine's `finish` call it. A landing marks
-    /// its stream's group for a cohort rebuild, as a fine-tune does.
+    /// stream and the serving engine's `finish` call it. Each landed
+    /// stream joins its cohort, in slot order.
     ///
     /// # Panics
     /// Re-raises, once every stream is home, the first panic an adaptation
@@ -1412,6 +1343,7 @@ impl DetectorFleet {
                 if shard.slots[slot].as_ref().is_some_and(|stream| stream.away) {
                     let raised = shard.land(slot);
                     panic = panic.or(raised);
+                    shard.join(slot);
                 }
             }
         }
@@ -1624,12 +1556,22 @@ mod tests {
     }
 
     fn ae_detector(seed: u64) -> Detector {
+        ae_tuned(seed, 1)
+    }
+
+    /// The AE/SW detector of [`ae_detector`] with `fine_tune_epochs`.
+    fn ae_tuned(seed: u64, fine_tune_epochs: usize) -> Detector {
+        let (spec, params) = ae_parts(seed, fine_tune_epochs);
+        build_detector(spec, &params)
+    }
+
+    fn ae_parts(seed: u64, fine_tune_epochs: usize) -> (sad_core::AlgorithmSpec, BuildParams) {
         let config = DetectorConfig {
             window: 6,
             channels: 2,
             warmup: 60,
             initial_epochs: 2,
-            fine_tune_epochs: 1,
+            fine_tune_epochs,
         };
         let spec = sad_core::paper_algorithms()
             .iter()
@@ -1638,7 +1580,7 @@ mod tests {
             .expect("AE/SW combination exists");
         let params =
             BuildParams::new(config).with_capacity(20).with_score(ScoreKind::Raw).with_seed(seed);
-        build_detector(spec, &params)
+        (spec, params)
     }
 
     #[test]
@@ -1957,5 +1899,205 @@ mod tests {
         assert_eq!(qreg.counter_by_name("sad_fleet_steps_total"), Some(120));
         assert_eq!(qreg.histogram_by_name("sad_fleet_round_seconds").unwrap().count(), 0);
         assert_eq!(qreg.gauge_by_name("sad_fleet_queue_high_water"), Some(0.0));
+    }
+
+    /// [`series`] with a level shift of both channels from step `at` on.
+    fn shifted(len: usize, at: usize) -> Vec<Vec<f64>> {
+        let mut data = series(len, 0.0);
+        for s in &mut data[at..] {
+            s[0] += 2.0;
+            s[1] -= 1.5;
+        }
+        data
+    }
+
+    /// A drift detector that forces a drift at observation `at` and
+    /// panics in the adaptation that drift owes.
+    #[derive(Clone)]
+    struct FailingAdaptation {
+        inner: Box<dyn sad_core::DriftDetector>,
+        seen: usize,
+        at: usize,
+    }
+
+    impl sad_core::DriftDetector for FailingAdaptation {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn observe(
+            &mut self,
+            x: &sad_core::FeatureVector,
+            update: &sad_core::SetUpdate,
+            train: &[sad_core::FeatureVector],
+        ) -> bool {
+            self.seen += 1;
+            self.inner.observe(x, update, train) || self.seen == self.at + 1
+        }
+
+        fn on_fine_tune(&mut self, train: &[sad_core::FeatureVector]) {
+            assert!(self.seen <= self.at, "scripted adaptation panic");
+            self.inner.on_fine_tune(train);
+        }
+
+        fn ops(&self) -> sad_core::OpCount {
+            self.inner.ops()
+        }
+
+        fn clone_box(&self) -> Box<dyn sad_core::DriftDetector> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// What `view` serves for `det`'s current feature window, at one row.
+    fn served(
+        batch: &mut InferBatch<f32>,
+        view: InferView<'_, f32>,
+        det: &Detector,
+    ) -> ModelOutput {
+        let mut out = ModelOutput::Score(0.0);
+        batch.begin(1);
+        batch.pack(view, 0, det.feature());
+        batch.forward(view);
+        batch.emit_into(view, 0, &mut out);
+        out
+    }
+
+    /// The cohort invariant: in each arch group, the cohorts hold every
+    /// home member exactly once and no away member, and they are the
+    /// members' `infer_state_equal` classes. A cohort holds a snapshot iff
+    /// its group serves f32, and the snapshot serves what a fresh
+    /// conversion of its first member's weights serves.
+    fn assert_cohorts_are_classes(fleet: &DetectorFleet, when: &str) {
+        for shard in &fleet.shards {
+            let model = |slot: usize| shard.slot(slot).det().model();
+            for (gi, group) in shard.groups.iter().enumerate() {
+                let at = format!("{when}: shard {} group {gi}", shard.index);
+                let home: Vec<usize> = (0..shard.slots.len())
+                    .filter(|&k| {
+                        let stream = shard.slots[k].as_ref();
+                        stream.is_some_and(|stream| stream.group == Some(gi) && !stream.away)
+                    })
+                    .collect();
+                let mut members: Vec<usize> =
+                    group.cohorts.iter().flat_map(|c| c.members.iter().copied()).collect();
+                members.sort_unstable();
+                assert_eq!(members, home, "{at}: the cohorts hold exactly the home members");
+                for (c, cohort) in group.cohorts.iter().enumerate() {
+                    let first = model(cohort.members[0]);
+                    for &m in &cohort.members {
+                        assert!(infer_state_equal(first, model(m)), "{at}: slot {m} in cohort {c}");
+                    }
+                    for other in &group.cohorts[c + 1..] {
+                        let apart = !infer_state_equal(first, model(other.members[0]));
+                        assert!(apart, "{at}: cohort {c} and a later one are one class");
+                    }
+                    match (&group.serving, &cohort.snapshot) {
+                        (Serving::F64(_), None) => {}
+                        (Serving::F32(_), Some(snapshot)) => {
+                            let fresh = InferSnapshot::new(infer_view(first).unwrap());
+                            let mut batch = InferBatch::<f32>::new(first, 1).unwrap();
+                            let det = shard.slot(cohort.members[0]).det();
+                            assert_eq!(
+                                served(&mut batch, snapshot.view(), det),
+                                served(&mut batch, fresh.view(), det),
+                                "{at}: cohort {c}'s snapshot is its members' weights",
+                            );
+                        }
+                        _ => panic!("{at}: cohort {c} holds a snapshot iff its group serves f32"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Cohorts are kept by joins and leaves alone, yet after every round,
+    /// after `settle` and after a re-raised panic they are exactly the
+    /// `infer_state_equal` classes of each group's home members, f64 and
+    /// f32, at one and two shards. Three frozen replicas (no fine-tune
+    /// epochs) share their warm-up, then drift at different times and
+    /// keep their weights, so each landing rejoins a cohort of home
+    /// members, one of them with a NaN vector that its begin drops; two
+    /// fine-tuned twins drift in the same round and found one new cohort;
+    /// a last stream's adaptation panics when it resumes.
+    #[test]
+    fn cohorts_are_the_classes_of_home_members() {
+        const PANIC_AT: usize = 150;
+        for f32_infer in [false, true] {
+            for shards in [1, 2] {
+                let label = format!("f32_infer={f32_infer} shards={shards}");
+                let (spec, params) = ae_parts(9, 1);
+                let failing = Detector::new(
+                    params.config.clone(),
+                    sad_models::build_model(spec.model, &params),
+                    sad_models::build_task1(spec.task1, &params),
+                    Box::new(FailingAdaptation {
+                        inner: sad_models::build_task2(spec.task2, &params),
+                        seen: 0,
+                        at: PANIC_AT,
+                    }),
+                    sad_models::build_scorer(params.score, &params),
+                );
+                let detectors = vec![
+                    ae_tuned(7, 0),
+                    ae_tuned(7, 0),
+                    ae_tuned(7, 0),
+                    ae_detector(7),
+                    ae_detector(7),
+                    ae_detector(8),
+                    failing,
+                ];
+                let data = [80, 100, 120, 95, 95, 110, 200].map(|at| shifted(220, at));
+                let config = FleetConfig { shards, f32_infer, ..FleetConfig::default() };
+                let mut fleet = DetectorFleet::new(detectors, config);
+                let mut out = Vec::new();
+                let mut raised = None;
+                // Stream 0 resumes once, after its own shift, on a NaN.
+                let (mut poison, mut poisoned) = (false, false);
+                for t in 0..220 {
+                    for (id, series) in data.iter().enumerate() {
+                        let nan = [f64::NAN, 0.0];
+                        let s = if id == 0 && poison { &nan[..] } else { &series[t][..] };
+                        assert!(fleet.enqueue(id, s));
+                    }
+                    let round = catch_unwind(AssertUnwindSafe(|| fleet.drain_round(&mut out)));
+                    assert_cohorts_are_classes(&fleet, &format!("{label} round {t}"));
+                    if round.is_err() {
+                        raised = Some(t);
+                        break;
+                    }
+                    if poison {
+                        assert_eq!(out[0], None, "{label}: stream 0's NaN is no step at {t}");
+                        poisoned = true;
+                    }
+                    poison = !poisoned && t >= 80 && out[0].is_some_and(|o| o.drift);
+                    if t == 125 {
+                        fleet.settle();
+                        assert_cohorts_are_classes(&fleet, &format!("{label} settled at {t}"));
+                    }
+                }
+                let raised = raised.expect("the scripted adaptation panic is raised");
+                assert!(raised > PANIC_AT, "{label}: raised as its stream resumed, at {raised}");
+                fleet.settle();
+                assert_cohorts_are_classes(&fleet, &format!("{label} settled after the panic"));
+
+                // The frozen replicas drifted at different times and
+                // ended in one cohort per shard (slots 0 and 1 of shard 0
+                // hold streams 0 and 2 at two shards).
+                let drifts: Vec<&[usize]> =
+                    (0..3).map(|i| fleet.detector(i).drift_times()).collect();
+                let apart = drifts[0] != drifts[1] && drifts[1] != drifts[2];
+                assert!(apart && drifts.iter().all(|d| !d.is_empty()), "{label}: {drifts:?}");
+                let cohorts = &fleet.shards[0].groups[0].cohorts;
+                let cohort = cohorts.iter().find(|c| c.members.contains(&0)).unwrap();
+                let mut replicas = cohort.members.clone();
+                replicas.sort_unstable();
+                let expected = if shards == 1 { vec![0, 1, 2] } else { vec![0, 1] };
+                assert_eq!(replicas, expected, "{label}");
+                assert_eq!(fleet.detector(0).non_finite(), 1, "{label}");
+                let stats = fleet.stats();
+                assert_eq!(stats.f32_resyncs > 0, f32_infer, "{label}: {stats:?}");
+            }
+        }
     }
 }

@@ -5,14 +5,18 @@
 //!
 //! * the *round* lane holds the jobs of the current round. The caller
 //!   and the helpers claim them one at a time, and the round ends once
-//!   every one of them is back on the caller;
+//!   every one of them is back on the caller ([`Pool::complete`]). A
+//!   drain round of the fleet completes the lane twice: once for the
+//!   scoring jobs of its cohort phase, with the adaptations its resumed
+//!   streams wait for, and once for the scoring jobs of its resume pass,
+//!   which serves those streams;
 //! * the *background* lane holds jobs no round waits for: a round job
 //!   may return a follow-up (a drifted stream's scoring job returns its
 //!   adaptation), which the thread that ran it queues there at once.
 //!   Helpers claim them once the round lane is empty; the caller takes
 //!   them back only when it needs one: it [recalls](Pool::recall) an
-//!   unclaimed job onto the round lane, or waits for a claimed one to be
-//!   [returned](Pool::take_returned).
+//!   unclaimed job onto the round lane, or [waits](Pool::wait_back) for a
+//!   claimed one to be [returned](Pool::take_returned).
 //!
 //! Nothing is borrowed across threads, and with capacity reserved per job
 //! ([`Pool::reserve`]) dispatch allocates nothing. Two rules keep the
@@ -396,36 +400,6 @@ impl<J: Job> Pool<J> {
                 spin_until(|| {
                     shared.unfinished.load(SeqCst) == 0 || shared.done_len.load(SeqCst) > 0
                 });
-            }
-        }
-    }
-
-    /// Runs the jobs at the front of the round lane on the caller while
-    /// `first` selects them (the recalled ones), landing each with the
-    /// panic it raised; stops after a panic.
-    pub(crate) fn run_front(
-        &self,
-        mut first: impl FnMut(&J) -> bool,
-        mut land: impl FnMut(J, Option<Panic>),
-    ) {
-        let shared = &*self.shared;
-        loop {
-            let job = {
-                let mut q = shared.lock();
-                let job = q.todo.pop_front_if(|job| first(job));
-                shared.todo_len.store(q.todo.len(), SeqCst);
-                job
-            };
-            let Some(mut job) = job else { return };
-            let (panic, next) = run_caught(&mut job);
-            if let Some(next) = next {
-                self.background(next);
-            }
-            let stop = panic.is_some();
-            shared.unfinished.fetch_sub(1, SeqCst);
-            land(job, panic);
-            if stop {
-                return;
             }
         }
     }

@@ -135,8 +135,9 @@ fn f32_infer_agrees_with_f64_on_mixed_fleet() {
         f32_stats.f32_rows, f32_stats.batched_rows,
         "every batched row served through an f32 snapshot: {f32_stats:?}",
     );
-    // Fine-tunes landed inside the trace, so snapshots were refreshed via
-    // the dirty-on-training-event hook (not just built once).
+    // Fine-tunes landed inside the trace, so fine-tuned streams joined
+    // cohorts with snapshots converted from their new weights (not just
+    // built once at warm-up).
     assert!(f32_stats.cohort_rebuilds > 1, "snapshot refreshes exercised: {f32_stats:?}");
     // The structural serving counters agree: same batching decisions.
     assert_eq!(f32_stats.steps, f64_stats.steps);

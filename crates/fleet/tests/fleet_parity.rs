@@ -17,8 +17,8 @@
 //! - a USAD and an N-BEATS stream (their own arch groups),
 //! - a PCB-iForest stream (never batchable — permanent scalar path),
 //!
-//! and level shifts mid-series so drift → fine-tune → cohort-rebuild
-//! events happen inside the measured window. Comparisons are `to_bits`
+//! and level shifts mid-series so drift → fine-tune → cohort leave and
+//! rejoin events happen inside the measured window. Comparisons are `to_bits`
 //! with no tolerance, in the style of `eval_parity.rs`.
 
 use sad_core::{paper_algorithms, AlgorithmSpec, Detector, DetectorConfig, ScoreKind, StepOutput};
@@ -112,7 +112,7 @@ fn mixed_fleet_matches_standalone_detectors_at_all_shard_counts() {
         references.push((trace, det));
     }
     // The planted level shifts must actually fine-tune an NN stream, or
-    // the cohort-rebuild path is never exercised.
+    // no stream leaves and rejoins its cohort.
     assert!(
         references[0].1.fine_tune_count() > 0,
         "level shift must fine-tune the AE cohort stream",
@@ -205,6 +205,68 @@ fn a_non_finite_vector_on_a_grouped_stream_is_dropped_as_if_absent() {
     let clean_steps: usize = clean.iter().map(Vec::len).sum();
     assert_eq!(clean_steps, 1_260);
     assert_eq!(fleet.stats().steps, clean_steps);
+}
+
+/// An AE/SW/μσ detector with no fine-tune epochs: a drift re-anchors its
+/// drift test, and its weights stay those of its warm-up fit.
+fn frozen_detector(seed: u64) -> Detector {
+    let config = DetectorConfig { fine_tune_epochs: 0, ..tiny_config() };
+    let params =
+        BuildParams::new(config).with_capacity(16).with_score(ScoreKind::Raw).with_seed(seed);
+    build_detector(spec(6, "AE"), &params)
+}
+
+/// A landed stream rejoins a cohort of home members. Four frozen AE
+/// replicas share their warm-up, so their weights stay bitwise equal
+/// through every drift; their series then shift at different steps, so
+/// they drift, go away and land in different rounds, and each landing
+/// joins the cohort its replicas kept serving. At 1 and 2 shards the
+/// traces, drift times and fine-tune counts are bitwise those of
+/// standalone detectors, and each round serves, per shard, the replicas
+/// that are home in one forward pass and those that resumed in one more.
+#[test]
+fn landed_streams_rejoin_cohorts_of_home_members() {
+    let data: Vec<Vec<Vec<f64>>> =
+        [70, 85, 100, 115].iter().map(|&at| series(180, 0.0, Some(at))).collect();
+    let mut references = Vec::new();
+    for series in &data {
+        let mut det = frozen_detector(13);
+        let trace = det.run(series);
+        references.push((trace, det));
+    }
+    let drifts: Vec<&[usize]> = references.iter().map(|(_, det)| det.drift_times()).collect();
+    assert!(drifts.iter().all(|d| d.len() > 1), "every replica drifts: {drifts:?}");
+    assert!(drifts.windows(2).all(|w| w[0] != w[1]), "on its own schedule: {drifts:?}");
+
+    for shards in [1usize, 2] {
+        let dets = (0..data.len()).map(|_| frozen_detector(13)).collect();
+        let config = FleetConfig { shards, queue_capacity: 4, ..FleetConfig::default() };
+        let mut fleet = DetectorFleet::new(dets, config);
+        let traces = fleet.run(&data);
+        for (i, (ref_trace, ref_det)) in references.iter().enumerate() {
+            let stream = format!("frozen shards={shards} stream {i}");
+            assert_traces_identical(&traces[i], ref_trace, &stream);
+            let det = fleet.detector(i);
+            assert_eq!(det.drift_times(), ref_det.drift_times(), "{stream}: drift times");
+            assert_eq!(det.fine_tune_count(), ref_det.fine_tune_count(), "{stream}: fine-tunes");
+        }
+
+        // A stream whose step at t drifted resumes at t + 1: it is served
+        // in the round's resume pass, the others in the cohort phase.
+        let drifted = |i: usize, t: usize| references[i].1.drift_times().contains(&t);
+        let mut passes = 0;
+        for t in tiny_config().warmup..180 {
+            for shard in 0..shards {
+                let on_shard = (0..data.len()).filter(|i| i % shards == shard);
+                let resumed = on_shard.clone().filter(|&i| drifted(i, t - 1)).count();
+                let home = on_shard.count() - resumed;
+                passes += usize::from(home > 0) + usize::from(resumed > 0);
+            }
+        }
+        let stats = fleet.stats();
+        assert_eq!(stats.batched_rows, data.len() * (180 - tiny_config().warmup));
+        assert_eq!(stats.batches, passes, "shards={shards}: one cohort of replicas: {stats:?}");
+    }
 }
 
 mod props {

@@ -54,6 +54,9 @@ struct Scripted {
     inner: Box<dyn DriftDetector>,
     seen: usize,
     act: Act,
+    /// Reports no drift before observation [`CUE`], so that a pooled
+    /// stream is home, not away on an adaptation, at its cue round.
+    calm: bool,
 }
 
 fn panic_here() -> ! {
@@ -92,7 +95,8 @@ impl DriftDetector for Scripted {
             }
         }
         self.seen += 1;
-        self.inner.observe(x, update, train)
+        let drift = self.inner.observe(x, update, train);
+        drift && !(self.calm && self.seen <= CUE)
     }
 
     fn on_fine_tune(&mut self, train: &[FeatureVector]) {
@@ -109,8 +113,8 @@ impl DriftDetector for Scripted {
 }
 
 /// A μσ detector of Table I algorithm `idx` whose drift detector follows
-/// `act`.
-fn scripted(idx: usize, expect: &str, act: Act) -> Detector {
+/// `act`, and reports no drift before [`CUE`] if `calm`.
+fn scripted(idx: usize, expect: &str, act: Act, calm: bool) -> Detector {
     let spec: AlgorithmSpec = paper_algorithms()[idx];
     assert!(spec.label().contains(expect), "registry moved: {idx} is {:?}", spec.label());
     let config = DetectorConfig {
@@ -121,7 +125,7 @@ fn scripted(idx: usize, expect: &str, act: Act) -> Detector {
         fine_tune_epochs: 1,
     };
     let params = BuildParams::new(config).with_capacity(12).with_score(ScoreKind::Raw).with_seed(4);
-    let drift = Scripted { inner: build_task2(spec.task2, &params), seen: 0, act };
+    let drift = Scripted { inner: build_task2(spec.task2, &params), seen: 0, act, calm };
     Detector::new(
         params.config.clone(),
         build_model(spec.model, &params),
@@ -133,12 +137,20 @@ fn scripted(idx: usize, expect: &str, act: Act) -> Detector {
 
 /// ARIMA / SW / μσ: never batchable, so every step runs on the caller.
 fn on_caller(act: Act) -> Detector {
-    scripted(0, "ARIMA", act)
+    scripted(0, "ARIMA", act, false)
 }
 
 /// AE / SW / μσ: grouped after warm-up, so its `finish_step` is pooled.
 fn pooled(act: Act) -> Detector {
-    scripted(6, "AE", act)
+    scripted(6, "AE", act, false)
+}
+
+/// [`pooled`], home at its cue round: its scoring job goes out with the
+/// round's first, before the caller's own steps. (A stream that resumes
+/// from an adaptation is scored only once every other scoring job of the
+/// round is back.)
+fn pooled_home_at_cue(act: Act) -> Detector {
+    scripted(6, "AE", act, true)
 }
 
 fn flag() -> Arc<AtomicBool> {
@@ -239,7 +251,9 @@ fn a_step_panic_reaches_the_caller_whichever_thread_ran_it() {
 
 /// When the caller's own step panics while a helper runs a pooled job,
 /// `drain_round` unwinds only after that job has finished. The caller's
-/// step panics only once the helper has started the job.
+/// step panics only once the helper has started the job. The stalling
+/// stream reports no drift before its cue, so it is home at the cue round
+/// and its scoring job is out before the caller's step.
 #[test]
 fn a_caller_panic_waits_for_the_helpers_before_it_unwinds() {
     if helpers() == 0 {
@@ -254,7 +268,7 @@ fn a_caller_panic_waits_for_the_helpers_before_it_unwinds() {
                 nap: Duration::from_millis(200),
             };
             let caller = Act::Await { flag: started.clone(), panic: true };
-            let dets = vec![pooled(stall), on_caller(caller), quiet()];
+            let dets = vec![pooled_home_at_cue(stall), on_caller(caller), quiet()];
             let probe = || (started.load(SeqCst), finished.load(SeqCst));
             let (_, message, seen) =
                 serve_until_panic(dets, shards, probe).expect("the caller's panic propagated");

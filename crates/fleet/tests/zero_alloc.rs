@@ -276,3 +276,71 @@ fn steady_state_f32_fleet_round_is_allocation_free() {
     );
     assert_eq!(stats.cohort_rebuilds, settled.cohort_rebuilds, "no training events while armed");
 }
+
+/// Stream `stream`'s vector at `t`: the stationary signal above, shifted
+/// by a level that flips every 160 steps, 37 steps later per stream, so
+/// each stream drifts again and again on its own schedule.
+fn drifting_vector(t: usize, stream: usize) -> [f64; CHANNELS] {
+    let [a, b] = stream_vector(t);
+    let level = if ((t + 37 * stream) / 160).is_multiple_of(2) { 0.0 } else { 3.0 };
+    [a + level, b - level]
+}
+
+/// A round in which streams that drifted the round before land their
+/// adaptations and rejoin the cohorts allocates nothing once the groups
+/// have had as many cohorts before: a founding reuses an emptied
+/// cohort's record (its member list and, in f32, its snapshot, re-synced
+/// in place). Rounds in which a stream drifts are served but not
+/// checked: the detector appends the drift time to its log, which grows
+/// now and then.
+fn assert_landing_rounds_are_allocation_free(f32_infer: bool) {
+    let _serial = serial();
+    let dets: Vec<Detector> = (0..STREAMS).map(|_| ae_detector()).collect();
+    let config = FleetConfig { f32_infer, ..FleetConfig::default() };
+    let mut fleet = DetectorFleet::new(dets, config);
+    let mut out: Vec<Option<StepOutput>> = Vec::new();
+    let round = |fleet: &mut DetectorFleet, out: &mut Vec<Option<StepOutput>>, t: usize| {
+        for i in 0..STREAMS {
+            assert!(fleet.enqueue(i, &drifting_vector(t, i)));
+        }
+        assert_eq!(fleet.drain_round(out), STREAMS);
+    };
+    let drifted = |out: &[Option<StepOutput>]| out.iter().flatten().filter(|o| o.drift).count();
+    // Warm up, then, as in `settle`, serve until a helper has run a job.
+    let (started, mut t) = (std::time::Instant::now(), 0);
+    while t < 2000 || (fleet.helpers() > 0 && fleet.helper_jobs() == 0) {
+        assert!(started.elapsed().as_secs() < 30, "no helper ran a job in 30 s of rounds");
+        round(&mut fleet, &mut out, t);
+        t += 1;
+    }
+    let (mut checked, mut landed, mut joins, mut resyncs) = (0, 0, 0, 0);
+    for t in t..t + 1280 {
+        let landing = drifted(&out);
+        let before = fleet.stats();
+        let (n, on_helpers) = count_allocs(|| round(&mut fleet, &mut out, t));
+        if landing == 0 || drifted(&out) > 0 {
+            continue;
+        }
+        let label = format!("f32_infer={f32_infer} t={t}");
+        assert_eq!(n, 0, "{label}: a round that lands {landing} streams allocated {n} times");
+        assert_eq!(on_helpers, 0, "{label}: the pool allocated {on_helpers} times");
+        let after = fleet.stats();
+        checked += 1;
+        landed += landing;
+        joins += after.cohort_rebuilds - before.cohort_rebuilds;
+        resyncs += after.f32_resyncs - before.f32_resyncs;
+    }
+    assert!(checked >= 16, "f32_infer={f32_infer}: only {checked} landing rounds without a drift");
+    assert!(joins > 0, "f32_infer={f32_infer}: {landed} landings joined no cohort");
+    assert_eq!(resyncs > 0, f32_infer, "f32_infer={f32_infer}: {resyncs} snapshots re-synced");
+}
+
+#[test]
+fn a_round_of_landings_is_allocation_free() {
+    assert_landing_rounds_are_allocation_free(false);
+}
+
+#[test]
+fn a_round_of_landings_is_allocation_free_in_f32() {
+    assert_landing_rounds_are_allocation_free(true);
+}

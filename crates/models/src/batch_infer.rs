@@ -20,8 +20,8 @@
 //!   is running every row through one member's network exactly the
 //!   per-stream computation);
 //! * [`InferSnapshot`] — an owned copy of a view's weights and scaler in
-//!   another precision (the f32 serving snapshot), re-synced in place on
-//!   training events;
+//!   another precision (the f32 serving snapshot), re-synced in place
+//!   from another model of the same architecture;
 //! * [`InferBatch`] — reusable batched workspaces in precision `T` plus
 //!   the `begin`/`pack`/`forward`/`emit_into` loop, run against any view
 //!   of precision `T`; `predict` is that loop at one row.
@@ -188,10 +188,13 @@ enum OwnedNets<T: Scalar> {
 /// snapshot.
 ///
 /// The model keeps sole ownership of the authoritative f64 parameters and
-/// every training path; the snapshot is re-synced in place
-/// ([`Self::resync`], allocation-free) on training events and serves
-/// every round in between through [`Self::view`]. Its outputs feed the
-/// nonconformity scorer, never any training state.
+/// every training path. The fleet converts a snapshot when it founds a
+/// cohort, or re-syncs an emptied cohort's snapshot in place
+/// ([`Self::resync`], allocation-free) when the founding reuses that
+/// cohort's record, and serves every round of the cohort's life through
+/// [`Self::view`] (no member's weights change while it is in the
+/// cohort). Its outputs feed the nonconformity scorer, never any
+/// training state.
 pub struct InferSnapshot<T: Scalar> {
     nets: OwnedNets<T>,
     scaler: Option<Affine<T>>,

@@ -6,9 +6,9 @@
 //! writes into workspace rows (`transform_into`), the adversarial /
 //! residual chains run entirely through preallocated workspaces, and the
 //! optimizers step parameters in place. The same holds for the f32
-//! serving snapshot's re-sync after a fine-tune (the fleet's
-//! training-event hook): it converts every weight and scaler statistic in
-//! place. And `predict`, the batched inference loop at one row, allocates
+//! serving snapshot's re-sync after a fine-tune (how the fleet founds a
+//! cohort in an emptied cohort's record): it converts every weight and
+//! scaler statistic in place. And `predict`, the batched inference loop at one row, allocates
 //! once after its first call: the returned `ModelOutput`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
